@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError
-from .mathcore import beta, exp_e1, log_gamma, minimize_scalar, omega
+from .mathcore import beta, exp_e1_scaled, minimize_scalar, omega
 
 __all__ = [
     "SystemConfig",
@@ -92,19 +92,22 @@ def semiclassical_constant(d: int, k: float) -> float:
         * math.gamma(1.0 + d / 2.0) ** (k / d) / math.pi ** (k / 2.0)
 
 
-def _daubechies_inner(a: float) -> float:
-    # int_a^inf e^-u (u - a) / u du = e^-a - a E1(a)
-    return math.exp(-a) - a * exp_e1(a)
+def _log_daubechies_inner(a: float) -> float:
+    # ln int_a^inf e^-u (u - a) / u du = ln(e^-a - a E1(a)), written as
+    # -a + ln(1 - a e^a E1(a)) so that it stays finite where e^-a underflows
+    return -a + math.log1p(-a * exp_e1_scaled(a))
 
 
 @lru_cache(maxsize=None)
 def _daubechies_ratio(rho: float) -> float:
-    # B depends on d and k only through rho = d / k
+    # B depends on d and k only through rho = d / k; the objective
+    # a^-rho / (e^-a - a E1(a)) is minimized through its logarithm, since
+    # a^-rho alone overflows on the scan grid once rho reaches ~80
     def objective(a: float) -> float:
-        return a ** (-rho) / _daubechies_inner(a)
+        return -rho * math.log(a) - _log_daubechies_inner(a)
 
     res = minimize_scalar(objective, bracket=(1e-4, 60.0), rel_tol=1e-13)
-    return (math.exp(log_gamma(rho)) * res.min_value) ** (-1.0 / rho)
+    return math.exp(-(math.lgamma(rho) + res.min_value) / rho)
 
 
 def daubechies_factor(d: int, k: float) -> float:

@@ -34,6 +34,11 @@ __all__ = [
 ]
 
 
+# relative deviation of a table's measured normalization from its declared N
+# beyond which load_tabulated warns
+_TABLE_NORM_TOL = 0.01
+
+
 @dataclass(frozen=True, eq=False)
 class RadialDensity:
     """A radial probability density in d dimensions normalized to N particles.
@@ -71,7 +76,9 @@ class DensityPair:
 
     real_wavefunction marks states whose position (or momentum)
     wavefunction is real, the precondition of the saturated
-    Fisher-product bound.
+    Fisher-product bound.  The two particle counts must agree to 1e-12,
+    or to the 1% that load_tabulated allows a measured normalization
+    when either side is tabulated.
     """
 
     position: RadialDensity
@@ -82,7 +89,9 @@ class DensityPair:
     def __post_init__(self):
         if self.position.d != self.momentum.d:
             raise DomainError("conjugate densities must share the dimension")
-        if not math.isclose(self.position.N, self.momentum.N, rel_tol=1e-12):
+        tabulated = self.position.knots is not None or self.momentum.knots is not None
+        if not math.isclose(self.position.N, self.momentum.N,
+                            rel_tol=_TABLE_NORM_TOL if tabulated else 1e-12):
             raise DomainError("conjugate densities must share the particle count")
 
 
@@ -305,7 +314,7 @@ def load_tabulated(cfg: SystemConfig, r, rho_values) -> RadialDensity:
     measured = omega(cfg.d) * gauss_cells(lambda x: interp(x) * x ** (cfg.d - 1), r)
     if measured <= 0:
         raise DomainError("tabulated density has zero measured normalization")
-    if abs(measured - cfg.N) > 0.01 * cfg.N:
+    if abs(measured - cfg.N) > _TABLE_NORM_TOL * cfg.N:
         warnings.warn(
             f"measured normalization {measured:.6g} deviates from declared "
             f"N = {cfg.N:.6g} by more than 1%", stacklevel=2)

@@ -16,19 +16,30 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .densities import RadialDensity
-from .errors import DivergenceError, DomainError, FormatError
+from .errors import DivergenceError, DomainError, FormatError, NonFiniteError
 from .mathcore import DEFAULT_QUADRATURE, QuadratureSpec, gauss_cells, omega, quad_finite, quad_halfline
 
 __all__ = ["MomentValue", "radial_moment", "entropic_moment", "fisher_information", "variance"]
 
-# tail handled by the infinite-interval transform beyond this multiple of the decay scale
+# half-line tail handled by the geometric panel ladder beyond this multiple of the decay scale
 _TAIL_FACTOR = 5.0
 # safety margin (in decay-exponent units) for the tail convergence pre-check
 _TAIL_MARGIN = 0.5
+# smallest normal float; below it a density value has lost precision
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
 class MomentValue:
+    """One functional value and how it was made.
+
+    est_error estimates |value - exact|: 0 for closed forms; for model
+    densities the adaptive quadrature's summed panel error estimate plus
+    the size of any extrapolated tail remainder.  For tabulated densities
+    it is a fixed placeholder, 1e-13 |value|, that does not measure the
+    interpolation or rule error.
+    """
+
     order: float
     value: float
     method: str  # 'analytic' or 'quadrature'
@@ -146,6 +157,10 @@ def entropic_moment(dens: RadialDensity, m: float,
             v = f(r)
             if np.any(np.asarray(v) < 0):
                 raise FormatError(f"density is negative near r = {r!r}")
+            # a subnormal density value has lost significant bits, and
+            # rho^m with m < 1 magnifies that loss: read it as an
+            # underflowed zero, past which the half-line tail is extrapolated
+            v = np.where(v < _TINY, 0.0, v)
             return np.power(v, m) * np.power(r, w)
 
         value, err = _integrate(dens, integrand, spec)
@@ -172,34 +187,40 @@ def fisher_information(dens: RadialDensity,
     density may touch zero); the mass excluded that way is attached to
     the error estimate.
     """
-    peak = _peak(dens)
-    if peak <= 0:
-        raise DomainError("density is identically zero on the probe grid")
     tabulated = dens.knots is not None
-    floor = (1e-12 if tabulated else 1e-300) * peak
     w = dens.d - 1.0
     f, df = dens.rho, dens.drho
 
-    def integrand(r):
-        v = np.asarray(f(r), dtype=float)
-        g = np.asarray(df(r), dtype=float)
-        safe = v > floor
-        out = np.zeros_like(v)
-        np.divide(g * g, v, out=out, where=safe)
-        return out * np.power(r, w)
+    def compute():
+        peak = _peak(dens)
+        if not math.isfinite(peak):
+            raise NonFiniteError("density is not finite on the probe grid")
+        if peak <= 0:
+            raise DomainError("density is identically zero on the probe grid")
+        floor = (1e-12 if tabulated else 1e-300) * peak
 
-    value, err = _integrate(dens, integrand, spec)
-
-    excluded = 0.0
-    if tabulated:
-        # mass sitting below the floor, reported as a correction estimate
-        def excluded_mass(r):
+        def integrand(r):
             v = np.asarray(f(r), dtype=float)
-            return np.where(v <= floor, v, 0.0) * np.power(r, w)
+            g = np.asarray(df(r), dtype=float)
+            safe = v > floor
+            out = np.zeros_like(v)
+            np.divide(g * g, v, out=out, where=safe)
+            return out * np.power(r, w)
 
-        excluded = omega(dens.d) * gauss_cells(excluded_mass, dens.knots)
-    return MomentValue(2.0, omega(dens.d) * value, "quadrature",
-                       omega(dens.d) * err + excluded)
+        value, err = _integrate(dens, integrand, spec)
+
+        excluded = 0.0
+        if tabulated:
+            # mass sitting below the floor, reported as a correction estimate
+            def excluded_mass(r):
+                v = np.asarray(f(r), dtype=float)
+                return np.where(v <= floor, v, 0.0) * np.power(r, w)
+
+            excluded = omega(dens.d) * gauss_cells(excluded_mass, dens.knots)
+        return MomentValue(2.0, omega(dens.d) * value, "quadrature",
+                           omega(dens.d) * err + excluded)
+
+    return _memoized(dens, ("fisher", spec or DEFAULT_QUADRATURE), compute)
 
 
 def variance(dens: RadialDensity, spec: QuadratureSpec | None = None) -> float:

@@ -17,7 +17,7 @@ from typing import Iterable
 from . import constants
 from .constants import ConstantValue, SystemConfig
 from .densities import DensityPair, RadialDensity
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .functionals import entropic_moment, fisher_information, radial_moment, variance
 from .mathcore import QuadratureSpec
 
@@ -285,8 +285,10 @@ def sweep(ineq: InequalityId, fleet: Iterable[DensityPair], cfg_template: System
     """Evaluate one inequality across an ordered fleet of density pairs.
 
     Each pair is checked with the template's q and its own particle
-    count; members violating the inequality's parameter domain become
-    hole rows and the sweep continues.  Rows are ordered by N.
+    count; members violating the inequality's parameter domain, and
+    members whose functionals fail to converge or meet a non-finite
+    value, become hole rows and the sweep continues.  Rows are ordered
+    by N.
     """
     members = sorted(fleet, key=lambda pr: pr.position.N)
     rows: list[BoundReport] = []
@@ -296,7 +298,7 @@ def sweep(ineq: InequalityId, fleet: Iterable[DensityPair], cfg_template: System
         cfg = SystemConfig(d=pair.position.d, N=pair.position.N, q=cfg_template.q)
         try:
             rows.append(evaluate(ineq, pair, cfg, p, spec=spec))
-        except DomainError as exc:  # includes DivergenceError holes
+        except (DomainError, ConvergenceError) as exc:  # includes divergence and non-finite holes
             direction = Direction.LHS_LE_RHS if ineq in (
                 InequalityId.THAKKAR_UPPER, InequalityId.NEGATIVE_ORDER,
                 InequalityId.ZUMBACH, InequalityId.ZUMBACH_CONJUGATE,

@@ -117,16 +117,22 @@ def maximizer_density(d: int, alpha: float, k: float,
     t = -e  # positive exponent of (a^alpha + r^alpha)^-t
     a = _scale_from_ratio(d, alpha, alpha * (d + k) / (d * (-k)) - 1.0, N, r_alpha)
     C = N * alpha / (omega(d) * a ** (d + alpha * e) * beta(d / alpha, t - d / alpha))
-    a_alpha = a ** alpha
 
+    # a^alpha + r^alpha = hi^alpha (1 + (lo/hi)^alpha) with hi = max(a, r),
+    # lo = min(a, r): far out, r^alpha alone overflows while the density
+    # is still representable
     def rho(r):
         r = np.asarray(r, dtype=float)
-        return C * np.power(a_alpha + np.power(r, alpha), e)
+        hi = np.maximum(r, a)
+        return C * np.power(hi, alpha * e) \
+            * np.power(1.0 + np.power(np.minimum(r, a) / hi, alpha), e)
 
     def drho(r):
+        # r^(alpha-1) = (r/hi)^(alpha-1) hi^(alpha-1), merged into hi^(alpha e - 1)
         r = np.asarray(r, dtype=float)
-        return C * e * alpha * np.power(r, alpha - 1.0) \
-            * np.power(a_alpha + np.power(r, alpha), e - 1.0)
+        hi = np.maximum(r, a)
+        return C * e * alpha * np.power(r / hi, alpha - 1.0) * np.power(hi, alpha * e - 1.0) \
+            * np.power(1.0 + np.power(np.minimum(r, a) / hi, alpha), e - 1.0)
 
     return RadialDensity(d=d, N=N, rho=rho, drho=drho,
                          analytic_moments={0.0: N, float(alpha): r_alpha},

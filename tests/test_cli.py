@@ -168,6 +168,22 @@ class TestRoundTrip:
         assert values["0"] == pytest.approx(1.0, abs=1e-5)
         assert values["1"] == pytest.approx(1.5, abs=1e-5)
 
+    def test_tabulated_conjugate_pair(self, capsys, tmp_path):
+        # each table's measured normalization differs slightly from N = 1
+        pos, mom = tmp_path / "pos.csv", tmp_path / "mom.csv"
+        for space, rmax, path in (("position", "40", pos), ("momentum", "60", mom)):
+            code, _, _ = run_cli(capsys, "export", "--model", "hydrogenic", "--Z", "1",
+                                 "--space", space, "--points", "4000",
+                                 "--rmax", rmax, "--out", str(path))
+            assert code == 0
+        code, out, _ = run_cli(capsys, "check", "--ineq", "cramer_rao",
+                               "--position", str(pos), "--momentum", str(mom),
+                               "--format", "json")
+        assert code == 0
+        row = json.loads(out)["rows"][0]
+        # I V = 4 Z^2 * 3 / Z^2 for the hydrogenic ground state
+        assert float(row["lhs"]) == pytest.approx(12.0, abs=1e-5)
+
     def test_oracle_g_mode(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "--mode", "G", "--d", "3",
                                "--alpha", "3", "--k", "-1")

@@ -78,6 +78,13 @@ class TestDaubechiesFactor:
             assert abs(a - b) <= 1e-8
         assert diag[0] == pytest.approx(0.165728, abs=1e-5)
 
+    @pytest.mark.parametrize("k,expected", [
+        # rho = d/k = 80, 160, 400; from the stationarity condition
+        # a e^a E1(a) = rho / (1 + rho) solved with mpmath at 40 digits
+        (0.5, 0.961637503993198), (0.25, 0.978568378392888), (0.1, 0.990251290524236)])
+    def test_large_ratio(self, k, expected):
+        assert C.daubechies_factor(40, k) == pytest.approx(expected, rel=1e-12)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             C.daubechies_factor(3, 0.0)

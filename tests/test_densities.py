@@ -208,6 +208,12 @@ class TestInvariants:
             if order in (0.0, 2.0, 1.0, -1.0):
                 assert F.radial_moment(bare, order).value == pytest.approx(exact, rel=1e-8)
 
+    def test_model_pair_count_mismatch_rejected(self):
+        # the 1% allowance is for tabulated sides only
+        with pytest.raises(DomainError):
+            D.DensityPair(D.gaussian_pair(3, 1.0, 1.0).position,
+                          D.gaussian_pair(3, 1.0, 1.005).momentum)
+
     def test_pair_dimension_mismatch_rejected(self):
         with pytest.raises(DomainError):
             D.DensityPair(D.gaussian_pair(2, 1.0).position,

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from uncrel import densities as D
@@ -116,6 +117,22 @@ class TestFisherInformation:
         i_pos = F.fisher_information(pair.position).value
         assert i_pos < 4.0 * F.radial_moment(pair.momentum, 2.0).value
 
+
+    def test_evaluations_are_batched_and_memoized(self):
+        pos = D.harmonic_fermions_1d(40, 2).position
+        calls = []
+
+        def counted(fn):
+            def evaluate(x):
+                calls.append(np.size(x))
+                return fn(x)
+            return evaluate
+
+        dens = dataclasses.replace(pos, rho=counted(pos.rho), drho=counted(pos.drho))
+        first = F.fisher_information(dens)
+        assert len(calls) <= 64
+        assert F.fisher_information(dens) is first
+        assert len(calls) <= 64
 
 class TestVariance:
     def test_values(self):

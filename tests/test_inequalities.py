@@ -1,5 +1,7 @@
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -220,6 +222,18 @@ class TestSweep:
         assert rows[0].status == "hole"
         assert "window" in rows[0].note
 
+
+    @pytest.mark.parametrize("ineq,params", [
+        (I.InequalityId.HEISENBERG_GENERAL, {"alpha": 2.0, "k": 2.0}),
+        (I.InequalityId.CRAMER_RAO, {})])
+    def test_non_finite_member_becomes_hole(self, ineq, params):
+        fleet = [D.harmonic_fermions_1d(n, 1) for n in range(1, 5)]
+        bad = fleet[2].position
+        fleet[2] = dataclasses.replace(fleet[2], position=dataclasses.replace(
+            bad, rho=lambda x: np.full(np.shape(x), np.nan), analytic_moments=None))
+        rows = I.sweep(ineq, fleet, SystemConfig(d=1, N=1.0, q=1), params)
+        assert [r.status for r in rows] == ["satisfied", "satisfied", "hole", "satisfied"]
+        assert "not finite" in rows[2].note
 
 DIMENSIONLESS = [
     (I.InequalityId.HEISENBERG_GENERAL, {"alpha": 2.0, "k": 2.0}),

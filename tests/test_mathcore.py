@@ -6,10 +6,11 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uncrel.errors import BracketError, DomainError, FormatError, NonFiniteError
-from uncrel.mathcore import (QuadratureSpec, beta, exp_e1, integrate_halfline,
-                             interpolate_monotone, log_gamma, minimize_scalar,
-                             omega, solve_root)
+from uncrel.errors import (BracketError, ConvergenceError, DomainError, FormatError,
+                           NonFiniteError)
+from uncrel.mathcore import (QuadratureSpec, beta, exp_e1, interpolate_monotone,
+                             log_gamma, minimize_scalar, omega, quad_finite,
+                             quad_halfline, solve_root)
 
 
 class TestSpecialFunctions:
@@ -44,7 +45,7 @@ class TestExpE1:
     @pytest.mark.parametrize("x", [0.3, 0.6, 3.0])
     def test_against_quadrature(self, x):
         # E1(x) = int_x^inf e^-u / u du, shifted to the half line
-        direct = integrate_halfline(lambda t: math.exp(-(t + x)) / (t + x))
+        direct = quad_halfline(lambda t: np.exp(-(t + x)) / (t + x))[0]
         assert exp_e1(x) == pytest.approx(direct, rel=1e-11)
 
     def test_domain(self):
@@ -54,30 +55,30 @@ class TestExpE1:
 
 class TestIntegrateHalfline:
     def test_exponential(self):
-        assert integrate_halfline(lambda r: math.exp(-r)) == pytest.approx(1.0, rel=1e-11)
+        assert quad_halfline(lambda r: np.exp(-r))[0] == pytest.approx(1.0, rel=1e-11)
 
     def test_gaussian_second_moment(self):
-        val = integrate_halfline(lambda r: r * r * math.exp(-r * r))
+        val = quad_halfline(lambda r: r * r * np.exp(-r * r))[0]
         assert val == pytest.approx(math.sqrt(math.pi) / 4.0, rel=1e-11)
 
     def test_truncated_exponential_weight(self):
         # int_a^inf e^-u (u - a)/u du = e^-a - a E1(a) at a = 0.6
         a = 0.6
-        val = integrate_halfline(lambda t: math.exp(-(t + a)) * t / (t + a))
+        val = quad_halfline(lambda t: np.exp(-(t + a)) * t / (t + a))[0]
         assert val == pytest.approx(math.exp(-a) - a * exp_e1(a), rel=1e-11)
 
     def test_gaussian_closure(self):
         # omega(d) * int r^(d-1) e^{-r^2} dr = pi^(d/2)
         for d in range(1, 6):
-            val = omega(d) * integrate_halfline(lambda r: r ** (d - 1) * math.exp(-r * r))
+            val = omega(d) * quad_halfline(lambda r: r ** (d - 1) * np.exp(-r * r))[0]
             assert val == pytest.approx(math.pi ** (d / 2.0), rel=1e-10)
 
     def test_non_finite_integrand(self):
         def bad(r):
-            return math.nan if 1.0 < r < 2.0 else math.exp(-r)
+            return np.where((1.0 < r) & (r < 2.0), np.nan, np.exp(-r))
 
         with pytest.raises(NonFiniteError):
-            integrate_halfline(bad)
+            quad_halfline(bad)
 
     def test_spec_validation(self):
         with pytest.raises(DomainError):
@@ -88,11 +89,26 @@ class TestIntegrateHalfline:
     @settings(max_examples=25, deadline=None)
     @given(a=st.floats(-10, 10, allow_nan=False), b=st.floats(-10, 10, allow_nan=False))
     def test_linearity(self, a, b):
-        f = lambda r: math.exp(-r)
-        g = lambda r: r * r * math.exp(-r * r)
-        combined = integrate_halfline(lambda r: a * f(r) + b * g(r))
-        separate = a * integrate_halfline(f) + b * integrate_halfline(g)
+        f = lambda r: np.exp(-r)
+        g = lambda r: r * r * np.exp(-r * r)
+        combined = quad_halfline(lambda r: a * f(r) + b * g(r))[0]
+        separate = a * quad_halfline(f)[0] + b * quad_halfline(g)[0]
         assert combined == pytest.approx(separate, rel=1e-9, abs=1e-12)
+
+    def test_slow_power_tail(self):
+        # int_0^inf (1 + r)^-1.1 dr = 10: most of it lies far past tail_cut
+        val, err = quad_halfline(lambda r: (1.0 + r) ** -1.1)
+        assert val == pytest.approx(10.0, rel=1e-10)
+        assert err >= abs(val - 10.0)
+
+    def test_endpoint_singularity(self):
+        val, err = quad_finite(lambda r: r ** -0.5, 0.0, 1.0)
+        assert val == pytest.approx(2.0, rel=1e-10)
+        assert err >= abs(val - 2.0)
+
+    def test_exhausted_budget(self):
+        with pytest.raises(ConvergenceError):
+            quad_finite(lambda r: r ** -0.5, 0.0, 1.0, QuadratureSpec(max_refinements=5))
 
 
 class TestMinimizeScalar:

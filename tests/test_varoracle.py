@@ -118,7 +118,7 @@ class TestExtremalF:
             val, _ = quad_finite(lambda r: f(r) ** m * r ** (d - 1.0), 0.0, a)
             return omega(d) * val
 
-        w_min = w_of(lambda r: float(dens.rho(r)))
+        w_min = w_of(dens.rho)
         bump = lambda r: np.exp(-((r - 0.45 * a) / (0.12 * a)) ** 2)
         # project the bump onto the null space of both constraints using
         # f and r^alpha f as correction directions
@@ -129,18 +129,18 @@ class TestExtremalF:
             return v0, va
 
         b0, ba = inner(bump)
-        f0, fa = inner(lambda r: float(dens.rho(r)))
-        g0, ga = inner(lambda r: float(dens.rho(r)) * r ** alpha)
+        f0, fa = inner(dens.rho)
+        g0, ga = inner(lambda r: dens.rho(r) * r ** alpha)
         det = f0 * ga - fa * g0
         c1 = (b0 * ga - ba * g0) / det
         c2 = (f0 * ba - fa * b0) / det
 
         def delta(r):
-            f = float(dens.rho(r))
+            f = dens.rho(r)
             return bump(r) - c1 * f - c2 * f * r ** alpha
 
         eps = 1e-3 * float(dens.rho(0.0))
-        perturbed = lambda r: max(float(dens.rho(r)) + eps * delta(r), 0.0)
+        perturbed = lambda r: np.maximum(dens.rho(r) + eps * delta(r), 0.0)
         d0, da = inner(delta)
         assert abs(d0) < 1e-10 and abs(da) < 1e-10  # projection really is constraint-preserving
         assert w_of(perturbed) >= w_min - 1e-10 * abs(w_min)
@@ -182,6 +182,12 @@ class TestExtremalG:
     def test_k_minus_two(self):
         res = V.extremal_G(3, 7.0, -2.0)
         assert res.discrepancy <= 1e-9
+
+    @pytest.mark.filterwarnings("error")
+    def test_steep_tail_without_overflow(self):
+        # alpha e ~ -124: r^alpha overflows long before the density underflows
+        res = V.extremal_G(5, 109.08, -4.407)
+        assert res.numeric_value == pytest.approx(res.closed_form_value, rel=1e-8)
 
     def test_electron_anchors(self):
         for alpha, anchor in ((2.0, 1.51309), (3.0, 1.2407), (4.0, 1.14308)):
