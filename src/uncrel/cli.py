@@ -31,7 +31,7 @@ from .densities import (DensityPair, exponential_radial, gaussian_pair,
                         harmonic_fermions_1d, hydrogenic_pair, load_tabulated)
 from .errors import ConvergenceError, DomainError, FormatError, UncrelError
 from .functionals import radial_moment
-from .inequalities import BoundReport, InequalityId, evaluate, sweep
+from .inequalities import CATALOG, BoundReport, InequalityId, evaluate, sweep
 from .mathcore import QuadratureSpec
 
 _G174 = math.gamma(17.0 / 4.0)
@@ -118,13 +118,21 @@ def _metadata(spec: QuadratureSpec, cfg: SystemConfig | None = None, **extra) ->
     return md
 
 
+# inequality params: CLI flags of check and sweep, in report-row order
+_PARAM_TYPES = {"alpha": float, "k": float, "variant": str, "orientation": str,
+                "constant": str}
+
+_INEQ_NAMES = (", ".join(CATALOG) + "; aliases: "
+               + ", ".join(f"{e.alias} = {e.id}" for e in CATALOG.values() if e.alias))
+
+
 def _report_row(rep: BoundReport) -> dict:
     row = {"inequality": rep.ineq, "state": rep.inputs.get("state", ""),
            "d": rep.inputs.get("d", ""), "N": rep.inputs.get("N", ""),
            "q": rep.inputs.get("q", ""), "direction": rep.direction.value,
            "lhs": rep.lhs, "rhs": rep.rhs, "margin": rep.margin,
            "ratio": rep.ratio, "status": rep.status, "note": rep.note}
-    for key in ("alpha", "k", "variant", "orientation", "constant"):
+    for key in _PARAM_TYPES:
         if key in rep.inputs:
             row["params"] = row.get("params", "") + f"{key}={_fmt(rep.inputs[key])};"
     return row
@@ -256,33 +264,15 @@ def cmd_moments(args, spec: QuadratureSpec) -> ReportDocument:
                           ["space", "order", "value", "method", "est_error"], rows)
 
 
-_ALIASES = {"heisenberg": InequalityId.HEISENBERG_GENERAL,
-            "thakkar": InequalityId.THAKKAR_LOWER}
-
-
 def _resolve_ineq(name: str) -> InequalityId:
-    if name in _ALIASES:
-        return _ALIASES[name]
-    try:
-        return InequalityId(name)
-    except ValueError as exc:
-        valid = ", ".join(i.value for i in InequalityId)
-        raise FormatError(f"unknown inequality {name!r}; known: {valid}") from exc
+    for entry in CATALOG.values():
+        if name in (entry.id, entry.alias):
+            return InequalityId(entry.id)
+    raise FormatError(f"unknown inequality {name!r}; known: {_INEQ_NAMES}")
 
 
-def _check_params(args) -> dict:
-    params = {}
-    if args.alpha is not None:
-        params["alpha"] = args.alpha
-    if args.k is not None:
-        params["k"] = args.k
-    if args.variant is not None:
-        params["variant"] = args.variant
-    if args.orientation is not None:
-        params["orientation"] = args.orientation
-    if args.constant is not None:
-        params["constant"] = args.constant
-    return params
+def _ineq_params(args) -> dict:
+    return {key: getattr(args, key) for key in _PARAM_TYPES if getattr(args, key) is not None}
 
 
 def cmd_check(args, spec: QuadratureSpec) -> ReportDocument:
@@ -291,7 +281,7 @@ def cmd_check(args, spec: QuadratureSpec) -> ReportDocument:
     if not isinstance(state, DensityPair):
         raise DomainError("inequality checks need a conjugate density pair "
                           "(this input is position-only)")
-    rep = evaluate(ineq, state, cfg, _check_params(args), spec=spec)
+    rep = evaluate(ineq, state, cfg, _ineq_params(args), spec=spec)
     return ReportDocument(_metadata(spec, cfg), _REPORT_FIELDS, [_report_row(rep)])
 
 
@@ -320,7 +310,7 @@ def cmd_sweep(args, spec: QuadratureSpec) -> ReportDocument:
         raise FormatError(f"sweeps support models ho1d, hydrogenic, gaussian; "
                           f"got {args.model!r}")
     cfg = SystemConfig(d=fleet[0].position.d, N=fleet[0].position.N, q=args.q)
-    rows = [_report_row(r) for r in sweep(ineq, fleet, cfg, _check_params(args), spec=spec)]
+    rows = [_report_row(r) for r in sweep(ineq, fleet, cfg, _ineq_params(args), spec=spec)]
     return ReportDocument(_metadata(spec, ineq=ineq.value, model=args.model),
                           _REPORT_FIELDS, rows)
 
@@ -371,6 +361,11 @@ def _add_state_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--momentum", help="tabulated momentum-space density file")
 
 
+def _add_param_arguments(p: argparse.ArgumentParser) -> None:
+    for key, kind in _PARAM_TYPES.items():
+        p.add_argument(f"--{key}", type=kind, default=None)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uncrel",
@@ -398,27 +393,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", choices=["position", "momentum"], default="position")
 
     p = sub.add_parser("check", parents=[common], help="evaluate one inequality on one state")
-    p.add_argument("--ineq", required=True)
+    p.add_argument("--ineq", required=True, help=f"inequality: {_INEQ_NAMES}")
     _add_state_arguments(p)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--k", type=float, default=None)
-    p.add_argument("--variant", default=None)
-    p.add_argument("--orientation", default=None)
-    p.add_argument("--constant", default=None)
+    _add_param_arguments(p)
 
     p = sub.add_parser("sweep", parents=[common], help="evaluate one inequality across a model fleet")
-    p.add_argument("--ineq", required=True)
+    p.add_argument("--ineq", required=True, help=f"inequality: {_INEQ_NAMES}")
     p.add_argument("--model", default="ho1d")
     p.add_argument("--n", dest="n_range", default="1..10",
                    help="range like 1..20 or comma list (fermion number / charge)")
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--a", type=float, default=1.0)
     p.add_argument("--q", type=int, default=2)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--k", type=float, default=None)
-    p.add_argument("--variant", default=None)
-    p.add_argument("--orientation", default=None)
-    p.add_argument("--constant", default=None)
+    _add_param_arguments(p)
 
     p = sub.add_parser("oracle", parents=[common], help="variational reconstruction of a bound constant")
     p.add_argument("--mode", required=True, choices=["F", "G"])

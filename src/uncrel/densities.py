@@ -18,7 +18,7 @@ import numpy as np
 
 from .constants import SystemConfig
 from .errors import DomainError, FormatError
-from .mathcore import MonotoneInterpolant, interpolate_monotone, omega
+from .mathcore import interpolate_monotone, omega
 
 __all__ = [
     "RadialDensity",
@@ -30,7 +30,6 @@ __all__ = [
     "load_tabulated",
     "scale_density",
     "scale_pair",
-    "hermite_function",
 ]
 
 
@@ -199,20 +198,18 @@ def exponential_radial(d: int, lam: float, N: float = 1.0) -> RadialDensity:
                          support_hint=8.0 / lam, label=f"exponential(d={d},lam={lam})")
 
 
-def hermite_function(n: int, x):
-    """Normalized 1-d harmonic-oscillator eigenfunction psi_n(x).
+def _hermite_levels(x, top: int):
+    """Yield (n, psi_{n-1}, psi_n) for n = 0..top, psi_n the normalized 1-d
+    oscillator eigenfunctions (psi_{-1} = 0).
 
     Three-term recurrence on the normalized functions; stable (no
     factorial overflow) for the level range used here.
     """
-    x = np.asarray(x, dtype=float)
-    p0 = math.pi ** -0.25 * np.exp(-0.5 * x * x)
-    if n == 0:
-        return p0
-    p1 = math.sqrt(2.0) * x * p0
-    for m in range(2, n + 1):
-        p0, p1 = p1, np.sqrt(2.0 / m) * x * p1 - np.sqrt((m - 1.0) / m) * p0
-    return p1
+    prev, cur = 0.0, math.pi ** -0.25 * np.exp(-0.5 * x * x)
+    yield 0, prev, cur
+    for n in range(1, top + 1):
+        prev, cur = cur, np.sqrt(2.0 / n) * x * cur - np.sqrt((n - 1.0) / n) * prev
+        yield n, prev, cur
 
 
 def _oscillator_occupations(N: int, q: int) -> list[tuple[int, int]]:
@@ -239,35 +236,17 @@ def harmonic_fermions_1d(N: int, q: int) -> DensityPair:
         raise DomainError(f"spin multiplicity must be 1 or 2, got {q}")
     occ = _oscillator_occupations(int(N), int(q))
     top = occ[-1][0]
+    weights = dict(occ)  # every level 0..top is occupied
 
     def rho(x):
         x = np.asarray(x, dtype=float)
-        p0 = math.pi ** -0.25 * np.exp(-0.5 * x * x)
-        p1 = math.sqrt(2.0) * x * p0
-        total = occ[0][1] * p0 * p0
-        prev, cur = p0, p1
-        weights = dict(occ)
-        for m in range(1, top + 1):
-            if m in weights:
-                total = total + weights[m] * cur * cur
-            if m < top:
-                prev, cur = cur, np.sqrt(2.0 / (m + 1)) * x * cur - np.sqrt(m / (m + 1.0)) * prev
-        return total
+        return sum(weights[n] * psi * psi for n, _, psi in _hermite_levels(x, top))
 
     def drho(x):
         # d/dx psi_n^2 = 2 psi_n (sqrt(2n) psi_{n-1} - x psi_n)
         x = np.asarray(x, dtype=float)
-        p0 = math.pi ** -0.25 * np.exp(-0.5 * x * x)
-        psis = [p0]
-        if top >= 1:
-            psis.append(math.sqrt(2.0) * x * p0)
-        for m in range(2, top + 1):
-            psis.append(np.sqrt(2.0 / m) * x * psis[-1] - np.sqrt((m - 1.0) / m) * psis[-2])
-        total = 0.0
-        for n, w in occ:
-            below = psis[n - 1] if n >= 1 else 0.0
-            total = total + w * 2.0 * psis[n] * (np.sqrt(2.0 * n) * below - x * psis[n])
-        return total
+        return sum(weights[n] * 2.0 * psi * (np.sqrt(2.0 * n) * below - x * psi)
+                   for n, below, psi in _hermite_levels(x, top))
 
     # total <x^2> = total <p^2> = sum over occupied levels of w (n + 1/2)
     second = sum(w * (n + 0.5) for n, w in occ)

@@ -1,6 +1,14 @@
 """Catalog of the uncertainty relations, each evaluable against model or
 tabulated densities to produce margin reports and N-sweeps.
 
+`CATALOG` is the one table of the relations: per id, the check, the
+direction and the default params, which are also the only params the
+relation takes.  `InequalityId`, `evaluate`, sweep holes and the CLI's
+`--ineq` names derive from it.  Params cannot move a report to another
+id: a selector (`constant`, `variant` or `orientation`) is the default or
+one of the entry's `forms`, and k > 0 exactly for lhs >= rhs bounds.  Only
+the state can: `heisenberg_general` on d = 3, q = 2 reports `heisenberg_d3`.
+
 Checks are pure; a sweep evaluates fleet members independently and
 records parameter-domain violations as first-class hole rows instead of
 aborting.  Reports carry the ratio lhs/rhs so the tightness of each
@@ -12,16 +20,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
+from typing import Callable, Iterable, Mapping
 
 from . import constants
-from .constants import ConstantValue, SystemConfig
+from .constants import SystemConfig
 from .densities import DensityPair, RadialDensity
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, FormatError
 from .functionals import entropic_moment, fisher_information, radial_moment, variance
 from .mathcore import QuadratureSpec
 
-__all__ = ["Direction", "InequalityId", "BoundReport", "CATALOG_PARAMS",
+__all__ = ["Direction", "Inequality", "CATALOG", "InequalityId", "BoundReport",
            "check_semiclassical", "check_heisenberg", "check_negative_order",
            "check_zumbach", "check_fisher_product", "check_cramer_rao",
            "evaluate", "sweep"]
@@ -33,23 +41,6 @@ REPORT_TOL = 1e-9
 class Direction(str, Enum):
     LHS_GE_RHS = "lhs>=rhs"
     LHS_LE_RHS = "lhs<=rhs"
-
-
-class InequalityId(str, Enum):
-    THAKKAR_UPPER = "thakkar_upper"
-    THAKKAR_LOWER = "thakkar_lower"
-    DAUBECHIES = "daubechies"
-    HEISENBERG_GENERAL = "heisenberg_general"
-    HEISENBERG_D3 = "heisenberg_d3"
-    NEGATIVE_ORDER = "negative_order"
-    ZUMBACH = "zumbach"
-    ZUMBACH_CONJUGATE = "zumbach_conjugate"
-    FISHER_PRODUCT_HEISENBERG = "fisher_product_heisenberg"
-    FISHER_PRODUCT_N = "fisher_product_N"
-    FISHER_PRODUCT_LARGEN = "fisher_product_largeN"
-    FISHER_D3 = "fisher_d3"
-    CRAMER_RAO = "cramer_rao"
-    FISHER_REAL_4D2 = "fisher_real_4d2"
 
 
 @dataclass(frozen=True)
@@ -107,8 +98,10 @@ def check_semiclassical(pair: DensityPair, cfg: SystemConfig, k: float,
     <p^k> >= const * W_{1+k/d}[rho] for k > 0, direction inverted for k < 0.
 
     constant selects the prefactor: 'rigorous' (Daubechies-tightened,
-    k > 0 only), 'semiclassical' (plain K_d(k) q^(-k/d)), or 'thakkar'
-    (the d = 3 electron-system coefficient c_k, spin weight implicit).
+    k > 0 only), 'thakkar' (the d = 3 electron-system coefficient c_k,
+    spin weight implicit), or 'semiclassical' (plain K_d(k) q^(-k/d), the
+    general-d, explicit-q form of the thakkar bound, reported under the
+    same ids).
     """
     d = pair.position.d
     if k == 0 or k <= -d:
@@ -127,10 +120,7 @@ def check_semiclassical(pair: DensityPair, cfg: SystemConfig, k: float,
     w = entropic_moment(pair.position, 1.0 + k / d, spec).value
     rhs = const * w
     direction = Direction.LHS_GE_RHS if k > 0 else Direction.LHS_LE_RHS
-    ineq = {"thakkar": InequalityId.THAKKAR_LOWER if k > 0 else InequalityId.THAKKAR_UPPER,
-            "semiclassical": InequalityId.THAKKAR_LOWER if k > 0 else InequalityId.THAKKAR_UPPER,
-            "rigorous": InequalityId.DAUBECHIES}[constant]
-    return _report(ineq.value, direction, lhs, rhs,
+    return _report(_selected_id(constant, direction), direction, lhs, rhs,
                    _base_inputs(pair.label, cfg, k=k, constant=constant))
 
 
@@ -159,7 +149,7 @@ def check_negative_order(pair: DensityPair, cfg: SystemConfig, alpha: float, k: 
     d = pair.position.d
     if not -d < k < 0:
         raise DomainError(f"check_negative_order requires -d < k < 0, got {k}")
-    rhs_value: ConstantValue = constants.negative_order_rhs(
+    rhs_value = constants.negative_order_rhs(
         d, alpha, k, N=cfg.N, q=cfg.q, strict=True)
     ra = radial_moment(pair.position, alpha, spec).value
     pk = radial_moment(pair.momentum, k, spec).value
@@ -180,15 +170,13 @@ def check_zumbach(pair: DensityPair, cfg: SystemConfig,
     if orientation == "momentum":
         lhs = radial_moment(pair.momentum, 2.0, spec).value
         rhs = factor * fisher_information(pair.position, spec).value
-        ineq = InequalityId.ZUMBACH
     elif orientation == "position":
         lhs = radial_moment(pair.position, 2.0, spec).value
         rhs = factor * fisher_information(pair.momentum, spec).value
-        ineq = InequalityId.ZUMBACH_CONJUGATE
     else:
         raise DomainError(f"unknown orientation {orientation!r}")
-    return _report(ineq.value, Direction.LHS_LE_RHS, lhs, rhs,
-                   _base_inputs(pair.label, cfg, orientation=orientation))
+    return _report(_selected_id(orientation, Direction.LHS_LE_RHS), Direction.LHS_LE_RHS,
+                   lhs, rhs, _base_inputs(pair.label, cfg, orientation=orientation))
 
 
 def check_fisher_product(pair: DensityPair, cfg: SystemConfig, variant: str,
@@ -207,25 +195,17 @@ def check_fisher_product(pair: DensityPair, cfg: SystemConfig, variant: str,
             raise DomainError(
                 "fisher_real_4d2 requires a real position or momentum wavefunction")
         rhs = 4.0 * d * d
-        ineq = InequalityId.FISHER_REAL_4D2.value
     elif variant == "heisenberg_product":
         denom = (1.0 + constants.zumbach_constant(d) * (cfg.N / cfg.q) ** (2.0 / d)) ** 2
         r2 = radial_moment(pair.position, 2.0, spec).value
         p2 = radial_moment(pair.momentum, 2.0, spec).value
         rhs = 4.0 * r2 * p2 / denom
-        ineq = InequalityId.FISHER_PRODUCT_HEISENBERG.value
     else:
         rhs = constants.fisher_product_rhs(variant, cfg)
-        ineq = {"general": InequalityId.FISHER_PRODUCT_N,
-                "electronic": InequalityId.FISHER_PRODUCT_N,
-                "large_N_fermion": InequalityId.FISHER_PRODUCT_LARGEN,
-                "large_N_electron": InequalityId.FISHER_PRODUCT_LARGEN,
-                "d3_electron": InequalityId.FISHER_D3,
-                "d3_large_N": InequalityId.FISHER_D3}[variant].value
     lhs = fisher_information(pair.position, spec).value \
         * fisher_information(pair.momentum, spec).value
-    return _report(ineq, Direction.LHS_GE_RHS, lhs, rhs,
-                   _base_inputs(pair.label, cfg, variant=variant))
+    return _report(_selected_id(variant, Direction.LHS_GE_RHS), Direction.LHS_GE_RHS,
+                   lhs, rhs, _base_inputs(pair.label, cfg, variant=variant))
 
 
 def check_cramer_rao(dens: RadialDensity, cfg: SystemConfig,
@@ -237,46 +217,96 @@ def check_cramer_rao(dens: RadialDensity, cfg: SystemConfig,
                    _base_inputs(dens.label, cfg))
 
 
-# default parameters used when an id is swept without explicit params
-CATALOG_PARAMS: dict[InequalityId, dict] = {
-    InequalityId.THAKKAR_UPPER: {"k": -1.0, "constant": "thakkar"},
-    InequalityId.THAKKAR_LOWER: {"k": 1.0, "constant": "thakkar"},
-    InequalityId.DAUBECHIES: {"k": 2.0, "constant": "rigorous"},
-    InequalityId.HEISENBERG_GENERAL: {"alpha": 2.0, "k": 2.0},
-    InequalityId.HEISENBERG_D3: {"alpha": 2.0, "k": 2.0},
-    InequalityId.NEGATIVE_ORDER: {"alpha": 2.0, "k": -1.0},
-    InequalityId.ZUMBACH: {"orientation": "momentum"},
-    InequalityId.ZUMBACH_CONJUGATE: {"orientation": "position"},
-    InequalityId.FISHER_PRODUCT_HEISENBERG: {"variant": "heisenberg_product"},
-    InequalityId.FISHER_PRODUCT_N: {"variant": "general"},
-    InequalityId.FISHER_PRODUCT_LARGEN: {"variant": "large_N_fermion"},
-    InequalityId.FISHER_D3: {"variant": "d3_electron"},
-    InequalityId.CRAMER_RAO: {},
-    InequalityId.FISHER_REAL_4D2: {"variant": "real_4d2"},
-}
+def _check_heisenberg_d3(pair: DensityPair, cfg: SystemConfig, alpha: float, k: float,
+                         spec: QuadratureSpec | None = None) -> BoundReport:
+    if pair.position.d != 3 or cfg.q != 2:
+        raise DomainError("heisenberg_d3 is the d = 3, q = 2 specialization")
+    return check_heisenberg(pair, cfg, alpha, k, spec=spec)
+
+
+_SELECTORS = ("constant", "variant", "orientation")
+
+
+@dataclass(frozen=True)
+class Inequality:
+    """One relation: `check(pair, cfg, **params, spec=spec)` evaluates it;
+    `params` are the defaults, `forms` further selector values of the same
+    bound, and `alias` a short name the CLI accepts."""
+
+    id: str
+    check: Callable[..., BoundReport]
+    direction: Direction
+    params: Mapping[str, object] = field(default_factory=dict)
+    forms: tuple[str, ...] = ()
+    alias: str | None = None
+
+    @property
+    def selects(self) -> tuple[str, ...]:
+        """Selector values reported under this id, the default first."""
+        return tuple(v for key, v in self.params.items() if key in _SELECTORS) + self.forms
+
+    def with_params(self, params: Mapping | None) -> dict:
+        """The defaults overridden by `params`, all of which this must take."""
+        foreign = [key for key in params or {} if key not in self.params]
+        if foreign:
+            raise FormatError(f"{self.id} does not take {', '.join(foreign)}; it takes "
+                              f"{', '.join(self.params) or 'no params'}")
+        return {**self.params, **(params or {})}
+
+
+_GE, _LE = Direction.LHS_GE_RHS, Direction.LHS_LE_RHS
+
+CATALOG: dict[str, Inequality] = {e.id: e for e in (
+    # constant 'semiclassical' is the general-d, explicit-q form of the thakkar bound
+    Inequality("thakkar_upper", check_semiclassical, _LE, {"k": -1.0, "constant": "thakkar"},
+               forms=("semiclassical",)),
+    Inequality("thakkar_lower", check_semiclassical, _GE, {"k": 1.0, "constant": "thakkar"},
+               forms=("semiclassical",), alias="thakkar"),
+    Inequality("daubechies", check_semiclassical, _GE, {"k": 2.0, "constant": "rigorous"}),
+    Inequality("heisenberg_general", check_heisenberg, _GE, {"alpha": 2.0, "k": 2.0},
+               alias="heisenberg"),
+    Inequality("heisenberg_d3", _check_heisenberg_d3, _GE, {"alpha": 2.0, "k": 2.0}),
+    Inequality("negative_order", check_negative_order, _LE, {"alpha": 2.0, "k": -1.0}),
+    Inequality("zumbach", check_zumbach, _LE, {"orientation": "momentum"}),
+    Inequality("zumbach_conjugate", check_zumbach, _LE, {"orientation": "position"}),
+    Inequality("fisher_product_heisenberg", check_fisher_product, _GE,
+               {"variant": "heisenberg_product"}),
+    Inequality("fisher_product_N", check_fisher_product, _GE, {"variant": "general"},
+               forms=("electronic",)),
+    Inequality("fisher_product_largeN", check_fisher_product, _GE,
+               {"variant": "large_N_fermion"}, forms=("large_N_electron",)),
+    Inequality("fisher_d3", check_fisher_product, _GE, {"variant": "d3_electron"},
+               forms=("d3_large_N",)),
+    Inequality("cramer_rao", lambda pair, cfg, spec: check_cramer_rao(pair.position, cfg, spec),
+               _GE),
+    Inequality("fisher_real_4d2", check_fisher_product, _GE, {"variant": "real_4d2"}),
+)}
+
+InequalityId = Enum("InequalityId", [(e.id.upper(), e.id) for e in CATALOG.values()],
+                    type=str, module=__name__)
+
+
+def _selected_id(selector: str, direction: Direction) -> str:
+    """Id of the entry that reports `direction` and takes this selector value."""
+    return next(e.id for e in CATALOG.values()
+                if e.direction is direction and selector in e.selects)
 
 
 def evaluate(ineq: InequalityId, pair: DensityPair, cfg: SystemConfig,
              params: dict | None = None,
              spec: QuadratureSpec | None = None) -> BoundReport:
-    """Evaluate one catalog inequality on one density pair."""
-    p = dict(CATALOG_PARAMS[ineq])
-    p.update(params or {})
-    if ineq in (InequalityId.THAKKAR_UPPER, InequalityId.THAKKAR_LOWER, InequalityId.DAUBECHIES):
-        rep = check_semiclassical(pair, cfg, p["k"], constant=p["constant"], spec=spec)
-    elif ineq in (InequalityId.HEISENBERG_GENERAL, InequalityId.HEISENBERG_D3):
-        if ineq is InequalityId.HEISENBERG_D3 and (pair.position.d != 3 or cfg.q != 2):
-            raise DomainError("heisenberg_d3 is the d = 3, q = 2 specialization")
-        rep = check_heisenberg(pair, cfg, p["alpha"], p["k"], spec=spec)
-    elif ineq is InequalityId.NEGATIVE_ORDER:
-        rep = check_negative_order(pair, cfg, p["alpha"], p["k"], spec=spec)
-    elif ineq in (InequalityId.ZUMBACH, InequalityId.ZUMBACH_CONJUGATE):
-        rep = check_zumbach(pair, cfg, orientation=p["orientation"], spec=spec)
-    elif ineq is InequalityId.CRAMER_RAO:
-        rep = check_cramer_rao(pair.position, cfg, spec=spec)
-    else:
-        rep = check_fisher_product(pair, cfg, p["variant"], spec=spec)
-    return rep
+    """Evaluate one catalog inequality on one density pair; params override
+    the entry's defaults and may not select another id (module docstring)."""
+    entry = CATALOG[ineq]
+    p = entry.with_params(params)
+    for key in _SELECTORS:
+        if key in p and p[key] not in entry.selects:
+            raise DomainError(f"{key} {p[key]!r} is not a form of {entry.id}; "
+                              f"it takes {', '.join(entry.selects)}")
+    if "k" in p and (p["k"] > 0) != (entry.direction is _GE):
+        raise DomainError(f"{entry.id} is a {entry.direction.value} bound and takes "
+                          f"k {'>' if entry.direction is _GE else '<'} 0, got {p['k']}")
+    return entry.check(pair, cfg, spec=spec, **p)
 
 
 def sweep(ineq: InequalityId, fleet: Iterable[DensityPair], cfg_template: SystemConfig,
@@ -290,19 +320,15 @@ def sweep(ineq: InequalityId, fleet: Iterable[DensityPair], cfg_template: System
     value, become hole rows and the sweep continues.  Rows are ordered
     by N.
     """
+    entry = CATALOG[ineq]
+    p = entry.with_params(params)
     members = sorted(fleet, key=lambda pr: pr.position.N)
     rows: list[BoundReport] = []
-    p = dict(CATALOG_PARAMS[ineq])
-    p.update(params or {})
     for pair in members:
         cfg = SystemConfig(d=pair.position.d, N=pair.position.N, q=cfg_template.q)
         try:
             rows.append(evaluate(ineq, pair, cfg, p, spec=spec))
         except (DomainError, ConvergenceError) as exc:  # includes divergence and non-finite holes
-            direction = Direction.LHS_LE_RHS if ineq in (
-                InequalityId.THAKKAR_UPPER, InequalityId.NEGATIVE_ORDER,
-                InequalityId.ZUMBACH, InequalityId.ZUMBACH_CONJUGATE,
-            ) else Direction.LHS_GE_RHS
-            rows.append(_hole(ineq.value, direction,
+            rows.append(_hole(entry.id, entry.direction,
                               _base_inputs(pair.label, cfg, **p), str(exc)))
     return rows

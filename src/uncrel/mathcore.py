@@ -38,7 +38,6 @@ __all__ = [
     "MinimizeResult",
     "DEFAULT_QUADRATURE",
     "omega",
-    "log_gamma",
     "beta",
     "exp_e1",
     "exp_e1_scaled",
@@ -96,12 +95,6 @@ def omega(d: int) -> float:
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got {d}")
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
-
-
-def log_gamma(x: float) -> float:
-    if x <= 0:
-        raise DomainError(f"log_gamma requires a positive argument, got {x}")
-    return math.lgamma(x)
 
 
 def beta(a: float, b: float) -> float:

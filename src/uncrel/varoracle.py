@@ -171,15 +171,10 @@ def solve_scale_by_root(d: int, alpha: float, k: float,
     return solve_root(lambda a: ratio(a) - target, (1e-8, 1e8))
 
 
-def _reference_W(dens: RadialDensity, d: int, k: float) -> float:
-    m = 1.0 + k / d
-    return entropic_moment(dens, m).value
-
-
 @lru_cache(maxsize=None)
 def _extremal_F_cached(d: int, alpha: float, k: float) -> float:
     dens = minimizer_density(d, alpha, k, N=1.0, r_alpha=1.0)
-    return _reference_W(dens, d, k)
+    return entropic_moment(dens, 1.0 + k / d).value
 
 
 def extremal_F(d: int, alpha: float, k: float) -> ExtremalConstant:
@@ -195,7 +190,7 @@ def extremal_F(d: int, alpha: float, k: float) -> ExtremalConstant:
 @lru_cache(maxsize=None)
 def _extremal_G_cached(d: int, alpha: float, k: float) -> float:
     dens = maximizer_density(d, alpha, k, N=1.0, r_alpha=1.0)
-    return _reference_W(dens, d, k)
+    return entropic_moment(dens, 1.0 + k / d).value
 
 
 def extremal_G(d: int, alpha: float, k: float) -> ExtremalConstant:

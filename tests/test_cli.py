@@ -6,6 +6,7 @@ import math
 import pytest
 
 from uncrel.cli import main
+from uncrel.inequalities import InequalityId
 
 PI = math.pi
 
@@ -190,3 +191,28 @@ class TestRoundTrip:
         assert code == 0
         rows = parse_csv(out)
         assert float(rows[0]["discrepancy"]) < 1e-10
+
+
+class TestInequalityNames:
+    def test_unknown_inequality_lists_ids_and_aliases(self, capsys):
+        code, _, err = run_cli(capsys, "check", "--ineq", "bogus", "--model", "hydrogenic")
+        assert code == 2
+        for ineq in InequalityId:
+            assert ineq.value in err
+        assert "aliases: thakkar = thakkar_lower, heisenberg = heisenberg_general" in err
+
+    def test_alias_resolves(self, capsys):
+        code, out, _ = run_cli(capsys, "check", "--ineq", "thakkar",
+                               "--model", "hydrogenic", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["rows"][0]["inequality"] == "thakkar_lower"
+
+    def test_param_not_taken(self, capsys):
+        code, _, err = run_cli(capsys, "check", "--ineq", "cramer_rao",
+                               "--model", "hydrogenic", "--alpha", "2", "--variant", "bogus")
+        assert code == 2
+        assert "cramer_rao does not take alpha, variant; it takes no params" in err
+        code, _, err = run_cli(capsys, "sweep", "--ineq", "zumbach", "--model", "ho1d",
+                               "--n", "1..2", "--k", "1")
+        assert code == 2
+        assert "zumbach does not take k; it takes orientation" in err

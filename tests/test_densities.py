@@ -135,6 +135,30 @@ class TestHarmonicFermions:
         fd = (pair.position.rho(x + h) - pair.position.rho(x - h)) / (2 * h)
         assert np.allclose(pair.position.drho(x), fd, rtol=1e-6, atol=1e-9)
 
+    def test_matches_level_by_level_reference(self):
+        # every psi_n rebuilt from psi_0 on its own; the shared recurrence
+        # does the same arithmetic, so the sums agree bit for bit
+        def psi(n, x):
+            p0 = math.pi ** -0.25 * np.exp(-0.5 * x * x)
+            if n == 0:
+                return p0
+            p1 = math.sqrt(2.0) * x * p0
+            for m in range(2, n + 1):
+                p0, p1 = p1, np.sqrt(2.0 / m) * x * p1 - np.sqrt((m - 1.0) / m) * p0
+            return p1
+
+        x = np.linspace(0.0, 12.0, 2001)
+        for n, q in ((1, 1), (2, 2), (7, 1), (30, 2)):
+            levels = [(m, min(q, n - q * m)) for m in range(-(-n // q))]
+            rho = drho = 0.0
+            for m, w in levels:
+                below = psi(m - 1, x) if m >= 1 else 0.0
+                rho = rho + w * psi(m, x) * psi(m, x)
+                drho = drho + w * 2.0 * psi(m, x) * (np.sqrt(2.0 * m) * below - x * psi(m, x))
+            dens = D.harmonic_fermions_1d(n, q).position
+            assert np.array_equal(dens.rho(x), rho)
+            assert np.array_equal(dens.drho(x), drho)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             D.harmonic_fermions_1d(0, 1)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from uncrel import densities as D
 from uncrel import inequalities as I
 from uncrel.constants import SystemConfig
-from uncrel.errors import DomainError
+from uncrel.errors import DomainError, FormatError
 
 PI = math.pi
 
@@ -285,3 +285,52 @@ class TestDirectionConsistency:
             assert rep.direction is I.Direction.LHS_GE_RHS
         rep = I.check_negative_order(H_PAIR, CFG_H, 4.0, -1.0)
         assert rep.direction is I.Direction.LHS_LE_RHS
+
+
+class TestCatalog:
+    def test_enum_follows_the_table(self):
+        assert [i.value for i in I.InequalityId] == list(I.CATALOG)
+        assert I.InequalityId("fisher_product_largeN") is I.InequalityId.FISHER_PRODUCT_LARGEN
+
+    def test_defaults_report_under_their_id(self):
+        for entry in I.CATALOG.values():
+            rep = I.evaluate(entry.id, H_PAIR, CFG_H)
+            # the one id a state, not a param, moves: d = 3, q = 2
+            expected = "heisenberg_d3" if entry.id == "heisenberg_general" else entry.id
+            assert (rep.ineq, rep.direction) == (expected, entry.direction)
+
+    def test_forms_keep_the_id(self):
+        rep = I.evaluate(I.InequalityId.THAKKAR_LOWER, D.gaussian_pair(2, 1.0, 1.0),
+                         SystemConfig(d=2, N=1.0, q=1), {"constant": "semiclassical"})
+        assert rep.ineq == "thakkar_lower"
+        rep = I.evaluate(I.InequalityId.FISHER_PRODUCT_N, H_PAIR, CFG_H,
+                         {"variant": "electronic"})
+        assert rep.ineq == "fisher_product_N"
+
+    def test_param_not_taken(self):
+        with pytest.raises(FormatError, match="zumbach does not take k; it takes orientation"):
+            I.evaluate(I.InequalityId.ZUMBACH, H_PAIR, CFG_H, {"k": 3.0})
+        with pytest.raises(FormatError, match="cramer_rao"):
+            I.sweep(I.InequalityId.CRAMER_RAO, [H_PAIR], CFG_H, {"alpha": 2.0})
+
+    @pytest.mark.parametrize("ineq,params", [
+        (I.InequalityId.DAUBECHIES, {"constant": "thakkar"}),
+        (I.InequalityId.DAUBECHIES, {"k": -1.0}),
+        (I.InequalityId.THAKKAR_LOWER, {"k": -1.0}),
+        (I.InequalityId.THAKKAR_UPPER, {"k": 1.0}),
+        (I.InequalityId.ZUMBACH, {"orientation": "position"}),
+        (I.InequalityId.FISHER_PRODUCT_N, {"variant": "d3_electron"}),
+        (I.InequalityId.FISHER_D3, {"variant": "bogus"})])
+    def test_params_cannot_select_another_id(self, ineq, params):
+        with pytest.raises(DomainError):
+            I.evaluate(ineq, H_PAIR, CFG_H, params)
+
+    def test_heisenberg_d3_guard(self):
+        with pytest.raises(DomainError, match="specialization"):
+            I.evaluate(I.InequalityId.HEISENBERG_D3, G3_PAIR, SystemConfig(d=3, N=1.0, q=1))
+
+    def test_sweep_rows_keep_the_id(self):
+        fleet = [D.gaussian_pair(1, 1.0, 1.0), D.hydrogenic_pair(1.0)]
+        rows = I.sweep(I.InequalityId.THAKKAR_LOWER, fleet, CFG_H, {"k": -1.0})
+        assert [(r.ineq, r.direction, r.status) for r in rows] == \
+            [("thakkar_lower", I.Direction.LHS_GE_RHS, "hole")] * 2
