@@ -201,30 +201,40 @@ def read_table(path: str):
     return header, np.asarray(rs), np.asarray(rhos)
 
 
+_SPACES = ("position", "momentum")
+
+
 def _density_from_file(path: str, q: int):
+    """Density of a table file and its space (header `# space=`, default position)."""
     header, r, rho = read_table(path)
     try:
         d = int(header.get("d", "3"))
         n_decl = float(header.get("N", "1"))
     except ValueError as exc:
         raise FormatError(f"{path}: bad header value: {exc}") from exc
-    cfg = SystemConfig(d=d, N=n_decl, q=q)
-    return load_tabulated(cfg, r, rho), cfg
+    space = header.get("space", "position")
+    if space not in _SPACES:
+        raise FormatError(f"{path}: space must be position or momentum, got {space!r}")
+    return load_tabulated(SystemConfig(d=d, N=n_decl, q=q), r, rho), space
 
 
 def build_state(args):
-    """Build the requested density or pair plus its SystemConfig."""
+    """Build the requested density or pair plus its SystemConfig and, for a
+    single density, the space it lives in (None for a pair)."""
     q = args.q
     if getattr(args, "position", None) or getattr(args, "momentum", None):
         if not (args.position and args.momentum):
             raise FormatError("conjugate-space checks need both --position and --momentum")
-        pos, cfg = _density_from_file(args.position, q)
-        mom, _ = _density_from_file(args.momentum, q)
+        pos, pos_space = _density_from_file(args.position, q)
+        mom, mom_space = _density_from_file(args.momentum, q)
+        if (pos_space, mom_space) != _SPACES:
+            raise DomainError(f"the --position and --momentum files hold {pos_space}- "
+                              f"and {mom_space}-space densities")
         pair = DensityPair(pos, mom, real_wavefunction=False, label="tabulated-pair")
-        return pair, SystemConfig(d=pos.d, N=pos.N, q=q)
+        return pair, SystemConfig(d=pos.d, N=pos.N, q=q), None
     if getattr(args, "file", None):
-        dens, cfg = _density_from_file(args.file, q)
-        return dens, SystemConfig(d=dens.d, N=dens.N, q=q)
+        dens, space = _density_from_file(args.file, q)
+        return dens, SystemConfig(d=dens.d, N=dens.N, q=q), space
     model = args.model
     if model == "gaussian":
         pair = gaussian_pair(args.d, args.a, args.count)
@@ -232,12 +242,23 @@ def build_state(args):
         pair = hydrogenic_pair(args.Z)
     elif model == "exponential":
         dens = exponential_radial(args.d, args.lam, args.count)
-        return dens, SystemConfig(d=dens.d, N=dens.N, q=q)
+        return dens, SystemConfig(d=dens.d, N=dens.N, q=q), "position"
     elif model == "ho1d":
         pair = harmonic_fermions_1d(args.n, q)
     else:
         raise FormatError(f"unknown model {model!r} and no input file given")
-    return pair, SystemConfig(d=pair.position.d, N=pair.position.N, q=q)
+    return pair, SystemConfig(d=pair.position.d, N=pair.position.N, q=q), None
+
+
+def _select_space(state, held: str | None, wanted: str | None):
+    """(density, space): the `wanted` side of a pair (default position), or
+    the single density, whose space `held` a `wanted` space must match."""
+    if isinstance(state, DensityPair):
+        space = wanted or "position"
+        return (state.momentum if space == "momentum" else state.position), space
+    if wanted not in (None, held):
+        raise DomainError(f"this input has no {wanted}-space density")
+    return state, held
 
 
 def _parse_orders(text: str) -> list[float]:
@@ -248,17 +269,12 @@ def _parse_orders(text: str) -> list[float]:
 
 
 def cmd_moments(args, spec: QuadratureSpec) -> ReportDocument:
-    state, cfg = build_state(args)
-    if isinstance(state, DensityPair):
-        dens = state.momentum if args.space == "momentum" else state.position
-    else:
-        if args.space == "momentum":
-            raise DomainError("this input has no momentum-space density")
-        dens = state
+    state, cfg, held = build_state(args)
+    dens, space = _select_space(state, held, args.space)
     rows = []
     for order in _parse_orders(args.orders):
         mv = radial_moment(dens, order, spec)
-        rows.append({"space": args.space, "order": mv.order, "value": mv.value,
+        rows.append({"space": space, "order": mv.order, "value": mv.value,
                      "method": mv.method, "est_error": mv.est_error})
     return ReportDocument(_metadata(spec, cfg, state=dens.label),
                           ["space", "order", "value", "method", "est_error"], rows)
@@ -277,7 +293,7 @@ def _ineq_params(args) -> dict:
 
 def cmd_check(args, spec: QuadratureSpec) -> ReportDocument:
     ineq = _resolve_ineq(args.ineq)
-    state, cfg = build_state(args)
+    state, cfg, _ = build_state(args)
     if not isinstance(state, DensityPair):
         raise DomainError("inequality checks need a conjugate density pair "
                           "(this input is position-only)")
@@ -286,16 +302,17 @@ def cmd_check(args, spec: QuadratureSpec) -> ReportDocument:
 
 
 def _parse_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-        try:
-            return list(range(int(lo), int(hi) + 1))
-        except ValueError as exc:
-            raise FormatError(f"bad range {text!r}") from exc
     try:
-        return [int(tok) for tok in text.split(",")]
+        if ".." in text:
+            lo, _, hi = text.partition("..")
+            values = list(range(int(lo), int(hi) + 1))
+        else:
+            values = [int(tok) for tok in text.split(",")]
     except ValueError as exc:
         raise FormatError(f"bad range {text!r}") from exc
+    if not values:
+        raise FormatError(f"empty range {text!r}")
+    return values
 
 
 def cmd_sweep(args, spec: QuadratureSpec) -> ReportDocument:
@@ -333,16 +350,13 @@ def cmd_oracle(args, spec: QuadratureSpec) -> ReportDocument:
 
 
 def cmd_export(args, spec: QuadratureSpec) -> ReportDocument:
-    state, cfg = build_state(args)
-    if isinstance(state, DensityPair):
-        dens = state.momentum if args.space == "momentum" else state.position
-    else:
-        dens = state
+    state, cfg, held = build_state(args)
+    dens, space = _select_space(state, held, args.space)
     rmax = args.rmax if args.rmax is not None else 3.0 * dens.support_hint
     grid = np.linspace(0.0, rmax, args.points)
     vals = dens.rho(grid)
     rows = [{"r": float(r), "rho": float(v)} for r, v in zip(grid, vals)]
-    return ReportDocument({"d": dens.d, "N": dens.N, "space": args.space},
+    return ReportDocument({"d": dens.d, "N": dens.N, "space": space},
                           ["r", "rho"], rows)
 
 
@@ -359,6 +373,12 @@ def _add_state_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--file", help="tabulated density file")
     p.add_argument("--position", help="tabulated position-space density file")
     p.add_argument("--momentum", help="tabulated momentum-space density file")
+
+
+def _add_space_argument(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--space", choices=_SPACES, default=None,
+                   help="side of a conjugate pair (default position); a tabulated "
+                        "file holds the space of its '# space=' header")
 
 
 def _add_param_arguments(p: argparse.ArgumentParser) -> None:
@@ -390,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("moments", parents=[common], help="radial moments of a density")
     _add_state_arguments(p)
     p.add_argument("--orders", default="0", help="comma-separated moment orders")
-    p.add_argument("--space", choices=["position", "momentum"], default="position")
+    _add_space_argument(p)
 
     p = sub.add_parser("check", parents=[common], help="evaluate one inequality on one state")
     p.add_argument("--ineq", required=True, help=f"inequality: {_INEQ_NAMES}")
@@ -415,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export", parents=[common], help="write a model density to the tabulated CSV format")
     _add_state_arguments(p)
-    p.add_argument("--space", choices=["position", "momentum"], default="position")
+    _add_space_argument(p)
     p.add_argument("--points", type=int, default=400)
     p.add_argument("--rmax", type=float, default=None)
     return parser

@@ -12,12 +12,17 @@ line is a uniform head up to QuadratureSpec.tail_cut plus a geometric
 ladder of tail panels closed by a geometric-series remainder.  Tabulated
 data use a fixed composite Gauss-Legendre rule per knot cell.
 
-Minimization, root finding and interpolation are backed by Brent and
-PCHIP as exposed through scipy.  The exponential integral E1 is computed
-locally (power series for small argument, modified-Lentz continued
-fraction for large argument) because it sits inside a minimization loop
-and its accuracy budget is audited by the test suite against independent
-quadrature.
+Minimization is Brent's method, a port of the loop of scipy's
+Brent.optimize (scipy 1.17); monotone interpolation is PCHIP, a numpy
+port of scipy's PchipInterpolator whose cubic pieces are summed in the
+order of scipy's PPoly.  Both return the same bits as scipy on the same
+input, and the test suite pins that against scipy.  Root finding is
+plain bisection.  None of this imports scipy, which costs more start-up
+time than numpy and everything here together.  The exponential integral
+E1 is computed locally (power series for small argument, modified-Lentz
+continued fraction for large argument) because it sits inside a
+minimization loop and its accuracy budget is audited by the test suite
+against independent quadrature.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import interpolate, optimize
 
 from .errors import BracketError, ConvergenceError, DomainError, FormatError, NonFiniteError
 
@@ -368,6 +372,76 @@ def gauss_cells(f, knots: np.ndarray, order: int = 12) -> float:
     return float(np.sum(half[:, None] * wg[None, :] * vals))
 
 
+# constants of scipy's Brent.optimize
+_BRENT_MINTOL = 1.0e-11
+_BRENT_CG = 0.3819660
+
+
+def _brent(f, xa, xb, xc, fb, tol: float, maxiter: int):
+    """Brent's method from a bracket xa < xb < xc with f(xb) <= f(xa), f(xc);
+    returns (x, f(x), iterations).
+
+    A line-for-line port of the loop of scipy's Brent.optimize (scipy
+    1.17), so it takes the same steps and returns the same bits.  Ties in
+    the bracket are accepted: the loop never compares f(xa) or f(xc).
+    """
+    x = w = v = xb
+    fw = fv = fx = fb
+    a, b = xa, xc
+    deltax = rat = 0.0
+    it = 0
+    while it < maxiter:
+        tol1 = tol * abs(x) + _BRENT_MINTOL
+        tol2 = 2.0 * tol1
+        xmid = 0.5 * (a + b)
+        if abs(x - xmid) < (tol2 - 0.5 * (b - a)):
+            break
+        if abs(deltax) <= tol1:
+            deltax = a - x if x >= xmid else b - x  # golden section step
+            rat = _BRENT_CG * deltax
+        else:  # parabolic step
+            tmp1 = (x - w) * (fx - fv)
+            tmp2 = (x - v) * (fx - fw)
+            p = (x - v) * tmp2 - (x - w) * tmp1
+            tmp2 = 2.0 * (tmp2 - tmp1)
+            if tmp2 > 0.0:
+                p = -p
+            tmp2 = abs(tmp2)
+            dx_temp = deltax
+            deltax = rat
+            if (p > tmp2 * (a - x)) and (p < tmp2 * (b - x)) and \
+                    (abs(p) < abs(0.5 * tmp2 * dx_temp)):
+                rat = p * 1.0 / tmp2
+                u = x + rat
+                if (u - a) < tol2 or (b - u) < tol2:
+                    rat = tol1 if xmid - x >= 0 else -tol1
+            else:
+                deltax = a - x if x >= xmid else b - x
+                rat = _BRENT_CG * deltax
+        if abs(rat) < tol1:  # move by at least tol1
+            u = x + tol1 if rat >= 0 else x - tol1
+        else:
+            u = x + rat
+        fu = f(u)
+        if fu > fx:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if (fu <= fw) or (w == x):
+                v, w, fv, fw = w, u, fw, fu
+            elif (fu <= fv) or (v == x) or (v == w):
+                v, fv = u, fu
+        else:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, w, x, fv, fw, fx = w, x, u, fw, fx, fu
+        it += 1
+    return x, fx, it
+
+
 def minimize_scalar(f: Callable[[float], float],
                     bracket: tuple[float, float],
                     rel_tol: float = 1e-12,
@@ -378,7 +452,8 @@ def minimize_scalar(f: Callable[[float], float],
     linearly otherwise) for an interior point beating both ends; the
     bracket is expanded geometrically when the scan minimum sits on an
     edge.  The refined minimum comes from Brent's method (golden section
-    plus parabolic steps).
+    plus parabolic steps) started from the scan minimum and its two
+    neighbours; f must be pure, as their scan values are reused.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
@@ -403,34 +478,20 @@ def minimize_scalar(f: Callable[[float], float],
     else:
         raise BracketError("no interior minimum detected after bracket expansion")
 
-    try:
-        res = optimize.minimize_scalar(
-            f,
-            bracket=(grid[i - 1], grid[i], grid[i + 1]),
-            method="brent",
-            options={"xtol": rel_tol, "maxiter": max_iter},
-        )
-    except ValueError:
-        # flat scan neighborhood (ties around the minimum): golden section
-        # on the bounded interval instead of a strict three-point bracket
-        res = optimize.minimize_scalar(
-            f,
-            bounds=(grid[i - 1], grid[i + 1]),
-            method="bounded",
-            options={"xatol": rel_tol * max(1.0, abs(grid[i])), "maxiter": max_iter},
-        )
-    if not res.success:
-        raise ConvergenceError(f"scalar minimization did not converge: {res.message}")
-    return MinimizeResult(argmin=float(res.x), min_value=float(res.fun),
-                          iterations=int(getattr(res, "nit", res.nfev)),
-                          converged=bool(res.success))
+    x, fx, it = _brent(f, grid[i - 1], grid[i], grid[i + 1], vals[i], rel_tol, max_iter)
+    if it >= max_iter:
+        raise ConvergenceError(f"scalar minimization did not converge in {max_iter} iterations")
+    if math.isnan(x) or math.isnan(fx):
+        raise ConvergenceError("scalar minimization reached a NaN")
+    return MinimizeResult(argmin=float(x), min_value=float(fx), iterations=it, converged=True)
 
 
 def solve_root(f: Callable[[float], float],
                bracket: tuple[float, float],
                rel_tol: float = 1e-13) -> float:
-    """Root of a continuous function changing sign over the bracket."""
-    lo, hi = float(bracket[0]), float(bracket[1])
+    """Root of a continuous function changing sign over the bracket, by
+    bisection to a relative width of rel_tol."""
+    lo, hi = sorted((float(bracket[0]), float(bracket[1])))
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
         return lo
@@ -438,28 +499,87 @@ def solve_root(f: Callable[[float], float],
         return hi
     if flo * fhi > 0:
         raise BracketError(f"no sign change on [{lo}, {hi}]: f = ({flo}, {fhi})")
-    return float(optimize.brentq(f, lo, hi, rtol=max(rel_tol, 4e-16), maxiter=200))
+    while True:
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= 2.0 * rel_tol * abs(mid) or not lo < mid < hi:
+            return mid
+        fmid = f(mid)
+        if math.isnan(fmid):
+            raise NonFiniteError(f"function is NaN at {mid!r}")
+        if fmid == 0.0:
+            return mid
+        if (fmid < 0.0) == (flo < 0.0):
+            lo, flo = mid, fmid
+        else:
+            hi = mid
+
+
+def _pchip_end_slope(h0, h1, m0, m1):
+    # one-sided three-point slope, kept shape-preserving (Moler, pchiptx.m)
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
 
 
 class MonotoneInterpolant:
-    """C1 monotone-preserving cubic through the sample points.
+    """C1 monotone-preserving cubic (PCHIP) through the sample points.
 
     Reproduces the samples exactly, never overshoots below the data
     (non-negative data give a non-negative interpolant), and exposes
-    the first derivative.
+    the first derivative; both are NaN outside [x[0], x[-1]].
+
+    Slopes and cubic coefficients are formed as scipy's
+    PchipInterpolator and CubicHermiteSpline form them, and each cell's
+    polynomial is summed in the order of scipy's PPoly evaluation, so
+    values and derivatives equal scipy's bit for bit.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
         self.x = x
         self.y = y
-        self._p = interpolate.PchipInterpolator(x, y, extrapolate=False)
-        self._dp = self._p.derivative()
+        h = np.diff(x)
+        m = np.diff(y) / h
+        dk = np.empty_like(y)
+        if x.size == 2:
+            dk[:] = m[0]
+        else:
+            # interior slopes: weighted harmonic mean of the neighbouring
+            # secants, zero at a local extremum or next to a flat cell
+            flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+            w1 = 2 * h[1:] + h[:-1]
+            w2 = h[1:] + 2 * h[:-1]
+            # a tiny secant makes whmean overflow to inf, i.e. a zero slope
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+                dk[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
+            dk[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+            dk[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+        # Hermite cubic per cell, highest power first
+        t = (dk[:-1] + dk[1:] - 2 * m) / h
+        self._coef = (t / h, (m - dk[:-1]) / h - t, dk[:-1], y[:-1])
+        self._dcoef = (self._coef[0] * 3.0, self._coef[1] * 2.0, self._coef[2])
+
+    def _evaluate(self, coef, r):
+        r = np.asarray(r, dtype=float)
+        x = self.x
+        i = np.clip(np.searchsorted(x, r, side="right") - 1, 0, x.size - 2)
+        s = r - x[i]
+        # power sum from the constant term up, as PPoly evaluates it
+        v = np.zeros_like(s)
+        z = np.ones_like(s)
+        for c in reversed(coef):
+            v += c[i] * z
+            z *= s
+        return np.where((r >= x[0]) & (r <= x[-1]), v, np.nan)
 
     def __call__(self, r):
-        return self._p(r)
+        return self._evaluate(self._coef, r)
 
     def derivative(self, r):
-        return self._dp(r)
+        return self._evaluate(self._dcoef, r)
 
 
 def interpolate_monotone(x, y) -> MonotoneInterpolant:

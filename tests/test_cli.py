@@ -88,6 +88,13 @@ class TestSweep:
         rhs = [float(r["rhs"]) for r in rows]
         assert all(b > a for a, b in zip(rhs, rhs[1:]))
 
+    @pytest.mark.parametrize("n_range", ["5..1", "3..2"])
+    def test_empty_range_is_a_format_error(self, capsys, n_range):
+        code, out, err = run_cli(capsys, "sweep", "--ineq", "zumbach", "--n", n_range)
+        assert code == 2
+        assert out == ""
+        assert err == f"error[FormatError]: empty range {n_range!r}\n"
+
 
 class TestErrors:
     def test_unknown_inequality(self, capsys):
@@ -184,6 +191,46 @@ class TestRoundTrip:
         row = json.loads(out)["rows"][0]
         # I V = 4 Z^2 * 3 / Z^2 for the hydrogenic ground state
         assert float(row["lhs"]) == pytest.approx(12.0, abs=1e-5)
+
+    def test_momentum_table_keeps_its_space(self, capsys, tmp_path):
+        table = tmp_path / "mom.csv"
+        code, _, _ = run_cli(capsys, "export", "--model", "hydrogenic", "--Z", "1",
+                             "--space", "momentum", "--points", "4000",
+                             "--rmax", "60", "--out", str(table))
+        assert code == 0
+        assert "# space=momentum\n" in table.read_text()
+        # rows carry the header's space, whether --space names it or not
+        for extra in ((), ("--space", "momentum")):
+            code, out, _ = run_cli(capsys, "moments", "--file", str(table),
+                                   "--orders", "0,2", *extra, "--format", "json")
+            assert code == 0
+            rows = json.loads(out)["rows"]
+            assert [row["space"] for row in rows] == ["momentum", "momentum"]
+            # <p^2> = Z^2 for the hydrogenic ground state
+            assert float(rows[1]["value"]) == pytest.approx(1.0, rel=1e-4)
+        code, _, err = run_cli(capsys, "moments", "--file", str(table), "--space", "position")
+        assert code == 3
+        assert err == "error[DomainError]: this input has no position-space density\n"
+        code, _, err = run_cli(capsys, "check", "--ineq", "cramer_rao",
+                               "--position", str(table), "--momentum", str(table))
+        assert code == 3
+        assert "hold momentum- and momentum-space densities" in err
+
+    def test_position_table_rejects_momentum(self, capsys, tmp_path):
+        table = tmp_path / "pos.csv"
+        run_cli(capsys, "export", "--model", "hydrogenic", "--Z", "1", "--points", "400",
+                "--rmax", "12", "--out", str(table))
+        code, _, err = run_cli(capsys, "moments", "--file", str(table), "--space", "momentum")
+        assert code == 3
+        assert err == "error[DomainError]: this input has no momentum-space density\n"
+
+    def test_unknown_table_space(self, capsys, tmp_path):
+        table = tmp_path / "odd.csv"
+        table.write_text("# d=3\n# space=spin\n"
+                         + "".join(f"{r},{math.exp(-r)}\n" for r in range(10)))
+        code, _, err = run_cli(capsys, "moments", "--file", str(table))
+        assert code == 2
+        assert "space must be position or momentum, got 'spin'" in err
 
     def test_oracle_g_mode(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "--mode", "G", "--d", "3",

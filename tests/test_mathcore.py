@@ -1,16 +1,20 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.interpolate
+import scipy.optimize
 import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uncrel import mathcore
 from uncrel.errors import (BracketError, ConvergenceError, DomainError, FormatError,
                            NonFiniteError)
-from uncrel.mathcore import (QuadratureSpec, beta, exp_e1, interpolate_monotone,
-                             minimize_scalar, omega, quad_finite, quad_halfline,
-                             solve_root)
+from uncrel.mathcore import (QuadratureSpec, beta, exp_e1, exp_e1_scaled,
+                             interpolate_monotone, minimize_scalar, omega, quad_finite,
+                             quad_halfline, solve_root)
 
 
 class TestSpecialFunctions:
@@ -135,6 +139,55 @@ class TestMinimizeScalar:
             minimize_scalar(lambda x: x, (0.1, 1.0))
 
 
+def _spy_brent(monkeypatch):
+    """Record the (xa, xb, xc) bracket each minimize_scalar hands to Brent."""
+    seen = []
+    brent = mathcore._brent
+
+    def spy(f, xa, xb, xc, *rest):
+        seen.append((xa, xb, xc))
+        return brent(f, xa, xb, xc, *rest)
+
+    monkeypatch.setattr(mathcore, "_brent", spy)
+    return seen
+
+
+class TestBrentPort:
+    """The in-house Brent loop takes scipy's steps and returns scipy's bits."""
+
+    @pytest.mark.parametrize("rho", np.geomspace(0.25, 400.0, 41).tolist())
+    def test_daubechies_objective_matches_scipy(self, monkeypatch, rho):
+        # the log-space objective the Daubechies factor minimizes
+        def objective(a):
+            return -rho * math.log(a) + a - math.log1p(-a * exp_e1_scaled(a))
+
+        seen = _spy_brent(monkeypatch)
+        res = minimize_scalar(objective, (1e-4, 60.0), rel_tol=1e-13)
+        ref = scipy.optimize.minimize_scalar(objective, bracket=seen[0], method="brent",
+                                             options={"xtol": 1e-13, "maxiter": 500})
+        assert ref.success
+        assert res.argmin == float(ref.x)
+        assert res.min_value == float(ref.fun)
+        assert res.iterations == ref.nit
+
+    def test_tied_bracket_converges(self, monkeypatch):
+        # cosh is even and the 96-point scan of (-1, 1) straddles 0, so the
+        # scan minimum ties with its right neighbour: scipy refuses this bracket
+        seen = _spy_brent(monkeypatch)
+        res = minimize_scalar(math.cosh, (-1.0, 1.0))
+        xa, xb, xc = seen[0]
+        assert math.cosh(xb) == math.cosh(xc)
+        with pytest.raises(ValueError):
+            scipy.optimize.minimize_scalar(math.cosh, bracket=seen[0], method="brent")
+        assert res.converged
+        assert res.argmin == pytest.approx(0.0, abs=1e-8)
+        assert res.min_value == 1.0
+
+    def test_spent_iterations_raise(self):
+        with pytest.raises(ConvergenceError):
+            minimize_scalar(lambda x: (x - 2.0) ** 2, (0.0, 5.0), max_iter=2)
+
+
 class TestSolveRoot:
     def test_sqrt2(self):
         assert solve_root(lambda x: x * x - 2.0, (1.0, 2.0)) == pytest.approx(math.sqrt(2.0), rel=1e-12)
@@ -145,6 +198,18 @@ class TestSolveRoot:
     def test_no_sign_change(self):
         with pytest.raises(BracketError):
             solve_root(lambda x: 1.0 + x * x, (0.0, 1.0))
+        with pytest.raises(BracketError):
+            solve_root(lambda x: x - 3.0, (1e-8, 1.0))
+
+    def test_relative_tolerance_across_decades(self):
+        # the bracket of the oracle's scale solve spans 16 decades
+        for root in (1e-7, 1e-3, 1.0, 5e4, 3e7):
+            got = solve_root(lambda a: a * a - root * root, (1e-8, 1e8))
+            assert got == pytest.approx(root, rel=2e-13)
+
+    def test_nan_raises(self):
+        with pytest.raises(NonFiniteError):
+            solve_root(lambda x: math.nan if x > 0.4 else x - 0.7, (0.0, 1.0))
 
 
 class TestInterpolateMonotone:
@@ -159,6 +224,14 @@ class TestInterpolateMonotone:
         interp = interpolate_monotone([0.0, 1.0], [1.0, 3.0])
         assert float(interp(0.5)) == pytest.approx(2.0, rel=1e-14)
         assert float(interp.derivative(0.25)) == pytest.approx(2.0, rel=1e-12)
+
+    def test_underflowing_tail_warns_nothing(self):
+        # secants near the smallest floats make the harmonic mean overflow
+        grid = np.linspace(0.0, 30.0, 2000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            interp = interpolate_monotone(grid, np.exp(-grid ** 2 / 0.9))
+        assert interp(29.0) == 0.0
 
     def test_negative_ordinate_rejected(self):
         with pytest.raises(FormatError):
@@ -181,3 +254,42 @@ class TestInterpolateMonotone:
         assert np.allclose(interp(x), y, rtol=0.0, atol=1e-13)
         dense = np.linspace(x[0], x[-1], 400)
         assert np.min(interp(dense)) >= -1e-12
+
+
+def _pchip_tables():
+    rng = np.random.default_rng(20150527)
+    tables = []
+    for n in (3, 4, 9, 40, 300):
+        x = np.cumsum(rng.uniform(0.05, 2.0, n))
+        tables.append((x, rng.uniform(0.0, 5.0, n)))  # random, with sign changes of slope
+        y = np.exp(-1.5 * x)
+        y[n // 2:] = 0.0  # zero tail, as on a table past the density's underflow
+        tables.append((x, y))
+        tables.append((x, np.round(rng.uniform(0.0, 2.0, n))))  # flat cells and ties
+    tables.append((np.array([0.0, 1.0]), np.array([1.0, 3.0])))  # two points
+    tables.append((np.array([0.5, 2.5]), np.array([2.0, 0.0])))
+    r = np.linspace(0.0, 40.0, 4000)
+    tables.append((r, np.exp(-2.0 * r) / math.pi))  # an exported hydrogenic table
+    return tables
+
+
+class TestPchipPort:
+    """The numpy PCHIP equals scipy's PchipInterpolator bit for bit."""
+
+    @pytest.mark.parametrize("x,y", _pchip_tables())
+    def test_matches_scipy(self, x, y):
+        rng = np.random.default_rng(x.size)
+        span = x[-1] - x[0]
+        # the knots, random interior points and points outside the domain
+        r = np.concatenate([x, rng.uniform(x[0], x[-1], 5000),
+                            x[0] - span * rng.uniform(1e-9, 1.0, 20),
+                            x[-1] + span * rng.uniform(1e-9, 1.0, 20), [np.nan]])
+        ours = interpolate_monotone(x, y)
+        ref = scipy.interpolate.PchipInterpolator(x, y, extrapolate=False)
+        for r_in in (r, r[:60].reshape(6, 10)):
+            np.testing.assert_array_equal(ours(r_in), ref(r_in))
+            np.testing.assert_array_equal(ours.derivative(r_in), ref.derivative()(r_in))
+        outside = (r < x[0]) | (r > x[-1]) | np.isnan(r)
+        assert np.isnan(ours(r)[outside]).all()
+        assert not np.isnan(ours(r)[~outside]).any()
+        assert float(ours(x[3 % x.size])) == float(ref(x[3 % x.size]))
