@@ -1,10 +1,10 @@
 """Closed-form and numerically defined constants for the uncertainty bounds.
 
 Every evaluator is scale-free: it takes dimensionless parameters
-(d, alpha, k, N, q) and returns a pure number.  Single evaluations
-raise DomainError outside a formula's validity window; batch callers
-that must record holes instead of aborting can request a flagged
-ConstantValue via ``strict=False`` where offered.
+(d, alpha, k, N, q) and returns a pure number, raising DomainError
+outside a formula's validity window.  The one exception is the
+closed-form cross-check entropic_upper_coeff_closed, which returns a
+ConstantValue flagged invalid outside its window.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainError
+from .errors import DomainError, check_finite, check_integer, check_positive
 from .mathcore import beta, exp_e1_scaled, minimize_scalar, omega
 
 __all__ = [
@@ -46,12 +46,9 @@ class SystemConfig:
     q: int = 2
 
     def __post_init__(self):
-        if int(self.d) != self.d or self.d < 1:
-            raise DomainError(f"dimension must be an integer >= 1, got {self.d}")
-        if not self.N > 0:
-            raise DomainError(f"particle count must be positive, got {self.N}")
-        if int(self.q) != self.q or self.q < 1:
-            raise DomainError(f"spin multiplicity must be an integer >= 1, got {self.q}")
+        check_integer("dimension", self.d)
+        check_positive("particle count", self.N)
+        check_integer("spin multiplicity", self.q)
 
     @property
     def s(self) -> float:
@@ -84,14 +81,18 @@ def thakkar_coefficient(k: float) -> float:
 def semiclassical_constant(d: int, k: float) -> float:
     """Dimension-dependent semiclassical constant relating <p^k> to the
     position entropic moment of order 1 + k/d."""
-    if d < 1:
-        raise DomainError(f"dimension must be >= 1, got {d}")
+    check_integer("dimension", d)
+    check_finite("momentum order", k)
     if k <= -d:
         raise DomainError(f"semiclassical constant requires k > -d = {-d}, got k = {k}")
     return (d / (k + d)) * (2.0 * math.pi) ** k \
         * math.gamma(1.0 + d / 2.0) ** (k / d) / math.pi ** (k / 2.0)
 
 
+# 256 slots hold the 96 points of the minimizer's scan grid, which every
+# rho shares, plus the points of the last few Brent runs (up to ~40 each);
+# with fewer than about 140 the grid would be evicted between two scans
+@lru_cache(maxsize=256)
 def _log_daubechies_inner(a: float) -> float:
     # ln int_a^inf e^-u (u - a) / u du = ln(e^-a - a E1(a)), written as
     # -a + ln(1 - a e^a E1(a)) so that it stays finite where e^-a underflows
@@ -113,16 +114,15 @@ def _daubechies_ratio(rho: float) -> float:
 def daubechies_factor(d: int, k: float) -> float:
     """Rigor-restoring factor B(d, k) < 1 multiplying the semiclassical
     constant, defined through an infimum over the scale of a truncated
-    exponential weight.  Requires k > 0."""
-    if d < 1:
-        raise DomainError(f"dimension must be >= 1, got {d}")
-    if k <= 0:
-        raise DomainError(f"daubechies_factor requires k > 0, got {k}")
+    exponential weight.  Requires an integer d >= 1 and a finite k > 0."""
+    check_integer("dimension", d)
+    check_positive("momentum order", k)
     return _daubechies_ratio(d / k)
 
 
 def rigorous_constant(d: int, k: float) -> float:
-    """Semiclassical constant tightened by the Daubechies factor."""
+    """Semiclassical constant tightened by the Daubechies factor; both
+    factors check d and k before any work."""
     return semiclassical_constant(d, k) * daubechies_factor(d, k)
 
 
@@ -200,8 +200,7 @@ def entropic_upper_coeff_closed(d: int, alpha: float, k: float) -> ConstantValue
     return ConstantValue(value)
 
 
-def negative_order_rhs(d: int, alpha: float, k: float, N: float = 1.0, q: int = 1,
-                       strict: bool = True) -> ConstantValue:
+def negative_order_rhs(d: int, alpha: float, k: float, N: float = 1.0, q: int = 1) -> float:
     """Right-hand side of the negative-order uncertainty relation
     <r^alpha>^(k/alpha) <p^k> <= coeff * q^(-k/d) * N^(1 + k(1/alpha + 1/d)).
 
@@ -211,22 +210,16 @@ def negative_order_rhs(d: int, alpha: float, k: float, N: float = 1.0, q: int = 
     """
     if N <= 0 or q < 1:
         raise DomainError(f"need N > 0 and q >= 1, got N = {N}, q = {q}")
-    try:
-        window = negative_order_window(d, k)
-        if alpha <= window:
-            raise DomainError(
-                f"alpha = {alpha} violates the validity window alpha > {window:.6g} "
-                f"for d = {d}, k = {k}")
-        from . import varoracle  # deferred: varoracle builds on densities/functionals
+    window = negative_order_window(d, k)
+    if alpha <= window:
+        raise DomainError(
+            f"alpha = {alpha} violates the validity window alpha > {window:.6g} "
+            f"for d = {d}, k = {k}")
+    from . import varoracle  # deferred: varoracle builds on densities/functionals
 
-        g = varoracle.extremal_G(d, alpha, k).numeric_value
-    except DomainError as exc:
-        if strict:
-            raise
-        return ConstantValue(math.nan, valid=False, domain_note=str(exc))
-    value = semiclassical_constant(d, k) * g * q ** (-k / d) \
+    g = varoracle.extremal_G(d, alpha, k).numeric_value
+    return semiclassical_constant(d, k) * g * q ** (-k / d) \
         * N ** heisenberg_exponent(d, alpha, k)
-    return ConstantValue(value)
 
 
 def zumbach_constant(d: int) -> float:

@@ -17,7 +17,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .constants import SystemConfig
-from .errors import DomainError, FormatError
+from .errors import DomainError, FormatError, check_integer, check_positive
 from .mathcore import interpolate_monotone, omega
 
 __all__ = [
@@ -121,10 +121,9 @@ def gaussian_pair(d: int, a: float, N: float = 1.0) -> DensityPair:
 
     Per particle, <r^2> = d a^2 and <p^2> = d / (4 a^2).
     """
-    if a <= 0:
-        raise DomainError(f"length scale must be positive, got {a}")
-    if N <= 0:
-        raise DomainError(f"particle count must be positive, got {N}")
+    check_integer("dimension", d)
+    check_positive("length scale", a)
+    check_positive("particle count", N)
     pos = _gaussian_radial(d, a * a, N, label=f"gaussian(d={d},a={a})")
     mom = _gaussian_radial(d, 1.0 / (4.0 * a * a), N, label=f"gaussian-mom(d={d},a={a})")
     return DensityPair(pos, mom, real_wavefunction=True, label=f"gaussian(d={d},a={a},N={N})")
@@ -133,8 +132,7 @@ def gaussian_pair(d: int, a: float, N: float = 1.0) -> DensityPair:
 def hydrogenic_pair(Z: float) -> DensityPair:
     """Ground-state hydrogenic densities (d = 3, N = 1): position
     (Z^3/pi) e^(-2 Z r), momentum (8 Z^5 / pi^2) (Z^2 + p^2)^-4."""
-    if Z <= 0:
-        raise DomainError(f"charge must be positive, got {Z}")
+    check_positive("charge", Z)
 
     cpos = Z ** 3 / math.pi
 
@@ -178,10 +176,9 @@ def hydrogenic_pair(Z: float) -> DensityPair:
 def exponential_radial(d: int, lam: float, N: float = 1.0) -> RadialDensity:
     """Position-only exponential model rho(r) = N lam^d e^(-lam r) / (Omega_d Gamma(d));
     normalization is exact by construction and <r^a> = N Gamma(d+a) / (lam^a Gamma(d))."""
-    if lam <= 0:
-        raise DomainError(f"decay rate must be positive, got {lam}")
-    if N <= 0:
-        raise DomainError(f"particle count must be positive, got {N}")
+    check_integer("dimension", d)
+    check_positive("decay rate", lam)
+    check_positive("particle count", N)
     c = N * lam ** d / (omega(d) * math.gamma(d))
 
     def rho(r):
@@ -230,9 +227,8 @@ def harmonic_fermions_1d(N: int, q: int) -> DensityPair:
     oscillator eigenfunctions; the momentum density coincides with it
     pointwise because Hermite functions are Fourier eigenfunctions.
     """
-    if int(N) != N or N < 1:
-        raise DomainError(f"particle number must be an integer >= 1, got {N}")
-    if q not in (1, 2):
+    check_integer("particle number", N)
+    if isinstance(q, bool) or q not in (1, 2):
         raise DomainError(f"spin multiplicity must be 1 or 2, got {q}")
     occ = _oscillator_occupations(int(N), int(q))
     top = occ[-1][0]
@@ -310,8 +306,7 @@ def scale_density(dens: RadialDensity, lam: float) -> RadialDensity:
     entropic moments of order m pick up lam^(d(m-1)), and the Fisher
     information picks up lam^2.
     """
-    if lam <= 0:
-        raise DomainError(f"scale factor must be positive, got {lam}")
+    check_positive("scale factor", lam)
     d = dens.d
     f, df = dens.rho, dens.drho
 

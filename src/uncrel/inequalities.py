@@ -149,13 +149,11 @@ def check_negative_order(pair: DensityPair, cfg: SystemConfig, alpha: float, k: 
     d = pair.position.d
     if not -d < k < 0:
         raise DomainError(f"check_negative_order requires -d < k < 0, got {k}")
-    rhs_value = constants.negative_order_rhs(
-        d, alpha, k, N=cfg.N, q=cfg.q, strict=True)
+    rhs = constants.negative_order_rhs(d, alpha, k, N=cfg.N, q=cfg.q)
     ra = radial_moment(pair.position, alpha, spec).value
     pk = radial_moment(pair.momentum, k, spec).value
     lhs = ra ** (k / alpha) * pk
-    return _report(InequalityId.NEGATIVE_ORDER.value, Direction.LHS_LE_RHS,
-                   lhs, rhs_value.require_valid(),
+    return _report(InequalityId.NEGATIVE_ORDER.value, Direction.LHS_LE_RHS, lhs, rhs,
                    _base_inputs(pair.label, cfg, alpha=alpha, k=k))
 
 

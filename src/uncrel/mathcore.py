@@ -43,7 +43,6 @@ __all__ = [
     "DEFAULT_QUADRATURE",
     "omega",
     "beta",
-    "exp_e1",
     "exp_e1_scaled",
     "quad_halfline",
     "quad_finite",
@@ -141,21 +140,12 @@ def _e1_continued_fraction(x: float) -> float:
     return h
 
 
-def exp_e1(x: float) -> float:
-    """Exponential integral E1(x) for x > 0.
+def exp_e1_scaled(x: float) -> float:
+    """e^x E1(x) for x > 0, finite where E1(x) itself underflows.
 
     Power series below x = 1, continued fraction above; both branches
     agree with direct quadrature of the defining integral to ~1e-14.
     """
-    if x <= 0:
-        raise DomainError(f"exp_e1 requires x > 0, got {x}")
-    if x > 700.0:
-        return 0.0
-    return _e1_series(x) if x <= 1.0 else _e1_continued_fraction(x) * math.exp(-x)
-
-
-def exp_e1_scaled(x: float) -> float:
-    """e^x E1(x) for x > 0, finite where E1(x) itself underflows."""
     if x <= 0:
         raise DomainError(f"exp_e1_scaled requires x > 0, got {x}")
     return math.exp(x) * _e1_series(x) if x <= 1.0 else _e1_continued_fraction(x)
@@ -453,7 +443,9 @@ def minimize_scalar(f: Callable[[float], float],
     bracket is expanded geometrically when the scan minimum sits on an
     edge.  The refined minimum comes from Brent's method (golden section
     plus parabolic steps) started from the scan minimum and its two
-    neighbours; f must be pure, as their scan values are reused.
+    neighbours; f must be pure, as their scan values are reused.  f is
+    called on Python floats throughout, never on numpy scalars, whose
+    arithmetic is slower and would spread through f.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
@@ -461,9 +453,9 @@ def minimize_scalar(f: Callable[[float], float],
 
     for _ in range(40):
         if lo > 0 and hi / lo > 100.0:
-            grid = np.geomspace(lo, hi, 96)
+            grid = np.geomspace(lo, hi, 96).tolist()
         else:
-            grid = np.linspace(lo, hi, 96)
+            grid = np.linspace(lo, hi, 96).tolist()
         vals = np.array([f(x) for x in grid])
         if not np.all(np.isfinite(vals)):
             raise NonFiniteError("objective is not finite on the scan grid")
@@ -478,7 +470,7 @@ def minimize_scalar(f: Callable[[float], float],
     else:
         raise BracketError("no interior minimum detected after bracket expansion")
 
-    x, fx, it = _brent(f, grid[i - 1], grid[i], grid[i + 1], vals[i], rel_tol, max_iter)
+    x, fx, it = _brent(f, grid[i - 1], grid[i], grid[i + 1], float(vals[i]), rel_tol, max_iter)
     if it >= max_iter:
         raise ConvergenceError(f"scalar minimization did not converge in {max_iter} iterations")
     if math.isnan(x) or math.isnan(fx):

@@ -13,8 +13,8 @@ window, so its normalization integral diverges.)
 
 The reconstruction is the brute-force oracle validating the closed-form
 coefficients: constraints are solved in closed form through Beta-function
-reduction (with a root-finding fallback used by the tests), while the
-extremal's entropic moment is evaluated by quadrature.
+reduction, while the extremal's entropic moment is evaluated by
+quadrature.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from . import constants
 from .densities import RadialDensity
 from .errors import DomainError
 from .functionals import entropic_moment
-from .mathcore import beta, omega, solve_root
+from .mathcore import beta, omega
 
 __all__ = ["ExtremalConstant", "minimizer_density", "maximizer_density",
            "extremal_F", "extremal_G"]
@@ -138,37 +138,6 @@ def maximizer_density(d: int, alpha: float, k: float,
                          analytic_moments={0.0: N, float(alpha): r_alpha},
                          support_hint=a, tail_exponent=alpha * t,
                          label=f"extremal-max(d={d},alpha={alpha},k={k})")
-
-
-def solve_scale_by_root(d: int, alpha: float, k: float,
-                        N: float = 1.0, r_alpha: float = 1.0) -> float:
-    """Root-finding fallback for the extremal scale parameter a.
-
-    Solves the ratio constraint <r^alpha>/N = g(a) by bisection-backed
-    bracketing instead of the Beta-function reduction; used as an
-    independent cross-check of the closed-form solve.
-    """
-    _validate_orders(d, alpha)
-    if k > 0:
-        e = d / k
-
-        def ratio(a):
-            num = beta(d / alpha + 1.0, e + 1.0)
-            den = beta(d / alpha, e + 1.0)
-            return a ** alpha * num / den
-    elif -d < k < 0:
-        e = d / k
-        t = -e
-
-        def ratio(a):
-            num = beta(d / alpha + 1.0, t - d / alpha - 1.0)
-            den = beta(d / alpha, t - d / alpha)
-            return a ** alpha * num / den
-    else:
-        raise DomainError(f"momentum order must satisfy -d < k, k != 0, got {k}")
-
-    target = r_alpha / N
-    return solve_root(lambda a: ratio(a) - target, (1e-8, 1e8))
 
 
 @lru_cache(maxsize=None)

@@ -29,6 +29,20 @@ def fleet():
     return members
 
 
+@pytest.mark.parametrize("build", [
+    lambda: SystemConfig(d=True),
+    lambda: SystemConfig(d=3, q=True),
+    lambda: SystemConfig(d=3, N=math.inf),
+    lambda: D.gaussian_pair(3, math.nan),
+    lambda: D.hydrogenic_pair(math.nan),
+    lambda: D.exponential_radial(3, math.nan),
+], ids=["config-bool-d", "config-bool-q", "config-inf-N", "gaussian-nan-a",
+        "hydrogenic-nan-Z", "exponential-nan-lam"])
+def test_bad_scalar_rejected_at_construction(build):
+    with pytest.raises(DomainError):
+        build()
+
+
 class TestGaussianPair:
     def test_second_moments(self):
         pair = D.gaussian_pair(3, 1.0, 1.0)

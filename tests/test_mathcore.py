@@ -12,9 +12,13 @@ from hypothesis import strategies as st
 from uncrel import mathcore
 from uncrel.errors import (BracketError, ConvergenceError, DomainError, FormatError,
                            NonFiniteError)
-from uncrel.mathcore import (QuadratureSpec, beta, exp_e1, exp_e1_scaled,
-                             interpolate_monotone, minimize_scalar, omega, quad_finite,
-                             quad_halfline, solve_root)
+from uncrel.mathcore import (QuadratureSpec, beta, exp_e1_scaled, interpolate_monotone,
+                             minimize_scalar, omega, quad_finite, quad_halfline, solve_root)
+
+
+def exp_e1(x):
+    """E1(x) from the scaled exponential integral the library computes."""
+    return exp_e1_scaled(x) * math.exp(-x)
 
 
 class TestSpecialFunctions:
@@ -50,7 +54,7 @@ class TestExpE1:
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            exp_e1(0.0)
+            exp_e1_scaled(0.0)
 
 
 class TestIntegrateHalfline:
@@ -137,6 +141,28 @@ class TestMinimizeScalar:
     def test_monotone_function_has_no_interior_minimum(self):
         with pytest.raises(BracketError):
             minimize_scalar(lambda x: x, (0.1, 1.0))
+
+    @pytest.mark.parametrize("bracket", [(1e-4, 60.0), (0.0, 5.0)])
+    def test_objective_sees_python_floats(self, monkeypatch, bracket):
+        # numpy scalars would make every step of the objective numpy arithmetic
+        seen = []
+
+        def objective(x):
+            seen.append(type(x))
+            return (x - 2.0) ** 2
+
+        brent_calls = []
+        brent = mathcore._brent
+
+        def spy(f, xa, xb, xc, fb, *rest):
+            brent_calls.append((len(seen), {type(v) for v in (xa, xb, xc, fb)}))
+            return brent(f, xa, xb, xc, fb, *rest)
+
+        monkeypatch.setattr(mathcore, "_brent", spy)
+        minimize_scalar(objective, bracket)
+        assert brent_calls == [(96, {float})]
+        assert len(seen) > 96
+        assert set(seen) == {float}
 
 
 def _spy_brent(monkeypatch):

@@ -9,7 +9,7 @@ from uncrel.constants import (entropic_lower_coeff, heisenberg_exponent,
                               semiclassical_constant)
 from uncrel.errors import DomainError
 from uncrel.functionals import entropic_moment, radial_moment
-from uncrel.mathcore import quad_finite, quad_halfline
+from uncrel.mathcore import beta, quad_finite, quad_halfline, solve_root
 
 PI = math.pi
 
@@ -66,6 +66,24 @@ class TestMinimizerDensity:
             V.minimizer_density(3, -2.0, 1.0)
 
 
+def solve_scale_by_root(d, alpha, k, N=1.0, r_alpha=1.0):
+    """The extremal scale a found by bisection on the ratio constraint
+    <r^alpha>/N = g(a), apart from the oracle's Beta-function reduction."""
+    if k > 0:
+        e = d / k
+
+        def ratio(a):
+            return a ** alpha * beta(d / alpha + 1.0, e + 1.0) / beta(d / alpha, e + 1.0)
+    else:
+        t = -d / k
+
+        def ratio(a):
+            return a ** alpha * beta(d / alpha + 1.0, t - d / alpha - 1.0) \
+                / beta(d / alpha, t - d / alpha)
+
+    return solve_root(lambda a: ratio(a) - r_alpha / N, (1e-8, 1e8))
+
+
 class TestRootFindingFallback:
     @pytest.mark.parametrize("d,alpha,k", [(3, 2.0, 2.0), (2, 1.0, 4.0),
                                            (3, 2.0, -1.0), (3, 7.0, -2.0)])
@@ -78,7 +96,7 @@ class TestRootFindingFallback:
             a_closed = dens.support[1]
         else:
             a_closed = dens.support_hint
-        a_root = V.solve_scale_by_root(d, alpha, k)
+        a_root = solve_scale_by_root(d, alpha, k)
         assert a_root == pytest.approx(a_closed, rel=1e-10)
 
 
