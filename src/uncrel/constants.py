@@ -73,6 +73,7 @@ class ConstantValue:
 def thakkar_coefficient(k: float) -> float:
     """Semiclassical coefficient c_k = 3 (3 pi^2)^(k/3) / (k + 3) of the
     three-dimensional electron-system momentum-moment bounds."""
+    check_finite("momentum order", k)
     if k <= -3:
         raise DomainError(f"thakkar_coefficient requires k > -3, got {k}")
     return 3.0 * (3.0 * math.pi ** 2) ** (k / 3.0) / (k + 3.0)
@@ -130,8 +131,9 @@ def entropic_lower_coeff(d: int, alpha: float, k: float) -> float:
     """Variational coefficient in the lower bound on the entropic moment
     of order 1 + k/d under normalization and one radial-moment constraint
     (positive orders alpha, k)."""
-    if d < 1:
-        raise DomainError(f"dimension must be >= 1, got {d}")
+    check_integer("dimension", d)
+    check_finite("alpha", alpha)
+    check_finite("momentum order", k)
     if alpha <= 0 or k <= 0:
         raise DomainError(f"entropic_lower_coeff requires alpha, k > 0, got ({alpha}, {k})")
     m = 1.0 + k / d
@@ -154,8 +156,8 @@ def heisenberg_exponent(d: int, alpha: float, k: float) -> float:
 
 def heisenberg_rhs(d: int, alpha: float, k: float, N: float = 1.0, q: int = 1) -> float:
     """Full right-hand side of the generalized Heisenberg-like relation."""
-    if N <= 0 or q < 1:
-        raise DomainError(f"need N > 0 and q >= 1, got N = {N}, q = {q}")
+    check_positive("particle count", N)
+    check_integer("spin multiplicity", q)
     return heisenberg_coeff(d, alpha, k) * q ** (-k / d) \
         * N ** heisenberg_exponent(d, alpha, k)
 
@@ -178,12 +180,11 @@ def entropic_upper_coeff_closed(d: int, alpha: float, k: float) -> ConstantValue
     closed form is only the secondary cross-check against the variational
     reconstruction.
     """
-    if d < 1:
-        raise DomainError(f"dimension must be >= 1, got {d}")
+    check_integer("dimension", d)
+    check_finite("momentum order", k)
     if not -d < k < 0:
         raise DomainError(f"entropic_upper_coeff_closed requires -d < k < 0, got {k}")
-    if alpha <= 0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
+    check_positive("alpha", alpha)
     b1 = -1.0 - d * (k + alpha) / (k * alpha)
     b2 = d / alpha
     if b1 <= 0:
@@ -208,8 +209,8 @@ def negative_order_rhs(d: int, alpha: float, k: float, N: float = 1.0, q: int = 
     extremal density (the authoritative route); the closed form is kept
     alongside in the oracle's discrepancy report.
     """
-    if N <= 0 or q < 1:
-        raise DomainError(f"need N > 0 and q >= 1, got N = {N}, q = {q}")
+    check_positive("particle count", N)
+    check_integer("spin multiplicity", q)
     window = negative_order_window(d, k)
     if alpha <= window:
         raise DomainError(
@@ -225,7 +226,8 @@ def negative_order_rhs(d: int, alpha: float, k: float, N: float = 1.0, q: int = 
 def zumbach_constant(d: int) -> float:
     """Non-optimal constant C_d of the kinetic-energy versus Fisher-information
     bound, valid for 1 <= d <= 5."""
-    if not 1 <= d <= 5:
+    check_integer("dimension", d)
+    if d > 5:
         raise DomainError(f"zumbach_constant is only valid for 1 <= d <= 5, got {d}")
     return (4.0 * math.pi) ** 2 * 5.0 * d ** 2 / (d + 2.0) * (2.0 / (d + 2.0)) ** (2.0 / d)
 
@@ -233,8 +235,7 @@ def zumbach_constant(d: int) -> float:
 def heisenberg_product_constant(d: int) -> float:
     """Coefficient A(2, d) of the d-dimensional variance product bound
     <r^2><p^2> >= A(2,d) q^(-2/d) N^(2 + 2/d)."""
-    if d < 1:
-        raise DomainError(f"dimension must be >= 1, got {d}")
+    check_integer("dimension", d)
     return ((d / (d + 1.0)) * math.gamma(d + 1.0) ** (1.0 / d)) ** 2
 
 

@@ -62,12 +62,6 @@ class RadialDensity:
     tail_exponent: float | None = None
     label: str = ""
 
-    def __call__(self, r):
-        return self.rho(r)
-
-    def derivative(self, r):
-        return self.drho(r)
-
 
 @dataclass(frozen=True)
 class DensityPair:

@@ -82,6 +82,13 @@ def _integrate(dens: RadialDensity, integrand, spec: QuadratureSpec | None) -> t
     return quad_halfline(integrand, sp)
 
 
+def _weight(r, w: float, where) -> np.ndarray:
+    """r^w where `where` holds and 0 elsewhere.  Far out on the tail
+    ladder r^w overflows at high d while the density has underflowed to
+    0, and 0 * inf would be NaN."""
+    return np.power(r, w, out=np.zeros(np.shape(where)), where=where)
+
+
 def _tail_exponent(dens: RadialDensity) -> tuple[float, bool]:
     """Power-law decay exponent s of rho ~ r^-s at large radius, and whether
     it is exact (declared on the density) or probed from samples.
@@ -127,7 +134,8 @@ def radial_moment(dens: RadialDensity, alpha: float,
 
     def compute():
         def integrand(r):
-            return f(r) * np.power(r, w)
+            v = f(r)
+            return v * _weight(r, w, v != 0)
 
         value, err = _integrate(dens, integrand, spec)
         return MomentValue(alpha, omega(dens.d) * value, "quadrature", omega(dens.d) * err)
@@ -161,7 +169,7 @@ def entropic_moment(dens: RadialDensity, m: float,
             # rho^m with m < 1 magnifies that loss: read it as an
             # underflowed zero, past which the half-line tail is extrapolated
             v = np.where(v < _TINY, 0.0, v)
-            return np.power(v, m) * np.power(r, w)
+            return np.power(v, m) * _weight(r, w, v != 0)
 
         value, err = _integrate(dens, integrand, spec)
         return MomentValue(m, omega(dens.d) * value, "quadrature", omega(dens.d) * err)
@@ -205,7 +213,7 @@ def fisher_information(dens: RadialDensity,
             safe = v > floor
             out = np.zeros_like(v)
             np.divide(g * g, v, out=out, where=safe)
-            return out * np.power(r, w)
+            return out * _weight(r, w, safe)
 
         value, err = _integrate(dens, integrand, spec)
 

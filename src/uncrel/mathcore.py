@@ -7,10 +7,17 @@ its inputs and safe to call concurrently.
 
 Quadrature is one globally adaptive Gauss-Kronrod 21/10 routine: every
 refinement sweep evaluates all nodes of all new panels in a single call
-of the integrand, so integrands take and return numpy arrays.  The half
-line is a uniform head up to QuadratureSpec.tail_cut plus a geometric
-ladder of tail panels closed by a geometric-series remainder.  Tabulated
-data use a fixed composite Gauss-Legendre rule per knot cell.
+of the integrand, so integrands take and return numpy arrays.  Panels
+are bisected, except that an end panel of the domain still among the
+worst after three bisections is graded: cut into 16 panels whose widths
+halve towards the end.  Algebraic end singularities (fractional and
+negative radial moments at r = 0, the edge of a compact extremal
+density) then take a few sweeps instead of one bisection per sweep,
+while smooth ends, whose error falls like h^20 per halving, are never
+graded.  The half line is a uniform head up to QuadratureSpec.tail_cut
+plus a geometric ladder of tail panels closed by a geometric-series
+remainder.  Tabulated data use a fixed composite Gauss-Legendre rule per
+knot cell.
 
 Minimization is Brent's method, a port of the loop of scipy's
 Brent.optimize (scipy 1.17); monotone interpolation is PCHIP, a numpy
@@ -29,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -57,9 +65,10 @@ __all__ = [
 class QuadratureSpec:
     """Tolerances and budget for adaptive quadrature.
 
-    max_refinements is the number of panel bisections allowed;
-    tail_cut is the radius beyond which the half line is covered by a
-    geometric ladder of panels instead of uniform ones.
+    max_refinements is the number of panels refinement may add: one per
+    bisection, fifteen per graded end (see _adaptive_gk); tail_cut is the
+    radius beyond which the half line is covered by a geometric ladder of
+    panels instead of uniform ones.
     """
 
     rel_tol: float = 1e-10
@@ -184,6 +193,17 @@ _START_PANELS = 16
 _FIRST_RUNGS = 16
 # the ladder closes once the geometric remainder is this share of the tolerance
 _REMAINDER_SHARE = 0.1
+# an end panel chosen for refinement after this many bisections is graded:
+# cut into _GRADE_PANELS panels of ratio 2 towards the end of the domain
+_GRADE_AFTER = 3
+_GRADE_PANELS = 16
+# breakpoints of a graded end panel as shares of its width from that end:
+# 0, 2^-15, 2^-14, ..., 1/2, 1
+_GRADE_CUTS = np.concatenate([[0.0], np.ldexp(1.0, np.arange(1 - _GRADE_PANELS, 1))])
+_EPS50 = 50.0 * np.finfo(float).eps
+_LOG2_MAX = math.log2(np.finfo(float).max)
+_NO_PANELS = np.empty(0)
+_NO_RUNGS = np.empty(0, dtype=int)
 
 
 def _gk21(f, lo: np.ndarray, hi: np.ndarray):
@@ -191,28 +211,43 @@ def _gk21(f, lo: np.ndarray, hi: np.ndarray):
     nodes in one call of f; returns (values, error estimates, node values)."""
     half = 0.5 * (hi - lo)
     nodes = 0.5 * (hi + lo)[:, None] + half[:, None] * _X21
-    vals = np.broadcast_to(np.asarray(f(nodes), dtype=float), nodes.shape)
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        raise NonFiniteError(f"integrand is not finite at r = {nodes[bad][0]!r}")
+    vals = f(nodes)
+    if type(vals) is not np.ndarray or vals.dtype != np.float64 or vals.shape != nodes.shape:
+        vals = np.broadcast_to(np.asarray(vals, dtype=float), nodes.shape)
+    if not np.isfinite(vals).all():
+        raise NonFiniteError(f"integrand is not finite at r = {nodes[~np.isfinite(vals)][0]!r}")
     resk = vals @ _WK21
     err = np.abs((resk - vals @ _WG21) * half)
-    resasc = np.abs(vals - 0.5 * resk[:, None]) @ _WK21 * np.abs(half)
-    resabs = np.abs(vals) @ _WK21 * np.abs(half)
+    resasc = np.abs(vals - 0.5 * resk[:, None]) @ _WK21 * half
+    resabs = np.abs(vals) @ _WK21 * half
     # the Kronrod-Gauss difference overstates the error of a resolved panel
     # and understates that of an unresolved one; rescale it against the
     # panel's mean absolute deviation, and floor it at rounding level
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
-    err = np.where((resasc > 0) & (err > 0), scaled, err)
-    err = np.maximum(err, 50.0 * np.finfo(float).eps * resabs)
-    return resk * half, err, vals
+    spread = resasc > 0
+    ratio = 200.0 * err
+    np.divide(ratio, resasc, out=ratio, where=spread)
+    np.multiply(resasc, np.minimum(1.0, ratio ** 1.5), out=err, where=spread)
+    return resk * half, np.maximum(err, _EPS50 * resabs), vals
 
 
-def _uniform_panels(edges, count: int) -> tuple[np.ndarray, np.ndarray]:
-    cuts = np.concatenate([np.linspace(a, b, count + 1)[:-1]
+# a density's functionals run back to back, so a few slots catch its
+# recurring tail_cut (16 slots hit about half the calls of a bounds-catalog
+# pass, nearly as many as 128 do)
+@lru_cache(maxsize=16)
+def _first_panels(edges: tuple, ladder_from: float | None, rungs: int):
+    """Panels (lo, hi, rung) of the first sweep, shared by every call on
+    the same edges: _START_PANELS uniform panels per edge interval, rung
+    -1, then with ladder_from = c the rungs [c 2^j, c 2^(j+1)], j < rungs.
+    Tuples, so that no caller can write into a shared result."""
+    cuts = np.concatenate([np.linspace(a, b, _START_PANELS + 1)[:-1]
                            for a, b in zip(edges[:-1], edges[1:])] + [edges[-1:]])
-    return cuts[:-1], cuts[1:]
+    lo, hi, rung = cuts[:-1], cuts[1:], [-1] * (cuts.size - 1)
+    if ladder_from is not None:
+        j = np.arange(rungs)
+        lo = np.concatenate([lo, ladder_from * 2.0 ** j])
+        hi = np.concatenate([hi, ladder_from * 2.0 ** (j + 1)])
+        rung += j.tolist()
+    return tuple(lo.tolist()), tuple(hi.tolist()), tuple(rung)
 
 
 def _geometric_remainder(sums: np.ndarray) -> tuple[float, float]:
@@ -227,49 +262,84 @@ def _geometric_remainder(sums: np.ndarray) -> tuple[float, float]:
     return sums[-1] * ratio / (1.0 - ratio), ratio
 
 
+def _graded(lo: float, hi: float, at_lo: bool) -> np.ndarray:
+    """Breakpoints cutting [lo, hi] into _GRADE_PANELS panels whose widths
+    halve towards lo (at_lo) or towards hi."""
+    if at_lo:
+        cuts = lo + (hi - lo) * _GRADE_CUTS
+        cuts[-1] = hi
+    else:
+        cuts = hi - (hi - lo) * _GRADE_CUTS[::-1]
+        cuts[0] = lo
+    return cuts
+
+
 def _adaptive_gk(f, edges, spec: QuadratureSpec, ladder_from: float | None = None):
     """Globally adaptive Gauss-Kronrod 21/10 quadrature over the panels
     between consecutive `edges`, and with ladder_from = c also over
     [c, inf) by the rungs [c 2^j, c 2^(j+1)].
 
-    Each sweep evaluates all new panels in one call of f, then bisects
+    Each sweep evaluates all new panels in one call of f, then refines
     the fewest worst panels whose removal would bring the summed error
-    under half the tolerance.  The ladder grows until a rung meets an
-    exactly zero integrand value (an underflowed tail), which drops that
-    rung and the ones after it, or until the geometric remainder past
-    the last rung is a small share of the tolerance; the remainder is
-    added to the value and to the error.
+    under half the tolerance.  A panel is bisected, except a panel at an
+    end of the domain (edges[0], and edges[-1] without a ladder) that
+    bisections have already narrowed _GRADE_AFTER times: that one is cut
+    into _GRADE_PANELS panels halving towards the end, so an algebraic
+    endpoint singularity is resolved in a few sweeps instead of one
+    bisection per sweep.  Interior edges and ladder rungs are only ever
+    bisected.  spec.max_refinements counts the panels refinement adds:
+    one per bisection, _GRADE_PANELS - 1 per graded end.
+
+    The ladder grows until a rung meets an exactly zero integrand value
+    (an underflowed tail), which drops that rung and the ones after it,
+    or until the geometric remainder past the last rung is a small share
+    of the tolerance; the remainder is added to the value and to the
+    error.
     """
-    new_lo, new_hi = _uniform_panels(np.asarray(edges, dtype=float), _START_PANELS)
-    new_rung = np.full(new_lo.size, -1)  # -1: not a ladder rung
-    lo = hi = val = err = np.empty(0)
-    rung = np.empty(0, dtype=int)
     ladder_open = ladder_from is not None
-    remainder, refinements, rungs, add = 0.0, 0, 0, 0
-    if ladder_open:
-        # the last rung ends below the largest float
-        max_rungs = int(math.log2(np.finfo(float).max) - math.log2(ladder_from)) - 1
-        add = min(_FIRST_RUNGS, max_rungs)
+    # the last rung ends below the largest float
+    max_rungs = int(_LOG2_MAX - math.log2(ladder_from)) - 1 if ladder_open else 0
+    rungs = max(0, min(_FIRST_RUNGS, max_rungs))
+    key = tuple(float(e) for e in edges)
+    new_lo, new_hi, new_rung = _first_panels(key, ladder_from, rungs)
+    new_lo, new_hi, new_rung = np.array(new_lo), np.array(new_hi), np.array(new_rung)
+    # ends of the domain (a ladder has none), and the widths below which an
+    # end panel has been bisected _GRADE_AFTER times: halfway, in log scale,
+    # to the width after one bisection fewer, so rounding cannot matter
+    end_lo, end_hi = key[0], (math.inf if ladder_open else key[-1])
+    narrow = 2.0 ** (0.5 - _GRADE_AFTER)
+    narrow_lo = narrow * float(new_hi[0] - new_lo[0])
+    narrow_hi = narrow * float(new_hi[-1] - new_lo[-1])
+    # rows lo, hi, value, error of every panel; rung of each while the ladder is open
+    panels = rung = keep = None
+    remainder, refinements, add = 0.0, 0, 0
     while True:
         if add:
             j = np.arange(rungs, rungs + add)
-            new_lo = np.concatenate([new_lo, ladder_from * 2.0 ** j])
-            new_hi = np.concatenate([new_hi, ladder_from * 2.0 ** (j + 1)])
-            new_rung = np.concatenate([new_rung, j])
+            new_lo = np.concatenate((new_lo, ladder_from * 2.0 ** j))
+            new_hi = np.concatenate((new_hi, ladder_from * 2.0 ** (j + 1)))
+            new_rung = np.concatenate((new_rung, j))
             rungs += add
             add = 0
         v, e, fvals = _gk21(f, new_lo, new_hi)
-        lo, hi = np.concatenate([lo, new_lo]), np.concatenate([hi, new_hi])
-        val, err = np.concatenate([val, v]), np.concatenate([err, e])
-        rung = np.concatenate([rung, new_rung])
+        new = np.array((new_lo, new_hi, v, e))
+        if panels is None:
+            panels = new
+        else:
+            panels = np.concatenate((panels if keep is None else panels[:, keep], new), axis=1)
         if ladder_open:
-            zero = new_rung[(new_rung >= 0) & np.any(fvals == 0.0, axis=1)]
+            if rung is None:
+                rung = new_rung
+            else:
+                rung = np.concatenate((rung if keep is None else rung[keep], new_rung))
+            zero = new_rung[(new_rung >= 0) & (fvals == 0.0).any(axis=1)]
             if zero.size:
-                keep = rung < zero.min()
-                lo, hi, val, err, rung = lo[keep], hi[keep], val[keep], err[keep], rung[keep]
+                kept = rung < zero.min()
+                panels, rung = panels[:, kept], rung[kept]
+            on_ladder = rung >= 0
             remainder, ratio = _geometric_remainder(
-                np.bincount(rung[rung >= 0], weights=val[rung >= 0]))
-            tol = max(spec.abs_tol, spec.rel_tol * abs(val.sum() + remainder))
+                np.bincount(rung[on_ladder], weights=panels[2][on_ladder]))
+            tol = max(spec.abs_tol, spec.rel_tol * abs(panels[2].sum() + remainder))
             decaying = 0.0 < ratio < 1.0
             if zero.size or (decaying and abs(remainder) <= _REMAINDER_SHARE * tol):
                 ladder_open = False
@@ -283,30 +353,47 @@ def _adaptive_gk(f, edges, spec: QuadratureSpec, ladder_from: float | None = Non
                         raise ConvergenceError(
                             f"integrand does not decay on [{ladder_from}, inf)")
                     ladder_open = False
+        lo, hi, val, err = panels
         total = float(val.sum() + remainder)
         panel_err = float(err.sum())
         tol = max(spec.abs_tol, spec.rel_tol * abs(total))
         if panel_err <= tol and not ladder_open:
             return total, panel_err + abs(remainder)
-        new_lo = new_hi = np.empty(0)
-        new_rung = np.empty(0, dtype=int)
+        new_lo, new_hi, new_rung, keep = _NO_PANELS, _NO_PANELS, _NO_RUNGS, None
         if panel_err > tol:
-            budget = spec.max_refinements - refinements
-            if budget <= 0:
+            budget = max(spec.max_refinements - refinements, 0)
+            worst = np.argsort(err)[::-1]
+            rest = panel_err - np.cumsum(err[worst])  # error left if the first i+1 were exact
+            split = worst[:min(int(np.searchsorted(-rest, -0.5 * tol)) + 1, budget)]
+            s_lo, s_hi = lo[split], hi[split]
+            width = s_hi - s_lo
+            grade = ((s_lo == end_lo) & (width < narrow_lo)) | ((s_hi == end_hi) & (width < narrow_hi))
+            graded = []
+            if grade.any():
+                # a graded end adds _GRADE_PANELS - 1 panels: refine the
+                # worst panels whose added panels fit in the budget
+                added = np.cumsum(np.where(grade, _GRADE_PANELS - 1, 1))
+                n = int(np.searchsorted(added, budget, side="right"))
+                split, s_lo, s_hi, grade = split[:n], s_lo[:n], s_hi[:n], grade[:n]
+                graded = [_graded(a, b, a == end_lo) for a, b in zip(s_lo[grade], s_hi[grade])]
+            if split.size == 0:
                 raise ConvergenceError(
                     f"quadrature on [{edges[0]}, {'inf' if ladder_from else edges[-1]}] "
                     f"did not converge in {spec.max_refinements} refinements: "
                     f"error {panel_err:.3g} > tolerance {tol:.3g}")
-            worst = np.argsort(err)[::-1]
-            rest = panel_err - np.cumsum(err[worst])  # error left if the first i+1 were exact
-            split = worst[:min(int(np.searchsorted(-rest, -0.5 * tol)) + 1, budget)]
-            mid = 0.5 * (lo[split] + hi[split])
-            new_lo, new_hi = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
-            new_rung = np.tile(rung[split], 2)
             keep = np.ones(lo.size, dtype=bool)
             keep[split] = False
-            lo, hi, val, err, rung = lo[keep], hi[keep], val[keep], err[keep], rung[keep]
-            refinements += split.size
+            # one added panel per bisection, _GRADE_PANELS - 1 per graded end
+            refinements += split.size + (_GRADE_PANELS - 2) * len(graded)
+            if graded:
+                split, s_lo, s_hi = split[~grade], s_lo[~grade], s_hi[~grade]
+            mid = 0.5 * (s_lo + s_hi)
+            new_lo = np.concatenate([s_lo, mid, *(c[:-1] for c in graded)])
+            new_hi = np.concatenate([mid, s_hi, *(c[1:] for c in graded)])
+            if ladder_open:
+                # a graded end lies in the head [0, tail_cut], off the ladder
+                r = rung[split]
+                new_rung = np.concatenate([r, r, *(np.full(_GRADE_PANELS, -1) for _ in graded)])
 
 
 def quad_finite(f: Callable, lo: float, hi: float,

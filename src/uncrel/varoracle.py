@@ -27,7 +27,7 @@ import numpy as np
 
 from . import constants
 from .densities import RadialDensity
-from .errors import DomainError
+from .errors import DomainError, check_finite, check_integer, check_positive
 from .functionals import entropic_moment
 from .mathcore import beta, omega
 
@@ -48,18 +48,19 @@ class ExtremalConstant:
     discrepancy: float | None = None
 
 
-def _validate_orders(d: int, alpha: float) -> None:
-    if d < 1:
-        raise DomainError(f"dimension must be >= 1, got {d}")
-    if alpha <= 0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
+def _validate_orders(d: int, alpha: float, k: float) -> None:
+    check_integer("dimension", d)
+    check_positive("alpha", alpha)
+    check_finite("momentum order", k)
 
 
 def _scale_from_ratio(d: int, alpha: float, ratio_factor: float,
                       N: float, r_alpha: float) -> float:
     # a^alpha = (r_alpha / N) * ratio_factor, from the Beta reduction of
     # the two constraint integrals
-    if ratio_factor <= 0 or N <= 0 or r_alpha <= 0:
+    check_positive("particle count", N)
+    check_positive("radial moment", r_alpha)
+    if ratio_factor <= 0:
         raise DomainError("constraint system is infeasible for these parameters")
     return ((r_alpha / N) * ratio_factor) ** (1.0 / alpha)
 
@@ -71,7 +72,7 @@ def minimizer_density(d: int, alpha: float, k: float,
 
     Minimizes W_{1+k/d} for k > 0 under those constraints.
     """
-    _validate_orders(d, alpha)
+    _validate_orders(d, alpha, k)
     if k <= 0:
         raise DomainError(f"minimizer_density requires k > 0, got {k}")
     e = d / k
@@ -105,7 +106,7 @@ def maximizer_density(d: int, alpha: float, k: float,
     alpha > -k d / (d + k), outside which the candidate is not
     normalizable together with a finite <r^alpha>.
     """
-    _validate_orders(d, alpha)
+    _validate_orders(d, alpha, k)
     if not -d < k < 0:
         raise DomainError(f"maximizer_density requires -d < k < 0, got {k}")
     window = constants.negative_order_window(d, k)
@@ -150,6 +151,7 @@ def extremal_F(d: int, alpha: float, k: float) -> ExtremalConstant:
     """Numeric variational coefficient of the entropic-moment lower bound
     (k > 0), read off the reconstructed minimizer at reference constraints
     N = 1, <r^alpha> = 1, compared against the closed form."""
+    _validate_orders(d, alpha, k)
     numeric = _extremal_F_cached(d, float(alpha), float(k))
     closed = constants.entropic_lower_coeff(d, alpha, k)
     return ExtremalConstant(d, alpha, k, numeric, closed,
@@ -165,6 +167,7 @@ def _extremal_G_cached(d: int, alpha: float, k: float) -> float:
 def extremal_G(d: int, alpha: float, k: float) -> ExtremalConstant:
     """Numeric variational coefficient of the entropic-moment upper bound
     (-d < k < 0); the closed form is attached when it is real-evaluable."""
+    _validate_orders(d, alpha, k)
     numeric = _extremal_G_cached(d, float(alpha), float(k))
     closed = constants.entropic_upper_coeff_closed(d, alpha, k)
     if closed.valid:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uncrel import constants as C
+from uncrel import varoracle
 from uncrel.errors import DomainError
 
 PI = math.pi
@@ -314,6 +315,43 @@ class TestNegativeOrderBound:
     def test_outside_window_raises(self):
         with pytest.raises(DomainError, match="window"):
             C.negative_order_rhs(3, 1.0, -1.0, q=2)
+
+
+class TestTypedRejection:
+    """NaN, infinities and bools fail at entry with a DomainError naming
+    the argument, before any density is built or integrated."""
+
+    @pytest.mark.parametrize("call,argument", [
+        pytest.param(lambda: varoracle.minimizer_density(3, math.nan, 2.0), "alpha",
+                     id="minimizer_density-alpha-nan"),
+        pytest.param(lambda: varoracle.minimizer_density(3, 2.0, 2.0, N=math.nan),
+                     "particle count", id="minimizer_density-N-nan"),
+        pytest.param(lambda: varoracle.maximizer_density(3, math.inf, -1.0), "alpha",
+                     id="maximizer_density-alpha-inf"),
+        pytest.param(lambda: varoracle.extremal_F(3, math.nan, 2.0), "alpha",
+                     id="extremal_F-alpha-nan"),
+        pytest.param(lambda: varoracle.extremal_F(3, True, 2.0), "alpha",
+                     id="extremal_F-alpha-bool"),
+        pytest.param(lambda: varoracle.extremal_G(True, 2.0, -1.0), "dimension",
+                     id="extremal_G-d-bool"),
+        pytest.param(lambda: C.heisenberg_rhs(3, 2.0, 2.0, N=math.nan), "particle count",
+                     id="heisenberg_rhs-N-nan"),
+        pytest.param(lambda: C.heisenberg_rhs(3, 2.0, 2.0, q=True), "spin multiplicity",
+                     id="heisenberg_rhs-q-bool"),
+        pytest.param(lambda: C.negative_order_rhs(3, 2.0, -1.0, N=math.nan), "particle count",
+                     id="negative_order_rhs-N-nan"),
+        pytest.param(lambda: C.entropic_lower_coeff(3, math.nan, 2.0), "alpha",
+                     id="entropic_lower_coeff-alpha-nan"),
+        pytest.param(lambda: C.entropic_lower_coeff(True, 2.0, 2.0), "dimension",
+                     id="entropic_lower_coeff-d-bool"),
+        pytest.param(lambda: C.entropic_upper_coeff_closed(3, math.nan, -1.0), "alpha",
+                     id="entropic_upper_coeff_closed-alpha-nan"),
+        pytest.param(lambda: C.thakkar_coefficient(math.nan), "momentum order",
+                     id="thakkar_coefficient-k-nan"),
+    ])
+    def test_bad_scalar_rejected(self, call, argument):
+        with pytest.raises(DomainError, match=argument):
+            call()
 
 
 class TestZumbachConstant:

@@ -161,3 +161,21 @@ class TestCramerRao:
             dens = D.gaussian_pair(d, 1.0, 1.0).position
             product = F.fisher_information(dens).value * F.variance(dens)
             assert product == pytest.approx(d * d, rel=1e-8)
+
+
+class TestHighDimension:
+    """rho(r) r^(d-1+alpha) at high d: far out on the tail ladder r^w
+    overflows where rho has underflowed to 0, so the weight is formed
+    only where the density is nonzero."""
+
+    @pytest.mark.parametrize("d", [50, 60, 80])
+    def test_gaussian_against_closed_forms(self, d):
+        pos = D.gaussian_pair(d, 1.0).position
+        cases = [
+            (F.radial_moment(pos, 2.5), 2.0 ** 1.25 * math.gamma((d + 2.5) / 2) / math.gamma(d / 2)),
+            (F.entropic_moment(pos, 2.0), (4.0 * PI) ** (-d / 2)),  # int rho^2
+            (F.fisher_information(pos), float(d)),  # N d / sigma^2
+        ]
+        for mv, exact in cases:
+            assert mv.method == "quadrature"
+            assert abs(mv.value - exact) <= mv.est_error

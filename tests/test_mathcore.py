@@ -9,7 +9,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uncrel import mathcore
+from uncrel import densities, functionals, mathcore
 from uncrel.errors import (BracketError, ConvergenceError, DomainError, FormatError,
                            NonFiniteError)
 from uncrel.mathcore import (QuadratureSpec, beta, exp_e1_scaled, interpolate_monotone,
@@ -113,6 +113,129 @@ class TestIntegrateHalfline:
     def test_exhausted_budget(self):
         with pytest.raises(ConvergenceError):
             quad_finite(lambda r: r ** -0.5, 0.0, 1.0, QuadratureSpec(max_refinements=5))
+
+
+# integrals that take several refinement sweeps but never grade an end
+# (their features are interior, or on the tail ladder), and their
+# (value, error) as float.hex() made with the bisect-only refinement that
+# preceded end grading: grading and the leaner sweeps must not move a bit
+GOLDEN_INTEGRALS = {
+    "lorentz_peak": lambda: quad_finite(lambda r: 1.0 / (1e-6 + (r - 0.37) ** 2), 0.0, 1.0),
+    "narrow_gauss": lambda: quad_finite(lambda r: np.exp(-2e5 * (r - 0.61) ** 2), 0.0, 1.0),
+    "cos400": lambda: quad_finite(lambda r: np.cos(400.0 * r) + 2.0, 0.0, 3.0),
+    "runge": lambda: quad_finite(lambda r: 1.0 / (1.0 + 1e5 * r * r), -1.0, 1.0),
+    "two_peaks_points": lambda: quad_finite(
+        lambda r: 1.0 / (1e-8 + (r - 0.2) ** 2) + 1.0 / (1e-8 + (r - 0.7) ** 2), 0.0, 1.0,
+        points=[0.2, 0.7]),
+    "hidden_kink": lambda: quad_finite(lambda r: np.abs(np.sin(5.0 * r)), 0.0, 2.0,
+                                       points=[np.pi / 5.0]),
+    "cusp_inside": lambda: quad_finite(lambda r: np.sqrt(np.abs(r - 0.4321)), 0.0, 1.0),
+    "step_smooth": lambda: quad_finite(lambda r: np.tanh(1e4 * (r - 0.777)), 0.0, 1.0,
+                                       QuadratureSpec(rel_tol=1e-12)),
+    "halfline_bump20": lambda: quad_halfline(lambda r: np.exp(-((r - 20.0) / 0.01) ** 2)),
+    "halfline_power_tail": lambda: quad_halfline(lambda r: (1.0 + r) ** -1.1),
+    "halfline_cut_tight": lambda: quad_halfline(lambda r: r ** 3 * np.exp(-0.5 * r * r),
+                                                QuadratureSpec(rel_tol=1e-13, tail_cut=3.0)),
+    "halfline_power_tail3": lambda: quad_halfline(lambda r: r * r / (1.0 + r) ** 4.5),
+    "halfline_osc_tail": lambda: quad_halfline(lambda r: np.exp(-0.2 * r) * (2.0 + np.cos(10.0 * r))),
+    "halfline_peak_past_cut": lambda: quad_halfline(
+        lambda r: np.exp(-r / 10.0) / (1e-4 + (r - 47.0) ** 2), QuadratureSpec(tail_cut=8.0)),
+    "halfline_kink": lambda: quad_halfline(lambda r: np.exp(-np.abs(r - 3.3)) * (1.0 + r)),
+    "narrow_gauss_points": lambda: quad_finite(lambda r: np.exp(-1e6 * (r - 0.123) ** 2), 0.0, 1.0,
+                                               points=[0.123]),
+    "two_lorentz": lambda: quad_finite(
+        lambda r: 1.0 / (1e-6 + (r - 0.3) ** 2) + 1.0 / (1e-6 + (r - 0.8) ** 2), 0.0, 1.0),
+    "log_kink": lambda: quad_finite(lambda r: np.log1p(np.abs(r - 0.55)), 0.0, 1.0),
+    "halfline_tail_bump": lambda: quad_halfline(
+        lambda r: np.exp(-r / 8.0) * (1.0 + 100.0 * np.exp(-((r - 45.0) / 0.05) ** 2))),
+    "halfline_gauss_mixture": lambda: quad_halfline(
+        lambda r: np.exp(-((r - 3.0) / 0.01) ** 2) + np.exp(-((r - 7.0) / 0.02) ** 2)
+        + np.exp(-((r - 11.0) / 0.005) ** 2)),
+    "halfline_lorentz_tail": lambda: quad_halfline(
+        lambda r: 1.0 / ((1e-4 + (r - 5.0) ** 2) * (1.0 + r ** 3))),
+}
+
+
+QUAD_GOLDEN = [
+    ("lorentz_peak", "0x1.8829af5e2e453p+11", "0x1.b0628020b8137p-25"),
+    ("narrow_gauss", "0x1.03bd9920665c0p-8", "0x1.2fb9545eefdc8p-52"),
+    ("cos400", "0x1.7ffc6254eb900p+2", "0x1.2a7de508642c1p-42"),
+    ("runge", "0x1.44e1985213cb2p-7", "0x1.fba07e003eed5p-54"),
+    ("two_peaks_points", "0x1.eac9aead849a0p+15", "0x1.ddce0c5ab14c1p-23"),
+    ("hidden_kink", "0x1.3b70858b1f56fp+0", "0x1.aadb61ac04f83p-35"),
+    ("cusp_inside", "0x1.e60f75ce0ad0bp-2", "0x1.aa7c7805c5346p-36"),
+    ("step_smooth", "-0x1.1ba5e353f7ceep-1", "0x1.fce5f9a7936e8p-46"),
+    ("halfline_bump20", "0x1.22661a4eeae09p-6", "0x1.88d648af7b28ep-41"),
+    ("halfline_power_tail", "0x1.3fffffffffffbp+3", "0x1.a993d638bd323p-34"),
+    ("halfline_cut_tight", "0x1.0000000000000p+1", "0x1.46ba0be1b0902p-45"),
+    ("halfline_power_tail3", "0x1.3813813813813p-3", "0x1.78ed041989332p-40"),
+    ("halfline_osc_tail", "0x1.401060a075da4p+3", "0x1.ef15a19154007p-32"),
+    ("halfline_peak_past_cut", "0x1.6ec67d56fc737p+1", "0x1.d909e0a14d90ep-39"),
+    ("halfline_kink", "0x1.13333333326e5p+3", "0x1.baa8f4b405c17p-32"),
+    ("narrow_gauss_points", "0x1.d0a35d4b115d5p-10", "0x1.a2d30f2cef731p-53"),
+    ("two_lorentz", "0x1.8802c67bf3554p+12", "0x1.a6d6de7f7d9dep-25"),
+    ("log_kink", "0x1.be9772700920dp-3", "0x1.1486384a2cf60p-37"),
+    ("halfline_tail_bump", "0x1.0105d686c31f8p+3", "0x1.986f5ce2088b7p-44"),
+    ("halfline_gauss_mixture", "0x1.b39927766051dp-5", "0x1.1b94b511a3ef6p-39"),
+    ("halfline_lorentz_tail", "0x1.4854e7fab3220p+1", "0x1.0ae8dc584a399p-33"),
+]
+
+
+class TestQuadratureGolden:
+    @pytest.mark.parametrize("name,value,error", QUAD_GOLDEN, ids=[g[0] for g in QUAD_GOLDEN])
+    def test_same_bits(self, name, value, error):
+        v, e = GOLDEN_INTEGRALS[name]()
+        assert (v.hex(), e.hex()) == (value, error)
+
+
+class TestEndGrading:
+    """An algebraic end singularity is cut geometrically towards the end
+    once bisections stop paying, so it takes a few sweeps, not one
+    bisection per sweep (up to 66 sweeps before grading)."""
+
+    @staticmethod
+    def counted(f):
+        calls = []
+
+        def g(r):
+            calls.append(r.size)
+            return f(r)
+        return g, calls
+
+    @pytest.mark.parametrize("f,exact", [
+        (lambda r: r ** -0.5, 2.0),
+        (lambda r: np.sqrt(1.0 - r), 2.0 / 3.0),
+    ], ids=["origin", "upper_end"])
+    def test_finite_interval(self, f, exact):
+        g, calls = self.counted(f)
+        val, err = quad_finite(g, 0.0, 1.0)
+        assert len(calls) <= 15
+        assert val == pytest.approx(exact, rel=1e-10)
+        assert err >= abs(val - exact)
+
+    def test_fractional_moment_at_the_origin(self, monkeypatch):
+        g_calls = []
+
+        def counting(f, spec=None):
+            g, calls = self.counted(f)
+            g_calls.append(calls)
+            return quad_halfline(g, spec)
+
+        monkeypatch.setattr(functionals, "quad_halfline", counting)
+        mv = functionals.radial_moment(densities.gaussian_pair(1, 1.0).position, -0.5)
+        exact = 2.0 ** -0.25 * math.gamma(0.25) / math.gamma(0.5)
+        assert len(g_calls) == 1 and len(g_calls[0]) <= 15
+        assert mv.value == pytest.approx(exact, rel=1e-10)
+        assert mv.est_error >= abs(mv.value - exact)
+
+    @pytest.mark.parametrize("budget,sweeps", [(17, 4), (18, 5)])
+    def test_graded_end_counts_its_panels(self, budget, sweeps):
+        # three bisections of the end panel at r = 0, then a grade that
+        # adds fifteen panels: it fits a budget of 18 refinements, not 17
+        g, calls = self.counted(lambda r: r ** -0.5)
+        with pytest.raises(ConvergenceError):
+            quad_finite(g, 0.0, 1.0, QuadratureSpec(max_refinements=budget))
+        assert len(calls) == sweeps
 
 
 class TestMinimizeScalar:
