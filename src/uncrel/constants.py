@@ -64,11 +64,6 @@ class ConstantValue:
     valid: bool = True
     domain_note: str = ""
 
-    def require_valid(self) -> float:
-        if not self.valid:
-            raise DomainError(self.domain_note or "constant outside validity window")
-        return self.value
-
 
 def thakkar_coefficient(k: float) -> float:
     """Semiclassical coefficient c_k = 3 (3 pi^2)^(k/3) / (k + 3) of the

@@ -280,7 +280,7 @@ def load_tabulated(cfg: SystemConfig, r, rho_values) -> RadialDensity:
 
     from .mathcore import gauss_cells
 
-    measured = omega(cfg.d) * gauss_cells(lambda x: interp(x) * x ** (cfg.d - 1), r)
+    measured = omega(cfg.d) * gauss_cells(lambda x: interp(x) * x ** (cfg.d - 1), r)[0]
     if measured <= 0:
         raise DomainError("tabulated density has zero measured normalization")
     if abs(measured - cfg.N) > _TABLE_NORM_TOL * cfg.N:

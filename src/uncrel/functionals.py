@@ -33,11 +33,11 @@ _TINY = np.finfo(float).tiny
 class MomentValue:
     """One functional value and how it was made.
 
-    est_error estimates |value - exact|: 0 for closed forms; for model
-    densities the adaptive quadrature's summed panel error estimate plus
-    the size of any extrapolated tail remainder.  For tabulated densities
-    it is a fixed placeholder, 1e-13 |value|, that does not measure the
-    interpolation or rule error.
+    est_error estimates |value - exact|: 0 for closed forms; otherwise the
+    adaptive quadrature's summed panel error estimate plus the size of any
+    extrapolated tail remainder.  For tabulated densities that is the rule
+    error of the integral of the interpolant; how far the interpolant
+    itself lies from the sampled density is not included.
     """
 
     order: float
@@ -72,10 +72,8 @@ def _density_spec(dens: RadialDensity, spec: QuadratureSpec | None) -> Quadratur
 def _integrate(dens: RadialDensity, integrand, spec: QuadratureSpec | None) -> tuple[float, float]:
     """Integrate `integrand(r)` over the density's radial support."""
     sp = _density_spec(dens, spec)
-    if dens.knots is not None and len(dens.knots) > 16:
-        # tabulated: piecewise-smooth between knots, fixed Gauss rule per cell
-        value = gauss_cells(integrand, dens.knots)
-        return value, abs(value) * 1e-13
+    if dens.knots is not None:
+        return gauss_cells(integrand, dens.knots, sp)
     if dens.support is not None:
         lo, hi = dens.support
         return quad_finite(integrand, lo, hi, sp)
@@ -192,8 +190,9 @@ def fisher_information(dens: RadialDensity,
 
     Regions where the density falls below a floor relative to its peak
     are excluded from the integrand (the interpolant of a tabulated
-    density may touch zero); the mass excluded that way is attached to
-    the error estimate.
+    density may touch zero).  For a tabulated density the error estimate
+    is the rule error of the integral over its knot cells plus the mass
+    excluded that way.
     """
     tabulated = dens.knots is not None
     w = dens.d - 1.0
@@ -224,7 +223,7 @@ def fisher_information(dens: RadialDensity,
                 v = np.asarray(f(r), dtype=float)
                 return np.where(v <= floor, v, 0.0) * np.power(r, w)
 
-            excluded = omega(dens.d) * gauss_cells(excluded_mass, dens.knots)
+            excluded = omega(dens.d) * gauss_cells(excluded_mass, dens.knots, spec)[0]
         return MomentValue(2.0, omega(dens.d) * value, "quadrature",
                            omega(dens.d) * err + excluded)
 

@@ -1,9 +1,9 @@
 """Shared numerical substrate.
 
-Special functions, quadrature on finite intervals and on the half line,
-one-dimensional minimization and root finding, and monotone cubic
-interpolation of tabulated data.  Everything here is a pure function of
-its inputs and safe to call concurrently.
+Special functions, quadrature on finite intervals, on the half line and
+over the knot cells of tabulated data, one-dimensional minimization, and
+monotone cubic interpolation of tabulated data.  Everything here is a
+pure function of its inputs and safe to call concurrently.
 
 Quadrature is one globally adaptive Gauss-Kronrod 21/10 routine: every
 refinement sweep evaluates all nodes of all new panels in a single call
@@ -16,20 +16,19 @@ density) then take a few sweeps instead of one bisection per sweep,
 while smooth ends, whose error falls like h^20 per halving, are never
 graded.  The half line is a uniform head up to QuadratureSpec.tail_cut
 plus a geometric ladder of tail panels closed by a geometric-series
-remainder.  Tabulated data use a fixed composite Gauss-Legendre rule per
-knot cell.
+remainder.  Tabulated data start from one panel per knot cell, since
+their interpolant is smooth within a cell but not across its knots.
 
 Minimization is Brent's method, a port of the loop of scipy's
 Brent.optimize (scipy 1.17); monotone interpolation is PCHIP, a numpy
 port of scipy's PchipInterpolator whose cubic pieces are summed in the
 order of scipy's PPoly.  Both return the same bits as scipy on the same
-input, and the test suite pins that against scipy.  Root finding is
-plain bisection.  None of this imports scipy, which costs more start-up
-time than numpy and everything here together.  The exponential integral
-E1 is computed locally (power series for small argument, modified-Lentz
-continued fraction for large argument) because it sits inside a
-minimization loop and its accuracy budget is audited by the test suite
-against independent quadrature.
+input, and the test suite pins that against scipy.  None of this
+imports scipy, which costs more start-up time than numpy and everything
+here together.  The exponential integral E1 is computed locally (power
+series for small argument, modified-Lentz continued fraction for large
+argument) because it sits inside a minimization loop and its accuracy
+budget is audited by the test suite against independent quadrature.
 """
 
 from __future__ import annotations
@@ -56,7 +55,6 @@ __all__ = [
     "quad_finite",
     "gauss_cells",
     "minimize_scalar",
-    "solve_root",
     "interpolate_monotone",
 ]
 
@@ -234,20 +232,12 @@ def _gk21(f, lo: np.ndarray, hi: np.ndarray):
 # recurring tail_cut (16 slots hit about half the calls of a bounds-catalog
 # pass, nearly as many as 128 do)
 @lru_cache(maxsize=16)
-def _first_panels(edges: tuple, ladder_from: float | None, rungs: int):
-    """Panels (lo, hi, rung) of the first sweep, shared by every call on
-    the same edges: _START_PANELS uniform panels per edge interval, rung
-    -1, then with ladder_from = c the rungs [c 2^j, c 2^(j+1)], j < rungs.
-    Tuples, so that no caller can write into a shared result."""
-    cuts = np.concatenate([np.linspace(a, b, _START_PANELS + 1)[:-1]
-                           for a, b in zip(edges[:-1], edges[1:])] + [edges[-1:]])
-    lo, hi, rung = cuts[:-1], cuts[1:], [-1] * (cuts.size - 1)
-    if ladder_from is not None:
-        j = np.arange(rungs)
-        lo = np.concatenate([lo, ladder_from * 2.0 ** j])
-        hi = np.concatenate([hi, ladder_from * 2.0 ** (j + 1)])
-        rung += j.tolist()
-    return tuple(lo.tolist()), tuple(hi.tolist()), tuple(rung)
+def _uniform_cuts(edges: tuple) -> tuple:
+    """Breakpoints of _START_PANELS uniform panels per interval between
+    consecutive edges, shared by every call on the same edges.  A tuple,
+    so that no caller can write into a shared result."""
+    return tuple(np.concatenate([np.linspace(a, b, _START_PANELS + 1)[:-1]
+                                 for a, b in zip(edges[:-1], edges[1:])] + [edges[-1:]]).tolist())
 
 
 def _geometric_remainder(sums: np.ndarray) -> tuple[float, float]:
@@ -274,21 +264,21 @@ def _graded(lo: float, hi: float, at_lo: bool) -> np.ndarray:
     return cuts
 
 
-def _adaptive_gk(f, edges, spec: QuadratureSpec, ladder_from: float | None = None):
-    """Globally adaptive Gauss-Kronrod 21/10 quadrature over the panels
-    between consecutive `edges`, and with ladder_from = c also over
-    [c, inf) by the rungs [c 2^j, c 2^(j+1)].
+def _adaptive_gk(f, cuts: np.ndarray, spec: QuadratureSpec, ladder_from: float | None = None):
+    """Globally adaptive Gauss-Kronrod 21/10 quadrature over [cuts[0],
+    cuts[-1]], starting from the panels between consecutive `cuts`, and
+    with ladder_from = c also over [c, inf) by the rungs [c 2^j, c 2^(j+1)].
 
     Each sweep evaluates all new panels in one call of f, then refines
     the fewest worst panels whose removal would bring the summed error
     under half the tolerance.  A panel is bisected, except a panel at an
-    end of the domain (edges[0], and edges[-1] without a ladder) that
+    end of the domain (cuts[0], and cuts[-1] without a ladder) that
     bisections have already narrowed _GRADE_AFTER times: that one is cut
     into _GRADE_PANELS panels halving towards the end, so an algebraic
     endpoint singularity is resolved in a few sweeps instead of one
-    bisection per sweep.  Interior edges and ladder rungs are only ever
-    bisected.  spec.max_refinements counts the panels refinement adds:
-    one per bisection, _GRADE_PANELS - 1 per graded end.
+    bisection per sweep.  Other panels are only ever bisected.
+    spec.max_refinements counts the panels refinement adds: one per
+    bisection, _GRADE_PANELS - 1 per graded end.
 
     The ladder grows until a rung meets an exactly zero integrand value
     (an underflowed tail), which drops that rung and the ones after it,
@@ -299,20 +289,19 @@ def _adaptive_gk(f, edges, spec: QuadratureSpec, ladder_from: float | None = Non
     ladder_open = ladder_from is not None
     # the last rung ends below the largest float
     max_rungs = int(_LOG2_MAX - math.log2(ladder_from)) - 1 if ladder_open else 0
-    rungs = max(0, min(_FIRST_RUNGS, max_rungs))
-    key = tuple(float(e) for e in edges)
-    new_lo, new_hi, new_rung = _first_panels(key, ladder_from, rungs)
-    new_lo, new_hi, new_rung = np.array(new_lo), np.array(new_hi), np.array(new_rung)
+    # the first sweep adds the first rungs as later sweeps add more
+    rungs, add = 0, max(0, min(_FIRST_RUNGS, max_rungs))
+    new_lo, new_hi, new_rung = cuts[:-1], cuts[1:], np.full(cuts.size - 1, -1)
     # ends of the domain (a ladder has none), and the widths below which an
     # end panel has been bisected _GRADE_AFTER times: halfway, in log scale,
     # to the width after one bisection fewer, so rounding cannot matter
-    end_lo, end_hi = key[0], (math.inf if ladder_open else key[-1])
+    end_lo, end_hi = float(cuts[0]), (math.inf if ladder_open else float(cuts[-1]))
     narrow = 2.0 ** (0.5 - _GRADE_AFTER)
     narrow_lo = narrow * float(new_hi[0] - new_lo[0])
     narrow_hi = narrow * float(new_hi[-1] - new_lo[-1])
     # rows lo, hi, value, error of every panel; rung of each while the ladder is open
     panels = rung = keep = None
-    remainder, refinements, add = 0.0, 0, 0
+    remainder, refinements = 0.0, 0
     while True:
         if add:
             j = np.arange(rungs, rungs + add)
@@ -378,7 +367,7 @@ def _adaptive_gk(f, edges, spec: QuadratureSpec, ladder_from: float | None = Non
                 graded = [_graded(a, b, a == end_lo) for a, b in zip(s_lo[grade], s_hi[grade])]
             if split.size == 0:
                 raise ConvergenceError(
-                    f"quadrature on [{edges[0]}, {'inf' if ladder_from else edges[-1]}] "
+                    f"quadrature on [{end_lo}, {end_hi}] "
                     f"did not converge in {spec.max_refinements} refinements: "
                     f"error {panel_err:.3g} > tolerance {tol:.3g}")
             keep = np.ones(lo.size, dtype=bool)
@@ -408,7 +397,8 @@ def quad_finite(f: Callable, lo: float, hi: float,
     if hi <= lo:
         return 0.0, 0.0
     inner = sorted(p for p in (points or ()) if lo < p < hi)
-    return _adaptive_gk(f, [lo, *inner, hi], spec)
+    edges = tuple(float(e) for e in (lo, *inner, hi))
+    return _adaptive_gk(f, np.array(_uniform_cuts(edges)), spec)
 
 
 def quad_halfline(f: Callable, spec: QuadratureSpec | None = None) -> tuple[float, float]:
@@ -421,32 +411,19 @@ def quad_halfline(f: Callable, spec: QuadratureSpec | None = None) -> tuple[floa
     NonFiniteError rather than propagating silently.
     """
     spec = spec or DEFAULT_QUADRATURE
-    return _adaptive_gk(f, [0.0, spec.tail_cut], spec, ladder_from=spec.tail_cut)
+    cuts = np.array(_uniform_cuts((0.0, float(spec.tail_cut))))
+    return _adaptive_gk(f, cuts, spec, ladder_from=spec.tail_cut)
 
 
-_GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+def gauss_cells(f, knots: np.ndarray, spec: QuadratureSpec | None = None) -> tuple[float, float]:
+    """Adaptive quadrature of f over [knots[0], knots[-1]] starting from one
+    panel per knot cell; returns (value, error estimate).
 
-
-def gauss_cells(f, knots: np.ndarray, order: int = 12) -> float:
-    """Composite Gauss-Legendre quadrature over consecutive cells of `knots`.
-
-    Intended for integrands that are piecewise smooth between knots
-    (monotone-cubic interpolants of tabulated data); `f` must accept
-    numpy arrays.
+    For integrands smooth within each cell but not across knots, such as
+    monotone-cubic interpolants of tabulated data; f must accept numpy
+    arrays.  The name stays because bench/layertrace.py traces it by name.
     """
-    if order not in _GAUSS_CACHE:
-        _GAUSS_CACHE[order] = np.polynomial.legendre.leggauss(order)
-    xg, wg = _GAUSS_CACHE[order]
-    knots = np.asarray(knots, dtype=float)
-    lo, hi = knots[:-1], knots[1:]
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    nodes = mid[:, None] + half[:, None] * xg[None, :]
-    vals = f(nodes)
-    if not np.all(np.isfinite(vals)):
-        bad = nodes[~np.isfinite(vals)]
-        raise NonFiniteError(f"integrand is not finite at r = {bad.ravel()[0]!r}")
-    return float(np.sum(half[:, None] * wg[None, :] * vals))
+    return _adaptive_gk(f, np.asarray(knots, dtype=float), spec or DEFAULT_QUADRATURE)
 
 
 # constants of scipy's Brent.optimize
@@ -563,34 +540,6 @@ def minimize_scalar(f: Callable[[float], float],
     if math.isnan(x) or math.isnan(fx):
         raise ConvergenceError("scalar minimization reached a NaN")
     return MinimizeResult(argmin=float(x), min_value=float(fx), iterations=it, converged=True)
-
-
-def solve_root(f: Callable[[float], float],
-               bracket: tuple[float, float],
-               rel_tol: float = 1e-13) -> float:
-    """Root of a continuous function changing sign over the bracket, by
-    bisection to a relative width of rel_tol."""
-    lo, hi = sorted((float(bracket[0]), float(bracket[1])))
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
-        raise BracketError(f"no sign change on [{lo}, {hi}]: f = ({flo}, {fhi})")
-    while True:
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= 2.0 * rel_tol * abs(mid) or not lo < mid < hi:
-            return mid
-        fmid = f(mid)
-        if math.isnan(fmid):
-            raise NonFiniteError(f"function is NaN at {mid!r}")
-        if fmid == 0.0:
-            return mid
-        if (fmid < 0.0) == (flo < 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
 
 
 def _pchip_end_slope(h0, h1, m0, m1):

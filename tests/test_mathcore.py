@@ -13,7 +13,7 @@ from uncrel import densities, functionals, mathcore
 from uncrel.errors import (BracketError, ConvergenceError, DomainError, FormatError,
                            NonFiniteError)
 from uncrel.mathcore import (QuadratureSpec, beta, exp_e1_scaled, interpolate_monotone,
-                             minimize_scalar, omega, quad_finite, quad_halfline, solve_root)
+                             minimize_scalar, omega, quad_finite, quad_halfline)
 
 
 def exp_e1(x):
@@ -257,7 +257,9 @@ class TestMinimizeScalar:
             return math.exp(-a) - a * exp_e1(a)
 
         res = minimize_scalar(lambda a: inner(a) ** -1 / a, (1e-3, 30.0))
-        root = solve_root(lambda a: inner(a) - a * exp_e1(a), (0.1, 2.0))
+        # a vanishing xtol leaves the relative tolerance rtol alone in force
+        root = scipy.optimize.brentq(lambda a: inner(a) - a * exp_e1(a), 0.1, 2.0,
+                                     xtol=1e-300, rtol=1e-13)
         assert 0.55 < res.argmin < 0.65
         assert res.argmin == pytest.approx(root, abs=1e-7)
 
@@ -335,30 +337,6 @@ class TestBrentPort:
     def test_spent_iterations_raise(self):
         with pytest.raises(ConvergenceError):
             minimize_scalar(lambda x: (x - 2.0) ** 2, (0.0, 5.0), max_iter=2)
-
-
-class TestSolveRoot:
-    def test_sqrt2(self):
-        assert solve_root(lambda x: x * x - 2.0, (1.0, 2.0)) == pytest.approx(math.sqrt(2.0), rel=1e-12)
-
-    def test_log2(self):
-        assert solve_root(lambda x: math.exp(-x) - 0.5, (0.0, 2.0)) == pytest.approx(math.log(2.0), rel=1e-12)
-
-    def test_no_sign_change(self):
-        with pytest.raises(BracketError):
-            solve_root(lambda x: 1.0 + x * x, (0.0, 1.0))
-        with pytest.raises(BracketError):
-            solve_root(lambda x: x - 3.0, (1e-8, 1.0))
-
-    def test_relative_tolerance_across_decades(self):
-        # the bracket of the oracle's scale solve spans 16 decades
-        for root in (1e-7, 1e-3, 1.0, 5e4, 3e7):
-            got = solve_root(lambda a: a * a - root * root, (1e-8, 1e8))
-            assert got == pytest.approx(root, rel=2e-13)
-
-    def test_nan_raises(self):
-        with pytest.raises(NonFiniteError):
-            solve_root(lambda x: math.nan if x > 0.4 else x - 0.7, (0.0, 1.0))
 
 
 class TestInterpolateMonotone:

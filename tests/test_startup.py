@@ -1,8 +1,10 @@
-"""Start-up: importing uncrel and running the CLI never loads scipy.
+"""Start-up: importing uncrel and running the CLI never loads scipy or
+numpy.polynomial.
 
 scipy costs more import time than numpy and uncrel together, and no
-command needs it.  Each check runs in a fresh interpreter, since the test
-process itself imports scipy for its reference comparisons.
+command needs it; numpy.polynomial is nine more modules no command needs.
+Each check runs in a fresh interpreter, since the test process itself
+imports scipy for its reference comparisons.
 """
 
 import json
@@ -18,11 +20,14 @@ SRC = str(Path(uncrel.__file__).resolve().parent.parent)
 PROBE = r"""
 import contextlib, io, json, runpy, sys
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+FORBIDDEN = ("scipy", "numpy.polynomial")
+
+def forbidden_modules():
+    return sorted(m for m in sys.modules
+                  if any(m == p or m.startswith(p + ".") for p in FORBIDDEN))
 
 import uncrel, uncrel.cli
-report = {"import": scipy_modules()}
+report = {"import": forbidden_modules()}
 del sys.modules["uncrel.cli"]  # runpy runs it afresh as __main__
 for name, argv in json.loads(sys.argv[1]):
     sys.argv = ["uncrel.cli", *argv]
@@ -33,7 +38,7 @@ for name, argv in json.loads(sys.argv[1]):
             code = 0
         except SystemExit as exc:
             code = exc.code
-    report[name] = scipy_modules()
+    report[name] = forbidden_modules()
     report[name + ".exit"] = code
     report[name + ".bytes"] = len(out.getvalue())
 print(json.dumps(report))

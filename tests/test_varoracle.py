@@ -3,13 +3,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from uncrel import varoracle as V
 from uncrel.constants import (entropic_lower_coeff, heisenberg_exponent,
                               semiclassical_constant)
 from uncrel.errors import DomainError
 from uncrel.functionals import entropic_moment, radial_moment
-from uncrel.mathcore import beta, quad_finite, quad_halfline, solve_root
+from uncrel.mathcore import beta, quad_finite, quad_halfline
 
 PI = math.pi
 
@@ -67,7 +68,7 @@ class TestMinimizerDensity:
 
 
 def solve_scale_by_root(d, alpha, k, N=1.0, r_alpha=1.0):
-    """The extremal scale a found by bisection on the ratio constraint
+    """The extremal scale a found by scipy's brentq on the ratio constraint
     <r^alpha>/N = g(a), apart from the oracle's Beta-function reduction."""
     if k > 0:
         e = d / k
@@ -81,7 +82,9 @@ def solve_scale_by_root(d, alpha, k, N=1.0, r_alpha=1.0):
             return a ** alpha * beta(d / alpha + 1.0, t - d / alpha - 1.0) \
                 / beta(d / alpha, t - d / alpha)
 
-    return solve_root(lambda a: ratio(a) - r_alpha / N, (1e-8, 1e8))
+    # a vanishing xtol leaves the relative tolerance rtol alone in force
+    return scipy.optimize.brentq(lambda a: ratio(a) - r_alpha / N, 1e-8, 1e8,
+                                 xtol=1e-300, rtol=1e-13)
 
 
 class TestRootFindingFallback:
