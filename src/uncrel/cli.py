@@ -118,9 +118,8 @@ def _metadata(spec: QuadratureSpec, cfg: SystemConfig | None = None, **extra) ->
     return md
 
 
-# inequality params: CLI flags of check and sweep, in report-row order
-_PARAM_TYPES = {"alpha": float, "k": float, "variant": str, "orientation": str,
-                "constant": str}
+# inequality params, the CLI flags of check and sweep, typed by their defaults
+_PARAM_FLAGS = {key: type(value) for e in CATALOG.values() for key, value in e.params.items()}
 
 _INEQ_NAMES = (", ".join(CATALOG) + "; aliases: "
                + ", ".join(f"{e.alias} = {e.id}" for e in CATALOG.values() if e.alias))
@@ -132,9 +131,9 @@ def _report_row(rep: BoundReport) -> dict:
            "q": rep.inputs.get("q", ""), "direction": rep.direction.value,
            "lhs": rep.lhs, "rhs": rep.rhs, "margin": rep.margin,
            "ratio": rep.ratio, "status": rep.status, "note": rep.note}
-    for key in _PARAM_TYPES:
-        if key in rep.inputs:
-            row["params"] = row.get("params", "") + f"{key}={_fmt(rep.inputs[key])};"
+    for key, value in rep.inputs.items():
+        if key in _PARAM_FLAGS:
+            row["params"] = row.get("params", "") + f"{key}={_fmt(value)};"
     return row
 
 
@@ -288,7 +287,7 @@ def _resolve_ineq(name: str) -> InequalityId:
 
 
 def _ineq_params(args) -> dict:
-    return {key: getattr(args, key) for key in _PARAM_TYPES if getattr(args, key) is not None}
+    return {key: getattr(args, key) for key in _PARAM_FLAGS if getattr(args, key) is not None}
 
 
 def cmd_check(args, spec: QuadratureSpec) -> ReportDocument:
@@ -382,7 +381,7 @@ def _add_space_argument(p: argparse.ArgumentParser) -> None:
 
 
 def _add_param_arguments(p: argparse.ArgumentParser) -> None:
-    for key, kind in _PARAM_TYPES.items():
+    for key, kind in _PARAM_FLAGS.items():
         p.add_argument(f"--{key}", type=kind, default=None)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .constants import SystemConfig
 from .errors import DomainError, FormatError, check_integer, check_positive
-from .mathcore import interpolate_monotone, omega
+from .mathcore import beta, gauss_cells, interpolate_monotone, omega
 
 __all__ = [
     "RadialDensity",
@@ -47,8 +47,12 @@ class RadialDensity:
     <r^order> for the quadrature fast path; support_hint is the decay
     scale steering tail handling; support restricts the density to a
     finite radial interval; knots marks interpolation breakpoints of
-    tabulated data.  Instances compare by identity (eq=False), which lets
-    the functionals memoize quadrature results per density object.
+    tabulated data.  tail_exponent is the s of a power-law tail rho ~ r^-s
+    at large radius, and inf (the default) for faster than any power
+    (exponential, Gaussian) or compact support; the functionals read it
+    to reject divergent orders up front.  Instances compare by identity
+    (eq=False), which lets the functionals memoize quadrature results per
+    density object.
     """
 
     d: int
@@ -59,7 +63,7 @@ class RadialDensity:
     support_hint: float = 1.0
     support: tuple[float, float] | None = None
     knots: np.ndarray | None = field(default=None, repr=False)
-    tail_exponent: float | None = None
+    tail_exponent: float = math.inf
     label: str = ""
 
 
@@ -156,10 +160,8 @@ def hydrogenic_pair(Z: float) -> DensityPair:
         return -8.0 * p * cmom / (Z * Z + p * p) ** 5
 
     # <p^k> = (16 Z^k / pi) B((k+3)/2, (5-k)/2) for -3 < k < 5
-    from .mathcore import beta as _beta
-
     mom_moments = {float(k): 16.0 * Z ** k / math.pi
-                   * _beta((k + 3.0) / 2.0, (5.0 - k) / 2.0)
+                   * beta((k + 3.0) / 2.0, (5.0 - k) / 2.0)
                    for k in (-2, -1, 0, 1, 2, 3, 4)}
     mom = RadialDensity(d=3, N=1.0, rho=gam, drho=dgam,
                         analytic_moments=mom_moments, support_hint=3.0 * Z,
@@ -277,8 +279,6 @@ def load_tabulated(cfg: SystemConfig, r, rho_values) -> RadialDensity:
         x = np.asarray(x, dtype=float)
         v = interp.derivative(np.clip(x, lo, hi))
         return np.where((x < lo) | (x > hi), 0.0, v)
-
-    from .mathcore import gauss_cells
 
     measured = omega(cfg.d) * gauss_cells(lambda x: interp(x) * x ** (cfg.d - 1), r)[0]
     if measured <= 0:

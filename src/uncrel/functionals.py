@@ -23,8 +23,6 @@ __all__ = ["MomentValue", "radial_moment", "entropic_moment", "fisher_informatio
 
 # half-line tail handled by the geometric panel ladder beyond this multiple of the decay scale
 _TAIL_FACTOR = 5.0
-# safety margin (in decay-exponent units) for the tail convergence pre-check
-_TAIL_MARGIN = 0.5
 # smallest normal float; below it a density value has lost precision
 _TINY = np.finfo(float).tiny
 
@@ -35,9 +33,10 @@ class MomentValue:
 
     est_error estimates |value - exact|: 0 for closed forms; otherwise the
     adaptive quadrature's summed panel error estimate plus the size of any
-    extrapolated tail remainder.  For tabulated densities that is the rule
-    error of the integral of the interpolant; how far the interpolant
-    itself lies from the sampled density is not included.
+    extrapolated tail remainder and of any tail panels left out because
+    the integrand underflowed to zero on them.  For tabulated densities
+    that is the rule error of the integral of the interpolant; how far the
+    interpolant itself lies from the sampled density is not included.
     """
 
     order: float
@@ -87,34 +86,13 @@ def _weight(r, w: float, where) -> np.ndarray:
     return np.power(r, w, out=np.zeros(np.shape(where)), where=where)
 
 
-def _tail_exponent(dens: RadialDensity) -> tuple[float, bool]:
-    """Power-law decay exponent s of rho ~ r^-s at large radius, and whether
-    it is exact (declared on the density) or probed from samples.
-
-    Returns inf for super-polynomial (e.g. exponential) decay or compact
-    support; used only as a divergence pre-check, not for integration.
-    """
-    if dens.tail_exponent is not None:
-        return dens.tail_exponent, True
-    if dens.support is not None or dens.knots is not None:
-        return math.inf, True
-    t = 8.0 * dens.support_hint
-    v1 = float(dens.rho(t))
-    v2 = float(dens.rho(2.0 * t))
-    if v2 <= 1e-280 or v1 <= 1e-280:
-        return math.inf, True
-    if v2 >= v1:
-        return 0.0, False
-    return math.log(v1 / v2) / math.log(2.0), False
-
-
 def radial_moment(dens: RadialDensity, alpha: float,
                   spec: QuadratureSpec | None = None) -> MomentValue:
     """Total radial moment <r^alpha> = Omega_d int r^(alpha+d-1) rho(r) dr.
 
     Uses the attached closed form when available.  Orders alpha <= -d, or
-    orders the estimated tail decay cannot pay for, raise DivergenceError
-    up front instead of returning a large number.
+    orders the density's declared tail decay cannot pay for, raise
+    DivergenceError up front instead of returning a large number.
     """
     alpha = float(alpha)
     if alpha <= -dens.d:
@@ -122,8 +100,8 @@ def radial_moment(dens: RadialDensity, alpha: float,
             f"<r^{alpha}> diverges at the origin for d = {dens.d} (need alpha > {-dens.d})")
     if dens.analytic_moments is not None and alpha in dens.analytic_moments:
         return MomentValue(alpha, float(dens.analytic_moments[alpha]), "analytic")
-    s, exact = _tail_exponent(dens)
-    if alpha + dens.d >= s - (0.0 if exact else _TAIL_MARGIN):
+    s = dens.tail_exponent
+    if alpha + dens.d >= s:
         raise DivergenceError(
             f"<r^{alpha}> diverges: tail decay exponent ~{s:.3g} cannot pay for "
             f"order {alpha} in d = {dens.d}")
@@ -149,12 +127,11 @@ def entropic_moment(dens: RadialDensity, m: float,
         raise DomainError(f"entropic moment order must be positive, got {m}")
     if m == 1.0:
         return MomentValue(1.0, dens.N, "analytic")
-    if m < 1.0:
-        s, exact = _tail_exponent(dens)
-        if math.isfinite(s) and m * s <= dens.d + (0.0 if exact else _TAIL_MARGIN):
-            raise DivergenceError(
-                f"W_{m} diverges: tail decay exponent ~{s:.3g} is too slow for "
-                f"m = {m} in d = {dens.d}")
+    s = dens.tail_exponent
+    if m < 1.0 and m * s <= dens.d:
+        raise DivergenceError(
+            f"W_{m} diverges: tail decay exponent ~{s:.3g} is too slow for "
+            f"m = {m} in d = {dens.d}")
     w = dens.d - 1.0
     f = dens.rho
 

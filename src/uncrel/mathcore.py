@@ -284,7 +284,8 @@ def _adaptive_gk(f, cuts: np.ndarray, spec: QuadratureSpec, ladder_from: float |
     (an underflowed tail), which drops that rung and the ones after it,
     or until the geometric remainder past the last rung is a small share
     of the tolerance; the remainder is added to the value and to the
-    error.
+    error.  The dropped rungs' absolute values and errors are added to the
+    error only, so dropping them never moves the value.
     """
     ladder_open = ladder_from is not None
     # the last rung ends below the largest float
@@ -301,7 +302,7 @@ def _adaptive_gk(f, cuts: np.ndarray, spec: QuadratureSpec, ladder_from: float |
     narrow_hi = narrow * float(new_hi[-1] - new_lo[-1])
     # rows lo, hi, value, error of every panel; rung of each while the ladder is open
     panels = rung = keep = None
-    remainder, refinements = 0.0, 0
+    remainder, dropped, refinements = 0.0, 0.0, 0
     while True:
         if add:
             j = np.arange(rungs, rungs + add)
@@ -324,6 +325,7 @@ def _adaptive_gk(f, cuts: np.ndarray, spec: QuadratureSpec, ladder_from: float |
             zero = new_rung[(new_rung >= 0) & (fvals == 0.0).any(axis=1)]
             if zero.size:
                 kept = rung < zero.min()
+                dropped = float(np.sum(np.abs(panels[2][~kept]) + panels[3][~kept]))
                 panels, rung = panels[:, kept], rung[kept]
             on_ladder = rung >= 0
             remainder, ratio = _geometric_remainder(
@@ -347,7 +349,7 @@ def _adaptive_gk(f, cuts: np.ndarray, spec: QuadratureSpec, ladder_from: float |
         panel_err = float(err.sum())
         tol = max(spec.abs_tol, spec.rel_tol * abs(total))
         if panel_err <= tol and not ladder_open:
-            return total, panel_err + abs(remainder)
+            return total, panel_err + abs(remainder) + dropped
         new_lo, new_hi, new_rung, keep = _NO_PANELS, _NO_PANELS, _NO_RUNGS, None
         if panel_err > tol:
             budget = max(spec.max_refinements - refinements, 0)

@@ -34,9 +34,15 @@ class TestRadialMoment:
                      D.harmonic_fermions_1d(4, 2).position):
             assert F.radial_moment(dens, 0.0).value == pytest.approx(dens.N, rel=1e-12)
 
-    def test_gaussian_r2(self):
-        pos = D.gaussian_pair(3, 1.0, 1.0).position
-        assert F.radial_moment(pos, 2.0).value == pytest.approx(3.0, rel=1e-12)
+    # high orders of exponential tails: the declared tail, not a probe of
+    # two samples, decides whether the moment exists
+    @pytest.mark.parametrize("dens,alpha,exact", [
+        (D.gaussian_pair(3, 1.0, 1.0).position, 2.0, 3.0),
+        (D.hydrogenic_pair(1.0).position, 43.5, math.gamma(46.5) / 2.0 ** 44.5),
+        (D.exponential_radial(3, 1.0), 89.5, math.gamma(92.5) / 2.0),
+    ], ids=["gaussian-r^2", "hydrogenic-r^43.5", "exponential-r^89.5"])
+    def test_closed_forms(self, dens, alpha, exact):
+        assert F.radial_moment(dens, alpha).value == pytest.approx(exact, rel=1e-12)
 
     def test_origin_divergence(self):
         pos = D.hydrogenic_pair(1.0).position
@@ -171,12 +177,15 @@ class TestHighDimension:
     overflows where rho has underflowed to 0, so the weight is formed
     only where the density is nonzero."""
 
-    @pytest.mark.parametrize("d", [50, 60, 80])
+    @pytest.mark.parametrize("d", [50, 60, 80, 100])
     def test_gaussian_against_closed_forms(self, d):
         pos = D.gaussian_pair(d, 1.0).position
         cases = [
             (F.radial_moment(pos, 2.5), 2.0 ** 1.25 * math.gamma((d + 2.5) / 2) / math.gamma(d / 2)),
             (F.entropic_moment(pos, 2.0), (4.0 * PI) ** (-d / 2)),  # int rho^2
+            # rho^(1/2) outlives rho: the tail ladder stops where rho
+            # underflows to 0, and the mass past that must show in est_error
+            (F.entropic_moment(pos, 0.5), (2.0 * PI) ** (d / 4) * 2.0 ** (d / 2)),
             (F.fisher_information(pos), float(d)),  # N d / sigma^2
         ]
         for mv, exact in cases:

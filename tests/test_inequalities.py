@@ -40,76 +40,87 @@ class TestReportMechanics:
 
 class TestSemiclassical:
     def test_hydrogenic_rigorous_k2(self):
-        rep = I.check_semiclassical(H_PAIR, CFG_H, 2.0, constant="rigorous")
+        rep = I.evaluate(I.InequalityId.DAUBECHIES, H_PAIR, CFG_H,
+                         {"k": 2.0, "constant": "rigorous"})
         assert rep.satisfied and rep.direction is I.Direction.LHS_GE_RHS
         assert rep.ineq == "daubechies"
         assert rep.lhs == pytest.approx(1.0, rel=1e-10)  # <p^2> of the 1s state
 
     def test_gaussian_semiclassical_k1(self):
         cfg = SystemConfig(d=3, N=1.0, q=1)
-        rep = I.check_semiclassical(G3_PAIR, cfg, 1.0, constant="semiclassical")
+        rep = I.evaluate(I.InequalityId.THAKKAR_LOWER, G3_PAIR, cfg,
+                         {"k": 1.0, "constant": "semiclassical"})
         assert rep.satisfied
 
     def test_inverted_direction_below_zero(self):
-        rep = I.check_semiclassical(H_PAIR, CFG_H, -1.0, constant="thakkar")
+        rep = I.evaluate(I.InequalityId.THAKKAR_UPPER, H_PAIR, CFG_H,
+                         {"k": -1.0, "constant": "thakkar"})
         assert rep.direction is I.Direction.LHS_LE_RHS
         assert rep.ineq == "thakkar_upper"
         assert rep.satisfied
 
     def test_thakkar_upper_k_minus_two(self):
-        rep = I.check_semiclassical(H_PAIR, CFG_H, -2.0, constant="thakkar")
+        rep = I.evaluate(I.InequalityId.THAKKAR_UPPER, H_PAIR, CFG_H,
+                         {"k": -2.0, "constant": "thakkar"})
         assert rep.satisfied
         assert rep.lhs == pytest.approx(5.0, rel=1e-10)  # <p^-2> of the 1s state
 
     @pytest.mark.parametrize("k", [1.0, 2.0, 3.0, 4.0])
     def test_thakkar_lower_orders(self, k):
-        rep = I.check_semiclassical(H_PAIR, CFG_H, k, constant="thakkar")
+        rep = I.evaluate(I.InequalityId.THAKKAR_LOWER, H_PAIR, CFG_H,
+                         {"k": k, "constant": "thakkar"})
         assert rep.satisfied and rep.direction is I.Direction.LHS_GE_RHS
 
     def test_rigorous_requires_positive_order(self):
         with pytest.raises(DomainError):
-            I.check_semiclassical(H_PAIR, CFG_H, -1.0, constant="rigorous")
+            I.evaluate(I.InequalityId.DAUBECHIES, H_PAIR, CFG_H,
+                       {"k": -1.0, "constant": "rigorous"})
 
     def test_thakkar_is_three_dimensional(self):
         pair = D.gaussian_pair(2, 1.0, 1.0)
         with pytest.raises(DomainError):
-            I.check_semiclassical(pair, SystemConfig(d=2, N=1.0, q=2), 1.0, constant="thakkar")
+            I.evaluate(I.InequalityId.THAKKAR_LOWER, pair, SystemConfig(d=2, N=1.0, q=2),
+                       {"k": 1.0, "constant": "thakkar"})
 
 
 class TestHeisenberg:
     def test_hydrogenic_alpha1_k1(self):
-        rep = I.check_heisenberg(H_PAIR, CFG_H, 1.0, 1.0)
+        rep = I.evaluate(I.InequalityId.HEISENBERG_GENERAL, H_PAIR, CFG_H,
+                         {"alpha": 1.0, "k": 1.0})
         assert rep.lhs == pytest.approx(4.0 / PI, rel=1e-10)
         assert rep.rhs == pytest.approx((9.0 / 49.0) * (45.0 * PI) ** (1.0 / 3.0), rel=1e-10)
         assert rep.satisfied
         assert rep.ineq == "heisenberg_d3"
 
     def test_gaussian_electron_bound(self):
-        rep = I.check_heisenberg(G3_PAIR, CFG_H, 2.0, 2.0)
+        rep = I.evaluate(I.InequalityId.HEISENBERG_GENERAL, G3_PAIR, CFG_H,
+                         {"alpha": 2.0, "k": 2.0})
         assert rep.lhs == pytest.approx(2.25, rel=1e-10)
         assert rep.rhs == pytest.approx(1.17005, abs=2e-4)
         assert rep.satisfied
 
     def test_gaussian_spinless_bound(self):
-        rep = I.check_heisenberg(G3_PAIR, SystemConfig(d=3, N=1.0, q=1), 2.0, 2.0)
+        rep = I.evaluate(I.InequalityId.HEISENBERG_GENERAL, G3_PAIR, SystemConfig(d=3, N=1.0, q=1),
+                         {"alpha": 2.0, "k": 2.0})
         assert rep.rhs == pytest.approx(1.85733, abs=2e-4)
         assert rep.satisfied
         assert rep.ineq == "heisenberg_general"
 
     def test_harmonic_pair_with_margin(self):
         pair = D.harmonic_fermions_1d(2, 1)
-        rep = I.check_heisenberg(pair, SystemConfig(d=1, N=2.0, q=1), 2.0, 2.0)
+        rep = I.evaluate(I.InequalityId.HEISENBERG_GENERAL, pair, SystemConfig(d=1, N=2.0, q=1),
+                         {"alpha": 2.0, "k": 2.0})
         assert rep.satisfied
         assert math.isfinite(rep.margin)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            I.check_heisenberg(H_PAIR, CFG_H, -1.0, 2.0)
+            I.evaluate(I.InequalityId.HEISENBERG_GENERAL, H_PAIR, CFG_H, {"alpha": -1.0, "k": 2.0})
 
 
 class TestNegativeOrder:
     def test_alpha3(self):
-        rep = I.check_negative_order(H_PAIR, CFG_H, 3.0, -1.0)
+        rep = I.evaluate(I.InequalityId.NEGATIVE_ORDER, H_PAIR, CFG_H, {"alpha": 3.0, "k": -1.0})
         assert rep.direction is I.Direction.LHS_LE_RHS
         assert rep.lhs == pytest.approx(7.5 ** (-1.0 / 3.0) * 16.0 / (3.0 * PI), rel=1e-10)
         assert rep.lhs == pytest.approx(0.86728, abs=1e-4)
@@ -117,23 +128,27 @@ class TestNegativeOrder:
         assert rep.satisfied
 
     def test_alpha2(self):
-        rep = I.check_negative_order(H_PAIR, CFG_H, 2.0, -1.0)
+        rep = I.evaluate(I.InequalityId.NEGATIVE_ORDER, H_PAIR, CFG_H, {"alpha": 2.0, "k": -1.0})
         assert rep.rhs == pytest.approx(1.51309, abs=1e-4)
         assert rep.satisfied
 
     def test_window_violation(self):
         with pytest.raises(DomainError):
-            I.check_negative_order(H_PAIR, CFG_H, 1.0, -1.0)
+            I.evaluate(I.InequalityId.NEGATIVE_ORDER, H_PAIR, CFG_H, {"alpha": 1.0, "k": -1.0})
 
     def test_k_range(self):
         with pytest.raises(DomainError):
-            I.check_negative_order(H_PAIR, CFG_H, 2.0, 1.0)
+            I.evaluate(I.InequalityId.NEGATIVE_ORDER, H_PAIR, CFG_H, {"alpha": 2.0, "k": 1.0})
+
+
+ZUMBACH_FORMS = ((I.InequalityId.ZUMBACH, "momentum"),
+                 (I.InequalityId.ZUMBACH_CONJUGATE, "position"))
 
 
 class TestZumbach:
     def test_gaussian_both_orientations(self):
-        for orientation in ("momentum", "position"):
-            rep = I.check_zumbach(G3_PAIR, CFG_H, orientation=orientation)
+        for ineq, orientation in ZUMBACH_FORMS:
+            rep = I.evaluate(ineq, G3_PAIR, CFG_H, {"orientation": orientation})
             assert rep.satisfied
             assert rep.direction is I.Direction.LHS_LE_RHS
             assert rep.ratio < 0.01  # the non-optimal constant leaves enormous slack
@@ -141,25 +156,26 @@ class TestZumbach:
     def test_harmonic(self):
         pair = D.harmonic_fermions_1d(5, 2)
         cfg = SystemConfig(d=1, N=5.0, q=2)
-        for orientation in ("momentum", "position"):
-            assert I.check_zumbach(pair, cfg, orientation=orientation).satisfied
+        for ineq, orientation in ZUMBACH_FORMS:
+            assert I.evaluate(ineq, pair, cfg, {"orientation": orientation}).satisfied
 
     def test_dimension_window(self):
         pair = D.gaussian_pair(6, 1.0, 1.0)
         with pytest.raises(DomainError):
-            I.check_zumbach(pair, SystemConfig(d=6, N=1.0, q=2))
+            I.evaluate(I.InequalityId.ZUMBACH, pair, SystemConfig(d=6, N=1.0, q=2))
 
 
 class TestFisherProduct:
     def test_gaussian_saturates_real_bound(self):
         for d in (1, 2, 3):
             pair = D.gaussian_pair(d, 1.0, 1.0)
-            rep = I.check_fisher_product(pair, SystemConfig(d=d, N=1.0, q=2), "real_4d2")
+            rep = I.evaluate(I.InequalityId.FISHER_REAL_4D2, pair, SystemConfig(d=d, N=1.0, q=2),
+                             {"variant": "real_4d2"})
             assert rep.satisfied
             assert rep.margin == pytest.approx(0.0, abs=1e-8 * rep.rhs)
 
     def test_hydrogenic_product(self):
-        rep = I.check_fisher_product(H_PAIR, CFG_H, "real_4d2")
+        rep = I.evaluate(I.InequalityId.FISHER_REAL_4D2, H_PAIR, CFG_H, {"variant": "real_4d2"})
         assert rep.lhs == pytest.approx(48.0, rel=1e-9)
         assert rep.rhs == 36.0
         assert rep.satisfied
@@ -167,20 +183,21 @@ class TestFisherProduct:
     def test_real_bound_requires_real_state(self):
         pair = D.DensityPair(H_PAIR.position, H_PAIR.momentum, real_wavefunction=False)
         with pytest.raises(DomainError):
-            I.check_fisher_product(pair, CFG_H, "real_4d2")
+            I.evaluate(I.InequalityId.FISHER_REAL_4D2, pair, CFG_H, {"variant": "real_4d2"})
 
     def test_chain_consistency(self):
         # the closed-form N bound substitutes the variance-product bound
         # into the measured-product form, so its rhs can only be smaller
         for pair, cfg in ((H_PAIR, CFG_H), (G3_PAIR, CFG_H),
                           (D.harmonic_fermions_1d(4, 2), SystemConfig(d=1, N=4.0, q=2))):
-            r_meas = I.check_fisher_product(pair, cfg, "heisenberg_product")
-            r_n = I.check_fisher_product(pair, cfg, "general")
+            r_meas = I.evaluate(I.InequalityId.FISHER_PRODUCT_HEISENBERG, pair, cfg,
+                                {"variant": "heisenberg_product"})
+            r_n = I.evaluate(I.InequalityId.FISHER_PRODUCT_N, pair, cfg, {"variant": "general"})
             assert r_n.rhs <= r_meas.rhs * (1.0 + 1e-12)
             assert r_meas.satisfied and r_n.satisfied
 
     def test_d3_large_n_square_check(self):
-        rep = I.check_fisher_product(H_PAIR, CFG_H, "d3_large_N")
+        rep = I.evaluate(I.InequalityId.FISHER_D3, H_PAIR, CFG_H, {"variant": "d3_large_N"})
         assert rep.rhs == pytest.approx(1.98107e-5, abs=1e-9)
         assert rep.satisfied
 
@@ -278,12 +295,14 @@ class TestScaleInvariance:
 class TestDirectionConsistency:
     def test_catalog_directions(self):
         for k in (-2.0, -1.0):
-            rep = I.check_semiclassical(H_PAIR, CFG_H, k, constant="semiclassical")
+            rep = I.evaluate(I.InequalityId.THAKKAR_UPPER, H_PAIR, CFG_H,
+                             {"k": k, "constant": "semiclassical"})
             assert rep.direction is I.Direction.LHS_LE_RHS
         for k in (1.0, 2.0, 3.0, 4.0):
-            rep = I.check_semiclassical(H_PAIR, CFG_H, k, constant="semiclassical")
+            rep = I.evaluate(I.InequalityId.THAKKAR_LOWER, H_PAIR, CFG_H,
+                             {"k": k, "constant": "semiclassical"})
             assert rep.direction is I.Direction.LHS_GE_RHS
-        rep = I.check_negative_order(H_PAIR, CFG_H, 4.0, -1.0)
+        rep = I.evaluate(I.InequalityId.NEGATIVE_ORDER, H_PAIR, CFG_H, {"alpha": 4.0, "k": -1.0})
         assert rep.direction is I.Direction.LHS_LE_RHS
 
 
