@@ -4,7 +4,7 @@ uncertainty-relation bounds built on them."""
 
 __version__ = "0.1.0"
 
-from .constants import ConstantValue, SystemConfig
+from .constants import SystemConfig
 from .densities import (DensityPair, RadialDensity, exponential_radial,
                         gaussian_pair, harmonic_fermions_1d, hydrogenic_pair,
                         load_tabulated, scale_pair)
@@ -18,7 +18,7 @@ from .varoracle import ExtremalConstant, extremal_F, extremal_G
 
 __all__ = [
     "__version__",
-    "BoundReport", "BracketError", "ConstantValue", "ConvergenceError",
+    "BoundReport", "BracketError", "ConvergenceError",
     "DensityPair", "Direction", "DivergenceError", "DomainError",
     "ExtremalConstant", "FormatError", "InequalityId", "MinimizeResult",
     "MomentValue", "NonFiniteError", "QuadratureSpec", "RadialDensity",

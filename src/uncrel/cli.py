@@ -340,9 +340,7 @@ def cmd_oracle(args, spec: QuadratureSpec) -> ReportDocument:
         raise FormatError(f"oracle mode must be F or G, got {args.mode!r}")
     rows = [{"mode": args.mode, "d": res.d, "alpha": res.alpha, "k": res.k,
              "numeric": res.numeric_value,
-             "closed_form": res.closed_form_value if res.closed_form_value is not None
-             else "not-evaluable",
-             "discrepancy": res.discrepancy if res.discrepancy is not None else ""}]
+             "closed_form": res.closed_form_value, "discrepancy": res.discrepancy}]
     return ReportDocument(_metadata(spec, mode=args.mode),
                           ["mode", "d", "alpha", "k", "numeric", "closed_form",
                            "discrepancy"], rows)
@@ -408,7 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("moments", parents=[common], help="radial moments of a density")
     _add_state_arguments(p)
-    p.add_argument("--orders", default="0", help="comma-separated moment orders")
+    p.add_argument("--orders", default="0",
+                   help="comma-separated moment orders; a list starting with a "
+                        "negative order needs the = form, --orders=-0.5,1")
     _add_space_argument(p)
 
     p = sub.add_parser("check", parents=[common], help="evaluate one inequality on one state")

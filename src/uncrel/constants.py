@@ -2,9 +2,7 @@
 
 Every evaluator is scale-free: it takes dimensionless parameters
 (d, alpha, k, N, q) and returns a pure number, raising DomainError
-outside a formula's validity window.  The one exception is the
-closed-form cross-check entropic_upper_coeff_closed, which returns a
-ConstantValue flagged invalid outside its window.
+outside a formula's validity window.
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ from .mathcore import beta, exp_e1_scaled, minimize_scalar, omega
 
 __all__ = [
     "SystemConfig",
-    "ConstantValue",
     "thakkar_coefficient",
     "semiclassical_constant",
     "daubechies_factor",
@@ -54,15 +51,6 @@ class SystemConfig:
     def s(self) -> float:
         """Spin, derived from the multiplicity: s = (q - 1) / 2."""
         return (self.q - 1) / 2.0
-
-
-@dataclass(frozen=True)
-class ConstantValue:
-    """A constant together with its validity flag and any domain restriction note."""
-
-    value: float
-    valid: bool = True
-    domain_note: str = ""
 
 
 def thakkar_coefficient(k: float) -> float:
@@ -165,15 +153,14 @@ def negative_order_window(d: int, k: float) -> float:
     return -k * d / (d + k)
 
 
-def entropic_upper_coeff_closed(d: int, alpha: float, k: float) -> ConstantValue:
+def entropic_upper_coeff_closed(d: int, alpha: float, k: float) -> float:
     """Closed-form coefficient of the upper bound on the entropic moment of
-    order 1 + k/d for k < 0.
+    order 1 + k/d for -d < k < 0: W_{1+k/d} of the half-line extremal
+    density C (a^alpha + r^alpha)^(d/k) at N = <r^alpha> = 1.
 
-    Evaluable on the real line exactly when alpha lies inside the validity
-    window (there the first Beta argument is positive); outside it the
-    value is returned flagged invalid instead of raising, since this
-    closed form is only the secondary cross-check against the variational
-    reconstruction.
+    Real-evaluable exactly when alpha lies above the window
+    -k d / (d + k), where the first Beta argument is positive; outside it
+    raises DomainError naming the window.
     """
     check_integer("dimension", d)
     check_finite("momentum order", k)
@@ -182,28 +169,26 @@ def entropic_upper_coeff_closed(d: int, alpha: float, k: float) -> ConstantValue
     check_positive("alpha", alpha)
     b1 = -1.0 - d * (k + alpha) / (k * alpha)
     b2 = d / alpha
-    if b1 <= 0:
-        return ConstantValue(
-            math.nan, valid=False,
-            domain_note=f"Beta argument {b1:.6g} <= 0: alpha = {alpha} is outside "
-                        f"the window alpha > {negative_order_window(d, k):.6g}")
+    # alpha (d + k) / d + k, positive inside the window as b1 is; within
+    # an ulp of the window either one can round to 0
+    base = alpha + alpha * k / d + k
+    if b1 <= 0 or base <= 0:
+        raise DomainError(f"alpha = {alpha} is outside the window "
+                          f"alpha > {negative_order_window(d, k):.6g} for d = {d}, k = {k}")
     m = 1.0 + k / d
-    value = (alpha ** (1.0 + 2.0 * k / d)
-             * (-k) ** (k / alpha)
-             * (1.0 / (alpha + alpha * k / d + k)) ** (k * (1.0 / alpha + 1.0 / d) + 1.0)
-             * m ** m
-             * (omega(d) * beta(b1, b2)) ** (-k / d))
-    return ConstantValue(value)
+    return (alpha ** (1.0 + 2.0 * k / d)
+            * (-k) ** (k / alpha)
+            * (1.0 / base) ** (k * (1.0 / alpha + 1.0 / d) + 1.0)
+            * m ** m
+            * (omega(d) * beta(b1, b2)) ** (-k / d))
 
 
 def negative_order_rhs(d: int, alpha: float, k: float, N: float = 1.0, q: int = 1) -> float:
     """Right-hand side of the negative-order uncertainty relation
-    <r^alpha>^(k/alpha) <p^k> <= coeff * q^(-k/d) * N^(1 + k(1/alpha + 1/d)).
-
-    The coefficient is taken from the variational reconstruction of the
-    extremal density (the authoritative route); the closed form is kept
-    alongside in the oracle's discrepancy report.
-    """
+    <r^alpha>^(k/alpha) <p^k> <= coeff * q^(-k/d) * N^(1 + k(1/alpha + 1/d)),
+    with coeff the semiclassical constant times the closed-form
+    entropic-moment coefficient; alpha must lie above the window
+    -k d / (d + k)."""
     check_positive("particle count", N)
     check_integer("spin multiplicity", q)
     window = negative_order_window(d, k)
@@ -211,11 +196,8 @@ def negative_order_rhs(d: int, alpha: float, k: float, N: float = 1.0, q: int = 
         raise DomainError(
             f"alpha = {alpha} violates the validity window alpha > {window:.6g} "
             f"for d = {d}, k = {k}")
-    from . import varoracle  # deferred: varoracle builds on densities/functionals
-
-    g = varoracle.extremal_G(d, alpha, k).numeric_value
-    return semiclassical_constant(d, k) * g * q ** (-k / d) \
-        * N ** heisenberg_exponent(d, alpha, k)
+    return semiclassical_constant(d, k) * entropic_upper_coeff_closed(d, alpha, k) \
+        * q ** (-k / d) * N ** heisenberg_exponent(d, alpha, k)
 
 
 def zumbach_constant(d: int) -> float:

@@ -2,8 +2,8 @@
 moments, Fisher information and variance.
 
 Conventions: every functional is a total (the density integrates to N);
-variance alone is per particle, matching the Cramer-Rao statement
-I * V >= d^2.  Outputs record whether the analytic fast path or
+variance alone is per particle, so the Cramer-Rao statement reads
+I * V >= N d^2.  Outputs record whether the analytic fast path or
 quadrature produced them, together with an error estimate.
 """
 

@@ -124,7 +124,7 @@ def _heisenberg(pair: DensityPair, cfg: SystemConfig, spec: QuadratureSpec | Non
     """Generalized product bound <r^alpha>^(k/alpha) <p^k> >= coeff(d, alpha, k)
     q^(-k/d) N^(1 + k(1/alpha + 1/d)) for positive orders."""
     if alpha <= 0 or k <= 0:
-        raise DomainError(f"check_heisenberg requires alpha, k > 0, got ({alpha}, {k})")
+        raise DomainError(f"the heisenberg bound requires alpha, k > 0, got ({alpha}, {k})")
     ra = radial_moment(pair.position, alpha, spec).value
     pk = radial_moment(pair.momentum, k, spec).value
     return ra ** (k / alpha) * pk, constants.heisenberg_rhs(pair.position.d, alpha, k,
@@ -146,7 +146,7 @@ def _negative_order(pair: DensityPair, cfg: SystemConfig, spec: QuadratureSpec |
     need k >= -2 for the momentum moment to exist."""
     d = pair.position.d
     if not -d < k < 0:
-        raise DomainError(f"check_negative_order requires -d < k < 0, got {k}")
+        raise DomainError(f"the negative-order bound requires -d < k < 0, got {k}")
     rhs = constants.negative_order_rhs(d, alpha, k, N=cfg.N, q=cfg.q)
     ra = radial_moment(pair.position, alpha, spec).value
     pk = radial_moment(pair.momentum, k, spec).value
@@ -201,10 +201,11 @@ def _fisher_product(pair: DensityPair, cfg: SystemConfig, spec: QuadratureSpec |
 
 def _cramer_rao(pair: DensityPair, cfg: SystemConfig,
                 spec: QuadratureSpec | None) -> tuple[float, float]:
-    """Cramer-Rao bound I[rho] * V[rho] >= d^2 (V per particle) on the
-    position density."""
+    """Cramer-Rao bound I[rho] * V[rho] >= N d^2 on the position density:
+    V is per particle and I[rho] = N I[rho/N], so the per-particle
+    statement I[rho/N] V >= d^2 carries a factor N."""
     dens = pair.position
-    return fisher_information(dens, spec).value * variance(dens, spec), float(dens.d * dens.d)
+    return fisher_information(dens, spec).value * variance(dens, spec), dens.N * dens.d * dens.d
 
 
 _SELECTORS = ("constant", "variant", "orientation")

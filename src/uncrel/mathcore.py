@@ -306,8 +306,9 @@ def _adaptive_gk(f, cuts: np.ndarray, spec: QuadratureSpec, ladder_from: float |
     while True:
         if add:
             j = np.arange(rungs, rungs + add)
-            new_lo = np.concatenate((new_lo, ladder_from * 2.0 ** j))
-            new_hi = np.concatenate((new_hi, ladder_from * 2.0 ** (j + 1)))
+            # ldexp scales exactly; 2.0 ** j alone overflows past j = 1023
+            new_lo = np.concatenate((new_lo, np.ldexp(ladder_from, j)))
+            new_hi = np.concatenate((new_hi, np.ldexp(ladder_from, j + 1)))
             new_rung = np.concatenate((new_rung, j))
             rungs += add
             add = 0

@@ -19,9 +19,7 @@ quadrature.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -37,15 +35,16 @@ __all__ = ["ExtremalConstant", "minimizer_density", "maximizer_density",
 
 @dataclass(frozen=True)
 class ExtremalConstant:
-    """A variational constant recovered numerically, with its closed-form
-    counterpart (when real-evaluable) and the relative discrepancy."""
+    """A variational constant recovered numerically by quadrature of the
+    extremal density, its closed-form counterpart from `constants`, and
+    their relative discrepancy."""
 
     d: int
     alpha: float
     k: float
     numeric_value: float
-    closed_form_value: float | None = None
-    discrepancy: float | None = None
+    closed_form_value: float
+    discrepancy: float
 
 
 def _validate_orders(d: int, alpha: float, k: float) -> None:
@@ -141,36 +140,21 @@ def maximizer_density(d: int, alpha: float, k: float,
                          label=f"extremal-max(d={d},alpha={alpha},k={k})")
 
 
-@lru_cache(maxsize=None)
-def _extremal_F_cached(d: int, alpha: float, k: float) -> float:
-    dens = minimizer_density(d, alpha, k, N=1.0, r_alpha=1.0)
-    return entropic_moment(dens, 1.0 + k / d).value
-
-
 def extremal_F(d: int, alpha: float, k: float) -> ExtremalConstant:
     """Numeric variational coefficient of the entropic-moment lower bound
     (k > 0), read off the reconstructed minimizer at reference constraints
     N = 1, <r^alpha> = 1, compared against the closed form."""
-    _validate_orders(d, alpha, k)
-    numeric = _extremal_F_cached(d, float(alpha), float(k))
+    dens = minimizer_density(d, alpha, k, N=1.0, r_alpha=1.0)
+    numeric = entropic_moment(dens, 1.0 + k / d).value
     closed = constants.entropic_lower_coeff(d, alpha, k)
-    return ExtremalConstant(d, alpha, k, numeric, closed,
-                            abs(numeric - closed) / abs(closed))
-
-
-@lru_cache(maxsize=None)
-def _extremal_G_cached(d: int, alpha: float, k: float) -> float:
-    dens = maximizer_density(d, alpha, k, N=1.0, r_alpha=1.0)
-    return entropic_moment(dens, 1.0 + k / d).value
+    return ExtremalConstant(d, alpha, k, numeric, closed, abs(numeric - closed) / abs(closed))
 
 
 def extremal_G(d: int, alpha: float, k: float) -> ExtremalConstant:
     """Numeric variational coefficient of the entropic-moment upper bound
-    (-d < k < 0); the closed form is attached when it is real-evaluable."""
-    _validate_orders(d, alpha, k)
-    numeric = _extremal_G_cached(d, float(alpha), float(k))
+    (-d < k < 0), read off the reconstructed maximizer at reference
+    constraints N = 1, <r^alpha> = 1, compared against the closed form."""
+    dens = maximizer_density(d, alpha, k, N=1.0, r_alpha=1.0)
+    numeric = entropic_moment(dens, 1.0 + k / d).value
     closed = constants.entropic_upper_coeff_closed(d, alpha, k)
-    if closed.valid:
-        return ExtremalConstant(d, alpha, k, numeric, closed.value,
-                                abs(numeric - closed.value) / abs(closed.value))
-    return ExtremalConstant(d, alpha, k, numeric)
+    return ExtremalConstant(d, alpha, k, numeric, closed, abs(numeric - closed) / abs(closed))

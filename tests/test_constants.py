@@ -1,5 +1,9 @@
+import ast
 import math
+import random
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +14,26 @@ from uncrel import varoracle
 from uncrel.errors import DomainError
 
 PI = math.pi
+
+
+def _extremal_G_mpmath(d, alpha, k):
+    """W_{1+k/d} of C (a^alpha + r^alpha)^(-t), t = -d/k, on [0, inf) with
+    N = <r^alpha> = 1, from the Beta reductions of the three integrals at
+    30 digits: int_0^inf r^(d-1) (a^alpha + r^alpha)^(-t) dr
+    = a^(d - alpha t) B(d/alpha, t - d/alpha) / alpha."""
+    with mpmath.workdps(30):
+        d, alpha, k = mpmath.mpf(d), mpmath.mpf(alpha), mpmath.mpf(k)
+
+        def log_beta(a, b):
+            return mpmath.loggamma(a) + mpmath.loggamma(b) - mpmath.loggamma(a + b)
+
+        log_omega = mpmath.log(2) + (d / 2) * mpmath.log(mpmath.pi) - mpmath.loggamma(d / 2)
+        t, m = -d / k, 1 + k / d
+        b0 = log_beta(d / alpha, t - d / alpha)
+        log_a = (b0 - log_beta(d / alpha + 1, t - d / alpha - 1)) / alpha
+        log_c = -(log_omega + (d - alpha * t) * log_a + b0 - mpmath.log(alpha))
+        return float(mpmath.exp(log_omega + m * log_c + (d - alpha * t * m) * log_a
+                                + log_beta(d / alpha, t * m - d / alpha) - mpmath.log(alpha)))
 
 # published grid of the Daubechies factor, six significant digits
 B_REFERENCE = {
@@ -284,17 +308,50 @@ class TestNegativeOrderBound:
         assert C.negative_order_window(3, -2.0) == pytest.approx(6.0, rel=1e-15)
 
     def test_closed_form_inside_window(self):
-        cv = C.entropic_upper_coeff_closed(3, 2.0, -1.0)
-        assert cv.valid
+        value = C.entropic_upper_coeff_closed(3, 2.0, -1.0)
         # 2^(4/3) pi^(2/3) / sqrt(3), the exact coefficient behind the
         # 1.51309 electron-system anchor
-        assert cv.value == pytest.approx(2.0 ** (4.0 / 3.0) * PI ** (2.0 / 3.0) / math.sqrt(3.0),
-                                         rel=1e-12)
+        assert value == pytest.approx(2.0 ** (4.0 / 3.0) * PI ** (2.0 / 3.0) / math.sqrt(3.0),
+                                      rel=1e-12)
 
-    def test_closed_form_outside_window_flagged(self):
-        cv = C.entropic_upper_coeff_closed(3, 1.0, -1.0)
-        assert not cv.valid
-        assert "window" in cv.domain_note
+    def test_closed_form_outside_window_raises(self):
+        with pytest.raises(DomainError, match="window"):
+            C.entropic_upper_coeff_closed(3, 1.0, -1.0)
+
+    def test_coefficient_matches_mpmath(self):
+        # 240 seeded points over d up to 40 and alpha from 1.0005 to 60
+        # windows, plus a d = 12 point a quadrature of the extremal density
+        # missed by 1.2e-6 and two whose tails need over 1023 ladder rungs
+        rng = random.Random(20150527)
+        points = [(12, 783.1658228939186, -11.605049332100737),
+                  (4, 2.283852802051622, -1.4492822413337103),
+                  (1, 0.0436724601369413, -0.04139794150156753)]
+        for _ in range(240):
+            d = rng.choice((1, 2, 3, 4, 5, 8, 12, 20, 40))
+            k = -d * rng.uniform(0.005, 0.995)
+            points.append((d, C.negative_order_window(d, k) * rng.uniform(1.0005, 60.0), k))
+        worst = max((abs(C.negative_order_rhs(d, alpha, k) / C.semiclassical_constant(d, k)
+                         / _extremal_G_mpmath(d, alpha, k) - 1.0), (d, alpha, k))
+                    for d, alpha, k in points)
+        assert worst[0] <= 1e-12, worst
+
+    @pytest.mark.parametrize("d,k", [(5, -3.5), (2, -1.8), (3, -1.0), (1, -0.5),
+                                     (12, -11.605049332100737), (40, -39.5)])
+    def test_near_window_finite_or_domain_error(self, d, k):
+        # near the window the Beta argument and the base
+        # alpha + alpha k / d + k lose their digits; one ulp above it at
+        # d = 5, k = -3.5 the base rounds to 0 while the Beta argument is
+        # still positive
+        alpha = C.negative_order_window(d, k)
+        for _ in range(1000):
+            alpha = math.nextafter(alpha, -math.inf)
+        for _ in range(2001):
+            for fn in (C.entropic_upper_coeff_closed, C.negative_order_rhs):
+                try:
+                    assert math.isfinite(fn(d, alpha, k)), (fn.__name__, alpha)
+                except DomainError:
+                    pass
+            alpha = math.nextafter(alpha, math.inf)
 
     @pytest.mark.parametrize("alpha,anchor", [
         (2.0, 1.51309), (3.0, 1.2407), (4.0, 1.14308)])
@@ -313,6 +370,21 @@ class TestNegativeOrderBound:
     def test_outside_window_raises(self):
         with pytest.raises(DomainError, match="window"):
             C.negative_order_rhs(3, 1.0, -1.0, q=2)
+
+
+def test_constants_imports_only_errors_and_mathcore():
+    # constants is the bottom of the evaluation path: an import of the
+    # densities, functionals or the quadrature oracle would be a cycle
+    tree = ast.parse(Path(C.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("uncrel")):
+            module = (node.module or "").removeprefix("uncrel.")
+            imported.update([module] if module else [a.name for a in node.names])
+        elif isinstance(node, ast.Import):
+            imported.update(a.name.removeprefix("uncrel.") for a in node.names
+                            if a.name.startswith("uncrel"))
+    assert imported <= {"errors", "mathcore"}, imported
 
 
 class TestTypedRejection:

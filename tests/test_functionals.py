@@ -162,8 +162,9 @@ class TestCramerRao:
         D.exponential_radial(2, 1.0, 1.0), D.harmonic_fermions_1d(5, 2).position,
     ], ids=lambda d: d.label)
     def test_product_at_least_d_squared(self, dens):
+        # I is a total and V per particle: I[rho] = N I[rho/N]
         product = F.fisher_information(dens).value * F.variance(dens)
-        assert product >= dens.d ** 2 * (1.0 - 1e-9)
+        assert product >= dens.N * dens.d ** 2 * (1.0 - 1e-9)
 
     def test_gaussian_saturates(self):
         for d in (1, 2, 3):

@@ -202,6 +202,14 @@ class TestFisherProduct:
         assert rep.satisfied
 
 
+class TestCramerRao:
+    def test_gaussian_pair_saturates_at_two_particles(self):
+        pair = D.gaussian_pair(3, 1.0, 2.0)
+        rep = I.evaluate(I.InequalityId.CRAMER_RAO, pair, SystemConfig(d=3, N=2.0, q=2))
+        assert rep.rhs == 18.0
+        assert rep.ratio == pytest.approx(1.0, rel=1e-12)
+
+
 class TestSweep:
     def test_harmonic_sweep_saturates_spinless(self):
         fleet = [D.harmonic_fermions_1d(n, 1) for n in range(1, 21)]

@@ -205,9 +205,16 @@ class TestExtremalG:
         assert res.discrepancy <= 1e-9
 
     @pytest.mark.filterwarnings("error")
-    def test_steep_tail_without_overflow(self):
+    @pytest.mark.parametrize("d,alpha,k", [
         # alpha e ~ -124: r^alpha overflows long before the density underflows
-        res = V.extremal_G(5, 109.08, -4.407)
+        (5, 109.08, -4.407),
+        # slow tails with a cut below 1/4: the ladder needs more than 1023
+        # rungs, past which 2^j alone overflows
+        (4, 2.283852802051622, -1.4492822413337103),
+        (1, 0.0436724601369413, -0.04139794150156753),
+    ])
+    def test_steep_tail_without_overflow(self, d, alpha, k):
+        res = V.extremal_G(d, alpha, k)
         assert res.numeric_value == pytest.approx(res.closed_form_value, rel=1e-8)
 
     def test_electron_anchors(self):
