@@ -3,7 +3,9 @@ inequality checks, fleet sweeps, the variational oracle, and tabulated
 density file I/O.
 
 Exit codes: 0 success, 2 malformed input, 3 parameter outside a validity
-window, 4 numerical non-convergence.  Documents are deterministic
+window, 4 numerical non-convergence.  A `moments` order or a `sweep`
+member that fails with one of the last two becomes a hole row of an
+exit-0 document instead.  Documents are deterministic
 (field order fixed, numbers at 12 significant digits, no timestamps):
 identical invocations produce byte-identical output.
 
@@ -272,7 +274,12 @@ def cmd_moments(args, spec: QuadratureSpec) -> ReportDocument:
     dens, space = _select_space(state, held, args.space)
     rows = []
     for order in _parse_orders(args.orders):
-        mv = radial_moment(dens, order, spec)
+        try:
+            mv = radial_moment(dens, order, spec)
+        except (DomainError, ConvergenceError) as exc:  # a hole row, as in sweeps
+            rows.append({"space": space, "order": order,
+                         "method": f"hole: {type(exc).__name__}: {exc}"})
+            continue
         rows.append({"space": space, "order": mv.order, "value": mv.value,
                      "method": mv.method, "est_error": mv.est_error})
     return ReportDocument(_metadata(spec, cfg, state=dens.label),

@@ -11,8 +11,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainError, check_finite, check_integer, check_positive
-from .mathcore import beta, exp_e1_scaled, minimize_scalar, omega
+from .errors import ConvergenceError, DomainError, check_finite, check_integer, check_positive
+from .mathcore import beta, e1_fraction_tail, exp_e1_scaled, omega
 
 __all__ = [
     "SystemConfig",
@@ -73,35 +73,71 @@ def semiclassical_constant(d: int, k: float) -> float:
         * math.gamma(1.0 + d / 2.0) ** (k / d) / math.pi ** (k / 2.0)
 
 
-# 256 slots hold the 96 points of the minimizer's scan grid, which every
-# rho shares, plus the points of the last few Brent runs (up to ~40 each);
-# with fewer than about 140 the grid would be evicted between two scans
-@lru_cache(maxsize=256)
-def _log_daubechies_inner(a: float) -> float:
-    # ln int_a^inf e^-u (u - a) / u du = ln(e^-a - a E1(a)), written as
-    # -a + ln(1 - a e^a E1(a)) so that it stays finite where e^-a underflows
-    return -a + math.log1p(-a * exp_e1_scaled(a))
+# Newton steps the stationarity solve may take; from its start point no
+# rho sampled over [1e-3, 1e300] needs more than 5
+_NEWTON_STEPS = 50
+# lgamma(rho) and rho ln a overflow from rho ~ 2.5e305
+_RHO_MAX = 1e300
+
+
+def _stationarity(a: float) -> tuple[float, float, float]:
+    """(ln(aS / (1 - aS)), its derivative in ln a, ln(1 - aS)) at a, with
+    S = e^a E1(a); d(aS)/d ln a = a (S (1 + a) - 1)."""
+    if a <= 1.0:
+        s = exp_e1_scaled(a)
+        p = a * s
+        ln_gap = math.log1p(-p)
+        return math.log(p) - ln_gap, a * (s * (1.0 + a) - 1.0) / (p * (1.0 - p)), ln_gap
+    # 1/S = a + 1 - r, so 1 - aS = (1 - r) S and S (1 + a) - 1 = r S, free
+    # of the cancellation that 1 - aS suffers as aS -> 1
+    r = e1_fraction_tail(a)
+    return (math.log(a) - math.log1p(-r), r * (a + 1.0 - r) / (1.0 - r),
+            math.log1p(-r) - math.log(a + 1.0 - r))
 
 
 @lru_cache(maxsize=None)
 def _daubechies_ratio(rho: float) -> float:
-    # B depends on d and k only through rho = d / k; the objective
-    # a^-rho / (e^-a - a E1(a)) is minimized through its logarithm, since
-    # a^-rho alone overflows on the scan grid once rho reaches ~80
-    def objective(a: float) -> float:
-        return -rho * math.log(a) - _log_daubechies_inner(a)
+    """B(rho) = exp(-min_a [lgamma(rho) - rho ln a - ln(e^-a - a E1(a))] / rho)
+    from the stationarity equation, not by minimizing.
 
-    res = minimize_scalar(objective, bracket=(1e-4, 60.0), rel_tol=1e-13)
-    return math.exp(-(math.lgamma(rho) + res.min_value) / rho)
+    As d/da (e^-a - a E1(a)) = -E1(a), the minimum sits where
+    aS / (1 - aS) = rho with S = e^a E1(a).  The left side increases in
+    a, and Newton's method in t = ln a solves the equation in a few
+    steps.  All of it stays in logarithms: a^-rho overflows once rho
+    reaches ~80 and e^-a underflows for large a.
+    """
+    target = math.log(rho)
+    t = math.log(rho if rho >= 2.0 else rho / 2.0)
+    last = math.inf
+    for _ in range(_NEWTON_STEPS):
+        a = math.exp(t)
+        f, df, ln_gap = _stationarity(a)
+        step = (f - target) / df
+        # converged once the step is at rounding level, or has stopped
+        # shrinking this close to the root; the objective is stationary
+        # there, so B is taken at a itself
+        if abs(step) < 1e-14 or (abs(step) >= abs(last) and abs(step) < 1e-10):
+            return math.exp(-(math.lgamma(rho) - rho * t + a - ln_gap) / rho)
+        t -= step
+        last = step
+    raise ConvergenceError(f"Daubechies stationarity equation at rho = {rho} "
+                           f"did not converge in {_NEWTON_STEPS} Newton steps")
 
 
 def daubechies_factor(d: int, k: float) -> float:
     """Rigor-restoring factor B(d, k) < 1 multiplying the semiclassical
-    constant, defined through an infimum over the scale of a truncated
-    exponential weight.  Requires an integer d >= 1 and a finite k > 0."""
+    constant, defined through an infimum over the scale a of a truncated
+    exponential weight.  B depends on rho = d/k alone and is taken at
+    the root of the infimum's stationarity equation, not by minimizing.
+    Its relative error grows like eps ln rho: from rho ~ 1e15 on, B is 1
+    to rounding and may round above it.  Requires an integer d >= 1, a
+    finite k > 0 and d/k <= 1e300."""
     check_integer("dimension", d)
     check_positive("momentum order", k)
-    return _daubechies_ratio(d / k)
+    rho = d / k
+    if rho > _RHO_MAX:
+        raise DomainError(f"daubechies_factor requires d/k <= {_RHO_MAX:g}, got {rho}")
+    return _daubechies_ratio(rho)
 
 
 def rigorous_constant(d: int, k: float) -> float:

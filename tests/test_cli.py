@@ -240,6 +240,39 @@ class TestRoundTrip:
         assert float(rows[0]["discrepancy"]) < 1e-10
 
 
+class TestMomentHoles:
+    """A failed order becomes a hole row; the other orders keep their rows."""
+
+    def test_failed_order_keeps_the_document(self, capsys, tmp_path):
+        table = tmp_path / "gauss1.csv"
+        code, _, _ = run_cli(capsys, "export", "--model", "gaussian", "--d", "1",
+                             "--points", "4000", "--out", str(table))
+        assert code == 0
+        code, out, err = run_cli(capsys, "moments", "--file", str(table),
+                                 "--orders=-0.9,-0.25,1.5")
+        assert (code, err) == (0, "")
+        rows = parse_csv(out)
+        assert [row["order"] for row in rows] == ["-0.9", "-0.25", "1.5"]
+        hole = rows[0]
+        assert hole["method"].startswith("hole: ConvergenceError: ")
+        assert hole["value"] == hole["est_error"] == ""
+        # <r^alpha> = 2^(alpha/2) Gamma((alpha + 1)/2) / sqrt(pi) in d = 1
+        for row in rows[1:]:
+            alpha = float(row["order"])
+            exact = 2.0 ** (alpha / 2.0) * math.gamma((alpha + 1.0) / 2.0) / math.sqrt(PI)
+            assert row["method"] == "quadrature"
+            assert float(row["value"]) == pytest.approx(exact, rel=1e-8)
+
+    def test_divergent_order_is_a_hole(self, capsys):
+        code, out, _ = run_cli(capsys, "moments", "--model", "hydrogenic",
+                               "--orders=-3,2", "--format", "json")
+        assert code == 0
+        hole, row = json.loads(out)["rows"]
+        assert hole["method"].startswith("hole: DivergenceError: <r^-3.0> diverges")
+        assert hole["value"] == hole["est_error"] == ""
+        assert float(row["value"]) == pytest.approx(3.0, rel=1e-12)  # <r^2> = 3 / Z^2
+
+
 class TestInequalityNames:
     def test_unknown_inequality_lists_ids_and_aliases(self, capsys):
         code, _, err = run_cli(capsys, "check", "--ineq", "bogus", "--model", "hydrogenic")

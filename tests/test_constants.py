@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from uncrel import constants as C
 from uncrel import varoracle
-from uncrel.errors import DomainError
+from uncrel.errors import ConvergenceError, DomainError
 
 PI = math.pi
 
@@ -44,75 +44,76 @@ B_REFERENCE = {
 }
 
 # daubechies_factor(d, k).hex() on the 16 cells of Table 1, then on 50
-# ratios rho = d/k spread geometrically over [0.25, 400]: the memo of the
-# inner term and the minimizer's float arguments must not move a bit
+# ratios rho = d/k spread geometrically over [0.25, 400], recorded from the
+# Newton solve of the stationarity equation; test_matches_mpmath holds
+# the values they pin to 5e-15 of a 30-digit reference
 B_GOLDEN = [
     (1, 1.0, '0x1.5369461ae3741p-3'),
-    (2, 1.0, '0x1.9f7610607da34p-2'),
-    (3, 1.0, '0x1.1334e53dd5e22p-1'),
-    (4, 1.0, '0x1.3c76c558ef9e3p-1'),
-    (1, 2.0, '0x1.5d7e07739f4c1p-6'),
+    (2, 1.0, '0x1.9f7610607da14p-2'),
+    (3, 1.0, '0x1.1334e53dd5e13p-1'),
+    (4, 1.0, '0x1.3c76c558ef9dap-1'),
+    (1, 2.0, '0x1.5d7e07739f4bep-6'),
     (2, 2.0, '0x1.5369461ae3741p-3'),
-    (3, 2.0, '0x1.3745d65f92556p-2'),
-    (4, 2.0, '0x1.9f7610607da34p-2'),
+    (3, 2.0, '0x1.3745d65f9254bp-2'),
+    (4, 2.0, '0x1.9f7610607da14p-2'),
     (1, 3.0, '0x1.0d8494ed2d2b4p-9'),
     (2, 3.0, '0x1.fb5f702dd07cbp-5'),
     (3, 3.0, '0x1.5369461ae3741p-3'),
-    (4, 3.0, '0x1.0c7b8bbbb7ce4p-2'),
-    (1, 4.0, '0x1.4ad16ef14d9cdp-13'),
-    (2, 4.0, '0x1.5d7e07739f4c1p-6'),
+    (4, 3.0, '0x1.0c7b8bbbb7cdfp-2'),
+    (1, 4.0, '0x1.4ad16ef14d9c3p-13'),
+    (2, 4.0, '0x1.5d7e07739f4bep-6'),
     (3, 4.0, '0x1.6394e29fad74dp-4'),
     (4, 4.0, '0x1.5369461ae3741p-3'),
-    (1, 4.0, '0x1.4ad16ef14d9cdp-13'),
+    (1, 4.0, '0x1.4ad16ef14d9c3p-13'),
     (8, 27.527056520763338, '0x1.64770bc4997afp-11'),
     (5, 14.799586732369121, '0x1.2969ee8897823p-9'),
     (2, 5.0923632558233, '0x1.92066f73d1a02p-8'),
-    (9, 19.71249907040246, '0x1.c8f710bbb3c2dp-7'),
+    (9, 19.71249907040246, '0x1.c8f710bbb3c26p-7'),
     (6, 11.304730751592981, '0x1.c27413fdf1374p-6'),
     (3, 4.862280661736116, '0x1.8b01a3f6b3358p-5'),
-    (10, 13.942111937023395, '0x1.3aa93f42aec4fp-4'),
-    (7, 8.39530350988989, '0x1.cf4fd1b076dffp-4'),
-    (4, 4.1267498968875325, '0x1.3fb8409fca974p-3'),
-    (1, 0.8874787317084167, '0x1.a26c9d1748a4fp-3'),
-    (8, 6.107419302178237, '0x1.061998231798cp-2'),
-    (5, 3.2835796157629162, '0x1.3cc43de45c53ep-2'),
-    (2, 1.1298410209191516, '0x1.73a927fec1a26p-2'),
-    (9, 4.373605918451029, '0x1.a986e36cccb90p-2'),
-    (6, 2.508177027432219, '0x1.dd6cfdee1055cp-2'),
-    (3, 1.0787926687219822, '0x1.075b0b83948b1p-1'),
-    (10, 3.0933319548015756, '0x1.1e7e1baf34d5fp-1'),
-    (7, 1.8626633278160754, '0x1.3405b42a6c522p-1'),
-    (4, 0.9156006911418966, '0x1.47ea78a096bd6p-1'),
-    (1, 0.196904624808695, '0x1.5a3233a5ad754p-1'),
-    (8, 1.3550511840771613, '0x1.6aeb77b0f72acp-1'),
-    (5, 0.7285267682152208, '0x1.7a2a4e70a4e87p-1'),
-    (2, 0.25067746906936794, '0x1.8805d049d6770p-1'),
-    (9, 0.9703705583748367, '0x1.9496756c13704p-1'),
-    (6, 0.556488441801433, '0x1.9ff4f3bf233c0p-1'),
-    (3, 0.23935138735343073, '0x1.aa39837310f94p-1'),
-    (10, 0.6863165800001048, '0x1.b37b6bcdc0b9ap-1'),
-    (7, 0.4132685219424973, '0x1.bbd0c141232e6p-1'),
-    (4, 0.2031440350314901, '0x1.c34e4423d2e28p-1'),
-    (1, 0.04368716667318558, '0x1.ca07546283066p-1'),
-    (8, 0.300644776561197, '0x1.d00df23ffa3d4p-1'),
-    (5, 0.161638003067819, '0x1.d572c6ed4cb2ap-1'),
-    (2, 0.05561773057938964, '0x1.da4531a573b20p-1'),
-    (9, 0.21529580810842208, '0x1.de93573affeffp-1'),
-    (6, 0.12346791413508235, '0x1.e26a32d8c300ep-1'),
-    (3, 0.053104816420268215, '0x1.e5d5a739cc2cfp-1'),
-    (10, 0.15227284199223795, '0x1.e8e08fec1e093p-1'),
-    (7, 0.09169175592713487, '0x1.eb94d25eea558p-1'),
-    (4, 0.045071502640969256, '0x1.edfb6e95f39d3p-1'),
-    (1, 0.009692857817763238, '0x1.f01c8f689dd32p-1'),
-    (8, 0.06670396124932286, '0x1.f1ff9a39bebf3p-1'),
-    (5, 0.0358625724896273, '0x1.f3ab3e18b93f3p-1'),
-    (2, 0.012339888248774288, '0x1.f525823eb974bp-1'),
-    (9, 0.04776761268055028, '0x1.f673d3dcf4faep-1'),
-    (6, 0.027393786960821644, '0x1.f79b1333027b4p-1'),
-    (3, 0.011782348781066987, '0x1.f89f9fe6c36a2p-1'),
-    (10, 0.033784727171226867, '0x1.f9856499e585dp-1'),
-    (7, 0.02034362081458286, '0x1.fa4fe1bb8fd83p-1'),
-    (4, 0.01, '0x1.fb0237973f2d3p-1'),
+    (10, 13.942111937023395, '0x1.3aa93f42aec4dp-4'),
+    (7, 8.39530350988989, '0x1.cf4fd1b076df8p-4'),
+    (4, 4.1267498968875325, '0x1.3fb8409fca973p-3'),
+    (1, 0.8874787317084167, '0x1.a26c9d1748a52p-3'),
+    (8, 6.107419302178237, '0x1.0619982317988p-2'),
+    (5, 3.2835796157629162, '0x1.3cc43de45c517p-2'),
+    (2, 1.1298410209191516, '0x1.73a927fec19e6p-2'),
+    (9, 4.373605918451029, '0x1.a986e36cccb6bp-2'),
+    (6, 2.508177027432219, '0x1.dd6cfdee1053cp-2'),
+    (3, 1.0787926687219822, '0x1.075b0b83948a5p-1'),
+    (10, 3.0933319548015756, '0x1.1e7e1baf34d4dp-1'),
+    (7, 1.8626633278160754, '0x1.3405b42a6c513p-1'),
+    (4, 0.9156006911418966, '0x1.47ea78a096bc7p-1'),
+    (1, 0.196904624808695, '0x1.5a3233a5ad74cp-1'),
+    (8, 1.3550511840771613, '0x1.6aeb77b0f72a6p-1'),
+    (5, 0.7285267682152208, '0x1.7a2a4e70a4e84p-1'),
+    (2, 0.25067746906936794, '0x1.8805d049d6767p-1'),
+    (9, 0.9703705583748367, '0x1.9496756c136fcp-1'),
+    (6, 0.556488441801433, '0x1.9ff4f3bf233b9p-1'),
+    (3, 0.23935138735343073, '0x1.aa39837310f8fp-1'),
+    (10, 0.6863165800001048, '0x1.b37b6bcdc0b95p-1'),
+    (7, 0.4132685219424973, '0x1.bbd0c141232dfp-1'),
+    (4, 0.2031440350314901, '0x1.c34e4423d2e22p-1'),
+    (1, 0.04368716667318558, '0x1.ca07546283061p-1'),
+    (8, 0.300644776561197, '0x1.d00df23ffa3cdp-1'),
+    (5, 0.161638003067819, '0x1.d572c6ed4cb27p-1'),
+    (2, 0.05561773057938964, '0x1.da4531a573b1cp-1'),
+    (9, 0.21529580810842208, '0x1.de93573affefcp-1'),
+    (6, 0.12346791413508235, '0x1.e26a32d8c3008p-1'),
+    (3, 0.053104816420268215, '0x1.e5d5a739cc2cbp-1'),
+    (10, 0.15227284199223795, '0x1.e8e08fec1e08dp-1'),
+    (7, 0.09169175592713487, '0x1.eb94d25eea54fp-1'),
+    (4, 0.045071502640969256, '0x1.edfb6e95f39cap-1'),
+    (1, 0.009692857817763238, '0x1.f01c8f689dd27p-1'),
+    (8, 0.06670396124932286, '0x1.f1ff9a39bebf6p-1'),
+    (5, 0.0358625724896273, '0x1.f3ab3e18b93eap-1'),
+    (2, 0.012339888248774288, '0x1.f525823eb9749p-1'),
+    (9, 0.04776761268055028, '0x1.f673d3dcf4fa4p-1'),
+    (6, 0.027393786960821644, '0x1.f79b1333027b1p-1'),
+    (3, 0.011782348781066987, '0x1.f89f9fe6c3696p-1'),
+    (10, 0.033784727171226867, '0x1.f9856499e5857p-1'),
+    (7, 0.02034362081458286, '0x1.fa4fe1bb8fd7ep-1'),
+    (4, 0.01, '0x1.fb0237973f2ccp-1'),
 ]
 
 
@@ -193,13 +194,20 @@ class TestDaubechiesFactor:
                                     C.rigorous_constant])
     @pytest.mark.parametrize("d,k", [(True, 1.0), (2.5, 1.0), (0, 1.0), ("3", 1.0),
                                      (3, math.nan), (3, math.inf), (3, -math.inf), (3, True)])
-    def test_bad_input_rejected_before_minimizing(self, monkeypatch, fn, d, k):
-        def no_minimize(*args, **kwargs):
-            raise AssertionError("minimized on a bad input")
+    def test_bad_input_rejected_before_solving(self, monkeypatch, fn, d, k):
+        def no_solve(rho):
+            raise AssertionError("solved on a bad input")
 
-        monkeypatch.setattr(C, "minimize_scalar", no_minimize)
+        monkeypatch.setattr(C, "_daubechies_ratio", no_solve)
         with pytest.raises(DomainError):
             fn(d, k)
+
+    def test_ratio_beyond_overflow_rejected(self, monkeypatch):
+        monkeypatch.setattr(C, "_daubechies_ratio", lambda rho: pytest.fail("solved"))
+        with pytest.raises(DomainError, match="d/k"):
+            C.daubechies_factor(1, 1e-301)
+        with pytest.raises(DomainError, match="d/k"):
+            C.daubechies_factor(3, 5e-324)  # d/k overflows to inf
 
     def test_golden_bits(self):
         assert [(d, k, C.daubechies_factor(d, k).hex()) for d, k, _ in B_GOLDEN] == B_GOLDEN
@@ -213,52 +221,94 @@ class TestDaubechiesFactor:
             C.semiclassical_constant(3, 2.0) * C.daubechies_factor(3, 2.0), rel=1e-15)
 
 
-class TestDaubechiesMemo:
-    """The rho-free inner term is computed once per scan point, not once per rho."""
+def _mpmath_daubechies(rho):
+    """B(rho) at 30 digits: the root of (1 + rho) a e^a E1(a) = rho by
+    mpmath's bracketing Anderson-Bjorck solver, then the objective there."""
+    with mpmath.workdps(30):
+        rho = mpmath.mpf(rho)
+
+        def excess(a):
+            return (1 + rho) * a * mpmath.exp(a) * mpmath.e1(a) - rho
+
+        a = mpmath.findroot(excess, (rho / 1000, 2 * rho + 10), solver="anderson")
+        inner = mpmath.exp(-a) - a * mpmath.e1(a)
+        return float(mpmath.exp(-(mpmath.loggamma(rho) - rho * mpmath.log(a)
+                                  - mpmath.log(inner)) / rho))
+
+
+# rho at which the stationary point crosses a = 1, where exp_e1_scaled
+# switches from its power series to the continued fraction
+RHO_SWITCH = float(mpmath.e * mpmath.e1(1) / (1 - mpmath.e * mpmath.e1(1)))
+
+
+class TestDaubechiesSolve:
+    """B(rho) from the Newton solve of a S / (1 - a S) = rho, S = e^a E1(a)."""
 
     @pytest.fixture
-    def inner_calls(self, monkeypatch):
+    def e1_calls(self, monkeypatch):
+        """Arguments of every e^a E1(a) evaluation, by either branch;
+        the ratio memo is cleared so that each rho is fresh."""
         C._daubechies_ratio.cache_clear()
-        C._log_daubechies_inner.cache_clear()
         calls = []
-        exp_e1_scaled = C.exp_e1_scaled
-
-        def counted(a):
-            calls.append(a)
-            return exp_e1_scaled(a)
-
-        monkeypatch.setattr(C, "exp_e1_scaled", counted)
+        for name in ("exp_e1_scaled", "e1_fraction_tail"):
+            fn = getattr(C, name)
+            monkeypatch.setattr(C, name, lambda a, fn=fn: calls.append(a) or fn(a))
         yield calls
         C._daubechies_ratio.cache_clear()
-        C._log_daubechies_inner.cache_clear()
 
-    def test_fresh_ratio_costs_only_its_brent_steps(self, monkeypatch, inner_calls):
-        brent_steps = []
-        minimize_scalar = C.minimize_scalar
+    def test_matches_mpmath(self):
+        # 400 rho log-spaced over [0.25, 400], as d = 1 over k = 1/rho
+        ks = [1.0 / rho for rho in np.geomspace(0.25, 400.0, 400).tolist()]
+        assert sum(1.0 / k >= 80.0 for k in ks) >= 50
+        worst = max((abs(C.daubechies_factor(1, k) / _mpmath_daubechies(1.0 / k) - 1.0), k)
+                    for k in ks)
+        assert worst[0] <= 5e-15, worst
 
-        def spy(*args, **kwargs):
-            res = minimize_scalar(*args, **kwargs)
-            brent_steps.append(res.iterations)
-            return res
-
-        monkeypatch.setattr(C, "minimize_scalar", spy)
-        C.daubechies_factor(3, 2.0)  # warm-up: fills the scan grid
-        assert len(inner_calls) > 96
-        per_rho = []
-        for rho in np.geomspace(0.25, 40.0, 50).tolist():
-            inner_calls.clear()
+    def test_fresh_ratio_costs_few_e1_evaluations(self, e1_calls):
+        per_rho = {}
+        for rho in np.geomspace(0.25, 40.0, 50).tolist() + [80.0, 400.0, 1e4]:
+            e1_calls.clear()
             C.daubechies_factor(2, 2.0 / rho)
-            per_rho.append(len(inner_calls))
-        # no scan point is recomputed: a Brent step costs one call at most
-        assert all(n <= steps for n, steps in zip(per_rho, brent_steps[1:]))
-        assert max(per_rho) <= 40  # 96 more when every point is recomputed
+            per_rho[rho] = len(e1_calls)
+        assert max(per_rho.values()) <= 6, per_rho
+        # a memoized rho costs nothing
+        e1_calls.clear()
+        C.daubechies_factor(4, 4.0 / 400.0)
+        assert e1_calls == []
 
-    def test_memo_stays_bounded(self, inner_calls):
-        for rho in np.geomspace(0.25, 40.0, 1000).tolist():
-            C.daubechies_factor(5, 5.0 / rho)
-        info = C._log_daubechies_inner.cache_info()
-        assert info.maxsize is not None
-        assert info.currsize <= info.maxsize
+    def test_spent_budget_raises(self, monkeypatch, e1_calls):
+        monkeypatch.setattr(C, "_NEWTON_STEPS", 2)
+        with pytest.raises(ConvergenceError, match="Newton"):
+            C.daubechies_factor(3, 0.7)
+        assert len(e1_calls) == 2
+
+    @pytest.mark.parametrize("k", [1e-20, 1e-100, 1e-300])
+    def test_huge_ratio_is_one_to_rounding(self, k):
+        # 1 - B is about ln(rho) / rho here, far below the eps ln(rho)
+        # rounding of the exponent
+        assert C.daubechies_factor(1, k) == pytest.approx(1.0, abs=1e-12)
+
+    def test_non_decreasing_in_rho(self):
+        rng = random.Random(19260527)
+        rhos = sorted(10.0 ** rng.uniform(-2.0, 4.0) for _ in range(2000))
+        values = [C.daubechies_factor(1, 1.0 / rho) for rho in rhos]
+        assert all(0.0 < b < 1.0 for b in values)
+        assert all(b0 <= b1 for b0, b1 in zip(values, values[1:]))
+
+    def test_continuous_across_series_switch(self):
+        # B moves by about one ulp per ulp of rho here, so a jump between
+        # the two branches shows as a miss against the reference, held to
+        # the bound of test_matches_mpmath
+        rhos = [RHO_SWITCH * (1.0 - 1e-9), RHO_SWITCH * (1.0 + 1e-9)]
+        rho = RHO_SWITCH
+        for _ in range(4):
+            rho = math.nextafter(rho, 0.0)
+        for _ in range(9):
+            rhos.append(rho)
+            rho = math.nextafter(rho, math.inf)
+        for rho in rhos:
+            ref = _mpmath_daubechies(rho)
+            assert abs(C._daubechies_ratio(rho) / ref - 1.0) <= 5e-15, rho
 
 
 class TestHeisenbergCoefficients:

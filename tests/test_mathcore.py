@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.interpolate
@@ -55,6 +56,22 @@ class TestExpE1:
     def test_domain(self):
         with pytest.raises(DomainError):
             exp_e1_scaled(0.0)
+
+    @pytest.mark.parametrize("x", [1.0 + 2.0 ** -52, 1.5, 3.0, 30.0, 400.0, 1e4, 1e8])
+    def test_fraction_tail_against_mpmath(self, x):
+        # r = x + 1 - 1/(e^x E1(x)), taken at 30 digits; the tail itself
+        # keeps its digits where 1/(e^x E1(x)) - x = 1 - r loses them
+        with mpmath.workdps(30):
+            s = mpmath.exp(x) * mpmath.e1(x)
+            ref = float(x + 1 - 1 / s)
+            gap = float(1 / s - x)
+        assert mathcore.e1_fraction_tail(x) == pytest.approx(ref, rel=4e-16)
+        assert 1.0 - mathcore.e1_fraction_tail(x) == pytest.approx(gap, rel=4e-16)
+
+    @pytest.mark.parametrize("x", [1.0, 0.5, math.nan])
+    def test_fraction_tail_domain(self, x):
+        with pytest.raises(DomainError):
+            mathcore.e1_fraction_tail(x)
 
 
 class TestIntegrateHalfline:
@@ -308,7 +325,7 @@ class TestBrentPort:
 
     @pytest.mark.parametrize("rho", np.geomspace(0.25, 400.0, 41).tolist())
     def test_daubechies_objective_matches_scipy(self, monkeypatch, rho):
-        # the log-space objective the Daubechies factor minimizes
+        # the log-space objective whose minimum defines the Daubechies factor
         def objective(a):
             return -rho * math.log(a) + a - math.log1p(-a * exp_e1_scaled(a))
 
