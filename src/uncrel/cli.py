@@ -400,8 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output document format")
     common.add_argument("--out", help="write the document to this path instead of stdout")
     common.add_argument("--tol", type=float, default=None,
-                        help="quadrature relative tolerance "
-                             "(default 1e-10; env UNCREL_TOL overrides)")
+                        help="quadrature relative tolerance (default 1e-10, or "
+                             "env UNCREL_TOL when this flag is absent)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("table1", parents=[common],

@@ -78,6 +78,8 @@ def semiclassical_constant(d: int, k: float) -> float:
 _NEWTON_STEPS = 50
 # lgamma(rho) and rho ln a overflow from rho ~ 2.5e305
 _RHO_MAX = 1e300
+# from this rho on, lgamma(rho) is taken from Stirling's series
+_STIRLING_FROM = 1e3
 
 
 def _stationarity(a: float) -> tuple[float, float, float]:
@@ -104,7 +106,10 @@ def _daubechies_ratio(rho: float) -> float:
     aS / (1 - aS) = rho with S = e^a E1(a).  The left side increases in
     a, and Newton's method in t = ln a solves the equation in a few
     steps.  All of it stays in logarithms: a^-rho overflows once rho
-    reaches ~80 and e^-a underflows for large a.
+    reaches ~80 and e^-a underflows for large a.  From _STIRLING_FROM on,
+    lgamma(rho) and rho ln a cancel to ~1/(2 rho) of their size, and B
+    is formed without them from Stirling's series and a = rho (1 - r) at
+    the root, r being the continued fraction tail.
     """
     target = math.log(rho)
     t = math.log(rho if rho >= 2.0 else rho / 2.0)
@@ -117,7 +122,16 @@ def _daubechies_ratio(rho: float) -> float:
         # shrinking this close to the root; the objective is stationary
         # there, so B is taken at a itself
         if abs(step) < 1e-14 or (abs(step) >= abs(last) and abs(step) < 1e-10):
-            return math.exp(-(math.lgamma(rho) - rho * t + a - ln_gap) / rho)
+            if rho < _STIRLING_FROM:
+                return math.exp(-(math.lgamma(rho) - rho * t + a - ln_gap) / rho)
+            # lgamma(rho) - (rho - 1/2) ln rho + rho - ln(2 pi) / 2 = g(rho), and
+            # rho ln(rho / a) + a - rho = rho (-r - log1p(-r)), not formed
+            # from a - rho, whose rounding is eps rho
+            r = e1_fraction_tail(a)
+            ln_1r = math.log1p(-r)
+            g = (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / (1260.0 * rho * rho)) / (rho * rho)) / rho
+            return math.exp(-(g + 0.5 * math.log(2.0 * math.pi / rho) + rho * (-r - ln_1r)
+                              + math.log(a + 1.0 - r) - ln_1r) / rho)
         t -= step
         last = step
     raise ConvergenceError(f"Daubechies stationarity equation at rho = {rho} "
@@ -129,9 +143,9 @@ def daubechies_factor(d: int, k: float) -> float:
     constant, defined through an infimum over the scale a of a truncated
     exponential weight.  B depends on rho = d/k alone and is taken at
     the root of the infimum's stationarity equation, not by minimizing.
-    Its relative error grows like eps ln rho: from rho ~ 1e15 on, B is 1
-    to rounding and may round above it.  Requires an integer d >= 1, a
-    finite k > 0 and d/k <= 1e300."""
+    It never exceeds 1 and does not decrease in rho; 1 - B is about
+    ln(2 pi rho) / (2 rho), so B rounds to 1 from rho ~ 5e17 on.
+    Requires an integer d >= 1, a finite k > 0 and d/k <= 1e300."""
     check_integer("dimension", d)
     check_positive("momentum order", k)
     rho = d / k

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,20 +63,16 @@ def _memoized(dens: RadialDensity, key, compute):
     return table[key]
 
 
-def _density_spec(dens: RadialDensity, spec: QuadratureSpec | None) -> QuadratureSpec:
-    base = spec or DEFAULT_QUADRATURE
-    return replace(base, tail_cut=_TAIL_FACTOR * dens.support_hint)
-
-
 def _integrate(dens: RadialDensity, integrand, spec: QuadratureSpec | None) -> tuple[float, float]:
-    """Integrate `integrand(r)` over the density's radial support."""
-    sp = _density_spec(dens, spec)
+    """Integrate `integrand(r)` over the density's radial support, laid out
+    by the density: its knot cells, its compact support, or a half line
+    whose tail ladder starts at _TAIL_FACTOR decay scales."""
     if dens.knots is not None:
-        return gauss_cells(integrand, dens.knots, sp)
+        return gauss_cells(integrand, dens.knots, spec)
     if dens.support is not None:
         lo, hi = dens.support
-        return quad_finite(integrand, lo, hi, sp)
-    return quad_halfline(integrand, sp)
+        return quad_finite(integrand, lo, hi, spec)
+    return quad_halfline(integrand, spec, _TAIL_FACTOR * dens.support_hint)
 
 
 def _weight(r, w: float, where) -> np.ndarray:

@@ -110,10 +110,8 @@ def _semiclassical(pair: DensityPair, cfg: SystemConfig, spec: QuadratureSpec | 
         const = constants.thakkar_coefficient(k)
     elif constant == "semiclassical":
         const = constants.semiclassical_constant(d, k) * cfg.q ** (-k / d)
-    elif constant == "rigorous":
+    else:  # rigorous
         const = constants.rigorous_constant(d, k) * cfg.q ** (-k / d)  # k > 0 enforced there
-    else:
-        raise DomainError(f"unknown constant selector {constant!r}")
     lhs = radial_moment(pair.momentum, k, spec).value
     w = entropic_moment(pair.position, 1.0 + k / d, spec).value
     return lhs, const * w
@@ -157,18 +155,14 @@ def _zumbach(pair: DensityPair, cfg: SystemConfig, spec: QuadratureSpec | None,
              orientation: str) -> tuple[float, float]:
     """Kinetic-energy versus Fisher-information bound
     <p^2> <= (1/2)[1 + C_d (N/q)^(2/d)] I_d[rho], and by position-momentum
-    reciprocity the conjugate form with <r^2> and I_d[gamma]."""
+    reciprocity the conjugate form with <r^2> and I_d[gamma] (orientation
+    'position')."""
     d = pair.position.d
     factor = 0.5 * (1.0 + constants.zumbach_constant(d) * (cfg.N / cfg.q) ** (2.0 / d))
-    if orientation == "momentum":
-        lhs = radial_moment(pair.momentum, 2.0, spec).value
-        rhs = factor * fisher_information(pair.position, spec).value
-    elif orientation == "position":
-        lhs = radial_moment(pair.position, 2.0, spec).value
-        rhs = factor * fisher_information(pair.momentum, spec).value
-    else:
-        raise DomainError(f"unknown orientation {orientation!r}")
-    return lhs, rhs
+    kinetic, fisher = ((pair.momentum, pair.position) if orientation == "momentum"
+                       else (pair.position, pair.momentum))
+    return (radial_moment(kinetic, 2.0, spec).value,
+            factor * fisher_information(fisher, spec).value)
 
 
 def _fisher_product(pair: DensityPair, cfg: SystemConfig, spec: QuadratureSpec | None,

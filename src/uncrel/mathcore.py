@@ -14,7 +14,7 @@ halve towards the end.  Algebraic end singularities (fractional and
 negative radial moments at r = 0, the edge of a compact extremal
 density) then take a few sweeps instead of one bisection per sweep,
 while smooth ends, whose error falls like h^20 per halving, are never
-graded.  The half line is a uniform head up to QuadratureSpec.tail_cut
+graded.  The half line is a uniform head up to quad_halfline's tail_cut
 plus a geometric ladder of tail panels closed by a geometric-series
 remainder.  Tabulated data start from one panel per knot cell, since
 their interpolant is smooth within a cell but not across its knots.
@@ -42,7 +42,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BracketError, ConvergenceError, DomainError, FormatError, NonFiniteError
+from .errors import (BracketError, ConvergenceError, DomainError, FormatError, NonFiniteError,
+                     check_positive)
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
 
@@ -67,15 +68,14 @@ class QuadratureSpec:
     """Tolerances and budget for adaptive quadrature.
 
     max_refinements is the number of panels refinement may add: one per
-    bisection, fifteen per graded end (see _adaptive_gk); tail_cut is the
-    radius beyond which the half line is covered by a geometric ladder of
-    panels instead of uniform ones.
+    bisection, fifteen per graded end (see _adaptive_gk).  Where the
+    panels start is the caller's: quad_finite's points, gauss_cells'
+    knots, quad_halfline's tail_cut.
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-14
     max_refinements: int = 200
-    tail_cut: float = 30.0
 
     def __post_init__(self):
         if not self.rel_tol > 0:
@@ -84,8 +84,6 @@ class QuadratureSpec:
             raise DomainError("abs_tol must be non-negative")
         if self.max_refinements < 1:
             raise DomainError("max_refinements must be at least 1")
-        if not self.tail_cut > 0:
-            raise DomainError("tail_cut must be positive")
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
@@ -213,7 +211,6 @@ _GRADE_CUTS = np.concatenate([[0.0], np.ldexp(1.0, np.arange(1 - _GRADE_PANELS, 
 _EPS50 = 50.0 * np.finfo(float).eps
 _LOG2_MAX = math.log2(np.finfo(float).max)
 _NO_PANELS = np.empty(0)
-_NO_RUNGS = np.empty(0, dtype=int)
 
 
 def _gk21(f, lo: np.ndarray, hi: np.ndarray):
@@ -280,6 +277,10 @@ def _adaptive_gk(f, cuts: np.ndarray, spec: QuadratureSpec, ladder_from: float |
     """Globally adaptive Gauss-Kronrod 21/10 quadrature over [cuts[0],
     cuts[-1]], starting from the panels between consecutive `cuts`, and
     with ladder_from = c also over [c, inf) by the rungs [c 2^j, c 2^(j+1)].
+    A panel's rung is read off its left end (-1 below c), as bisection
+    keeps both halves on their panel's rung; only a zero-width half on a
+    rung's top edge, ~52 bisections deep, lands one rung up, and on the
+    top rung the clip keeps it there.
 
     Each sweep evaluates all new panels in one call of f, then refines
     the fewest worst panels whose removal would bring the summed error
@@ -304,7 +305,7 @@ def _adaptive_gk(f, cuts: np.ndarray, spec: QuadratureSpec, ladder_from: float |
     max_rungs = int(_LOG2_MAX - math.log2(ladder_from)) - 1 if ladder_open else 0
     # the first sweep adds the first rungs as later sweeps add more
     rungs, add = 0, max(0, min(_FIRST_RUNGS, max_rungs))
-    new_lo, new_hi, new_rung = cuts[:-1], cuts[1:], np.full(cuts.size - 1, -1)
+    new_lo, new_hi = cuts[:-1], cuts[1:]
     # ends of the domain (a ladder has none), and the widths below which an
     # end panel has been bisected _GRADE_AFTER times: halfway, in log scale,
     # to the width after one bisection fewer, so rounding cannot matter
@@ -312,8 +313,8 @@ def _adaptive_gk(f, cuts: np.ndarray, spec: QuadratureSpec, ladder_from: float |
     narrow = 2.0 ** (0.5 - _GRADE_AFTER)
     narrow_lo = narrow * float(new_hi[0] - new_lo[0])
     narrow_hi = narrow * float(new_hi[-1] - new_lo[-1])
-    # rows lo, hi, value, error of every panel; rung of each while the ladder is open
-    panels = rung = keep = None
+    # rows lo, hi, value, error of every panel, new panels last
+    panels, keep = None, slice(None)
     remainder, dropped, refinements = 0.0, 0.0, 0
     while True:
         if add:
@@ -321,20 +322,15 @@ def _adaptive_gk(f, cuts: np.ndarray, spec: QuadratureSpec, ladder_from: float |
             # ldexp scales exactly; 2.0 ** j alone overflows past j = 1023
             new_lo = np.concatenate((new_lo, np.ldexp(ladder_from, j)))
             new_hi = np.concatenate((new_hi, np.ldexp(ladder_from, j + 1)))
-            new_rung = np.concatenate((new_rung, j))
             rungs += add
             add = 0
         v, e, fvals = _gk21(f, new_lo, new_hi)
         new = np.array((new_lo, new_hi, v, e))
-        if panels is None:
-            panels = new
-        else:
-            panels = np.concatenate((panels if keep is None else panels[:, keep], new), axis=1)
+        panels = new if panels is None else np.concatenate((panels[:, keep], new), axis=1)
         if ladder_open:
-            if rung is None:
-                rung = new_rung
-            else:
-                rung = np.concatenate((rung if keep is None else rung[keep], new_rung))
+            edges = np.ldexp(ladder_from, np.arange(rungs + 1))
+            rung = np.minimum(np.searchsorted(edges, panels[0], side="right") - 1, rungs - 1)
+            new_rung = rung[rung.size - v.size:]
             zero = new_rung[(new_rung >= 0) & (fvals == 0.0).any(axis=1)]
             if zero.size:
                 kept = rung < zero.min()
@@ -363,7 +359,7 @@ def _adaptive_gk(f, cuts: np.ndarray, spec: QuadratureSpec, ladder_from: float |
         tol = max(spec.abs_tol, spec.rel_tol * abs(total))
         if panel_err <= tol and not ladder_open:
             return total, panel_err + abs(remainder) + dropped
-        new_lo, new_hi, new_rung, keep = _NO_PANELS, _NO_PANELS, _NO_RUNGS, None
+        new_lo, new_hi, keep = _NO_PANELS, _NO_PANELS, slice(None)
         if panel_err > tol:
             budget = max(spec.max_refinements - refinements, 0)
             worst = np.argsort(err)[::-1]
@@ -390,14 +386,10 @@ def _adaptive_gk(f, cuts: np.ndarray, spec: QuadratureSpec, ladder_from: float |
             # one added panel per bisection, _GRADE_PANELS - 1 per graded end
             refinements += split.size + (_GRADE_PANELS - 2) * len(graded)
             if graded:
-                split, s_lo, s_hi = split[~grade], s_lo[~grade], s_hi[~grade]
+                s_lo, s_hi = s_lo[~grade], s_hi[~grade]
             mid = 0.5 * (s_lo + s_hi)
             new_lo = np.concatenate([s_lo, mid, *(c[:-1] for c in graded)])
             new_hi = np.concatenate([mid, s_hi, *(c[1:] for c in graded)])
-            if ladder_open:
-                # a graded end lies in the head [0, tail_cut], off the ladder
-                r = rung[split]
-                new_rung = np.concatenate([r, r, *(np.full(_GRADE_PANELS, -1) for _ in graded)])
 
 
 def quad_finite(f: Callable, lo: float, hi: float,
@@ -416,18 +408,19 @@ def quad_finite(f: Callable, lo: float, hi: float,
     return _adaptive_gk(f, np.array(_uniform_cuts(edges)), spec)
 
 
-def quad_halfline(f: Callable, spec: QuadratureSpec | None = None) -> tuple[float, float]:
+def quad_halfline(f: Callable, spec: QuadratureSpec | None = None,
+                  tail_cut: float = 30.0) -> tuple[float, float]:
     """Adaptive quadrature of f over [0, inf); returns (value, error estimate).
 
-    Uniform starting panels cover [0, spec.tail_cut]; beyond it a
-    geometric ladder of panels carries the tail, and the remainder past
-    the last rung is summed as a geometric series.  f must accept numpy
-    arrays and be finite at every interior node; NaN or infinity raises
-    NonFiniteError rather than propagating silently.
+    Uniform starting panels cover [0, tail_cut], a finite positive
+    radius; beyond it a geometric ladder of panels carries the tail, and
+    the remainder past the last rung is summed as a geometric series.
+    f must accept numpy arrays and be finite at every interior node; NaN
+    or infinity raises NonFiniteError rather than propagating silently.
     """
-    spec = spec or DEFAULT_QUADRATURE
-    cuts = np.array(_uniform_cuts((0.0, float(spec.tail_cut))))
-    return _adaptive_gk(f, cuts, spec, ladder_from=spec.tail_cut)
+    check_positive("tail_cut", tail_cut)
+    cuts = np.array(_uniform_cuts((0.0, float(tail_cut))))
+    return _adaptive_gk(f, cuts, spec or DEFAULT_QUADRATURE, ladder_from=tail_cut)
 
 
 def gauss_cells(f, knots: np.ndarray, spec: QuadratureSpec | None = None) -> tuple[float, float]:

@@ -221,10 +221,10 @@ class TestDaubechiesFactor:
             C.semiclassical_constant(3, 2.0) * C.daubechies_factor(3, 2.0), rel=1e-15)
 
 
-def _mpmath_daubechies(rho):
-    """B(rho) at 30 digits: the root of (1 + rho) a e^a E1(a) = rho by
+def _mpmath_daubechies(rho, dps=30):
+    """B(rho) at dps digits: the root of (1 + rho) a e^a E1(a) = rho by
     mpmath's bracketing Anderson-Bjorck solver, then the objective there."""
-    with mpmath.workdps(30):
+    with mpmath.workdps(dps):
         rho = mpmath.mpf(rho)
 
         def excess(a):
@@ -284,9 +284,24 @@ class TestDaubechiesSolve:
 
     @pytest.mark.parametrize("k", [1e-20, 1e-100, 1e-300])
     def test_huge_ratio_is_one_to_rounding(self, k):
-        # 1 - B is about ln(rho) / rho here, far below the eps ln(rho)
-        # rounding of the exponent
-        assert C.daubechies_factor(1, k) == pytest.approx(1.0, abs=1e-12)
+        # 1 - B is about ln(rho) / rho here, below an ulp of 1
+        b = C.daubechies_factor(1, k)
+        assert b == pytest.approx(1.0, abs=1e-12)
+        assert b <= 1.0
+
+    @pytest.mark.parametrize("rho", [1e3, 1e4, 3.7e6, 1e8, 1e12, 1e15, 5e15, 1e20, 1e50])
+    def test_large_ratio_within_an_ulp(self, rho):
+        # lgamma(rho) and rho ln a cancel to ~1/(2 rho) of their size, so
+        # the reference carries log10(rho) more digits
+        ref = _mpmath_daubechies(rho, dps=40 + int(math.log10(rho)))
+        assert abs(C._daubechies_ratio(rho) - ref) <= math.ulp(ref)
+
+    def test_large_ratio_at_most_one_and_non_decreasing(self):
+        # uncached, so that the 20000 ratios do not stay in the memo
+        ratio = C._daubechies_ratio.__wrapped__
+        values = [ratio(rho) for rho in np.geomspace(1e4, 1e300, 20000).tolist()]
+        assert all(0.0 < b <= 1.0 for b in values)
+        assert all(b0 <= b1 for b0, b1 in zip(values, values[1:]))
 
     def test_non_decreasing_in_rho(self):
         rng = random.Random(19260527)

@@ -10,6 +10,7 @@ from uncrel import densities as D
 from uncrel import functionals as F
 from uncrel.constants import SystemConfig
 from uncrel.errors import ConvergenceError, DivergenceError, DomainError
+from uncrel.mathcore import quad_halfline
 
 PI = math.pi
 
@@ -54,6 +55,19 @@ class TestRadialMoment:
         # the momentum density decays like p^-8: order 5 diverges
         with pytest.raises(DivergenceError):
             F.radial_moment(mom, 5.0)
+
+
+def test_halfline_tail_cut_follows_the_density(monkeypatch):
+    pos = D.gaussian_pair(3, 2.0).position
+    cuts = []
+
+    def capturing(f, spec=None, tail_cut=30.0):
+        cuts.append(tail_cut)
+        return quad_halfline(f, spec, tail_cut)
+
+    monkeypatch.setattr(F, "quad_halfline", capturing)
+    F.radial_moment(pos, 0.5)
+    assert cuts == [5.0 * pos.support_hint]
 
 
 class TestEntropicMoment:

@@ -107,6 +107,11 @@ class TestIntegrateHalfline:
         with pytest.raises(DomainError):
             QuadratureSpec(max_refinements=0)
 
+    @pytest.mark.parametrize("cut", [0.0, -1.0, math.nan, math.inf, True])
+    def test_tail_cut_validation(self, cut):
+        with pytest.raises(DomainError, match="tail_cut"):
+            quad_halfline(lambda r: np.exp(-r), tail_cut=cut)
+
     @settings(max_examples=25, deadline=None)
     @given(a=st.floats(-10, 10, allow_nan=False), b=st.floats(-10, 10, allow_nan=False))
     def test_linearity(self, a, b):
@@ -152,11 +157,11 @@ GOLDEN_INTEGRALS = {
     "halfline_bump20": lambda: quad_halfline(lambda r: np.exp(-((r - 20.0) / 0.01) ** 2)),
     "halfline_power_tail": lambda: quad_halfline(lambda r: (1.0 + r) ** -1.1),
     "halfline_cut_tight": lambda: quad_halfline(lambda r: r ** 3 * np.exp(-0.5 * r * r),
-                                                QuadratureSpec(rel_tol=1e-13, tail_cut=3.0)),
+                                                QuadratureSpec(rel_tol=1e-13), tail_cut=3.0),
     "halfline_power_tail3": lambda: quad_halfline(lambda r: r * r / (1.0 + r) ** 4.5),
     "halfline_osc_tail": lambda: quad_halfline(lambda r: np.exp(-0.2 * r) * (2.0 + np.cos(10.0 * r))),
     "halfline_peak_past_cut": lambda: quad_halfline(
-        lambda r: np.exp(-r / 10.0) / (1e-4 + (r - 47.0) ** 2), QuadratureSpec(tail_cut=8.0)),
+        lambda r: np.exp(-r / 10.0) / (1e-4 + (r - 47.0) ** 2), tail_cut=8.0),
     "halfline_kink": lambda: quad_halfline(lambda r: np.exp(-np.abs(r - 3.3)) * (1.0 + r)),
     "narrow_gauss_points": lambda: quad_finite(lambda r: np.exp(-1e6 * (r - 0.123) ** 2), 0.0, 1.0,
                                                points=[0.123]),
@@ -233,10 +238,10 @@ class TestEndGrading:
     def test_fractional_moment_at_the_origin(self, monkeypatch):
         g_calls = []
 
-        def counting(f, spec=None):
+        def counting(f, spec=None, tail_cut=30.0):
             g, calls = self.counted(f)
             g_calls.append(calls)
-            return quad_halfline(g, spec)
+            return quad_halfline(g, spec, tail_cut)
 
         monkeypatch.setattr(functionals, "quad_halfline", counting)
         mv = functionals.radial_moment(densities.gaussian_pair(1, 1.0).position, -0.5)
