@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .densities import RadialDensity
-from .errors import DivergenceError, DomainError, FormatError, NonFiniteError
+from .errors import DivergenceError, DomainError, FormatError
 from .mathcore import DEFAULT_QUADRATURE, QuadratureSpec, gauss_cells, omega, quad_finite, quad_halfline
 
 __all__ = ["MomentValue", "radial_moment", "entropic_moment", "fisher_information", "variance"]
@@ -56,10 +56,20 @@ class MomentValue:
 _MEMO: "weakref.WeakKeyDictionary[RadialDensity, dict]" = weakref.WeakKeyDictionary()
 
 
-def _memoized(dens: RadialDensity, key, compute):
+def _quadrature(dens: RadialDensity, key: tuple, order: float, integrand,
+                spec: QuadratureSpec | None, excluded=None) -> MomentValue:
+    """Omega_d int integrand(r) dr over the density, memoized per density
+    object under `key` and the spec.  `excluded(r)`, when given, is
+    integrated the same way and its total added to the error estimate."""
     table = _MEMO.setdefault(dens, {})
+    key = (*key, spec or DEFAULT_QUADRATURE)
     if key not in table:
-        table[key] = compute()
+        value, err = _integrate(dens, integrand, spec)
+        scale = omega(dens.d)
+        err = scale * err
+        if excluded is not None:
+            err += scale * _integrate(dens, excluded, spec)[0]
+        table[key] = MomentValue(order, scale * value, "quadrature", err)
     return table[key]
 
 
@@ -104,15 +114,11 @@ def radial_moment(dens: RadialDensity, alpha: float,
     w = alpha + dens.d - 1.0
     f = dens.rho
 
-    def compute():
-        def integrand(r):
-            v = f(r)
-            return v * _weight(r, w, v != 0)
+    def integrand(r):
+        v = f(r)
+        return v * _weight(r, w, v != 0)
 
-        value, err = _integrate(dens, integrand, spec)
-        return MomentValue(alpha, omega(dens.d) * value, "quadrature", omega(dens.d) * err)
-
-    return _memoized(dens, ("moment", alpha, spec or DEFAULT_QUADRATURE), compute)
+    return _quadrature(dens, ("moment", alpha), alpha, integrand, spec)
 
 
 def entropic_moment(dens: RadialDensity, m: float,
@@ -131,29 +137,17 @@ def entropic_moment(dens: RadialDensity, m: float,
     w = dens.d - 1.0
     f = dens.rho
 
-    def compute():
-        def integrand(r):
-            v = f(r)
-            if np.any(np.asarray(v) < 0):
-                raise FormatError(f"density is negative near r = {r!r}")
-            # a subnormal density value has lost significant bits, and
-            # rho^m with m < 1 magnifies that loss: read it as an
-            # underflowed zero, past which the half-line tail is extrapolated
-            v = np.where(v < _TINY, 0.0, v)
-            return np.power(v, m) * _weight(r, w, v != 0)
+    def integrand(r):
+        v = f(r)
+        if np.any(np.asarray(v) < 0):
+            raise FormatError(f"density is negative near r = {r!r}")
+        # a subnormal density value has lost significant bits, and
+        # rho^m with m < 1 magnifies that loss: read it as an
+        # underflowed zero, past which the half-line tail is extrapolated
+        v = np.where(v < _TINY, 0.0, v)
+        return np.power(v, m) * _weight(r, w, v != 0)
 
-        value, err = _integrate(dens, integrand, spec)
-        return MomentValue(m, omega(dens.d) * value, "quadrature", omega(dens.d) * err)
-
-    return _memoized(dens, ("entropic", m, spec or DEFAULT_QUADRATURE), compute)
-
-
-def _peak(dens: RadialDensity) -> float:
-    if dens.support is not None:
-        grid = np.linspace(dens.support[0], dens.support[1], 513)
-    else:
-        grid = np.linspace(0.0, 8.0 * dens.support_hint, 513)
-    return float(np.max(dens.rho(grid)))
+    return _quadrature(dens, ("entropic", m), m, integrand, spec)
 
 
 def fisher_information(dens: RadialDensity,
@@ -161,46 +155,31 @@ def fisher_information(dens: RadialDensity,
     """Shift-invariant Fisher information, radial reduction:
     I = Omega_d int rho'(r)^2 / rho(r) r^(d-1) dr.
 
-    Regions where the density falls below a floor relative to its peak
-    are excluded from the integrand (the interpolant of a tabulated
-    density may touch zero).  For a tabulated density the error estimate
-    is the rule error of the integral over its knot cells plus the mass
-    excluded that way.
+    Where the density is zero the integrand is zero.  The interpolant of
+    a tabulated density may touch zero, so there the integrand also
+    leaves out where it falls to 1e-12 of its peak, which PCHIP takes at
+    a knot; the error estimate is then the rule error of the integral
+    over its knot cells plus the mass left out that way.
     """
-    tabulated = dens.knots is not None
     w = dens.d - 1.0
     f, df = dens.rho, dens.drho
+    floor = 0.0 if dens.knots is None else 1e-12 * float(np.max(f(dens.knots)))
 
-    def compute():
-        peak = _peak(dens)
-        if not math.isfinite(peak):
-            raise NonFiniteError("density is not finite on the probe grid")
-        if peak <= 0:
-            raise DomainError("density is identically zero on the probe grid")
-        floor = (1e-12 if tabulated else 1e-300) * peak
+    def integrand(r):
+        v = np.asarray(f(r), dtype=float)
+        g = np.asarray(df(r), dtype=float)
+        safe = ~(v <= floor)  # a NaN value goes through, to be rejected
+        out = np.zeros_like(v)
+        np.divide(g * g, v, out=out, where=safe)
+        return out * _weight(r, w, safe)
 
-        def integrand(r):
+    excluded = None
+    if dens.knots is not None:
+        def excluded(r):
             v = np.asarray(f(r), dtype=float)
-            g = np.asarray(df(r), dtype=float)
-            safe = v > floor
-            out = np.zeros_like(v)
-            np.divide(g * g, v, out=out, where=safe)
-            return out * _weight(r, w, safe)
+            return np.where(v <= floor, v, 0.0) * np.power(r, w)
 
-        value, err = _integrate(dens, integrand, spec)
-
-        excluded = 0.0
-        if tabulated:
-            # mass sitting below the floor, reported as a correction estimate
-            def excluded_mass(r):
-                v = np.asarray(f(r), dtype=float)
-                return np.where(v <= floor, v, 0.0) * np.power(r, w)
-
-            excluded = omega(dens.d) * gauss_cells(excluded_mass, dens.knots, spec)[0]
-        return MomentValue(2.0, omega(dens.d) * value, "quadrature",
-                           omega(dens.d) * err + excluded)
-
-    return _memoized(dens, ("fisher", spec or DEFAULT_QUADRATURE), compute)
+    return _quadrature(dens, ("fisher",), 2.0, integrand, spec, excluded)
 
 
 def variance(dens: RadialDensity, spec: QuadratureSpec | None = None) -> float:
