@@ -160,7 +160,7 @@ def cmd_table2(args, spec: QuadratureSpec) -> ReportDocument:
     for alpha in (1, 2, 3, 4):
         for k in (1, 2, 3, 4):
             coeff = constants.heisenberg_rhs(3, float(alpha), float(k), N=1.0, q=2)
-            ref, exp_printed, note = TABLE2_REFERENCE[(alpha, k)]
+            ref, _, note = TABLE2_REFERENCE[(alpha, k)]
             exponent = constants.heisenberg_exponent(3, float(alpha), float(k))
             rows.append({"alpha": alpha, "k": k, "coefficient": coeff,
                          "closed_form": ref,
@@ -340,9 +340,9 @@ def cmd_sweep(args, spec: QuadratureSpec) -> ReportDocument:
 
 def cmd_oracle(args, spec: QuadratureSpec) -> ReportDocument:
     if args.mode == "F":
-        res = varoracle.extremal_F(args.d, args.alpha, args.k)
+        res = varoracle.extremal_F(args.d, args.alpha, args.k, spec)
     elif args.mode == "G":
-        res = varoracle.extremal_G(args.d, args.alpha, args.k)
+        res = varoracle.extremal_G(args.d, args.alpha, args.k, spec)
     else:
         raise FormatError(f"oracle mode must be F or G, got {args.mode!r}")
     rows = [{"mode": args.mode, "d": res.d, "alpha": res.alpha, "k": res.k,
@@ -356,8 +356,9 @@ def cmd_oracle(args, spec: QuadratureSpec) -> ReportDocument:
 def cmd_export(args, spec: QuadratureSpec) -> ReportDocument:
     state, cfg, held = build_state(args)
     dens, space = _select_space(state, held, args.space)
-    rmax = args.rmax if args.rmax is not None else 3.0 * dens.support_hint
-    grid = np.linspace(0.0, rmax, args.points)
+    # without --rmax: the whole support of a table, else three decay scales
+    end = dens.support[1] if dens.support is not None else 3.0 * dens.support_hint
+    grid = np.linspace(0.0, end if args.rmax is None else args.rmax, args.points)
     vals = dens.rho(grid)
     rows = [{"r": float(r), "rho": float(v)} for r, v in zip(grid, vals)]
     return ReportDocument({"d": dens.d, "N": dens.N, "space": space},

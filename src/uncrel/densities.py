@@ -9,6 +9,7 @@ callables accept scalars or numpy arrays.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -36,6 +37,15 @@ __all__ = [
 # relative deviation of a table's measured normalization from its declared N
 # beyond which load_tabulated warns
 _TABLE_NORM_TOL = 0.01
+_LOG_RANGE = 708.0  # |ln x| below this: x is a finite normal float, with room for rounding
+
+
+def _check_range(what: str, *products: tuple[float, ...]) -> None:
+    """DomainError unless every factor of each product, and each running
+    product taken left to right, is a finite normal float.  A product is
+    given by the natural logs of its factors, a divisor by minus its log."""
+    if not all(abs(x) < _LOG_RANGE for p in products for x in (*p, *itertools.accumulate(p))):
+        raise DomainError(f"{what}: its closed forms leave the double-precision range")
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,6 +103,11 @@ class DensityPair:
 
 
 def _gaussian_radial(d: int, sigma2: float, N: float, label: str) -> RadialDensity:
+    orders = [a for a in (-2, -1, 0, 1, 2, 3, 4) if a > -d]
+    log_n, log_pow = math.log(N), -d / 2.0 * math.log(2.0 * math.pi * sigma2)
+    _check_range(label, (log_n, log_pow), (-0.5 * math.log(sigma2), log_n + log_pow),
+                 *((log_n, a / 2.0 * math.log(2.0 * sigma2), math.lgamma((a + d) / 2.0),
+                    -math.lgamma(d / 2.0)) for a in orders))
     norm = N * (2.0 * math.pi * sigma2) ** (-d / 2.0)
 
     def rho(r):
@@ -107,7 +122,7 @@ def _gaussian_radial(d: int, sigma2: float, N: float, label: str) -> RadialDensi
     moments = {
         float(a): N * (2.0 * sigma2) ** (a / 2.0)
         * math.gamma((a + d) / 2.0) / math.gamma(d / 2.0)
-        for a in (-2, -1, 0, 1, 2, 3, 4) if a > -d
+        for a in orders
     }
     return RadialDensity(d=d, N=N, rho=rho, drho=drho, analytic_moments=moments,
                          support_hint=4.0 * math.sqrt(sigma2), label=label)
@@ -122,6 +137,8 @@ def gaussian_pair(d: int, a: float, N: float = 1.0) -> DensityPair:
     check_integer("dimension", d)
     check_positive("length scale", a)
     check_positive("particle count", N)
+    # a^2 and 8 pi a^2 normal: so are sigma^2, 2 sigma^2 and 2 pi sigma^2 of both sides
+    _check_range(f"gaussian(d={d},a={a})", (2.0 * math.log(a), math.log(8.0 * math.pi)))
     pos = _gaussian_radial(d, a * a, N, label=f"gaussian(d={d},a={a})")
     mom = _gaussian_radial(d, 1.0 / (4.0 * a * a), N, label=f"gaussian-mom(d={d},a={a})")
     return DensityPair(pos, mom, real_wavefunction=True, label=f"gaussian(d={d},a={a},N={N})")
@@ -131,6 +148,8 @@ def hydrogenic_pair(Z: float) -> DensityPair:
     """Ground-state hydrogenic densities (d = 3, N = 1): position
     (Z^3/pi) e^(-2 Z r), momentum (8 Z^5 / pi^2) (Z^2 + p^2)^-4."""
     check_positive("charge", Z)
+    # the widest intermediate below: (Z^2 + p^2)^5, Z^10 to 32 Z^10 for p <= Z
+    _check_range(f"hydrogenic(Z={Z})", (10.0 * math.log(Z), 5.0 * math.log(2.0)))
 
     cpos = Z ** 3 / math.pi
 
@@ -175,6 +194,13 @@ def exponential_radial(d: int, lam: float, N: float = 1.0) -> RadialDensity:
     check_integer("dimension", d)
     check_positive("decay rate", lam)
     check_positive("particle count", N)
+    orders = [a for a in (-2, -1, 0, 1, 2, 3, 4) if a > -d]
+    log_n, log_lam, log_gd = math.log(N), math.log(lam), math.lgamma(d)
+    log_den = math.log(2.0) + d / 2.0 * math.log(math.pi) - math.lgamma(d / 2.0) + log_gd
+    _check_range(f"exponential(d={d},lam={lam})", (log_den - log_gd, log_gd),
+                 (log_n, d * log_lam, -log_den), (log_lam, log_n + d * log_lam - log_den),
+                 *((log_n, math.lgamma(d + a), -(a * log_lam + log_gd)) for a in orders),
+                 *((a * log_lam, log_gd) for a in orders))
     c = N * lam ** d / (omega(d) * math.gamma(d))
 
     def rho(r):
@@ -185,8 +211,7 @@ def exponential_radial(d: int, lam: float, N: float = 1.0) -> RadialDensity:
         r = np.asarray(r, dtype=float)
         return -lam * c * np.exp(-lam * r)
 
-    moments = {float(a): N * math.gamma(d + a) / (lam ** a * math.gamma(d))
-               for a in (-2, -1, 0, 1, 2, 3, 4) if a > -d}
+    moments = {float(a): N * math.gamma(d + a) / (lam ** a * math.gamma(d)) for a in orders}
     return RadialDensity(d=d, N=N, rho=rho, drho=drho, analytic_moments=moments,
                          support_hint=8.0 / lam, label=f"exponential(d={d},lam={lam})")
 

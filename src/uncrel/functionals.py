@@ -66,10 +66,8 @@ def _quadrature(dens: RadialDensity, key: tuple, order: float, integrand,
     if key not in table:
         value, err = _integrate(dens, integrand, spec)
         scale = omega(dens.d)
-        err = scale * err
-        if excluded is not None:
-            err += scale * _integrate(dens, excluded, spec)[0]
-        table[key] = MomentValue(order, scale * value, "quadrature", err)
+        extra = 0.0 if excluded is None else scale * _integrate(dens, excluded, spec)[0]
+        table[key] = MomentValue(order, scale * value, "quadrature", scale * err + extra)
     return table[key]
 
 
@@ -85,11 +83,14 @@ def _integrate(dens: RadialDensity, integrand, spec: QuadratureSpec | None) -> t
     return quad_halfline(integrand, spec, _TAIL_FACTOR * dens.support_hint)
 
 
-def _weight(r, w: float, where) -> np.ndarray:
-    """r^w where `where` holds and 0 elsewhere.  Far out on the tail
-    ladder r^w overflows at high d while the density has underflowed to
-    0, and 0 * inf would be NaN."""
-    return np.power(r, w, out=np.zeros(np.shape(where)), where=where)
+def _weighted(x, r, w: float) -> np.ndarray:
+    """x r^w, and 0 where x is 0: far out on the tail ladder r^w overflows
+    at high d while x has underflowed to 0, and 0 * inf would be NaN.
+    Elsewhere an overflow stays inf, for the quadrature to reject."""
+    out = np.zeros(np.shape(x))
+    with np.errstate(over="ignore"):
+        np.power(r, w, out=out, where=x != 0)
+        return x * out
 
 
 def radial_moment(dens: RadialDensity, alpha: float,
@@ -112,13 +113,8 @@ def radial_moment(dens: RadialDensity, alpha: float,
             f"<r^{alpha}> diverges: tail decay exponent ~{s:.3g} cannot pay for "
             f"order {alpha} in d = {dens.d}")
     w = alpha + dens.d - 1.0
-    f = dens.rho
-
-    def integrand(r):
-        v = f(r)
-        return v * _weight(r, w, v != 0)
-
-    return _quadrature(dens, ("moment", alpha), alpha, integrand, spec)
+    return _quadrature(dens, ("moment", alpha), alpha,
+                       lambda r: _weighted(dens.rho(r), r, w), spec)
 
 
 def entropic_moment(dens: RadialDensity, m: float,
@@ -135,17 +131,16 @@ def entropic_moment(dens: RadialDensity, m: float,
             f"W_{m} diverges: tail decay exponent ~{s:.3g} is too slow for "
             f"m = {m} in d = {dens.d}")
     w = dens.d - 1.0
-    f = dens.rho
 
     def integrand(r):
-        v = f(r)
+        v = dens.rho(r)
         if np.any(np.asarray(v) < 0):
             raise FormatError(f"density is negative near r = {r!r}")
         # a subnormal density value has lost significant bits, and
         # rho^m with m < 1 magnifies that loss: read it as an
         # underflowed zero, past which the half-line tail is extrapolated
         v = np.where(v < _TINY, 0.0, v)
-        return np.power(v, m) * _weight(r, w, v != 0)
+        return _weighted(np.power(v, m), r, w)
 
     return _quadrature(dens, ("entropic", m), m, integrand, spec)
 
@@ -155,11 +150,10 @@ def fisher_information(dens: RadialDensity,
     """Shift-invariant Fisher information, radial reduction:
     I = Omega_d int rho'(r)^2 / rho(r) r^(d-1) dr.
 
-    Where the density is zero the integrand is zero.  The interpolant of
-    a tabulated density may touch zero, so there the integrand also
-    leaves out where it falls to 1e-12 of its peak, which PCHIP takes at
-    a knot; the error estimate is then the rule error of the integral
-    over its knot cells plus the mass left out that way.
+    The integrand is 0 where the density is.  The interpolant of a
+    tabulated density may touch zero, so there it is also 0 where the
+    density is at most 1e-12 of its peak (PCHIP peaks at a knot), and the
+    mass left out that way is added to the error estimate.
     """
     w = dens.d - 1.0
     f, df = dens.rho, dens.drho
@@ -168,18 +162,17 @@ def fisher_information(dens: RadialDensity,
     def integrand(r):
         v = np.asarray(f(r), dtype=float)
         g = np.asarray(df(r), dtype=float)
-        safe = ~(v <= floor)  # a NaN value goes through, to be rejected
-        out = np.zeros_like(v)
-        np.divide(g * g, v, out=out, where=safe)
-        return out * _weight(r, w, safe)
+        safe = ~(v <= floor)  # a NaN value passes, for the quadrature to reject
+        # (g / v) g, not g^2 / v: g^2 leaves the float range at extreme scales
+        ratio = np.divide(g, v, out=np.zeros_like(v), where=safe)
+        return _weighted(np.multiply(ratio, g, out=ratio, where=safe), r, w)
 
-    excluded = None
-    if dens.knots is not None:
-        def excluded(r):
-            v = np.asarray(f(r), dtype=float)
-            return np.where(v <= floor, v, 0.0) * np.power(r, w)
+    def excluded(r):
+        v = np.asarray(f(r), dtype=float)
+        return np.where(v <= floor, v, 0.0) * np.power(r, w)
 
-    return _quadrature(dens, ("fisher",), 2.0, integrand, spec, excluded)
+    return _quadrature(dens, ("fisher",), 2.0, integrand, spec,
+                       None if dens.knots is None else excluded)
 
 
 def variance(dens: RadialDensity, spec: QuadratureSpec | None = None) -> float:

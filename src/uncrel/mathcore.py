@@ -43,7 +43,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import (BracketError, ConvergenceError, DomainError, FormatError, NonFiniteError,
-                     check_positive)
+                     check_finite, check_integer, check_positive)
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
 
@@ -78,12 +78,11 @@ class QuadratureSpec:
     max_refinements: int = 200
 
     def __post_init__(self):
-        if not self.rel_tol > 0:
-            raise DomainError("rel_tol must be positive")
+        check_positive("rel_tol", self.rel_tol)
+        check_finite("abs_tol", self.abs_tol)
         if self.abs_tol < 0:
-            raise DomainError("abs_tol must be non-negative")
-        if self.max_refinements < 1:
-            raise DomainError("max_refinements must be at least 1")
+            raise DomainError(f"abs_tol must be non-negative, got {self.abs_tol}")
+        check_integer("max_refinements", self.max_refinements)
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()

@@ -27,7 +27,7 @@ from . import constants
 from .densities import RadialDensity
 from .errors import DomainError, check_finite, check_integer, check_positive
 from .functionals import entropic_moment
-from .mathcore import beta, omega
+from .mathcore import QuadratureSpec, beta, omega
 
 __all__ = ["ExtremalConstant", "minimizer_density", "maximizer_density",
            "extremal_F", "extremal_G"]
@@ -140,21 +140,23 @@ def maximizer_density(d: int, alpha: float, k: float,
                          label=f"extremal-max(d={d},alpha={alpha},k={k})")
 
 
-def extremal_F(d: int, alpha: float, k: float) -> ExtremalConstant:
+def extremal_F(d: int, alpha: float, k: float,
+               spec: QuadratureSpec | None = None) -> ExtremalConstant:
     """Numeric variational coefficient of the entropic-moment lower bound
     (k > 0), read off the reconstructed minimizer at reference constraints
     N = 1, <r^alpha> = 1, compared against the closed form."""
     dens = minimizer_density(d, alpha, k, N=1.0, r_alpha=1.0)
-    numeric = entropic_moment(dens, 1.0 + k / d).value
+    numeric = entropic_moment(dens, 1.0 + k / d, spec).value
     closed = constants.entropic_lower_coeff(d, alpha, k)
     return ExtremalConstant(d, alpha, k, numeric, closed, abs(numeric - closed) / abs(closed))
 
 
-def extremal_G(d: int, alpha: float, k: float) -> ExtremalConstant:
+def extremal_G(d: int, alpha: float, k: float,
+               spec: QuadratureSpec | None = None) -> ExtremalConstant:
     """Numeric variational coefficient of the entropic-moment upper bound
     (-d < k < 0), read off the reconstructed maximizer at reference
     constraints N = 1, <r^alpha> = 1, compared against the closed form."""
     dens = maximizer_density(d, alpha, k, N=1.0, r_alpha=1.0)
-    numeric = entropic_moment(dens, 1.0 + k / d).value
+    numeric = entropic_moment(dens, 1.0 + k / d, spec).value
     closed = constants.entropic_upper_coeff_closed(d, alpha, k)
     return ExtremalConstant(d, alpha, k, numeric, closed, abs(numeric - closed) / abs(closed))

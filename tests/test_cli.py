@@ -2,11 +2,14 @@ import csv
 import io
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
+from uncrel import cli, varoracle
 from uncrel.cli import main
 from uncrel.inequalities import InequalityId
+from uncrel.mathcore import QuadratureSpec
 
 PI = math.pi
 
@@ -53,6 +56,15 @@ class TestTable2:
         assert float(cells[(4, 2)]["N_exponent"]) == pytest.approx(13.0 / 6.0)
         assert "13/16" in cells[(4, 2)]["note"]
         assert all(float(r["rel_diff"]) < 1e-10 for r in rows)
+
+    def test_exponents_match_the_reference_fractions(self):
+        # the reference strings are coded independently of constants, one
+        # of them (13/6) a correction of the published table
+        rows = cli.cmd_table2(None, QuadratureSpec()).rows
+        assert len(rows) == len(cli.TABLE2_REFERENCE) == 16
+        for row in rows:
+            expected = float(Fraction(cli.TABLE2_REFERENCE[(row["alpha"], row["k"])][1]))
+            assert abs(row["N_exponent"] - expected) <= 4 * math.ulp(expected)
 
 
 class TestCheck:
@@ -124,6 +136,28 @@ class TestErrors:
         code, _, _ = run_cli(capsys, "check", "--ineq", "negative_order",
                              "--model", "hydrogenic", "--alpha", "1", "--k", "-1")
         assert code == 3
+
+    def test_infinite_tol_exit(self, capsys):
+        code, _, err = run_cli(capsys, "table1", "--tol", "inf")
+        assert code == 3
+        assert "rel_tol" in err
+
+    def test_unrepresentable_model_exit(self, capsys):
+        # its normalization overflows: a typed error, not a traceback
+        code, _, err = run_cli(capsys, "moments", "--model", "exponential", "--d", "200")
+        assert code == 3
+        assert err.startswith("error[DomainError]")
+
+
+class TestExtremeScale:
+    def test_wide_gaussian_cramer_rao_is_saturated(self, capsys):
+        # I <r^2>/N = d^2 exactly; I used to underflow to 0 and read "violated"
+        code, out, _ = run_cli(capsys, "check", "--ineq", "cramer_rao", "--model", "gaussian",
+                               "--d", "30", "--a", "1e6", "--format", "json")
+        assert code == 0
+        row = json.loads(out)["rows"][0]
+        assert row["status"] == "satisfied"
+        assert row["ratio"] == "1"
 
 
 class TestDeterminism:
@@ -231,6 +265,32 @@ class TestRoundTrip:
         code, _, err = run_cli(capsys, "moments", "--file", str(table))
         assert code == 2
         assert "space must be position or momentum, got 'spin'" in err
+
+    def test_export_of_a_table_reaches_its_last_row(self, capsys, tmp_path):
+        table, again = tmp_path / "pos.csv", tmp_path / "again.csv"
+        code, _, _ = run_cli(capsys, "export", "--model", "hydrogenic", "--Z", "1",
+                             "--points", "400", "--rmax", "12", "--out", str(table))
+        assert code == 0
+        code, _, _ = run_cli(capsys, "export", "--file", str(table), "--out", str(again))
+        assert code == 0
+        last = [parse_csv(path.read_text())[-1]["r"] for path in (table, again)]
+        assert float(last[1]) == float(last[0]) == 12.0
+
+    def test_oracle_tol_reaches_the_quadrature(self, capsys, monkeypatch):
+        seen = []
+
+        def spy(dens, m, spec=None):
+            seen.append(spec)
+            return entropic_moment(dens, m, spec)
+
+        entropic_moment = varoracle.entropic_moment
+        monkeypatch.setattr(varoracle, "entropic_moment", spy)
+        for mode, alpha, k in (("F", "2", "2"), ("G", "3", "-1")):
+            code, out, _ = run_cli(capsys, "oracle", "--mode", mode, "--d", "3",
+                                   "--alpha", alpha, f"--k={k}", "--tol", "1e-6")
+            assert code == 0
+            assert "# rel_tol=1e-06" in out
+        assert [spec.rel_tol for spec in seen] == [1e-6, 1e-6]
 
     def test_oracle_g_mode(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "--mode", "G", "--d", "3",

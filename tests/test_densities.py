@@ -43,6 +43,27 @@ def test_bad_scalar_rejected_at_construction(build):
         build()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: D.gaussian_pair(53, 1e6),
+    lambda: D.gaussian_pair(56, 1e-6),
+    lambda: D.gaussian_pair(3, 1e-160),
+    lambda: D.gaussian_pair(3, 1e160),
+    lambda: D.exponential_radial(200, 1.0),
+    lambda: D.exponential_radial(60, 1e6),
+    lambda: D.exponential_radial(1, 1e-320),
+    lambda: D.hydrogenic_pair(1e62),
+    lambda: D.hydrogenic_pair(1e-110),
+], ids=["gaussian-d53-wide", "gaussian-d56-narrow", "gaussian-a-underflow",
+        "gaussian-a-overflow", "exponential-d200", "exponential-d60-fast",
+        "exponential-subnormal-lam", "hydrogenic-huge-Z", "hydrogenic-tiny-Z"])
+def test_unrepresentable_state_rejected_at_construction(build):
+    """States whose normalization, derivative or closed-form moments are
+    no finite normal float raise DomainError, not OverflowError or
+    ZeroDivisionError, and never come back holding 0 or inf."""
+    with pytest.raises(DomainError, match="double-precision range"):
+        build()
+
+
 class TestGaussianPair:
     def test_second_moments(self):
         pair = D.gaussian_pair(3, 1.0, 1.0)

@@ -9,7 +9,8 @@ import scipy.interpolate
 from uncrel import densities as D
 from uncrel import functionals as F
 from uncrel.constants import SystemConfig
-from uncrel.errors import ConvergenceError, DivergenceError, DomainError
+from uncrel.errors import (ConvergenceError, DivergenceError, DomainError, NonFiniteError,
+                           UncrelError)
 from uncrel.mathcore import quad_halfline
 
 PI = math.pi
@@ -157,6 +158,20 @@ class TestFisherInformation:
         assert F.fisher_information(dens) is first
         assert len(calls) <= 64
 
+    def test_zero_density_has_zero_information(self):
+        dens = D.RadialDensity(d=3, N=1.0, rho=lambda r: np.zeros(np.shape(r)),
+                               drho=lambda r: np.zeros(np.shape(r)))
+        assert F.fisher_information(dens).value == 0.0
+        assert F.radial_moment(dens, 1.0).value == 0.0
+
+    def test_nan_density_is_rejected(self):
+        # a NaN value is not below the floor: it reaches the quadrature,
+        # which rejects it wherever it sits
+        pos = D.gaussian_pair(3, 1.0).position
+        dens = dataclasses.replace(pos, rho=lambda r: np.where(r > 2.0, np.nan, pos.rho(r)))
+        with pytest.raises(NonFiniteError):
+            F.fisher_information(dens)
+
 class TestVariance:
     def test_values(self):
         assert F.variance(D.gaussian_pair(3, 1.0, 1.0).position) == pytest.approx(3.0, rel=1e-12)
@@ -206,6 +221,32 @@ class TestHighDimension:
         for mv, exact in cases:
             assert mv.method == "quadrature"
             assert abs(mv.value - exact) <= mv.est_error
+
+
+class TestExtremeScales:
+    """Gaussians from d = 1 to 100 and a = 1e-6 to 1e6: each side gives
+    its Fisher information d / a^2 (position) or 4 d a^2 (momentum) or
+    raises a typed error.  The integrand is g^2 / rho formed as
+    (g / rho) g, since g^2 alone underflows at wide scales and overflows
+    at narrow ones; states beyond the double range are rejected at
+    construction."""
+
+    @pytest.mark.parametrize("side", ["position", "momentum"])
+    @pytest.mark.parametrize("a", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 10, 20, 23, 24, 25, 30, 40, 50, 53, 56,
+                                   60, 80, 100])
+    def test_gaussian_fisher_is_right_or_typed(self, d, a, side):
+        exact = d / a ** 2 if side == "position" else 4.0 * d * a ** 2
+        try:
+            mv = F.fisher_information(getattr(D.gaussian_pair(d, a), side))
+        except UncrelError:
+            return
+        assert abs(mv.value - exact) <= max(mv.est_error, 1e-9 * exact)
+
+    def test_wide_gaussian_does_not_underflow(self):
+        # g * g underflowed to 0 here, and the value came back 0 +- 0
+        mv = F.fisher_information(D.gaussian_pair(25, 1e6).position)
+        assert mv.value == pytest.approx(25e-12, rel=1e-12)
 
 
 def interpolant_moment(r, y, d, alpha):

@@ -102,10 +102,16 @@ class TestIntegrateHalfline:
             quad_halfline(bad)
 
     def test_spec_validation(self):
-        with pytest.raises(DomainError):
-            QuadratureSpec(rel_tol=0.0)
-        with pytest.raises(DomainError):
-            QuadratureSpec(max_refinements=0)
+        # constructing alone: a NaN abs_tol used to be accepted, and then
+        # no panel of a singular integrand was ever split
+        bad = [("rel_tol", 0.0), ("rel_tol", -1e-8), ("rel_tol", math.nan),
+               ("rel_tol", math.inf), ("rel_tol", True), ("abs_tol", -1e-14),
+               ("abs_tol", math.nan), ("abs_tol", math.inf), ("abs_tol", True),
+               ("max_refinements", 0), ("max_refinements", True), ("max_refinements", 2.5),
+               ("max_refinements", math.nan)]
+        for field, value in bad:
+            with pytest.raises(DomainError, match=field):
+                QuadratureSpec(**{field: value})
 
     @pytest.mark.parametrize("cut", [0.0, -1.0, math.nan, math.inf, True])
     def test_tail_cut_validation(self, cut):
