@@ -277,13 +277,12 @@ class TestRoundTrip:
         assert float(last[1]) == float(last[0]) == 12.0
 
     def test_oracle_tol_reaches_the_quadrature(self, capsys, monkeypatch):
-        seen = []
+        seen, entropic_moment = [], varoracle.entropic_moment
 
         def spy(dens, m, spec=None):
             seen.append(spec)
             return entropic_moment(dens, m, spec)
 
-        entropic_moment = varoracle.entropic_moment
         monkeypatch.setattr(varoracle, "entropic_moment", spy)
         for mode, alpha, k in (("F", "2", "2"), ("G", "3", "-1")):
             code, out, _ = run_cli(capsys, "oracle", "--mode", mode, "--d", "3",
