@@ -1,6 +1,7 @@
 """Command-line surface: reference-constant tables, functional evaluation,
 inequality checks, fleet sweeps, the variational oracle, and tabulated
-density file I/O.
+density file I/O.  The model states are the rows of `MODELS`: its keys are
+the `--model` choices, and each row names the flag that `sweep --n` steps.
 
 Exit codes: 0 success, 2 malformed input, 3 parameter outside a validity
 window, 4 numerical non-convergence.  A `moments` order or a `sweep`
@@ -149,8 +150,10 @@ def cmd_table1(args, spec: QuadratureSpec) -> ReportDocument:
         for d in (1, 2, 3, 4):
             val = constants.daubechies_factor(d, float(k))
             ref = TABLE1_REFERENCE[(d, k)]
+            # B carries ~1e-16 absolute error: print the difference to the
+            # 1e-12 it resolves, not to the ulps of B
             rows.append({"d": d, "k": k, "computed": val, "reference": ref,
-                         "abs_diff": abs(val - ref)})
+                         "abs_diff": round(abs(val - ref), 12)})
     return ReportDocument(_metadata(spec, table="daubechies_factor"),
                           ["d", "k", "computed", "reference", "abs_diff"], rows)
 
@@ -219,6 +222,18 @@ def _density_from_file(path: str, q: int):
     return load_tabulated(SystemConfig(d=d, N=n_decl, q=q), r, rho), space
 
 
+# --model name -> (builder of its state from the parsed flags, the flag that
+# `sweep --n` steps, None for a position-only model).  The builders name the
+# constructors when called, so that wrappers installed after import see them.
+MODELS = {
+    "ho1d": (lambda a: harmonic_fermions_1d(a.n, a.q), "n"),
+    "hydrogenic": (lambda a: hydrogenic_pair(float(a.Z)), "Z"),
+    "gaussian": (lambda a: gaussian_pair(a.d, a.a, float(a.count)), "count"),
+    "exponential": (lambda a: exponential_radial(a.d, a.lam, a.count), None),
+}
+_SWEPT = {name: flag for name, (_, flag) in MODELS.items() if flag is not None}
+
+
 def build_state(args):
     """Build the requested density or pair plus its SystemConfig and, for a
     single density, the space it lives in (None for a pair)."""
@@ -236,19 +251,12 @@ def build_state(args):
     if getattr(args, "file", None):
         dens, space = _density_from_file(args.file, q)
         return dens, SystemConfig(d=dens.d, N=dens.N, q=q), space
-    model = args.model
-    if model == "gaussian":
-        pair = gaussian_pair(args.d, args.a, args.count)
-    elif model == "hydrogenic":
-        pair = hydrogenic_pair(args.Z)
-    elif model == "exponential":
-        dens = exponential_radial(args.d, args.lam, args.count)
-        return dens, SystemConfig(d=dens.d, N=dens.N, q=q), "position"
-    elif model == "ho1d":
-        pair = harmonic_fermions_1d(args.n, q)
-    else:
-        raise FormatError(f"unknown model {model!r} and no input file given")
-    return pair, SystemConfig(d=pair.position.d, N=pair.position.N, q=q), None
+    if args.model not in MODELS:
+        raise FormatError(f"unknown model {args.model!r} and no input file given")
+    state = MODELS[args.model][0](args)
+    if isinstance(state, DensityPair):
+        return state, SystemConfig(d=state.position.d, N=state.position.N, q=q), None
+    return state, SystemConfig(d=state.d, N=state.N, q=q), "position"
 
 
 def _select_space(state, held: str | None, wanted: str | None):
@@ -256,7 +264,7 @@ def _select_space(state, held: str | None, wanted: str | None):
     the single density, whose space `held` a `wanted` space must match."""
     if isinstance(state, DensityPair):
         space = wanted or "position"
-        return (state.momentum if space == "momentum" else state.position), space
+        return getattr(state, space), space
     if wanted not in (None, held):
         raise DomainError(f"this input has no {wanted}-space density")
     return state, held
@@ -323,28 +331,18 @@ def _parse_range(text: str) -> list[int]:
 
 def cmd_sweep(args, spec: QuadratureSpec) -> ReportDocument:
     ineq = _resolve_ineq(args.ineq)
-    if args.model == "ho1d":
-        fleet = [harmonic_fermions_1d(n, args.q) for n in _parse_range(args.n_range)]
-    elif args.model == "hydrogenic":
-        fleet = [hydrogenic_pair(float(z)) for z in _parse_range(args.n_range)]
-    elif args.model == "gaussian":
-        fleet = [gaussian_pair(args.d, args.a, float(n)) for n in _parse_range(args.n_range)]
-    else:
-        raise FormatError(f"sweeps support models ho1d, hydrogenic, gaussian; "
-                          f"got {args.model!r}")
-    cfg = SystemConfig(d=fleet[0].position.d, N=fleet[0].position.N, q=args.q)
-    rows = [_report_row(r) for r in sweep(ineq, fleet, cfg, _ineq_params(args), spec=spec)]
+    if args.model not in _SWEPT:
+        raise FormatError(f"sweeps support models {', '.join(_SWEPT)}; got {args.model!r}")
+    flag = _SWEPT[args.model]
+    fleet, cfgs, _ = zip(*(build_state(argparse.Namespace(**{**vars(args), flag: n}))
+                           for n in _parse_range(args.n_range)))
+    rows = [_report_row(r) for r in sweep(ineq, fleet, cfgs[0], _ineq_params(args), spec=spec)]
     return ReportDocument(_metadata(spec, ineq=ineq.value, model=args.model),
                           _REPORT_FIELDS, rows)
 
 
 def cmd_oracle(args, spec: QuadratureSpec) -> ReportDocument:
-    if args.mode == "F":
-        res = varoracle.extremal_F(args.d, args.alpha, args.k, spec)
-    elif args.mode == "G":
-        res = varoracle.extremal_G(args.d, args.alpha, args.k, spec)
-    else:
-        raise FormatError(f"oracle mode must be F or G, got {args.mode!r}")
+    res = getattr(varoracle, f"extremal_{args.mode}")(args.d, args.alpha, args.k, spec)
     rows = [{"mode": args.mode, "d": res.d, "alpha": res.alpha, "k": res.k,
              "numeric": res.numeric_value,
              "closed_form": res.closed_form_value, "discrepancy": res.discrepancy}]
@@ -366,8 +364,7 @@ def cmd_export(args, spec: QuadratureSpec) -> ReportDocument:
 
 
 def _add_state_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", choices=["gaussian", "hydrogenic", "exponential", "ho1d"],
-                   help="analytic model state")
+    p.add_argument("--model", choices=MODELS, help="analytic model state")
     p.add_argument("--d", type=int, default=3, help="spatial dimension (model states)")
     p.add_argument("--a", type=float, default=1.0, help="gaussian length scale")
     p.add_argument("--Z", type=float, default=1.0, help="hydrogenic charge")
@@ -426,9 +423,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", parents=[common], help="evaluate one inequality across a model fleet")
     p.add_argument("--ineq", required=True, help=f"inequality: {_INEQ_NAMES}")
-    p.add_argument("--model", default="ho1d")
+    p.add_argument("--model", default="ho1d", help="model fleet: " + ", ".join(_SWEPT))
     p.add_argument("--n", dest="n_range", default="1..10",
-                   help="range like 1..20 or comma list (fermion number / charge)")
+                   help="range like 1..20 or comma list, stepping "
+                        + ", ".join(f"--{flag} of {name}" for name, flag in _SWEPT.items()))
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--a", type=float, default=1.0)
     p.add_argument("--q", type=int, default=2)

@@ -83,14 +83,22 @@ def _integrate(dens: RadialDensity, integrand, spec: QuadratureSpec | None) -> t
     return quad_halfline(integrand, spec, _TAIL_FACTOR * dens.support_hint)
 
 
-def _weighted(x, r, w: float) -> np.ndarray:
+def _weighted(x, r, w: float, split: bool = True) -> np.ndarray:
     """x r^w, and 0 where x is 0: far out on the tail ladder r^w overflows
     at high d while x has underflowed to 0, and 0 * inf would be NaN.
-    Elsewhere an overflow stays inf, for the quadrature to reject."""
+    Where r^w overflows and x > 0 the product may still be a float; with
+    `split` it is formed as (x r^(w/2)) r^(w/2), which a normal x keeps
+    finite if the product is.  An overflow left stays inf, for the
+    quadrature to reject."""
     out = np.zeros(np.shape(x))
     with np.errstate(over="ignore"):
         np.power(r, w, out=out, where=x != 0)
-        return x * out
+        prod = x * out
+        big = np.isinf(out) & (x > 0)
+        if split and big.any():
+            half = np.power(r[big], w / 2)
+            prod[big] = x[big] * half * half
+        return prod
 
 
 def radial_moment(dens: RadialDensity, alpha: float,
@@ -140,7 +148,9 @@ def entropic_moment(dens: RadialDensity, m: float,
         # rho^m with m < 1 magnifies that loss: read it as an
         # underflowed zero, past which the half-line tail is extrapolated
         v = np.where(v < _TINY, 0.0, v)
-        return _weighted(np.power(v, m), r, w)
+        # not split: where r^w overflows, those zeros can lie in the bulk,
+        # and the mass they hide would go uncounted
+        return _weighted(np.power(v, m), r, w, split=False)
 
     return _quadrature(dens, ("entropic", m), m, integrand, spec)
 

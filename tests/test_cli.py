@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -8,6 +9,7 @@ import pytest
 
 from uncrel import cli, varoracle
 from uncrel.cli import main
+from uncrel.densities import DensityPair
 from uncrel.inequalities import InequalityId
 from uncrel.mathcore import QuadratureSpec
 
@@ -37,6 +39,21 @@ class TestTable1:
         assert all(float(r["abs_diff"]) < 1e-5 for r in rows)
         diag = [float(cells[(d, d)]["computed"]) for d in (1, 2, 3, 4)]
         assert max(diag) - min(diag) <= 1e-8
+
+    @pytest.mark.parametrize("ulps", [-32, 32])
+    def test_abs_diff_does_not_follow_the_ulps_of_b(self, capsys, monkeypatch, ulps):
+        _, out, _ = run_cli(capsys, "table1")
+        factor, shifts = cli.constants.daubechies_factor, []
+
+        def shifted(d, k):
+            b = factor(d, k)
+            shifts.append(ulps * math.ulp(b))
+            return b + shifts[-1]
+
+        monkeypatch.setattr(cli.constants, "daubechies_factor", shifted)
+        _, moved, _ = run_cli(capsys, "table1")
+        assert len(shifts) == 16
+        assert [r["abs_diff"] for r in parse_csv(moved)] == [r["abs_diff"] for r in parse_csv(out)]
 
 
 class TestTable2:
@@ -85,6 +102,53 @@ class TestCheck:
                                "--model", "exponential", "--d", "3")
         assert code == 3
         assert "position-only" in err
+
+
+SWEPT = [name for name, (_, flag) in cli.MODELS.items() if flag is not None]
+# the value of a one-member sweep per swept model; a new row needs none
+SWEEP_VALUE = {"ho1d": "3", "hydrogenic": "2", "gaussian": "2"}
+
+
+class TestModels:
+    """The model table behind --model, build_state and sweep --n."""
+
+    @pytest.mark.parametrize("name", list(cli.MODELS))
+    def test_every_model_builds(self, capsys, name):
+        args = cli.build_parser().parse_args(["moments", "--model", name])
+        if isinstance(cli.build_state(args)[0], DensityPair):
+            code, out, _ = run_cli(capsys, "check", "--ineq", "cramer_rao", "--model", name)
+        else:
+            code, out, _ = run_cli(capsys, "moments", "--model", name)
+        assert code == 0
+        assert parse_csv(out)
+
+    @pytest.mark.parametrize("name", SWEPT)
+    def test_one_member_sweep_is_its_check_row(self, capsys, name):
+        value = SWEEP_VALUE.get(name, "2")
+        flag = cli.MODELS[name][1]
+        _, checked, _ = run_cli(capsys, "check", "--ineq", "cramer_rao", "--model", name,
+                                f"--{flag}", value)
+        code, swept, _ = run_cli(capsys, "sweep", "--ineq", "cramer_rao", "--model", name,
+                                 "--n", value)
+        assert code == 0
+        rows = [[line for line in doc.splitlines() if not line.startswith("#")]
+                for doc in (checked, swept)]
+        assert len(rows[1]) == 2
+        assert rows[1] == rows[0]
+
+    def test_choices_are_the_table(self):
+        parser = cli.build_parser()
+        commands = next(a for a in parser._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        for command in ("moments", "check", "export"):
+            model = next(a for a in commands[command]._actions if a.dest == "model")
+            assert list(model.choices) == list(cli.MODELS)
+
+    @pytest.mark.parametrize("name", [n for n in cli.MODELS if n not in SWEPT] + ["bogus"])
+    def test_unswept_model_names_the_swept_ones(self, capsys, name):
+        code, _, err = run_cli(capsys, "sweep", "--ineq", "cramer_rao", "--model", name)
+        assert code == 2
+        assert f"sweeps support models {', '.join(SWEPT)}; got {name!r}" in err
 
 
 class TestSweep:

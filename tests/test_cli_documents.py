@@ -146,12 +146,28 @@ TABLE_COMMANDS = EXPORTS + (
     ("check", "--ineq", "cramer_rao", "--position", POS, "--momentum", POS),
 )
 
+# the stateless subcommands: both reference tables, and the oracle at a point
+# of each mode and outside each mode's window; then the `check` twin of a
+# one-member Gaussian sweep
+REFERENCE_COMMANDS = (
+    ("table1",),
+    ("table1", "--format", "json"),
+    ("table2",),
+    ("table2", "--format", "json"),
+    ("oracle", "--mode", "F", "--d", "3", "--alpha", "2", "--k", "2"),
+    ("oracle", "--mode", "G", "--d", "3", "--alpha", "3", "--k=-1"),
+    ("oracle", "--mode", "F", "--d", "3", "--alpha", "2", "--k=-1"),
+    ("oracle", "--mode", "G", "--d", "3", "--alpha", "1", "--k=-1"),
+    ("check", "--ineq", "cramer_rao", "--model", "gaussian", "--d", "3", "--count", "2"),
+)
+
 
 def commands() -> list[tuple[str, ...]]:
     cmds = [("check", "--ineq", name, *state) for state in CHECK_STATES
             for name in IDS + ALIASES]
     cmds += [("sweep", "--ineq", name, *fleet) for fleet in SWEEP_FLEETS for name in IDS]
-    return cmds + list(PARAM_COMMANDS) + list(MOMENT_COMMANDS) + list(TABLE_COMMANDS)
+    return (cmds + list(PARAM_COMMANDS) + list(MOMENT_COMMANDS) + list(TABLE_COMMANDS)
+            + list(REFERENCE_COMMANDS))
 
 
 def run(argv: tuple[str, ...], tmp: str) -> dict:

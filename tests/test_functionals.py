@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -18,6 +19,15 @@ PI = math.pi
 
 def quadrature_only(dens):
     return dataclasses.replace(dens, analytic_moments=None)
+
+
+def gaussian_moment(d, sigma, alpha):
+    """<r^alpha> of a unit-count Gaussian of width sigma in d dimensions,
+    from 30-digit mpmath."""
+    with mpmath.workdps(30):
+        d, sigma, alpha = mpmath.mpf(d), mpmath.mpf(sigma), mpmath.mpf(alpha)
+        return float(sigma ** alpha * 2 ** (alpha / 2)
+                     * mpmath.gamma((d + alpha) / 2) / mpmath.gamma(d / 2))
 
 
 class TestRadialMoment:
@@ -42,7 +52,11 @@ class TestRadialMoment:
         (D.gaussian_pair(3, 1.0, 1.0).position, 2.0, 3.0),
         (D.hydrogenic_pair(1.0).position, 43.5, math.gamma(46.5) / 2.0 ** 44.5),
         (D.exponential_radial(3, 1.0), 89.5, math.gamma(92.5) / 2.0),
-    ], ids=["gaussian-r^2", "hydrogenic-r^43.5", "exponential-r^89.5"])
+        # r^79.5 overflows over the bulk of both, where rho r^79.5 does not
+        (D.gaussian_pair(80, 1e3).position, 0.5, gaussian_moment(80, 1e3, 0.5)),
+        (D.gaussian_pair(80, 1e-3).momentum, 0.5, gaussian_moment(80, 500, 0.5)),
+    ], ids=["gaussian-r^2", "hydrogenic-r^43.5", "exponential-r^89.5",
+            "gaussian-d80-wide-r^0.5", "gaussian-d80-narrow-p^0.5"])
     def test_closed_forms(self, dens, alpha, exact):
         assert F.radial_moment(dens, alpha).value == pytest.approx(exact, rel=1e-12)
 
@@ -228,8 +242,9 @@ class TestExtremeScales:
     its Fisher information d / a^2 (position) or 4 d a^2 (momentum) or
     raises a typed error.  The integrand is g^2 / rho formed as
     (g / rho) g, since g^2 alone underflows at wide scales and overflows
-    at narrow ones; states beyond the double range are rejected at
-    construction."""
+    at narrow ones, and its weight r^(d-1) as a product of two halves
+    where it overflows alone; states beyond the double range are rejected
+    at construction, and an accepted state computes."""
 
     @pytest.mark.parametrize("side", ["position", "momentum"])
     @pytest.mark.parametrize("a", [1e-6, 1e-3, 1.0, 1e3, 1e6])
@@ -238,15 +253,25 @@ class TestExtremeScales:
     def test_gaussian_fisher_is_right_or_typed(self, d, a, side):
         exact = d / a ** 2 if side == "position" else 4.0 * d * a ** 2
         try:
-            mv = F.fisher_information(getattr(D.gaussian_pair(d, a), side))
+            dens = getattr(D.gaussian_pair(d, a), side)
         except UncrelError:
             return
+        mv = F.fisher_information(dens)
         assert abs(mv.value - exact) <= max(mv.est_error, 1e-9 * exact)
 
     def test_wide_gaussian_does_not_underflow(self):
         # g * g underflowed to 0 here, and the value came back 0 +- 0
         mv = F.fisher_information(D.gaussian_pair(25, 1e6).position)
         assert mv.value == pytest.approx(25e-12, rel=1e-12)
+
+    @pytest.mark.parametrize("a,side,sigma", [(1e3, "position", 1e3), (1e-3, "momentum", 500.0)])
+    def test_overflowing_weight_within_reported_error(self, a, side, sigma):
+        # r^79 and r^79.5 overflow at the peak of rho r^w; the split
+        # product keeps the rounding inside the reported error
+        dens = getattr(D.gaussian_pair(80, a), side)
+        for mv, exact in ((F.radial_moment(dens, 0.5), gaussian_moment(80, sigma, 0.5)),
+                          (F.fisher_information(dens), 80 / sigma ** 2)):
+            assert abs(mv.value - exact) <= mv.est_error
 
 
 def interpolant_moment(r, y, d, alpha):
