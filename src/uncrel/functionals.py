@@ -25,6 +25,10 @@ __all__ = ["MomentValue", "radial_moment", "entropic_moment", "fisher_informatio
 _TAIL_FACTOR = 5.0
 # smallest normal float; below it a density value has lost precision
 _TINY = np.finfo(float).tiny
+# share of the largest integrand value below which zeros past an
+# overflowing weight are taken as true zeros (the default relative
+# tolerance: the mass they could hide spans a decay length, not the bulk)
+_HIDDEN_SHARE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -83,21 +87,26 @@ def _integrate(dens: RadialDensity, integrand, spec: QuadratureSpec | None) -> t
     return quad_halfline(integrand, spec, _TAIL_FACTOR * dens.support_hint)
 
 
-def _weighted(x, r, w: float, split: bool = True) -> np.ndarray:
+def _weighted(x, r, w: float) -> np.ndarray:
     """x r^w, and 0 where x is 0: far out on the tail ladder r^w overflows
     at high d while x has underflowed to 0, and 0 * inf would be NaN.
-    Where r^w overflows and x > 0 the product may still be a float; with
-    `split` it is formed as (x r^(w/2)) r^(w/2), which a normal x keeps
-    finite if the product is.  An overflow left stays inf, for the
-    quadrature to reject."""
+    Where r^w overflows and x > 0 the product is formed as
+    (x r^(w/2)) r^(w/2), which stays finite if the product is; an
+    overflow left stays inf, for the quadrature to reject.  A zero x past
+    the outermost such node may be an underflow hiding the mass of
+    x r^w there, so those zeros become inf too, unless the product at
+    that node is negligible against the largest one."""
     out = np.zeros(np.shape(x))
     with np.errstate(over="ignore"):
         np.power(r, w, out=out, where=x != 0)
         prod = x * out
         big = np.isinf(out) & (x > 0)
-        if split and big.any():
+        if big.any():
             half = np.power(r[big], w / 2)
             prod[big] = x[big] * half * half
+            edge = np.argmax(np.where(big, r, -np.inf))
+            if abs(prod.flat[edge]) > _HIDDEN_SHARE * np.max(np.abs(prod)):
+                prod[(x == 0) & (r > r.flat[edge])] = np.inf
         return prod
 
 
@@ -148,9 +157,7 @@ def entropic_moment(dens: RadialDensity, m: float,
         # rho^m with m < 1 magnifies that loss: read it as an
         # underflowed zero, past which the half-line tail is extrapolated
         v = np.where(v < _TINY, 0.0, v)
-        # not split: where r^w overflows, those zeros can lie in the bulk,
-        # and the mass they hide would go uncounted
-        return _weighted(np.power(v, m), r, w, split=False)
+        return _weighted(np.power(v, m), r, w)
 
     return _quadrature(dens, ("entropic", m), m, integrand, spec)
 

@@ -1,8 +1,8 @@
-import argparse
 import csv
 import io
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -136,13 +136,17 @@ class TestModels:
         assert len(rows[1]) == 2
         assert rows[1] == rows[0]
 
-    def test_choices_are_the_table(self):
+    @pytest.mark.parametrize("command", ["moments", "check", "export"])
+    def test_choices_are_the_table(self, capsys, command):
         parser = cli.build_parser()
-        commands = next(a for a in parser._actions
-                        if isinstance(a, argparse._SubParsersAction)).choices
-        for command in ("moments", "check", "export"):
-            model = next(a for a in commands[command]._actions if a.dest == "model")
-            assert list(model.choices) == list(cli.MODELS)
+        head = [command, "--ineq", "cramer_rao"] if command == "check" else [command]
+        for name in cli.MODELS:
+            assert parser.parse_args([*head, "--model", name]).model == name
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([*head, "--model", "bogus"])
+        assert exc.value.code == 2
+        listed = capsys.readouterr().err.split("choose from", 1)[1]
+        assert re.findall(r"\w+", listed) == list(cli.MODELS)
 
     @pytest.mark.parametrize("name", [n for n in cli.MODELS if n not in SWEPT] + ["bogus"])
     def test_unswept_model_names_the_swept_ones(self, capsys, name):

@@ -30,6 +30,14 @@ def gaussian_moment(d, sigma, alpha):
                      * mpmath.gamma((d + alpha) / 2) / mpmath.gamma(d / 2))
 
 
+def gaussian_entropic(d, sigma, m):
+    """W_m of a unit-count Gaussian of width sigma in d dimensions, from
+    30-digit mpmath."""
+    with mpmath.workdps(30):
+        d, sigma, m = mpmath.mpf(d), mpmath.mpf(sigma), mpmath.mpf(m)
+        return float((2 * mpmath.pi * sigma ** 2) ** (d / 2 * (1 - m)) * m ** (-d / 2))
+
+
 class TestRadialMoment:
     def test_hydrogenic_r2(self):
         pos = D.hydrogenic_pair(1.0).position
@@ -271,6 +279,22 @@ class TestExtremeScales:
         dens = getattr(D.gaussian_pair(80, a), side)
         for mv, exact in ((F.radial_moment(dens, 0.5), gaussian_moment(80, sigma, 0.5)),
                           (F.fisher_information(dens), 80 / sigma ** 2)):
+            assert abs(mv.value - exact) <= mv.est_error
+
+    @pytest.mark.parametrize("a,side,sigma", [(1e3, "position", 1e3), (1e-3, "momentum", 500.0)])
+    def test_overflowing_weight_hides_no_mass(self, a, side, sigma):
+        # rho, or rho^m read as 0 below the smallest normal float, is 0
+        # where rho r^119 and rho^m r^79 are not negligible: the mass those
+        # zeros hide shows as a typed error or lies within the reported one
+        dens = getattr(D.gaussian_pair(80, a), side)
+        cases = [(lambda: F.radial_moment(dens, 40.0), gaussian_moment(80, sigma, 40.0))]
+        cases += [(lambda m=m: F.entropic_moment(dens, m), gaussian_entropic(80, sigma, m))
+                  for m in (0.25, 0.5, 0.75)]
+        for compute, exact in cases:
+            try:
+                mv = compute()
+            except UncrelError:
+                continue
             assert abs(mv.value - exact) <= mv.est_error
 
 
