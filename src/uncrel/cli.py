@@ -5,8 +5,9 @@ the `--model` choices, and each row names the flag that `sweep --n` steps.
 
 Exit codes: 0 success, 2 malformed input, 3 parameter outside a validity
 window, 4 numerical non-convergence.  A `moments` order or a `sweep`
-member that fails with one of the last two becomes a hole row of an
-exit-0 document instead.  Documents are deterministic
+member that fails with one of the last two, and a `sweep` member whose
+state cannot be built (exit 3), becomes a hole row of an exit-0 document
+instead.  Documents are deterministic
 (field order fixed, numbers at 12 significant digits, no timestamps):
 identical invocations produce byte-identical output.
 
@@ -34,7 +35,7 @@ from .densities import (DensityPair, exponential_radial, gaussian_pair,
                         harmonic_fermions_1d, hydrogenic_pair, load_tabulated)
 from .errors import ConvergenceError, DomainError, FormatError, UncrelError
 from .functionals import radial_moment
-from .inequalities import CATALOG, BoundReport, InequalityId, evaluate, sweep
+from .inequalities import CATALOG, BoundReport, InequalityId, _hole, evaluate, sweep
 from .mathcore import QuadratureSpec
 
 _G174 = math.gamma(17.0 / 4.0)
@@ -334,9 +335,22 @@ def cmd_sweep(args, spec: QuadratureSpec) -> ReportDocument:
     if args.model not in _SWEPT:
         raise FormatError(f"sweeps support models {', '.join(_SWEPT)}; got {args.model!r}")
     flag = _SWEPT[args.model]
-    fleet, cfgs, _ = zip(*(build_state(argparse.Namespace(**{**vars(args), flag: n}))
-                           for n in _parse_range(args.n_range)))
-    rows = [_report_row(r) for r in sweep(ineq, fleet, cfgs[0], _ineq_params(args), spec=spec)]
+    values = _parse_range(args.n_range)
+    entry = CATALOG[ineq]
+    params = entry.with_params(_ineq_params(args))
+    # a member whose state cannot be built is a hole row, ahead of the swept rows
+    holes, fleet, cfgs = [], [], []
+    for n in values:
+        try:
+            state, cfg, _ = build_state(argparse.Namespace(**{**vars(args), flag: n}))
+        except DomainError as exc:
+            inputs = {"state": f"{args.model}({flag}={n})", "q": args.q, **params}
+            holes.append(_hole(entry.id, entry.direction, inputs, str(exc)))
+            continue
+        fleet.append(state)
+        cfgs.append(cfg)
+    reports = holes + (sweep(ineq, fleet, cfgs[0], params, spec=spec) if fleet else [])
+    rows = [_report_row(r) for r in reports]
     return ReportDocument(_metadata(spec, ineq=ineq.value, model=args.model),
                           _REPORT_FIELDS, rows)
 

@@ -61,8 +61,8 @@ class RadialDensity:
     at large radius, and inf (the default) for faster than any power
     (exponential, Gaussian) or compact support; the functionals read it
     to reject divergent orders up front.  Instances compare by identity
-    (eq=False), which lets the functionals memoize quadrature results per
-    density object.
+    (eq=False); the functionals memoize quadrature results under rho and
+    the other fields a quadrature reads, not per density object.
     """
 
     d: int
@@ -246,7 +246,9 @@ def harmonic_fermions_1d(N: int, q: int) -> DensityPair:
 
     The one-particle density is the occupation-weighted sum of squared
     oscillator eigenfunctions; the momentum density coincides with it
-    pointwise because Hermite functions are Fourier eigenfunctions.
+    pointwise because Hermite functions are Fourier eigenfunctions.  The
+    momentum side shares the position side's rho and drho, so each
+    quadrature-backed functional of the pair is integrated once.
     """
     check_integer("particle number", N)
     if isinstance(q, bool) or q not in (1, 2):

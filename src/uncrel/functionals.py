@@ -55,24 +55,31 @@ class MomentValue:
             raise DomainError("est_error must be non-negative")
 
 
-# memo of quadrature results per density object (results are pure, the
-# table is append-only, and entries die with their density)
-_MEMO: "weakref.WeakKeyDictionary[RadialDensity, dict]" = weakref.WeakKeyDictionary()
+# memo of quadrature results under what a quadrature reads: the density's
+# rho (held weakly, so entries die with it), then the functional, order and
+# spec, and its d, support, support_hint, drho and knots (by identity; the
+# entry keeps the array, so that identity is not reused while it lives).
+# label, N, analytic_moments and tail_exponent never reach the quadrature,
+# so the self-dual ho1d momentum twin reads its position side's entries.
+_MEMO: "weakref.WeakKeyDictionary[object, dict]" = weakref.WeakKeyDictionary()
 
 
 def _quadrature(dens: RadialDensity, key: tuple, order: float, integrand,
                 spec: QuadratureSpec | None, excluded=None) -> MomentValue:
-    """Omega_d int integrand(r) dr over the density, memoized per density
-    object under `key` and the spec.  `excluded(r)`, when given, is
-    integrated the same way and its total added to the error estimate."""
-    table = _MEMO.setdefault(dens, {})
-    key = (*key, spec or DEFAULT_QUADRATURE)
+    """Omega_d int integrand(r) dr over the density, memoized (see _MEMO)
+    under `key`, the spec and what the quadrature reads of the density.
+    `excluded(r)`, when given, is integrated the same way and its total
+    added to the error estimate."""
+    table = _MEMO.setdefault(dens.rho, {})
+    key = (*key, spec or DEFAULT_QUADRATURE, dens.d, dens.support, dens.support_hint,
+           dens.drho, id(dens.knots))
     if key not in table:
         value, err = _integrate(dens, integrand, spec)
         scale = omega(dens.d)
         extra = 0.0 if excluded is None else scale * _integrate(dens, excluded, spec)[0]
-        table[key] = MomentValue(order, scale * value, "quadrature", scale * err + extra)
-    return table[key]
+        table[key] = (MomentValue(order, scale * value, "quadrature", scale * err + extra),
+                      dens.knots)
+    return table[key][0]
 
 
 def _integrate(dens: RadialDensity, integrand, spec: QuadratureSpec | None) -> tuple[float, float]:

@@ -168,6 +168,36 @@ class TestSweep:
         rhs = [float(r["rhs"]) for r in rows]
         assert all(b > a for a, b in zip(rhs, rhs[1:]))
 
+    @pytest.mark.parametrize("name,reason", [
+        ("ho1d", "particle number must be an integer >= 1, got 0"),
+        ("hydrogenic", "charge must be positive, got 0.0"),
+        ("gaussian", "particle count must be positive, got 0.0"),
+    ])
+    def test_member_that_cannot_be_built_is_a_leading_hole(self, capsys, name, reason):
+        code, swept, _ = run_cli(capsys, "sweep", "--ineq", "cramer_rao", "--model", name,
+                                 "--n", "0..2")
+        _, valid, _ = run_cli(capsys, "sweep", "--ineq", "cramer_rao", "--model", name,
+                              "--n", "1..2")
+        assert code == 0
+        hole = parse_csv(swept)[0]
+        assert hole["state"] == f"{name}({cli.MODELS[name][1]}=0)"
+        assert (hole["d"], hole["N"], hole["q"]) == ("", "", "2")
+        assert (hole["lhs"], hole["status"], hole["note"]) == ("nan", "hole", f"hole: {reason}")
+        # the hole sits right below the header; every other line is the
+        # sweep of the members that build
+        lines = swept.splitlines()
+        header = next(i for i, line in enumerate(lines) if line.startswith("inequality,"))
+        assert lines[:header + 1] + lines[header + 2:] == valid.splitlines()
+
+    def test_every_member_a_hole(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--ineq", "heisenberg", "--model", "ho1d",
+                               "--n", "1..2", "--q", "3")
+        assert code == 0
+        rows = parse_csv(out)
+        assert [r["state"] for r in rows] == ["ho1d(n=1)", "ho1d(n=2)"]
+        assert all(r["params"] == "alpha=2;k=2;" for r in rows)
+        assert all(r["note"] == "hole: spin multiplicity must be 1 or 2, got 3" for r in rows)
+
     @pytest.mark.parametrize("n_range", ["5..1", "3..2"])
     def test_empty_range_is_a_format_error(self, capsys, n_range):
         code, out, err = run_cli(capsys, "sweep", "--ineq", "zumbach", "--n", n_range)

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import math
+import weakref
 
 import mpmath
 import numpy as np
@@ -9,6 +11,8 @@ import scipy.interpolate
 
 from uncrel import densities as D
 from uncrel import functionals as F
+from uncrel import inequalities as I
+from uncrel import varoracle as V
 from uncrel.constants import SystemConfig
 from uncrel.errors import (ConvergenceError, DivergenceError, DomainError, NonFiniteError,
                            UncrelError)
@@ -346,3 +350,90 @@ class TestTabulatedQuadrature:
             assert alpha == -0.9
             return
         assert abs(mv.value - exact) <= mv.est_error
+
+
+def _table():
+    r = np.linspace(0.0, 8.0, 40)
+    return D.load_tabulated(SystemConfig(d=3, N=1.0), r, D.gaussian_pair(3, 1.0).position.rho(r))
+
+
+# the fields of a density that reach the quadrature, each changed on a copy
+_READ_FIELDS = {
+    "d": lambda dens: dataclasses.replace(dens, d=2),
+    "support": lambda dens: dataclasses.replace(dens, support=(0.0, 2.0)),
+    "support_hint": lambda dens: dataclasses.replace(dens, support_hint=2.0 * dens.support_hint),
+    "drho": lambda dens: dataclasses.replace(dens, drho=lambda r: 2.0 * dens.drho(r)),
+    "knots": lambda dens: dataclasses.replace(dens, knots=dens.knots[::2].copy()),
+}
+
+
+class TestQuadratureMemo:
+    """Quadrature results are shared by densities that agree on what the
+    quadrature reads, and by no others."""
+
+    def test_self_dual_twin_is_integrated_once(self, monkeypatch):
+        levels, calls = D._hermite_levels, []
+
+        def counted(x, top):
+            calls.append(np.size(x))
+            return levels(x, top)
+
+        monkeypatch.setattr(D, "_hermite_levels", counted)
+        pair = D.harmonic_fermions_1d(20, 2)
+        first = F.fisher_information(pair.position)
+        one_quadrature = len(calls)
+        assert one_quadrature > 0
+        assert F.fisher_information(pair.momentum) is first
+        assert F.fisher_information(pair.position) is first
+        assert len(calls) == one_quadrature
+
+    @pytest.mark.parametrize("field", list(_READ_FIELDS))
+    def test_a_changed_read_field_gets_its_own_entry(self, field):
+        dens = _table() if field == "knots" else D.gaussian_pair(3, 1.0).position
+        first = F.fisher_information(dens)
+        changed = _READ_FIELDS[field](dens)
+        # the same density under a rho the memo has never seen
+        fresh = dataclasses.replace(changed, rho=lambda r: changed.rho(r))
+        got, want = F.fisher_information(changed), F.fisher_information(fresh)
+        assert got is not first
+        assert (got.value, got.est_error) == (want.value, want.est_error)
+
+    @pytest.mark.parametrize("build", [
+        lambda: D.gaussian_pair(3, 1.0).position,
+        lambda: D.gaussian_pair(3, 1.0).momentum,
+        lambda: D.hydrogenic_pair(1.0).position,
+        lambda: D.hydrogenic_pair(1.0).momentum,
+        lambda: D.exponential_radial(3, 1.0),
+        lambda: D.harmonic_fermions_1d(4, 2).momentum,
+        _table,
+        lambda: V.minimizer_density(3, 2.0, 1.0),
+        lambda: V.maximizer_density(3, 2.0, -1.0),
+        lambda: D.scale_density(D.gaussian_pair(3, 1.0).position, 2.0),
+    ], ids=["gaussian", "gaussian-mom", "hydrogenic", "hydrogenic-mom", "exponential",
+            "ho1d", "tabulated", "minimizer", "maximizer", "scaled"])
+    def test_entries_die_with_their_density(self, build):
+        # an entry holds drho strongly: a drho that closed over rho would
+        # keep the entry, and rho, alive for good
+        dens = build()
+        rho = weakref.ref(dens.rho)
+        F.radial_moment(dens, 0.5)
+        F.entropic_moment(dens, 2.0)
+        F.fisher_information(dens)
+        del dens
+        gc.collect()
+        assert rho() is None
+
+
+def test_ho1d_fleet_integrates_each_fisher_information_once(monkeypatch):
+    integrate, calls = F._integrate, []
+
+    def counted(*args):
+        calls.append(args[0].label)
+        return integrate(*args)
+
+    monkeypatch.setattr(F, "_integrate", counted)
+    fleet = [D.harmonic_fermions_1d(n, 2) for n in range(1, 41)]
+    for name in ("fisher_product_heisenberg", "cramer_rao", "zumbach"):
+        rows = I.sweep(I.InequalityId(name), fleet, SystemConfig(d=1, N=1.0, q=2))
+        assert all(r.status == "satisfied" for r in rows)
+    assert len(calls) == 40
