@@ -24,7 +24,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -412,8 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output document format")
     common.add_argument("--out", help="write the document to this path instead of stdout")
     common.add_argument("--tol", type=float, default=None,
-                        help="quadrature relative tolerance (default 1e-10, or "
-                             "env UNCREL_TOL when this flag is absent)")
+                        help="quadrature relative tolerance (default 1e-10)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("table1", parents=[common],
@@ -466,16 +464,7 @@ _COMMANDS = {"table1": cmd_table1, "table2": cmd_table2, "moments": cmd_moments,
 
 
 def _quadrature_spec(args) -> QuadratureSpec:
-    tol = args.tol
-    if tol is None and os.environ.get("UNCREL_TOL"):
-        try:
-            tol = float(os.environ["UNCREL_TOL"])
-        except ValueError as exc:
-            raise FormatError(f"bad UNCREL_TOL value "
-                              f"{os.environ['UNCREL_TOL']!r}") from exc
-    if tol is None:
-        return QuadratureSpec()
-    return QuadratureSpec(rel_tol=tol)
+    return QuadratureSpec() if args.tol is None else QuadratureSpec(rel_tol=args.tol)
 
 
 def main(argv=None) -> int:

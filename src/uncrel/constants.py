@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import ConvergenceError, DomainError, check_finite, check_integer, check_positive
 from .mathcore import beta, e1_fraction_tail, exp_e1_scaled, omega
@@ -97,7 +96,6 @@ def _stationarity(a: float) -> tuple[float, float, float]:
             math.log1p(-r) - math.log(a + 1.0 - r))
 
 
-@lru_cache(maxsize=None)
 def _daubechies_ratio(rho: float) -> float:
     """B(rho) = exp(-min_a [lgamma(rho) - rho ln a - ln(e^-a - a E1(a))] / rho)
     from the stationarity equation, not by minimizing.

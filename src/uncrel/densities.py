@@ -251,8 +251,7 @@ def harmonic_fermions_1d(N: int, q: int) -> DensityPair:
     quadrature-backed functional of the pair is integrated once.
     """
     check_integer("particle number", N)
-    if isinstance(q, bool) or q not in (1, 2):
-        raise DomainError(f"spin multiplicity must be 1 or 2, got {q}")
+    check_integer("spin multiplicity", q)
     occ = _oscillator_occupations(int(N), int(q))
     top = occ[-1][0]
     weights = dict(occ)  # every level 0..top is occupied

@@ -37,13 +37,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, ClassVar
 
 import numpy as np
 
 from .errors import (BracketError, ConvergenceError, DomainError, FormatError, NonFiniteError,
-                     check_finite, check_integer, check_positive)
+                     check_integer, check_positive)
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
 
@@ -68,20 +67,18 @@ class QuadratureSpec:
     """Tolerances and budget for adaptive quadrature.
 
     max_refinements is the number of panels refinement may add: one per
-    bisection, fifteen per graded end (see _adaptive_gk).  Where the
-    panels start is the caller's: quad_finite's points, gauss_cells'
-    knots, quad_halfline's tail_cut.
+    bisection, fifteen per graded end (see _adaptive_gk).  The absolute
+    tolerance is not a setting: abs_tol is fixed at 1e-14.  Where the
+    panels start is the caller's: gauss_cells' knots, quad_halfline's
+    tail_cut.
     """
 
+    abs_tol: ClassVar[float] = 1e-14
     rel_tol: float = 1e-10
-    abs_tol: float = 1e-14
     max_refinements: int = 200
 
     def __post_init__(self):
         check_positive("rel_tol", self.rel_tol)
-        check_finite("abs_tol", self.abs_tol)
-        if self.abs_tol < 0:
-            raise DomainError(f"abs_tol must be non-negative, got {self.abs_tol}")
         check_integer("max_refinements", self.max_refinements)
 
 
@@ -236,18 +233,6 @@ def _gk21(f, lo: np.ndarray, hi: np.ndarray):
     return resk * half, np.maximum(err, _EPS50 * resabs), vals
 
 
-# a density's functionals run back to back, so a few slots catch its
-# recurring tail_cut (16 slots hit about half the calls of a bounds-catalog
-# pass, nearly as many as 128 do)
-@lru_cache(maxsize=16)
-def _uniform_cuts(edges: tuple) -> tuple:
-    """Breakpoints of _START_PANELS uniform panels per interval between
-    consecutive edges, shared by every call on the same edges.  A tuple,
-    so that no caller can write into a shared result."""
-    return tuple(np.concatenate([np.linspace(a, b, _START_PANELS + 1)[:-1]
-                                 for a, b in zip(edges[:-1], edges[1:])] + [edges[-1:]]).tolist())
-
-
 def _geometric_remainder(sums: np.ndarray) -> tuple[float, float]:
     """(remainder, ratio): the sum of the rungs past the last one, taking
     the ratio of the last two rung sums as constant; remainder 0 and the
@@ -392,19 +377,16 @@ def _adaptive_gk(f, cuts: np.ndarray, spec: QuadratureSpec, ladder_from: float |
 
 
 def quad_finite(f: Callable, lo: float, hi: float,
-                spec: QuadratureSpec | None = None,
-                points: Sequence[float] | None = None) -> tuple[float, float]:
-    """Adaptive quadrature of f over [lo, hi]; returns (value, error estimate).
+                spec: QuadratureSpec | None = None) -> tuple[float, float]:
+    """Adaptive quadrature of f over [lo, hi], starting from _START_PANELS
+    uniform panels; returns (value, error estimate), (0, 0) unless lo < hi.
 
-    `points` are interior breakpoints (kinks, peaks) the initial panels
-    start from.  f must accept numpy arrays.
+    f must accept numpy arrays.
     """
-    spec = spec or DEFAULT_QUADRATURE
     if hi <= lo:
         return 0.0, 0.0
-    inner = sorted(p for p in (points or ()) if lo < p < hi)
-    edges = tuple(float(e) for e in (lo, *inner, hi))
-    return _adaptive_gk(f, np.array(_uniform_cuts(edges)), spec)
+    cuts = np.linspace(lo, hi, _START_PANELS + 1)
+    return _adaptive_gk(f, cuts, spec or DEFAULT_QUADRATURE)
 
 
 def quad_halfline(f: Callable, spec: QuadratureSpec | None = None,
@@ -418,7 +400,7 @@ def quad_halfline(f: Callable, spec: QuadratureSpec | None = None,
     or infinity raises NonFiniteError rather than propagating silently.
     """
     check_positive("tail_cut", tail_cut)
-    cuts = np.array(_uniform_cuts((0.0, float(tail_cut))))
+    cuts = np.linspace(0.0, tail_cut, _START_PANELS + 1)
     return _adaptive_gk(f, cuts, spec or DEFAULT_QUADRATURE, ladder_from=tail_cut)
 
 

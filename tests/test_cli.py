@@ -191,12 +191,12 @@ class TestSweep:
 
     def test_every_member_a_hole(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--ineq", "heisenberg", "--model", "ho1d",
-                               "--n", "1..2", "--q", "3")
+                               "--n", "1..2", "--q", "0")
         assert code == 0
         rows = parse_csv(out)
         assert [r["state"] for r in rows] == ["ho1d(n=1)", "ho1d(n=2)"]
         assert all(r["params"] == "alpha=2;k=2;" for r in rows)
-        assert all(r["note"] == "hole: spin multiplicity must be 1 or 2, got 3" for r in rows)
+        assert all(r["note"] == "hole: spin multiplicity must be an integer >= 1, got 0" for r in rows)
 
     @pytest.mark.parametrize("n_range", ["5..1", "3..2"])
     def test_empty_range_is_a_format_error(self, capsys, n_range):
@@ -274,23 +274,6 @@ class TestDeterminism:
                             "--alpha", "2", "--k", "2")
         rows = parse_csv(out)
         assert rows[0]["numeric"] == "0.203753360121"
-
-
-class TestTolOverride:
-    def test_env_variable(self, capsys, monkeypatch):
-        monkeypatch.setenv("UNCREL_TOL", "1e-8")
-        _, out, _ = run_cli(capsys, "table1")
-        assert "# rel_tol=1e-08" in out
-
-    def test_flag_overrides_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("UNCREL_TOL", "1e-8")
-        _, out, _ = run_cli(capsys, "table1", "--tol", "1e-9")
-        assert "# rel_tol=1e-09" in out
-
-    def test_bad_env_value(self, capsys, monkeypatch):
-        monkeypatch.setenv("UNCREL_TOL", "banana")
-        code, _, _ = run_cli(capsys, "table1")
-        assert code == 2
 
 
 class TestRoundTrip:

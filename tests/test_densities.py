@@ -6,6 +6,7 @@ import pytest
 
 from uncrel import densities as D
 from uncrel import functionals as F
+from uncrel import inequalities as I
 from uncrel.constants import SystemConfig
 from uncrel.errors import DomainError, FormatError
 
@@ -194,11 +195,26 @@ class TestHarmonicFermions:
             assert np.array_equal(dens.rho(x), rho)
             assert np.array_equal(dens.drho(x), drho)
 
+    @pytest.mark.parametrize("q", [3, 4, 6])
+    def test_any_spin_multiplicity(self, q):
+        # q = 2s + 1 fermions per level: N and <x^2> by quadrature match
+        # the closed forms, and the state obeys Cramer-Rao
+        for n in range(1, 25):
+            pair = D.harmonic_fermions_1d(n, q)
+            bare = quadrature_only(pair.position)
+            second = sum(min(q, n - q * m) * (m + 0.5) for m in range(-(-n // q)))
+            assert pair.position.analytic_moments[2.0] == second
+            assert F.radial_moment(bare, 0.0).value == pytest.approx(n, rel=7e-16)
+            assert F.radial_moment(bare, 2.0).value == pytest.approx(second, rel=7e-16)
+            report = I.evaluate(I.InequalityId.CRAMER_RAO, pair, SystemConfig(d=1, N=n, q=q))
+            assert report.satisfied, report
+
     def test_domain(self):
         with pytest.raises(DomainError):
             D.harmonic_fermions_1d(0, 1)
-        with pytest.raises(DomainError):
-            D.harmonic_fermions_1d(3, 3)
+        for q in (0, True):
+            with pytest.raises(DomainError, match="spin multiplicity"):
+                D.harmonic_fermions_1d(3, q)
 
 
 class TestLoadTabulated:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -102,16 +103,18 @@ class TestIntegrateHalfline:
             quad_halfline(bad)
 
     def test_spec_validation(self):
-        # constructing alone: a NaN abs_tol used to be accepted, and then
-        # no panel of a singular integrand was ever split
         bad = [("rel_tol", 0.0), ("rel_tol", -1e-8), ("rel_tol", math.nan),
-               ("rel_tol", math.inf), ("rel_tol", True), ("abs_tol", -1e-14),
-               ("abs_tol", math.nan), ("abs_tol", math.inf), ("abs_tol", True),
-               ("max_refinements", 0), ("max_refinements", True), ("max_refinements", 2.5),
-               ("max_refinements", math.nan)]
+               ("rel_tol", math.inf), ("rel_tol", True), ("max_refinements", 0),
+               ("max_refinements", True), ("max_refinements", 2.5), ("max_refinements", math.nan)]
         for field, value in bad:
             with pytest.raises(DomainError, match=field):
                 QuadratureSpec(**{field: value})
+
+    def test_abs_tol_is_fixed(self):
+        assert [f.name for f in dataclasses.fields(QuadratureSpec)] == ["rel_tol", "max_refinements"]
+        assert QuadratureSpec(rel_tol=1e-8).abs_tol == 1e-14
+        with pytest.raises(TypeError):
+            QuadratureSpec(abs_tol=1e-12)
 
     @pytest.mark.parametrize("cut", [0.0, -1.0, math.nan, math.inf, True])
     def test_tail_cut_validation(self, cut):
@@ -152,11 +155,6 @@ GOLDEN_INTEGRALS = {
     "narrow_gauss": lambda: quad_finite(lambda r: np.exp(-2e5 * (r - 0.61) ** 2), 0.0, 1.0),
     "cos400": lambda: quad_finite(lambda r: np.cos(400.0 * r) + 2.0, 0.0, 3.0),
     "runge": lambda: quad_finite(lambda r: 1.0 / (1.0 + 1e5 * r * r), -1.0, 1.0),
-    "two_peaks_points": lambda: quad_finite(
-        lambda r: 1.0 / (1e-8 + (r - 0.2) ** 2) + 1.0 / (1e-8 + (r - 0.7) ** 2), 0.0, 1.0,
-        points=[0.2, 0.7]),
-    "hidden_kink": lambda: quad_finite(lambda r: np.abs(np.sin(5.0 * r)), 0.0, 2.0,
-                                       points=[np.pi / 5.0]),
     "cusp_inside": lambda: quad_finite(lambda r: np.sqrt(np.abs(r - 0.4321)), 0.0, 1.0),
     "step_smooth": lambda: quad_finite(lambda r: np.tanh(1e4 * (r - 0.777)), 0.0, 1.0,
                                        QuadratureSpec(rel_tol=1e-12)),
@@ -169,8 +167,6 @@ GOLDEN_INTEGRALS = {
     "halfline_peak_past_cut": lambda: quad_halfline(
         lambda r: np.exp(-r / 10.0) / (1e-4 + (r - 47.0) ** 2), tail_cut=8.0),
     "halfline_kink": lambda: quad_halfline(lambda r: np.exp(-np.abs(r - 3.3)) * (1.0 + r)),
-    "narrow_gauss_points": lambda: quad_finite(lambda r: np.exp(-1e6 * (r - 0.123) ** 2), 0.0, 1.0,
-                                               points=[0.123]),
     "two_lorentz": lambda: quad_finite(
         lambda r: 1.0 / (1e-6 + (r - 0.3) ** 2) + 1.0 / (1e-6 + (r - 0.8) ** 2), 0.0, 1.0),
     "log_kink": lambda: quad_finite(lambda r: np.log1p(np.abs(r - 0.55)), 0.0, 1.0),
@@ -189,8 +185,6 @@ QUAD_GOLDEN = [
     ("narrow_gauss", "0x1.03bd9920665c0p-8", "0x1.2fb9545eefdc8p-52"),
     ("cos400", "0x1.7ffc6254eb900p+2", "0x1.2a7de508642c1p-42"),
     ("runge", "0x1.44e1985213cb2p-7", "0x1.fba07e003eed5p-54"),
-    ("two_peaks_points", "0x1.eac9aead849a0p+15", "0x1.ddce0c5ab14c1p-23"),
-    ("hidden_kink", "0x1.3b70858b1f56fp+0", "0x1.aadb61ac04f83p-35"),
     ("cusp_inside", "0x1.e60f75ce0ad0bp-2", "0x1.aa7c7805c5346p-36"),
     ("step_smooth", "-0x1.1ba5e353f7ceep-1", "0x1.fce5f9a7936e8p-46"),
     ("halfline_bump20", "0x1.22661a4eeae09p-6", "0x1.88d648af7b28ep-41"),
@@ -200,7 +194,6 @@ QUAD_GOLDEN = [
     ("halfline_osc_tail", "0x1.401060a075da4p+3", "0x1.ef15a19154007p-32"),
     ("halfline_peak_past_cut", "0x1.6ec67d56fc737p+1", "0x1.d909e0a14d90ep-39"),
     ("halfline_kink", "0x1.13333333326e5p+3", "0x1.baa8f4b405c17p-32"),
-    ("narrow_gauss_points", "0x1.d0a35d4b115d5p-10", "0x1.a2d30f2cef731p-53"),
     ("two_lorentz", "0x1.8802c67bf3554p+12", "0x1.a6d6de7f7d9dep-25"),
     ("log_kink", "0x1.be9772700920dp-3", "0x1.1486384a2cf60p-37"),
     ("halfline_tail_bump", "0x1.0105d686c31f8p+3", "0x1.986f5ce2088b7p-44"),

@@ -60,6 +60,22 @@ class TestMinimizerDensity:
         assert float(dens.rho(a * 1.0001)) == 0.0
         assert float(dens.rho(a * 0.9999)) > 0.0
 
+    @pytest.mark.parametrize("d,alpha,k,inner", [
+        (2, 2.0, 4.0, ("-0x0.0p+0", "-0x1.1da5ce0c4b315p-4")),
+        (3, 2.0, 4.0, ("-0x0.0p+0", "-0x1.5e47b33c7a691p-4")),
+        (1, 1.0, 3.0, ("-0x1.4e5e0a72f0538p-5", "-0x1.096335c3d0411p-4")),
+    ])
+    def test_derivative_at_and_past_the_edge(self, d, alpha, k, inner):
+        # for k > d, (a^alpha - r^alpha)^(d/k - 1) is infinite at the edge;
+        # drho is 0 there and past it without a divide-by-zero warning
+        # (which the suite turns into an error), and the interior keeps
+        # its bits
+        dens = V.minimizer_density(d, alpha, k)
+        a = dens.support[1]
+        values = dens.drho(np.array([0.0, 0.5 * a, a, 2.0 * a]))
+        assert tuple(v.hex() for v in values[:2]) == inner
+        assert np.all(values[2:] == 0.0)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             V.minimizer_density(3, 2.0, -1.0)
