@@ -32,7 +32,8 @@ from . import __version__, constants, varoracle
 from .constants import SystemConfig
 from .densities import (DensityPair, exponential_radial, gaussian_pair,
                         harmonic_fermions_1d, hydrogenic_pair, load_tabulated)
-from .errors import ConvergenceError, DomainError, FormatError, UncrelError
+from .errors import (ConvergenceError, DomainError, FormatError, UncrelError, check_integer,
+                     check_positive)
 from .functionals import radial_moment
 from .inequalities import CATALOG, BoundReport, InequalityId, _hole, evaluate, sweep
 from .mathcore import QuadratureSpec
@@ -365,6 +366,9 @@ def cmd_oracle(args, spec: QuadratureSpec) -> ReportDocument:
 
 
 def cmd_export(args, spec: QuadratureSpec) -> ReportDocument:
+    check_integer("point count", args.points)
+    if args.rmax is not None:
+        check_positive("rmax", args.rmax)
     state, cfg, held = build_state(args)
     dens, space = _select_space(state, held, args.space)
     # without --rmax: the whole support of a table, else three decay scales

@@ -28,7 +28,6 @@ __all__ = [
     "negative_order_rhs",
     "zumbach_constant",
     "heisenberg_product_constant",
-    "FISHER_VARIANTS",
     "fisher_product_rhs",
 ]
 
@@ -264,45 +263,32 @@ def heisenberg_product_constant(d: int) -> float:
     return ((d / (d + 1.0)) * math.gamma(d + 1.0) ** (1.0 / d)) ** 2
 
 
-FISHER_VARIANTS = (
-    "general",
-    "electronic",
-    "large_N_fermion",
-    "large_N_electron",
-    "d3_electron",
-    "d3_large_N",
-)
+# variant -> (q = 2 only, d = 3 only, large-N limit)
+_FISHER_FORMS = {"general": (False, False, False), "electronic": (True, False, False),
+                 "large_N_fermion": (False, False, True), "large_N_electron": (True, False, True),
+                 "d3_electron": (True, True, False), "d3_large_N": (True, True, True)}
 
 
 def fisher_product_rhs(variant: str, cfg: SystemConfig) -> float:
-    """Lower bound on the position-momentum Fisher-information product.
+    """Lower bound 4 A(2,d) q^(-2/d) N^(2+2/d) / [1 + C_d (N/q)^(2/d)]^2 on
+    the position-momentum Fisher-information product (A the variance-product
+    and C_d the Zumbach constant), or its large-N limit without the 1.
 
-    Variants: 'general' (any q), 'electronic' (q = 2), the two large-N
-    asymptotic forms, and the two d = 3 electronic forms.  All require the
-    Zumbach window 1 <= d <= 5; the electronic forms require q = 2 and the
-    d3 forms additionally d = 3.
+    Variants: 'general' and 'large_N_fermion' take any q, the electronic
+    forms q = 2, the d3 forms d = 3 and q = 2; all need 1 <= d <= 5.  The
+    bracket is divided through by (N/q)^(2/d), so that no power of N above
+    the bound's own N^(2-2/d) is formed.
     """
     d, N, q = cfg.d, cfg.N, cfg.q
-    if variant not in FISHER_VARIANTS:
+    if variant not in _FISHER_FORMS:
         raise DomainError(f"unknown fisher variant {variant!r}")
+    electron, three_d, large_N = _FISHER_FORMS[variant]
     if not 1 <= d <= 5:
         raise DomainError(f"fisher product bounds require 1 <= d <= 5, got {d}")
-    if variant in ("electronic", "large_N_electron", "d3_electron", "d3_large_N") and q != 2:
+    if electron and q != 2:
         raise DomainError(f"variant {variant!r} is an electron-system (q = 2) form, got q = {q}")
-    if variant.startswith("d3") and d != 3:
+    if three_d and d != 3:
         raise DomainError(f"variant {variant!r} requires d = 3, got d = {d}")
-    A = heisenberg_product_constant(d)
-    if variant in ("general", "electronic"):
-        x = zumbach_constant(d) * (N / q) ** (2.0 / d)
-        return 4.0 * A * N ** (2.0 / d + 2.0) * q ** (-2.0 / d) / (1.0 + x) ** 2
-    if variant == "large_N_fermion":
-        return A * N ** (2.0 - 2.0 / d) * q ** (2.0 / d) * (d + 2.0) ** (4.0 / d + 2.0) \
-            / (25.0 * math.pi ** 4 * 4.0 ** (2.0 / d + 3.0) * d ** 4)
-    if variant == "large_N_electron":
-        return A * N ** (2.0 - 2.0 / d) * (d + 2.0) ** (4.0 / d + 2.0) \
-            / (25.0 * math.pi ** 4 * 4.0 ** (1.0 / d + 3.0) * d ** 4)
-    if variant == "d3_electron":
-        x = N ** (2.0 / 3.0) * 144.0 * math.pi ** 2 / 5.0 ** (2.0 / 3.0)
-        return N ** (8.0 / 3.0) / (x + 1.0) ** 2 * 3.0 ** (8.0 / 3.0) / 4.0
-    # d3_large_N is the electronic large-N form specialized to d = 3
-    return fisher_product_rhs("large_N_electron", cfg)
+    one = 0.0 if large_N else (N / q) ** (-2.0 / d)  # the bracket's 1, divided through
+    return 4.0 * heisenberg_product_constant(d) * q ** (2.0 / d) * N ** (2.0 - 2.0 / d) \
+        / (one + zumbach_constant(d)) ** 2

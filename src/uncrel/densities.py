@@ -230,19 +230,10 @@ def _hermite_levels(x, top: int):
         yield n, prev, cur
 
 
-def _oscillator_occupations(N: int, q: int) -> list[tuple[int, int]]:
-    occ, left, level = [], N, 0
-    while left > 0:
-        w = min(q, left)
-        occ.append((level, w))
-        left -= w
-        level += 1
-    return occ
-
-
 def harmonic_fermions_1d(N: int, q: int) -> DensityPair:
     """Ground state of N spin-(q-1)/2 fermions in a 1-d harmonic well
-    (natural units), levels filled bottom-up with at most q per level.
+    (natural units): levels below top = (N - 1) // q hold q fermions each,
+    and level top the remaining N - q top.
 
     The one-particle density is the occupation-weighted sum of squared
     oscillator eigenfunctions; the momentum density coincides with it
@@ -252,9 +243,8 @@ def harmonic_fermions_1d(N: int, q: int) -> DensityPair:
     """
     check_integer("particle number", N)
     check_integer("spin multiplicity", q)
-    occ = _oscillator_occupations(int(N), int(q))
-    top = occ[-1][0]
-    weights = dict(occ)  # every level 0..top is occupied
+    top, rest = divmod(int(N) - 1, int(q))
+    weights = [int(q)] * top + [rest + 1]  # fermions on levels 0..top
 
     def rho(x):
         x = np.asarray(x, dtype=float)
@@ -267,7 +257,7 @@ def harmonic_fermions_1d(N: int, q: int) -> DensityPair:
                    for n, below, psi in _hermite_levels(x, top))
 
     # total <x^2> = total <p^2> = sum over occupied levels of w (n + 1/2)
-    second = sum(w * (n + 0.5) for n, w in occ)
+    second = sum(w * (n + 0.5) for n, w in enumerate(weights))
     moments = {0.0: float(N), 2.0: second}
     hint = math.sqrt(2.0 * top + 1.0) + 4.0
     pos = RadialDensity(d=1, N=float(N), rho=rho, drho=drho, analytic_moments=moments,

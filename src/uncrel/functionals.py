@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .densities import RadialDensity
-from .errors import DivergenceError, DomainError, FormatError
+from .errors import DivergenceError, DomainError, FormatError, check_finite, check_positive
 from .mathcore import DEFAULT_QUADRATURE, QuadratureSpec, gauss_cells, omega, quad_finite, quad_halfline
 
 __all__ = ["MomentValue", "radial_moment", "entropic_moment", "fisher_information", "variance"]
@@ -125,6 +125,7 @@ def radial_moment(dens: RadialDensity, alpha: float,
     orders the density's declared tail decay cannot pay for, raise
     DivergenceError up front instead of returning a large number.
     """
+    check_finite("moment order", alpha)
     alpha = float(alpha)
     if alpha <= -dens.d:
         raise DivergenceError(
@@ -144,9 +145,8 @@ def radial_moment(dens: RadialDensity, alpha: float,
 def entropic_moment(dens: RadialDensity, m: float,
                     spec: QuadratureSpec | None = None) -> MomentValue:
     """Entropic moment W_m = Omega_d int rho(r)^m r^(d-1) dr for m > 0."""
+    check_positive("entropic moment order", m)
     m = float(m)
-    if m <= 0:
-        raise DomainError(f"entropic moment order must be positive, got {m}")
     if m == 1.0:
         return MomentValue(1.0, dens.N, "analytic")
     s = dens.tail_exponent
@@ -158,13 +158,15 @@ def entropic_moment(dens: RadialDensity, m: float,
 
     def integrand(r):
         v = dens.rho(r)
-        if np.any(np.asarray(v) < 0):
-            raise FormatError(f"density is negative near r = {r!r}")
+        negative = np.asarray(v) < 0
+        if negative.any():
+            raise FormatError(f"density is negative at r = {float(np.asarray(r)[negative][0])}")
         # a subnormal density value has lost significant bits, and
         # rho^m with m < 1 magnifies that loss: read it as an
         # underflowed zero, past which the half-line tail is extrapolated
         v = np.where(v < _TINY, 0.0, v)
-        return _weighted(np.power(v, m), r, w)
+        with np.errstate(over="ignore"):  # an overflow stays inf, for the quadrature to reject
+            return _weighted(np.power(v, m), r, w)
 
     return _quadrature(dens, ("entropic", m), m, integrand, spec)
 

@@ -7,7 +7,7 @@ are also the only params the relation takes.  `InequalityId`, sweep holes
 and the CLI's `--ineq` names and param flags derive from it.  A row only
 measures: `sides(pair, cfg, spec, **params)` returns (lhs, rhs), and
 `evaluate` names and judges every report.  Params cannot move a report to
-another id: a selector (`constant`, `variant` or `orientation`) is the
+another id: a selector, a param whose default is a string, is the
 default or one of the entry's `forms`, and k > 0 exactly for lhs >= rhs
 bounds.  Only the state can: `heisenberg_general` on d = 3, q = 2 reports
 `heisenberg_d3`.
@@ -173,7 +173,7 @@ def _fisher_product(pair: DensityPair, cfg: SystemConfig, spec: QuadratureSpec |
     4 <r^2><p^2> / [1 + C_d (N/q)^(2/d)]^2 measured on the same pair;
     'real_4d2' is the saturated bound 4 d^2 for real wavefunctions; the
     remaining variants take their right-hand side from the N-dependent
-    closed forms (see constants.FISHER_VARIANTS).
+    closed form of constants.fisher_product_rhs.
     """
     d = pair.position.d
     if variant == "real_4d2":
@@ -200,9 +200,6 @@ def _cramer_rao(pair: DensityPair, cfg: SystemConfig,
     statement I[rho/N] V >= d^2 carries a factor N."""
     dens = pair.position
     return fisher_information(dens, spec).value * variance(dens, spec), dens.N * dens.d * dens.d
-
-
-_SELECTORS = ("constant", "variant", "orientation")
 
 
 @dataclass(frozen=True)
@@ -261,20 +258,25 @@ InequalityId = Enum("InequalityId", [(e.id.upper(), e.id) for e in CATALOG.value
 def evaluate(ineq: InequalityId, pair: DensityPair, cfg: SystemConfig,
              params: dict | None = None,
              spec: QuadratureSpec | None = None) -> BoundReport:
-    """Evaluate one catalog inequality on one density pair; params override
-    the entry's defaults and may not select another id (module docstring)."""
+    """Evaluate one catalog inequality on one density pair.  params override
+    the entry's defaults and may not select another id (module docstring);
+    a side outside the double range raises DomainError."""
     entry = CATALOG[ineq]
     p = entry.with_params(params)
-    for key in _SELECTORS:
-        if key in p:
-            forms = (entry.params[key], *entry.forms)
-            if p[key] not in forms:
-                raise DomainError(f"{key} {p[key]!r} is not a form of {entry.id}; "
-                                  f"it takes {', '.join(forms)}")
+    for key, default in entry.params.items():
+        forms = (default, *entry.forms)
+        if isinstance(default, str) and p[key] not in forms:
+            raise DomainError(f"{key} {p[key]!r} is not a form of {entry.id}; "
+                              f"it takes {', '.join(forms)}")
     if "k" in p and (p["k"] > 0) != (entry.direction is _GE):
         raise DomainError(f"{entry.id} is a {entry.direction.value} bound and takes "
                           f"k {'>' if entry.direction is _GE else '<'} 0, got {p['k']}")
-    lhs, rhs = entry.sides(pair, cfg, spec, **p)
+    try:
+        lhs, rhs = entry.sides(pair, cfg, spec, **p)
+    except OverflowError:  # a float power left the double range
+        lhs = rhs = math.inf
+    if not (math.isfinite(lhs) and 0 < rhs < math.inf):  # a bound's rhs is 0 only by underflow
+        raise DomainError(f"{entry.id}: a side of the bound leaves the double-precision range")
     reported_id = entry.id
     if entry.id == "heisenberg_general" and pair.position.d == 3 and cfg.q == 2:
         reported_id = "heisenberg_d3"

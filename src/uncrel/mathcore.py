@@ -218,7 +218,7 @@ def _gk21(f, lo: np.ndarray, hi: np.ndarray):
     if type(vals) is not np.ndarray or vals.dtype != np.float64 or vals.shape != nodes.shape:
         vals = np.broadcast_to(np.asarray(vals, dtype=float), nodes.shape)
     if not np.isfinite(vals).all():
-        raise NonFiniteError(f"integrand is not finite at r = {nodes[~np.isfinite(vals)][0]!r}")
+        raise NonFiniteError(f"integrand is not finite at r = {float(nodes[~np.isfinite(vals)][0])}")
     resk = vals @ _WK21
     err = np.abs((resk - vals @ _WG21) * half)
     resasc = np.abs(vals - 0.5 * resk[:, None]) @ _WK21 * half

@@ -246,6 +246,64 @@ class TestErrors:
         assert code == 3
         assert err.startswith("error[DomainError]")
 
+    def test_unrepresentable_bound_exit(self, capsys):
+        # N^4 of the d = 1 Heisenberg-like rhs leaves the double range
+        code, out, err = run_cli(capsys, "check", "--ineq", "heisenberg", "--model", "gaussian",
+                                 "--d", "1", "--count", "1e100")
+        assert (code, out) == (3, "")
+        assert err == ("error[DomainError]: heisenberg_general: a side of the bound "
+                       "leaves the double-precision range\n")
+
+    @pytest.mark.parametrize("rows,message", [
+        ("0.0\n", "expected two columns, got '0.0'"),
+        ("0.0,x\n", "non-numeric row '0.0,x'"),
+    ])
+    def test_malformed_table_row(self, capsys, tmp_path, rows, message):
+        table = tmp_path / "bad.csv"
+        table.write_text("# d=3\n" + rows)
+        code, _, err = run_cli(capsys, "moments", "--file", str(table))
+        assert code == 2
+        assert err == f"error[FormatError]: {table}: {message}\n"
+
+    def test_malformed_table_header(self, capsys, tmp_path):
+        table = tmp_path / "bad.csv"
+        table.write_text("# d=three\n" + "".join(f"{r},{math.exp(-r)}\n" for r in range(10)))
+        code, _, err = run_cli(capsys, "moments", "--file", str(table))
+        assert code == 2
+        assert err.startswith(f"error[FormatError]: {table}: bad header value: ")
+
+    def test_position_needs_momentum(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "check", "--ineq", "cramer_rao",
+                               "--position", str(tmp_path / "pos.csv"))
+        assert code == 2
+        assert err == ("error[FormatError]: conjugate-space checks need both "
+                       "--position and --momentum\n")
+
+    def test_no_state_given(self, capsys):
+        code, _, err = run_cli(capsys, "moments")
+        assert code == 2
+        assert err == "error[FormatError]: unknown model None and no input file given\n"
+
+    def test_bad_sweep_range(self, capsys):
+        code, _, err = run_cli(capsys, "sweep", "--ineq", "zumbach", "--n", "1..x")
+        assert code == 2
+        assert err == "error[FormatError]: bad range '1..x'\n"
+
+    @pytest.mark.parametrize("flags,message", [
+        (("--points", "-3"), "point count must be an integer >= 1, got -3"),
+        (("--points", "0"), "point count must be an integer >= 1, got 0"),
+        (("--rmax", "-1"), "rmax must be positive, got -1.0"),
+        (("--rmax", "0"), "rmax must be positive, got 0.0"),
+        (("--rmax", "nan"), "rmax must be a finite number, got nan"),
+    ])
+    def test_bad_export_grid(self, capsys, tmp_path, flags, message):
+        out_path = tmp_path / "grid.csv"
+        code, out, err = run_cli(capsys, "export", "--model", "gaussian", *flags,
+                                 "--out", str(out_path))
+        assert (code, out) == (3, "")
+        assert err == f"error[DomainError]: {message}\n"
+        assert not out_path.exists()
+
 
 class TestExtremeScale:
     def test_wide_gaussian_cramer_rao_is_saturated(self, capsys):
@@ -402,6 +460,19 @@ class TestMomentHoles:
             exact = 2.0 ** (alpha / 2.0) * math.gamma((alpha + 1.0) / 2.0) / math.sqrt(PI)
             assert row["method"] == "quadrature"
             assert float(row["value"]) == pytest.approx(exact, rel=1e-8)
+
+    def test_non_finite_orders_are_holes(self, capsys):
+        code, out, err = run_cli(capsys, "moments", "--model", "gaussian",
+                                 "--orders", "nan,inf,1.5")
+        _, alone, _ = run_cli(capsys, "moments", "--model", "gaussian", "--orders", "1.5")
+        assert (code, err) == (0, "")
+        nan_row, inf_row, row = parse_csv(out)
+        for hole, order in ((nan_row, "nan"), (inf_row, "inf")):
+            assert hole["order"] == order
+            assert hole["method"] == ("hole: DomainError: moment order must be a finite "
+                                      f"number, got {order}")
+            assert hole["value"] == hole["est_error"] == ""
+        assert row == parse_csv(alone)[0]
 
     def test_divergent_order_is_a_hole(self, capsys):
         code, out, _ = run_cli(capsys, "moments", "--model", "hydrogenic",

@@ -374,6 +374,12 @@ class TestNegativeOrderBound:
         with pytest.raises(DomainError, match="window"):
             C.entropic_upper_coeff_closed(3, 1.0, -1.0)
 
+    def test_positive_order_raises(self):
+        with pytest.raises(DomainError, match="negative-order bounds require -d < k < 0"):
+            C.negative_order_window(3, 1.0)
+        with pytest.raises(DomainError, match="entropic_upper_coeff_closed requires -d < k < 0"):
+            C.entropic_upper_coeff_closed(3, 2.0, 1.0)
+
     def test_coefficient_matches_mpmath(self):
         # 240 seeded points over d up to 40 and alpha from 1.0005 to 60
         # windows, plus a d = 12 point a quadrature of the extremal density
@@ -516,10 +522,47 @@ class TestFisherProductRhs:
         assert C.fisher_product_rhs("d3_electron", cfg) == pytest.approx(expected, rel=1e-12)
 
     def test_electronic_equals_general_at_q2(self):
-        for n in (1.0, 4.0, 25.0):
+        for d in (1, 2, 3, 4, 5):
+            for n in (1.0, 4.0, 25.0, 1e100):
+                cfg = C.SystemConfig(d=d, N=n, q=2)
+                assert C.fisher_product_rhs("electronic", cfg) == C.fisher_product_rhs("general", cfg)
+
+    def test_electron_forms_are_the_fermion_forms_at_q2(self):
+        for n in (1.0, 4.0, 25.0, 1e100):
+            for d in (1, 2, 3, 4, 5):
+                cfg = C.SystemConfig(d=d, N=n, q=2)
+                assert C.fisher_product_rhs("large_N_electron", cfg) \
+                    == C.fisher_product_rhs("large_N_fermion", cfg)
             cfg = C.SystemConfig(d=3, N=n, q=2)
-            assert C.fisher_product_rhs("electronic", cfg) == pytest.approx(
-                C.fisher_product_rhs("general", cfg), rel=1e-12)
+            assert C.fisher_product_rhs("d3_electron", cfg) == C.fisher_product_rhs("general", cfg)
+            assert C.fisher_product_rhs("d3_large_N", cfg) \
+                == C.fisher_product_rhs("large_N_fermion", cfg)
+
+    def test_every_form_against_mpmath(self):
+        # 4 A q^(-2/d) N^(2+2/d) / [1 + C_d (N/q)^(2/d)]^2 as written, and its
+        # large-N limit, at 40 digits; N up to 1e150, where the written
+        # numerator leaves the double range from d = 1, N ~ 1e77 on
+        def reference(d, n, q, large_n):
+            with mpmath.workdps(40):
+                d, n, q = mpmath.mpf(d), mpmath.mpf(n), mpmath.mpf(q)
+                a = ((d / (d + 1)) * mpmath.gamma(d + 1) ** (1 / d)) ** 2
+                c = (4 * mpmath.pi) ** 2 * 5 * d ** 2 / (d + 2) * (2 / (d + 2)) ** (2 / d)
+                x = c * (n / q) ** (2 / d)
+                return 4 * a * q ** (-2 / d) * n ** (2 + 2 / d) / ((0 if large_n else 1) + x) ** 2
+
+        checked = 0
+        for d in (1, 2, 3, 4, 5):
+            for q in (1, 2, 3, 4):
+                for n in (10.0 ** e for e in range(0, 151, 6)):
+                    cfg = C.SystemConfig(d=d, N=n, q=q)
+                    for variant, (electron, three_d, large_n) in C._FISHER_FORMS.items():
+                        if (electron and q != 2) or (three_d and d != 3):
+                            continue
+                        exact = reference(d, n, q, large_n)
+                        value = C.fisher_product_rhs(variant, cfg)
+                        assert abs(value - exact) <= 1e-13 * exact, (variant, d, n, q)
+                        checked += 1
+        assert checked == 1352
 
     def test_large_n_limit(self):
         cfg = C.SystemConfig(d=3, N=1e6, q=2)

@@ -163,6 +163,11 @@ class TestHarmonicFermions:
         # N=3, q=2 occupies level 0 twice and level 1 once
         pair = D.harmonic_fermions_1d(3, 2)
         assert pair.position.analytic_moments[2.0] == pytest.approx(2.0 * 0.5 + 1.5, rel=1e-14)
+        # integral floats are integers, and fill the same levels
+        again = D.harmonic_fermions_1d(3.0, 2.0).position
+        x = np.linspace(0.0, 5.0, 11)
+        assert again.analytic_moments == pair.position.analytic_moments
+        assert np.array_equal(again.rho(x), pair.position.rho(x))
 
     def test_derivative_consistency(self):
         pair = D.harmonic_fermions_1d(6, 2)
@@ -252,6 +257,25 @@ class TestLoadTabulated:
         r, rho = self.grid_table()
         with pytest.warns(UserWarning, match="deviates"):
             D.load_tabulated(SystemConfig(d=3, N=2.0, q=2), r, rho)
+
+    def test_unequal_columns_rejected(self):
+        r, rho = self.grid_table()
+        with pytest.raises(FormatError, match="^tabulated density must be two equal-length"):
+            D.load_tabulated(SystemConfig(d=3, N=1.0, q=2), r, rho[:-1])
+
+    def test_negative_radius_rejected(self):
+        r, rho = self.grid_table()
+        with pytest.raises(FormatError, match="radii must be non-negative"):
+            D.load_tabulated(SystemConfig(d=3, N=1.0, q=2), r - 1.0, rho)
+
+    def test_scaling_moves_the_support(self):
+        r, rho = self.grid_table()
+        dens = D.load_tabulated(SystemConfig(d=3, N=1.0, q=2), r, rho)
+        scaled = D.scale_density(dens, 2.0)
+        assert scaled.support == (0.0, 6.0)
+        assert np.array_equal(scaled.knots, r / 2.0)
+        assert F.radial_moment(scaled, 1.0).value == pytest.approx(
+            F.radial_moment(dens, 1.0).value / 2.0, rel=1e-9)
 
 
 class TestInvariants:

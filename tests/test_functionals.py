@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import re
 import weakref
 
 import mpmath
@@ -14,8 +15,8 @@ from uncrel import functionals as F
 from uncrel import inequalities as I
 from uncrel import varoracle as V
 from uncrel.constants import SystemConfig
-from uncrel.errors import (ConvergenceError, DivergenceError, DomainError, NonFiniteError,
-                           UncrelError)
+from uncrel.errors import (ConvergenceError, DivergenceError, DomainError, FormatError,
+                           NonFiniteError, UncrelError)
 from uncrel.mathcore import quad_halfline
 
 PI = math.pi
@@ -132,6 +133,38 @@ class TestEntropicMoment:
         with pytest.raises(DomainError):
             F.entropic_moment(D.gaussian_pair(3, 1.0).position, 0.0)
 
+    def test_negative_density_names_one_radius(self):
+        pos = D.gaussian_pair(3, 1.0).position
+        dens = dataclasses.replace(pos, rho=lambda r: np.where(r > 2.0, -1e-3, pos.rho(r)))
+        with pytest.raises(FormatError) as info:
+            F.entropic_moment(dens, 2.0)
+        message = str(info.value)
+        assert len(message) < 200
+        assert float(re.fullmatch(r"density is negative at r = (\S+)", message)[1]) > 2.0
+
+
+class TestOrderChecks:
+    """An order that is no finite real number fails before any work."""
+
+    @pytest.mark.parametrize("order", [math.nan, math.inf, -math.inf, True])
+    def test_rejected_before_quadrature(self, monkeypatch, order):
+        def no_quadrature(*args):
+            raise AssertionError("a quadrature ran")
+
+        monkeypatch.setattr(F, "_integrate", no_quadrature)
+        dens = D.gaussian_pair(3, 1.0).position
+        with pytest.raises(DomainError, match="^moment order must be a finite number"):
+            F.radial_moment(dens, order)
+        with pytest.raises(DomainError, match="^entropic moment order must be a finite number"):
+            F.entropic_moment(dens, order)
+
+    def test_integer_and_numpy_orders(self):
+        dens = quadrature_only(D.gaussian_pair(3, 1.0).position)
+        assert F.radial_moment(dens, 2) == F.radial_moment(dens, np.float64(2.0)) \
+            == F.radial_moment(dens, 2.0)
+        assert F.entropic_moment(dens, 2) == F.entropic_moment(dens, np.float64(2.0)) \
+            == F.entropic_moment(dens, 2.0)
+
 
 class TestFisherInformation:
     def test_gaussian(self):
@@ -197,6 +230,17 @@ class TestFisherInformation:
         dens = dataclasses.replace(pos, rho=lambda r: np.where(r > 2.0, np.nan, pos.rho(r)))
         with pytest.raises(NonFiniteError):
             F.fisher_information(dens)
+
+
+class TestMomentValue:
+    def test_value_must_be_finite(self):
+        with pytest.raises(DivergenceError, match="non-finite functional value for order 2.0"):
+            F.MomentValue(2.0, math.inf, "quadrature")
+
+    def test_error_must_be_non_negative(self):
+        with pytest.raises(DomainError, match="est_error must be non-negative"):
+            F.MomentValue(2.0, 1.0, "quadrature", -1e-3)
+
 
 class TestVariance:
     def test_values(self):

@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in that module or
-re-exported through its __all__, so that deleting the last use of a
-helper also deletes its import."""
+re-exported through its __all__, and every private name a module defines
+is read in that module, so that deleting the last use of a helper also
+deletes its import, and a helper left without a caller is caught."""
 
 import ast
 from pathlib import Path
@@ -52,3 +53,33 @@ def test_every_import_is_used(path):
     kept = used_names(tree) | exported_names(tree)
     unused = {name: line for name, line in imported_names(tree).items() if name not in kept}
     assert not unused, f"{path.name}: unused imports (name: line) {unused}"
+
+
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Module-level private names (one leading underscore) bound by def,
+    class or assignment, with their lines."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        names.update({name: node.lineno for name in bound
+                      if name.startswith("_") and not name.startswith("__")})
+    return names
+
+
+def loaded_names(tree: ast.Module) -> set[str]:
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_private_name_is_read(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    unread = {name: line for name, line in private_definitions(tree).items()
+              if name not in loaded_names(tree)}
+    assert not unread, f"{path.name}: private names never read (name: line) {unread}"

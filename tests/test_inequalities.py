@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uncrel import constants as C
 from uncrel import densities as D
 from uncrel import inequalities as I
 from uncrel.constants import SystemConfig
-from uncrel.errors import DomainError, FormatError
+from uncrel.errors import DomainError, FormatError, UncrelError
 
 PI = math.pi
 
@@ -330,6 +331,8 @@ class TestCatalog:
         rep = I.evaluate(I.InequalityId.THAKKAR_LOWER, D.gaussian_pair(2, 1.0, 1.0),
                          SystemConfig(d=2, N=1.0, q=1), {"constant": "semiclassical"})
         assert rep.ineq == "thakkar_lower"
+        rep = I.evaluate(I.InequalityId.DAUBECHIES, H_PAIR, CFG_H, {"constant": "rigorous"})
+        assert rep.ineq == "daubechies"
         rep = I.evaluate(I.InequalityId.FISHER_PRODUCT_N, H_PAIR, CFG_H,
                          {"variant": "electronic"})
         assert rep.ineq == "fisher_product_N"
@@ -352,6 +355,12 @@ class TestCatalog:
         with pytest.raises(DomainError):
             I.evaluate(ineq, H_PAIR, CFG_H, params)
 
+    def test_closed_form_variants_are_the_fisher_forms(self):
+        named = {variant for e in I.CATALOG.values() if "variant" in e.params
+                 for variant in (e.params["variant"], *e.forms)}
+        # the two variants _fisher_product forms from the pair itself
+        assert named - {"heisenberg_product", "real_4d2"} == set(C._FISHER_FORMS)
+
     def test_heisenberg_d3_guard(self):
         with pytest.raises(DomainError, match="specialization"):
             I.evaluate(I.InequalityId.HEISENBERG_D3, G3_PAIR, SystemConfig(d=3, N=1.0, q=1))
@@ -361,3 +370,34 @@ class TestCatalog:
         rows = I.sweep(I.InequalityId.THAKKAR_LOWER, fleet, CFG_H, {"k": -1.0})
         assert [(r.ineq, r.direction, r.status) for r in rows] == \
             [("thakkar_lower", I.Direction.LHS_GE_RHS, "hole")] * 2
+
+
+class TestOutOfRange:
+    """A side that leaves the double range is a typed error, in a sweep a hole."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1e100, 1e150, 1e200, 1e250, 1e-200, 1e-300])
+    def test_finite_report_or_typed_error(self, d, n):
+        pair, cfg = D.gaussian_pair(d, 1.0, n), SystemConfig(d=d, N=n, q=2)
+        for ineq in I.InequalityId:
+            try:
+                rep = I.evaluate(ineq, pair, cfg)
+            except UncrelError:
+                continue
+            assert all(math.isfinite(x) for x in (rep.lhs, rep.rhs, rep.margin, rep.ratio))
+
+    @pytest.mark.parametrize("ineq,d,n", [
+        (I.InequalityId.HEISENBERG_GENERAL, 1, 1e100),  # an OverflowError
+        (I.InequalityId.FISHER_PRODUCT_HEISENBERG, 5, 1e200),  # a NaN ratio
+        (I.InequalityId.FISHER_REAL_4D2, 3, 1e250),  # an infinite lhs
+        (I.InequalityId.FISHER_PRODUCT_N, 3, 1e-200)])  # an rhs underflowed to 0
+    def test_names_the_range(self, ineq, d, n):
+        with pytest.raises(DomainError, match=f"^{ineq.value}: a side of the bound leaves"):
+            I.evaluate(ineq, D.gaussian_pair(d, 1.0, n), SystemConfig(d=d, N=n, q=2))
+
+    def test_sweep_member_becomes_hole(self):
+        fleet = [D.gaussian_pair(1, 1.0, 1e100), D.gaussian_pair(1, 1.0, 1.0)]
+        rows = I.sweep(I.InequalityId.HEISENBERG_GENERAL, fleet, SystemConfig(d=1))
+        assert [r.status for r in rows] == ["satisfied", "hole"]
+        assert rows[1].note == ("hole: heisenberg_general: a side of the bound leaves "
+                                "the double-precision range")

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import mpmath
@@ -101,6 +102,17 @@ class TestIntegrateHalfline:
 
         with pytest.raises(NonFiniteError):
             quad_halfline(bad)
+
+    def test_non_finite_message_names_one_plain_radius(self):
+        with pytest.raises(NonFiniteError) as info:
+            quad_halfline(lambda r: np.where((1.0 < r) & (r < 2.0), np.nan, np.exp(-r)))
+        message = str(info.value)
+        assert len(message) < 200
+        assert 1.0 < float(re.fullmatch(r"integrand is not finite at r = (\S+)", message)[1]) < 2.0
+
+    def test_no_decay(self):
+        with pytest.raises(ConvergenceError, match="does not decay"):
+            quad_halfline(lambda r: 1.0 / (1.0 + r))
 
     def test_spec_validation(self):
         bad = [("rel_tol", 0.0), ("rel_tol", -1e-8), ("rel_tol", math.nan),
@@ -360,6 +372,17 @@ class TestBrentPort:
             minimize_scalar(lambda x: (x - 2.0) ** 2, (0.0, 5.0), max_iter=2)
 
 
+class TestQuadFinite:
+    def test_scalar_valued_integrand(self):
+        value, err = quad_finite(lambda r: 2.0, 0.0, 3.0)
+        assert value == pytest.approx(6.0, rel=1e-15)
+        assert err < 1e-12
+
+    @pytest.mark.parametrize("lo,hi", [(1.0, 1.0), (2.0, 1.0)])
+    def test_empty_interval(self, lo, hi):
+        assert quad_finite(np.ones_like, lo, hi) == (0.0, 0.0)
+
+
 class TestInterpolateMonotone:
     def test_exponential_table(self):
         # grading toward the origin, where the curvature concentrates
@@ -384,6 +407,16 @@ class TestInterpolateMonotone:
     def test_negative_ordinate_rejected(self):
         with pytest.raises(FormatError):
             interpolate_monotone([0.0, 1.0, 2.0], [1.0, -0.1, 0.5])
+
+    @pytest.mark.parametrize("x,y,message", [
+        ([[0.0, 1.0], [2.0, 3.0]], [[1.0, 0.5], [0.2, 0.1]], "two equal-length 1-d columns"),
+        ([0.0, 1.0, 2.0], [1.0, 0.5], "two equal-length 1-d columns"),
+        ([1.0], [0.5], "at least two samples"),
+        ([0.0, 1.0, 2.0], [1.0, math.nan, 0.5], "non-finite entries"),
+        ([0.0, math.nan, 2.0], [1.0, 0.5, 0.2], "non-finite entries")])
+    def test_malformed_table_rejected(self, x, y, message):
+        with pytest.raises(FormatError, match=message):
+            interpolate_monotone(x, y)
 
     def test_unordered_rejected(self):
         with pytest.raises(FormatError):
