@@ -3,6 +3,14 @@
 Every evaluator is scale-free: it takes dimensionless parameters
 (d, alpha, k, N, q) and returns a pure number, raising DomainError
 outside a formula's validity window.
+
+The scalar special functions the coefficients are built from live here
+too: the sphere measure Omega_d, the Euler Beta, and the exponential
+integral E1.  E1 is computed locally (power series up to x = 1,
+modified-Lentz continued fraction above) because it sits inside the
+Newton solve of the Daubechies factor, which also reads the continued
+fraction's tail, and its accuracy budget is audited by the test suite
+against independent quadrature.  Nothing here needs numpy.
 """
 
 from __future__ import annotations
@@ -11,10 +19,15 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError, check_finite, check_integer, check_positive
-from .mathcore import beta, e1_fraction_tail, exp_e1_scaled, omega
+
+EULER_GAMMA = 0.5772156649015328606065120900824024
 
 __all__ = [
     "SystemConfig",
+    "omega",
+    "beta",
+    "exp_e1_scaled",
+    "e1_fraction_tail",
     "thakkar_coefficient",
     "semiclassical_constant",
     "daubechies_factor",
@@ -30,6 +43,77 @@ __all__ = [
     "heisenberg_product_constant",
     "fisher_product_rhs",
 ]
+
+
+def omega(d: int) -> float:
+    """Surface measure of the unit sphere in d dimensions, 2 pi^(d/2) / Gamma(d/2).
+
+    This is the angular factor turning a radial integral into a full
+    d-dimensional one (2 for d=1, 2 pi for d=2, 4 pi for d=3).
+    """
+    if d < 1:
+        raise DomainError(f"dimension must be >= 1, got {d}")
+    return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+
+
+def beta(a: float, b: float) -> float:
+    """Euler Beta for strictly positive arguments, via log-gamma."""
+    if a <= 0 or b <= 0:
+        raise DomainError(f"beta requires positive arguments, got ({a}, {b})")
+    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+
+
+def _e1_series(x: float) -> float:
+    # E1(x) = -gamma - ln x + sum_{n>=1} (-1)^(n+1) x^n / (n n!)
+    s, term = 0.0, 1.0
+    for n in range(1, 500):
+        term *= -x / n
+        add = term / n
+        s += add
+        if abs(add) < 1e-18 * max(1.0, abs(s)):
+            break
+    return -EULER_GAMMA - math.log(x) - s
+
+
+def e1_fraction_tail(x: float) -> float:
+    """Tail r = 1/(x + 3 - 4/(x + 5 - 9/(x + 7 - ...))) of the continued
+    fraction e^x E1(x) = 1/(x + 1 - r), for x > 1 (modified Lentz).
+
+    With it 1/(e^x E1(x)) - x = 1 - r is free of the cancellation that
+    subtracting x from 1/(e^x E1(x)) suffers for large x.
+    """
+    if not x > 1.0:
+        raise DomainError(f"e1_fraction_tail requires x > 1, got {x}")
+    tiny = 1e-300
+    b = x + 3.0
+    c = 1.0 / tiny
+    d = 1.0 / b
+    h = d
+    for i in range(2, 500):
+        a = -float(i * i)
+        b += 2.0
+        d = 1.0 / (a * d + b)
+        c = b + a / c
+        if c == 0.0:
+            c = tiny
+        delta = c * d
+        h *= delta
+        if abs(delta - 1.0) < 1e-16:
+            break
+    return h
+
+
+def exp_e1_scaled(x: float) -> float:
+    """e^x E1(x) for x > 0, finite where E1(x) itself underflows.
+
+    Power series up to x = 1, continued fraction above; both branches
+    agree with direct quadrature of the defining integral to ~1e-14.
+    """
+    if x <= 0:
+        raise DomainError(f"exp_e1_scaled requires x > 0, got {x}")
+    if x <= 1.0:
+        return math.exp(x) * _e1_series(x)
+    return 1.0 / (x + 1.0 - e1_fraction_tail(x))
 
 
 @dataclass(frozen=True)
@@ -277,7 +361,8 @@ def fisher_product_rhs(variant: str, cfg: SystemConfig) -> float:
     Variants: 'general' and 'large_N_fermion' take any q, the electronic
     forms q = 2, the d3 forms d = 3 and q = 2; all need 1 <= d <= 5.  The
     bracket is divided through by (N/q)^(2/d), so that no power of N above
-    the bound's own N^(2-2/d) is formed.
+    the bound's own N^(2-2/d) is formed.  A bound whose terms leave the
+    double range raises DomainError.
     """
     d, N, q = cfg.d, cfg.N, cfg.q
     if variant not in _FISHER_FORMS:
@@ -289,6 +374,10 @@ def fisher_product_rhs(variant: str, cfg: SystemConfig) -> float:
         raise DomainError(f"variant {variant!r} is an electron-system (q = 2) form, got q = {q}")
     if three_d and d != 3:
         raise DomainError(f"variant {variant!r} requires d = 3, got d = {d}")
-    one = 0.0 if large_N else (N / q) ** (-2.0 / d)  # the bracket's 1, divided through
-    return 4.0 * heisenberg_product_constant(d) * q ** (2.0 / d) * N ** (2.0 - 2.0 / d) \
-        / (one + zumbach_constant(d)) ** 2
+    try:
+        one = 0.0 if large_N else (N / q) ** (-2.0 / d)  # the bracket's 1, divided through
+        return 4.0 * heisenberg_product_constant(d) * q ** (2.0 / d) * N ** (2.0 - 2.0 / d) \
+            / (one + zumbach_constant(d)) ** 2
+    except OverflowError:  # the bracket squared or N^(2-2/d) leaves the double range
+        raise DomainError(f"fisher product variant {variant!r} at N = {N:g}, q = {q} "
+                          "leaves the double-precision range") from None

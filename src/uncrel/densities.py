@@ -17,9 +17,9 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .constants import SystemConfig
+from .constants import SystemConfig, beta, omega
 from .errors import DomainError, FormatError, check_integer, check_positive
-from .mathcore import beta, gauss_cells, interpolate_monotone, omega
+from .mathcore import gauss_cells, interpolate_monotone
 
 __all__ = [
     "RadialDensity",

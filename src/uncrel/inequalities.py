@@ -188,9 +188,11 @@ def _fisher_product(pair: DensityPair, cfg: SystemConfig, spec: QuadratureSpec |
         rhs = 4.0 * r2 * p2 / denom
     else:
         rhs = constants.fisher_product_rhs(variant, cfg)
-    lhs = fisher_information(pair.position, spec).value \
-        * fisher_information(pair.momentum, spec).value
-    return lhs, rhs
+    i_rho = fisher_information(pair.position, spec).value
+    i_gamma = fisher_information(pair.momentum, spec).value
+    if i_rho * i_gamma == 0.0 and i_rho and i_gamma:  # a flat table's exact 0 is a value
+        raise FloatingPointError("the Fisher product underflows")
+    return i_rho * i_gamma, rhs
 
 
 def _cramer_rao(pair: DensityPair, cfg: SystemConfig,
@@ -260,8 +262,12 @@ def evaluate(ineq: InequalityId, pair: DensityPair, cfg: SystemConfig,
              spec: QuadratureSpec | None = None) -> BoundReport:
     """Evaluate one catalog inequality on one density pair.  params override
     the entry's defaults and may not select another id (module docstring);
-    a side outside the double range raises DomainError."""
+    a side outside the double range, or a cfg whose d or N is not the
+    pair's, raises DomainError."""
     entry = CATALOG[ineq]
+    if cfg.d != pair.position.d or not math.isclose(cfg.N, pair.position.N, rel_tol=1e-12):
+        raise DomainError(f"{entry.id}: the config's d = {cfg.d}, N = {cfg.N} are not the "
+                          f"pair's d = {pair.position.d}, N = {pair.position.N}")
     p = entry.with_params(params)
     for key, default in entry.params.items():
         forms = (default, *entry.forms)
@@ -273,7 +279,7 @@ def evaluate(ineq: InequalityId, pair: DensityPair, cfg: SystemConfig,
                           f"k {'>' if entry.direction is _GE else '<'} 0, got {p['k']}")
     try:
         lhs, rhs = entry.sides(pair, cfg, spec, **p)
-    except OverflowError:  # a float power left the double range
+    except (OverflowError, FloatingPointError):  # a float power or product left the double range
         lhs = rhs = math.inf
     if not (math.isfinite(lhs) and 0 < rhs < math.inf):  # a bound's rhs is 0 only by underflow
         raise DomainError(f"{entry.id}: a side of the bound leaves the double-precision range")

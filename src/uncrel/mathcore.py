@@ -1,9 +1,9 @@
 """Shared numerical substrate.
 
-Special functions, quadrature on finite intervals, on the half line and
-over the knot cells of tabulated data, one-dimensional minimization, and
-monotone cubic interpolation of tabulated data.  Everything here is a
-pure function of its inputs and safe to call concurrently.
+Quadrature on finite intervals, on the half line and over the knot
+cells of tabulated data, one-dimensional minimization, and monotone
+cubic interpolation of tabulated data.  Everything here is a pure
+function of its inputs and safe to call concurrently.
 
 Quadrature is one globally adaptive Gauss-Kronrod 21/10 routine: every
 refinement sweep evaluates all nodes of all new panels in a single call
@@ -25,12 +25,7 @@ port of scipy's PchipInterpolator whose cubic pieces are summed in the
 order of scipy's PPoly.  Both return the same bits as scipy on the same
 input, and the test suite pins that against scipy.  None of this
 imports scipy, which costs more start-up time than numpy and everything
-here together.  The exponential integral E1 is computed locally (power
-series for small argument, modified-Lentz continued fraction for large
-argument) because it sits inside the Newton solve of the Daubechies
-factor, which also reads the continued fraction's tail, and its
-accuracy budget is audited by the test suite against independent
-quadrature.
+here together.
 """
 
 from __future__ import annotations
@@ -41,19 +36,13 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
-from .errors import (BracketError, ConvergenceError, DomainError, FormatError, NonFiniteError,
+from .errors import (BracketError, ConvergenceError, FormatError, NonFiniteError,
                      check_integer, check_positive)
-
-EULER_GAMMA = 0.5772156649015328606065120900824024
 
 __all__ = [
     "QuadratureSpec",
     "MinimizeResult",
     "DEFAULT_QUADRATURE",
-    "omega",
-    "beta",
-    "exp_e1_scaled",
-    "e1_fraction_tail",
     "quad_halfline",
     "quad_finite",
     "gauss_cells",
@@ -91,77 +80,6 @@ class MinimizeResult:
     min_value: float
     iterations: int
     converged: bool
-
-
-def omega(d: int) -> float:
-    """Surface measure of the unit sphere in d dimensions, 2 pi^(d/2) / Gamma(d/2).
-
-    This is the angular factor turning a radial integral into a full
-    d-dimensional one (2 for d=1, 2 pi for d=2, 4 pi for d=3).
-    """
-    if d < 1:
-        raise DomainError(f"dimension must be >= 1, got {d}")
-    return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
-
-
-def beta(a: float, b: float) -> float:
-    """Euler Beta for strictly positive arguments, via log-gamma."""
-    if a <= 0 or b <= 0:
-        raise DomainError(f"beta requires positive arguments, got ({a}, {b})")
-    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
-
-
-def _e1_series(x: float) -> float:
-    # E1(x) = -gamma - ln x + sum_{n>=1} (-1)^(n+1) x^n / (n n!)
-    s, term = 0.0, 1.0
-    for n in range(1, 500):
-        term *= -x / n
-        add = term / n
-        s += add
-        if abs(add) < 1e-18 * max(1.0, abs(s)):
-            break
-    return -EULER_GAMMA - math.log(x) - s
-
-
-def e1_fraction_tail(x: float) -> float:
-    """Tail r = 1/(x + 3 - 4/(x + 5 - 9/(x + 7 - ...))) of the continued
-    fraction e^x E1(x) = 1/(x + 1 - r), for x > 1 (modified Lentz).
-
-    With it 1/(e^x E1(x)) - x = 1 - r is free of the cancellation that
-    subtracting x from 1/(e^x E1(x)) suffers for large x.
-    """
-    if not x > 1.0:
-        raise DomainError(f"e1_fraction_tail requires x > 1, got {x}")
-    tiny = 1e-300
-    b = x + 3.0
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(2, 500):
-        a = -float(i * i)
-        b += 2.0
-        d = 1.0 / (a * d + b)
-        c = b + a / c
-        if c == 0.0:
-            c = tiny
-        delta = c * d
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return h
-
-
-def exp_e1_scaled(x: float) -> float:
-    """e^x E1(x) for x > 0, finite where E1(x) itself underflows.
-
-    Power series up to x = 1, continued fraction above; both branches
-    agree with direct quadrature of the defining integral to ~1e-14.
-    """
-    if x <= 0:
-        raise DomainError(f"exp_e1_scaled requires x > 0, got {x}")
-    if x <= 1.0:
-        return math.exp(x) * _e1_series(x)
-    return 1.0 / (x + 1.0 - e1_fraction_tail(x))
 
 
 # Gauss-Kronrod 21/10 pair on [-1, 1] (Piessens et al., 1983): the 11

@@ -24,10 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constants
+from .constants import beta, omega
 from .densities import RadialDensity
 from .errors import DomainError, check_finite, check_integer, check_positive
 from .functionals import entropic_moment
-from .mathcore import QuadratureSpec, beta, omega
+from .mathcore import QuadratureSpec
 
 __all__ = ["ExtremalConstant", "minimizer_density", "maximizer_density",
            "extremal_F", "extremal_G"]
@@ -53,8 +54,7 @@ def _validate_orders(d: int, alpha: float, k: float) -> None:
     check_finite("momentum order", k)
 
 
-def _scale_from_ratio(d: int, alpha: float, ratio_factor: float,
-                      N: float, r_alpha: float) -> float:
+def _scale_from_ratio(alpha: float, ratio_factor: float, N: float, r_alpha: float) -> float:
     # a^alpha = (r_alpha / N) * ratio_factor, from the Beta reduction of
     # the two constraint integrals
     check_positive("particle count", N)
@@ -75,7 +75,7 @@ def minimizer_density(d: int, alpha: float, k: float,
     if k <= 0:
         raise DomainError(f"minimizer_density requires k > 0, got {k}")
     e = d / k
-    a = _scale_from_ratio(d, alpha, 1.0 + alpha * (e + 1.0) / d, N, r_alpha)
+    a = _scale_from_ratio(alpha, 1.0 + alpha * (e + 1.0) / d, N, r_alpha)
     C = N * alpha / (omega(d) * a ** (d + alpha * e) * beta(d / alpha, e + 1.0))
     a_alpha = a ** alpha
 
@@ -116,7 +116,7 @@ def maximizer_density(d: int, alpha: float, k: float,
             f"for d = {d}, k = {k}: the extremal candidate is not integrable")
     e = d / k
     t = -e  # positive exponent of (a^alpha + r^alpha)^-t
-    a = _scale_from_ratio(d, alpha, alpha * (d + k) / (d * (-k)) - 1.0, N, r_alpha)
+    a = _scale_from_ratio(alpha, alpha * (d + k) / (d * (-k)) - 1.0, N, r_alpha)
     C = N * alpha / (omega(d) * a ** (d + alpha * e) * beta(d / alpha, t - d / alpha))
 
     # a^alpha + r^alpha = hi^alpha (1 + (lo/hi)^alpha) with hi = max(a, r),

@@ -365,6 +365,16 @@ class TestRoundTrip:
         # I V = 4 Z^2 * 3 / Z^2 for the hydrogenic ground state
         assert float(row["lhs"]) == pytest.approx(12.0, abs=1e-5)
 
+    def test_blank_table_lines_are_skipped(self, tmp_path):
+        rows = [f"{i / 4},{math.exp(-i / 4)}" for i in range(40)]
+        plain, spaced = tmp_path / "plain.csv", tmp_path / "spaced.csv"
+        plain.write_text("# d=3\n" + "".join(row + "\n" for row in rows))
+        spaced.write_text("# d=3\n\n" + "".join(row + "\n  \n" for row in rows))
+        header, r, rho = cli.read_table(str(spaced))
+        assert header == {"d": "3"}
+        assert r.tolist() == [i / 4 for i in range(40)]
+        assert rho.tolist() == cli.read_table(str(plain))[2].tolist()
+
     def test_momentum_table_keeps_its_space(self, capsys, tmp_path):
         table = tmp_path / "mom.csv"
         code, _, _ = run_cli(capsys, "export", "--model", "hydrogenic", "--Z", "1",

@@ -578,3 +578,11 @@ class TestFisherProductRhs:
             C.fisher_product_rhs("d3_electron", C.SystemConfig(d=2, N=1.0, q=2))
         with pytest.raises(DomainError):
             C.fisher_product_rhs("nonsense", C.SystemConfig(d=3, N=1.0, q=2))
+
+    @pytest.mark.parametrize("variant,d,n", [
+        ("general", 1, 1e-80),  # (N/q)^(-2/d) = 1e160, squared in the bracket
+        ("general", 1, 1e-300),  # (N/q)^(-2/d) itself
+        ("large_N_fermion", 5, 1e300)])  # N^(2-2/d)
+    def test_out_of_range_is_typed(self, variant, d, n):
+        with pytest.raises(DomainError, match="leaves the double-precision range"):
+            C.fisher_product_rhs(variant, C.SystemConfig(d=d, N=n, q=1))

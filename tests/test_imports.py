@@ -1,9 +1,12 @@
 """Every name a module of the package imports is used in that module or
 re-exported through its __all__, and every private name a module defines
 is read in that module, so that deleting the last use of a helper also
-deletes its import, and a helper left without a caller is caught."""
+deletes its import, and a helper left without a caller is caught.  Every
+third-party package the tests import is declared in pyproject.toml."""
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +15,7 @@ import uncrel
 
 PACKAGE = Path(uncrel.__file__).resolve().parent
 MODULES = sorted(PACKAGE.glob("*.py"))
+TESTS = Path(__file__).resolve().parent
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -83,3 +87,33 @@ def test_every_private_name_is_read(path):
     unread = {name: line for name, line in private_definitions(tree).items()
               if name not in loaded_names(tree)}
     assert not unread, f"{path.name}: private names never read (name: line) {unread}"
+
+
+def imported_modules(tree: ast.Module) -> set[str]:
+    """Absolute module names of the import statements of a module."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module)
+    return names
+
+
+def test_every_test_dependency_is_declared():
+    """A fresh `pip install .[test]` can collect every test module: each
+    third-party top-level import of tests/*.py is a dependency or in the
+    test extra (the import names of these packages are their names)."""
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    project = tomllib.loads((TESTS.parent / "pyproject.toml").read_text(encoding="utf-8"))
+    requirements = project["project"]["dependencies"] \
+        + project["project"]["optional-dependencies"]["test"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", req)[0].lower().replace("-", "_")
+                for req in requirements}
+    undeclared = {}
+    for path in sorted(TESTS.glob("*.py")):
+        for name in imported_modules(ast.parse(path.read_text(encoding="utf-8"))):
+            top = name.split(".")[0]
+            if top not in sys.stdlib_module_names and top != "uncrel" and top not in declared:
+                undeclared.setdefault(top, path.name)
+    assert not undeclared, f"imported by tests but not declared (name: file) {undeclared}"

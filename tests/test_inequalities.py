@@ -39,6 +39,25 @@ class TestReportMechanics:
         assert math.isnan(rep.lhs)
 
 
+class TestConfigOfThePair:
+    """The rows read d and N from the config and the pair alike, so a
+    config that is not the pair's is rejected, not judged."""
+
+    @pytest.mark.parametrize("ineq", list(I.InequalityId))
+    @pytest.mark.parametrize("cfg", [
+        SystemConfig(d=2, N=1.0, q=2),  # fisher_product_N would take the d = 2 form
+        SystemConfig(d=3, N=50.0, q=2)],  # heisenberg_general would read rhs 3.97e4
+        ids=["d", "N"])
+    def test_mismatch_raises(self, ineq, cfg):
+        with pytest.raises(DomainError, match=f"^{ineq.value}: the config's .* not the pair's"):
+            I.evaluate(ineq, G3_PAIR, cfg)
+
+    def test_N_within_rounding_is_accepted(self):
+        # DensityPair's rule for model pairs: 1e-12 relative
+        cfg = SystemConfig(d=3, N=1.0 + 1e-13, q=2)
+        assert I.evaluate(I.InequalityId.HEISENBERG_GENERAL, G3_PAIR, cfg).status == "satisfied"
+
+
 class TestSemiclassical:
     def test_hydrogenic_rigorous_k2(self):
         rep = I.evaluate(I.InequalityId.DAUBECHIES, H_PAIR, CFG_H,
@@ -394,6 +413,27 @@ class TestOutOfRange:
     def test_names_the_range(self, ineq, d, n):
         with pytest.raises(DomainError, match=f"^{ineq.value}: a side of the bound leaves"):
             I.evaluate(ineq, D.gaussian_pair(d, 1.0, n), SystemConfig(d=d, N=n, q=2))
+
+    @pytest.mark.parametrize("ineq", [I.InequalityId.FISHER_REAL_4D2,
+                                      I.InequalityId.FISHER_PRODUCT_LARGEN])
+    def test_underflowing_fisher_product(self, ineq):
+        # I[rho] I[gamma] ~ N^2 = 1e-400 underflows to 0, though neither
+        # factor is 0; in a sweep the member is a hole
+        tiny = D.gaussian_pair(3, 1.0, 1e-200)
+        with pytest.raises(DomainError, match=f"^{ineq.value}: a side of the bound leaves"):
+            I.evaluate(ineq, tiny, SystemConfig(d=3, N=1e-200, q=2))
+        rows = I.sweep(ineq, [tiny, G3_PAIR], CFG_H)
+        assert [r.status for r in rows] == ["hole", "satisfied"]
+
+    @pytest.mark.parametrize("ineq", [I.InequalityId.FISHER_REAL_4D2,
+                                      I.InequalityId.FISHER_PRODUCT_LARGEN])
+    def test_zero_fisher_product_is_a_value(self, ineq):
+        # a flat table has exactly zero Fisher information: a report, not an error
+        r = np.linspace(0.0, 1.0, 50)
+        flat = D.load_tabulated(SystemConfig(d=3, N=4.0 * PI / 3.0), r, np.ones_like(r))
+        pair = D.DensityPair(flat, flat, real_wavefunction=True)
+        rep = I.evaluate(ineq, pair, SystemConfig(d=3, N=flat.N, q=2))
+        assert (rep.lhs, rep.ratio, rep.status) == (0.0, 0.0, "violated")
 
     def test_sweep_member_becomes_hole(self):
         fleet = [D.gaussian_pair(1, 1.0, 1e100), D.gaussian_pair(1, 1.0, 1.0)]

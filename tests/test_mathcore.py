@@ -1,7 +1,11 @@
 import dataclasses
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -12,11 +16,12 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uncrel import densities, functionals, mathcore
+from uncrel import constants, densities, functionals, mathcore
 from uncrel.errors import (BracketError, ConvergenceError, DomainError, FormatError,
                            NonFiniteError)
-from uncrel.mathcore import (QuadratureSpec, beta, exp_e1_scaled, interpolate_monotone,
-                             minimize_scalar, omega, quad_finite, quad_halfline)
+from uncrel.constants import beta, exp_e1_scaled, omega
+from uncrel.mathcore import (QuadratureSpec, interpolate_monotone, minimize_scalar, quad_finite,
+                             quad_halfline)
 
 
 def exp_e1(x):
@@ -67,13 +72,13 @@ class TestExpE1:
             s = mpmath.exp(x) * mpmath.e1(x)
             ref = float(x + 1 - 1 / s)
             gap = float(1 / s - x)
-        assert mathcore.e1_fraction_tail(x) == pytest.approx(ref, rel=4e-16)
-        assert 1.0 - mathcore.e1_fraction_tail(x) == pytest.approx(gap, rel=4e-16)
+        assert constants.e1_fraction_tail(x) == pytest.approx(ref, rel=4e-16)
+        assert 1.0 - constants.e1_fraction_tail(x) == pytest.approx(gap, rel=4e-16)
 
     @pytest.mark.parametrize("x", [1.0, 0.5, math.nan])
     def test_fraction_tail_domain(self, x):
         with pytest.raises(DomainError):
-            mathcore.e1_fraction_tail(x)
+            constants.e1_fraction_tail(x)
 
 
 class TestIntegrateHalfline:
@@ -147,6 +152,24 @@ class TestIntegrateHalfline:
         val, err = quad_halfline(lambda r: (1.0 + r) ** -1.1)
         assert val == pytest.approx(10.0, rel=1e-10)
         assert err >= abs(val - 10.0)
+
+    def test_ladder_stops_at_the_largest_float(self):
+        # int_0^inf (1 + r)^-1.001 dr = 1000 still decays where the rungs
+        # reach the largest float; the ladder closes there, with the
+        # remainder in the error, instead of asking for rungs forever.
+        # A fresh interpreter under a timeout, as a ladder that never
+        # closes never returns.
+        probe = ("from uncrel.mathcore import quad_halfline\n"
+                 "print(*quad_halfline(lambda r: (1.0 + r) ** -1.001))")
+        src = str(Path(mathcore.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        val, err = map(float, proc.stdout.split())
+        assert math.isfinite(val) and math.isfinite(err)
+        assert abs(val - 1000.0) <= err
 
     def test_endpoint_singularity(self):
         val, err = quad_finite(lambda r: r ** -0.5, 0.0, 1.0)

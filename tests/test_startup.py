@@ -1,10 +1,11 @@
 """Start-up: importing uncrel and running the CLI never loads scipy or
-numpy.polynomial.
+numpy.polynomial, and the package and its constants load no numpy.
 
 scipy costs more import time than numpy and uncrel together, and no
 command needs it; numpy.polynomial is nine more modules no command needs.
-Each check runs in a fresh interpreter, since the test process itself
-imports scipy for its reference comparisons.
+The closed-form coefficients need only math.  Each check runs in a fresh
+interpreter, since the test process itself imports scipy for its
+reference comparisons.
 """
 
 import json
@@ -14,8 +15,11 @@ import sys
 from pathlib import Path
 
 import uncrel
+from uncrel import constants as C
 
 SRC = str(Path(uncrel.__file__).resolve().parent.parent)
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]))
 
 PROBE = r"""
 import contextlib, io, json, runpy, sys
@@ -54,10 +58,8 @@ def test_import_and_cli_leave_scipy_unloaded(tmp_path):
         ("oracle", ["oracle", "--mode", "G", "--d", "3", "--alpha", "3", "--k", "-1"]),
         ("moments-file", ["moments", "--file", str(table), "--orders", "0,1"]),
     ]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]))
     proc = subprocess.run([sys.executable, "-c", PROBE, json.dumps(commands)],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=ENV, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["import"] == []
@@ -66,3 +68,32 @@ def test_import_and_cli_leave_scipy_unloaded(tmp_path):
         assert report[name] == [], name
     for name in ("table1", "oracle", "moments-file"):
         assert report[name + ".bytes"] > 0, name
+
+
+CONSTANTS_PROBE = r"""
+import json, sys
+
+before = set(sys.modules)
+import uncrel
+package = sorted(set(sys.modules) - before)
+import uncrel.constants as C
+loaded = sorted(set(sys.modules) - before)
+values = [C.daubechies_factor(3, 2.0), C.heisenberg_rhs(3, 2.0, 2.0, N=1.0, q=2),
+          C.fisher_product_rhs("general", C.SystemConfig(d=3, N=2.0, q=2))]
+print(json.dumps({"package": package, "constants": loaded,
+                  "numpy": "numpy" in sys.modules, "values": [v.hex() for v in values]}))
+"""
+
+
+def test_package_and_constants_load_no_numpy():
+    proc = subprocess.run([sys.executable, "-c", CONSTANTS_PROBE], env=ENV,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["package"] == ["uncrel"]
+    assert not report["numpy"], report["constants"]
+    assert [m for m in report["constants"] if m.startswith("uncrel")] == \
+        ["uncrel", "uncrel.constants", "uncrel.errors"]
+    assert report["values"] == [
+        C.daubechies_factor(3, 2.0).hex(), C.heisenberg_rhs(3, 2.0, 2.0, N=1.0, q=2).hex(),
+        C.fisher_product_rhs("general", C.SystemConfig(d=3, N=2.0, q=2)).hex()]

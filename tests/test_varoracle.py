@@ -10,7 +10,8 @@ from uncrel.constants import (entropic_lower_coeff, heisenberg_exponent,
                               semiclassical_constant)
 from uncrel.errors import DomainError
 from uncrel.functionals import entropic_moment, radial_moment
-from uncrel.mathcore import beta, quad_finite, quad_halfline
+from uncrel.constants import beta
+from uncrel.mathcore import quad_finite, quad_halfline
 
 PI = math.pi
 
@@ -151,7 +152,7 @@ class TestExtremalF:
         m = 1.0 + k / d
 
         def w_of(f):
-            from uncrel.mathcore import omega
+            from uncrel.constants import omega
             val, _ = quad_finite(lambda r: f(r) ** m * r ** (d - 1.0), 0.0, a)
             return omega(d) * val
 
@@ -159,7 +160,7 @@ class TestExtremalF:
         bump = lambda r: np.exp(-((r - 0.45 * a) / (0.12 * a)) ** 2)
         # project the bump onto the null space of both constraints using
         # f and r^alpha f as correction directions
-        from uncrel.mathcore import omega
+        from uncrel.constants import omega
         def inner(g):
             v0, _ = quad_finite(lambda r: g(r) * r ** (d - 1.0), 0.0, a)
             va, _ = quad_finite(lambda r: g(r) * r ** (alpha + d - 1.0), 0.0, a)
