@@ -2,9 +2,13 @@
 for tabulated radial densities.
 
 All densities are radial and live in natural units (hbar = m = 1).  A
-RadialDensity is immutable after construction and its evaluation is pure,
-so instances can be shared freely across concurrent sweeps.  Evaluation
-callables accept scalars or numpy arrays.
+RadialDensity is immutable after construction and its evaluation returns
+the same values for the same input, so instances can be shared freely
+across concurrent sweeps.  Evaluation callables accept scalars or numpy
+arrays.  The one state kept between calls is ho1d's: drho leaves the rho
+it computed alongside for the next rho call on the very same read-only
+array, such as the quadrature's nodes, which nothing changes in between
+(see harmonic_fermions_1d).
 """
 
 from __future__ import annotations
@@ -38,6 +42,13 @@ __all__ = [
 # beyond which load_tabulated warns
 _TABLE_NORM_TOL = 0.01
 _LOG_RANGE = 708.0  # |ln x| below this: x is a finite normal float, with room for rounding
+# most oscillator levels harmonic_fermions_1d fills.  The recurrence starts
+# from pi^(-1/4) e^(-x^2/2), subnormal from |x| ~ 37.6 and 0 from 38.6 on.
+# The first 676 levels integrate to 1 within 1.5e-15, the noise of a
+# trapezoid sum (step 1e-4 on [0, 80]); from the 677th on the error doubles
+# with each level, to 3e-10 at the 700th, and an 800-level density is 0.7%
+# short of its particles
+MAX_OSCILLATOR_LEVELS = 676
 
 
 def _check_range(what: str, *products: tuple[float, ...]) -> None:
@@ -216,45 +227,101 @@ def exponential_radial(d: int, lam: float, N: float = 1.0) -> RadialDensity:
                          support_hint=8.0 / lam, label=f"exponential(d={d},lam={lam})")
 
 
-def _hermite_levels(x, top: int):
-    """Yield (n, psi_{n-1}, psi_n) for n = 0..top, psi_n the normalized 1-d
-    oscillator eigenfunctions (psi_{-1} = 0).
+def _oscillator_levels(weights) -> tuple:
+    """_level_pass's rows for occupations weights[n] of levels n = 0..top."""
+    return tuple((float(w), math.sqrt(2.0 / n) if n else 0.0,
+                  math.sqrt((n - 1.0) / n) if n else 0.0, math.sqrt(2.0 * n))
+                 for n, w in enumerate(weights))
 
-    Three-term recurrence on the normalized functions; stable (no
-    factorial overflow) for the level range used here.
+
+def _level_pass(x: np.ndarray, levels: tuple, slope: bool):
+    """(rho, rho' or None) at x of the oscillator levels n = 0..top, where
+    rho = sum w_n psi_n^2, psi_n the normalized 1-d oscillator
+    eigenfunctions, and rho' = sum w_n 2 psi_n (sqrt(2n) psi_{n-1} - x psi_n).
+    levels[n] = (w_n, sqrt(2/n), sqrt((n-1)/n), sqrt(2n)), the coefficients
+    of the three-term recurrence on the normalized functions.
+
+    One run of the recurrence, into buffers allocated once per call.  Each
+    product and sum takes its operands in the order the formulas above
+    give them, with psi_{-1} = 0 and each sum started from +0, so the bits
+    are those of summing the terms one by one.
     """
-    prev, cur = 0.0, math.pi ** -0.25 * np.exp(-0.5 * x * x)
-    yield 0, prev, cur
-    for n in range(1, top + 1):
-        prev, cur = cur, np.sqrt(2.0 / n) * x * cur - np.sqrt((n - 1.0) / n) * prev
-        yield n, prev, cur
+    prev, rho, drho = (np.zeros(x.shape) for _ in range(3))
+    cur, nxt, tmp, inner = (np.empty(x.shape) for _ in range(4))
+    np.multiply(x, -0.5, out=cur)
+    cur *= x
+    np.exp(cur, out=cur)
+    cur *= math.pi ** -0.25
+    for n, (w, up, down, lift) in enumerate(levels):
+        if n:
+            # psi_n = sqrt(2/n) x psi_{n-1} - sqrt((n-1)/n) psi_{n-2}
+            np.multiply(x, up, out=nxt)
+            nxt *= cur
+            np.multiply(prev, down, out=tmp)
+            nxt -= tmp
+            prev, cur, nxt = cur, nxt, prev
+        np.multiply(cur, w, out=tmp)
+        tmp *= cur
+        rho += tmp
+        if slope:
+            np.multiply(prev, lift, out=inner)
+            np.multiply(x, cur, out=tmp)
+            inner -= tmp
+            np.multiply(cur, 2.0 * w, out=tmp)
+            tmp *= inner
+            drho += tmp
+    if not x.ndim:
+        return rho[()], drho[()] if slope else None
+    return rho, drho if slope else None
 
 
 def harmonic_fermions_1d(N: int, q: int) -> DensityPair:
     """Ground state of N spin-(q-1)/2 fermions in a 1-d harmonic well
     (natural units): levels below top = (N - 1) // q hold q fermions each,
-    and level top the remaining N - q top.
+    and level top the remaining N - q top; DomainError past
+    MAX_OSCILLATOR_LEVELS levels.
 
     The one-particle density is the occupation-weighted sum of squared
     oscillator eigenfunctions; the momentum density coincides with it
     pointwise because Hermite functions are Fourier eigenfunctions.  The
     momentum side shares the position side's rho and drho, so each
     quadrature-backed functional of the pair is integrated once.
+
+    drho computes rho alongside in one level pass (_level_pass), and the
+    next rho call on the very same array takes that value, so a
+    Fisher-information sweep, which asks for drho first, runs the
+    recurrence once.  Only read-only arrays such as the quadrature's nodes
+    are kept, so an input changed in place between the calls is evaluated
+    afresh.  The kept (x, rho) is replaced whole and let go on first use,
+    so concurrent sweeps find either an entry for their own array or none.
     """
     check_integer("particle number", N)
     check_integer("spin multiplicity", q)
     top, rest = divmod(int(N) - 1, int(q))
+    if top >= MAX_OSCILLATOR_LEVELS:
+        raise DomainError(
+            f"ho1d(N={N},q={q}) fills {top + 1} oscillator levels; at most "
+            f"{MAX_OSCILLATOR_LEVELS} are supported, as the recurrence's start "
+            f"underflows where higher levels still hold particles")
     weights = [int(q)] * top + [rest + 1]  # fermions on levels 0..top
+    levels = _oscillator_levels(weights)
+    kept = None  # (x, rho) of drho's last read-only input
 
     def rho(x):
-        x = np.asarray(x, dtype=float)
-        return sum(weights[n] * psi * psi for n, _, psi in _hermite_levels(x, top))
+        nonlocal kept
+        hit = kept
+        if hit is not None and hit[0] is x:
+            kept = None
+            return hit[1]
+        return _level_pass(np.asarray(x, dtype=float), levels, False)[0]
 
     def drho(x):
-        # d/dx psi_n^2 = 2 psi_n (sqrt(2n) psi_{n-1} - x psi_n)
-        x = np.asarray(x, dtype=float)
-        return sum(weights[n] * 2.0 * psi * (np.sqrt(2.0 * n) * below - x * psi)
-                   for n, below, psi in _hermite_levels(x, top))
+        nonlocal kept
+        r = np.asarray(x, dtype=float)
+        value, slope = _level_pass(r, levels, True)
+        if r is x and not x.flags.writeable:
+            kept = (x, value)
+        return slope
 
     # total <x^2> = total <p^2> = sum over occupied levels of w (n + 1/2)
     second = sum(w * (n + 0.5) for n, w in enumerate(weights))
@@ -303,7 +370,11 @@ def load_tabulated(cfg: SystemConfig, r, rho_values) -> RadialDensity:
         warnings.warn(
             f"measured normalization {measured:.6g} deviates from declared "
             f"N = {cfg.N:.6g} by more than 1%", stacklevel=2)
-    tail = max(hi / 8.0, float(np.median(np.diff(r))) * 8.0)
+    # the median knot spacing, as np.median gives it, which imports numpy.ma
+    gaps = np.sort(np.diff(r))
+    mid = gaps.size // 2
+    step = gaps[mid] if gaps.size % 2 else (gaps[mid - 1] + gaps[mid]) / 2.0
+    tail = max(hi / 8.0, float(step) * 8.0)
     return RadialDensity(d=cfg.d, N=float(measured), rho=rho, drho=drho,
                          support_hint=tail, support=(lo, hi), knots=r,
                          label="tabulated")

@@ -187,8 +187,9 @@ def fisher_information(dens: RadialDensity,
     floor = 0.0 if dens.knots is None else 1e-12 * float(np.max(f(dens.knots)))
 
     def integrand(r):
-        v = np.asarray(f(r), dtype=float)
+        # drho first: a density may compute rho alongside and hand it back
         g = np.asarray(df(r), dtype=float)
+        v = np.asarray(f(r), dtype=float)
         safe = ~(v <= floor)  # a NaN value passes, for the quadrature to reject
         # (g / v) g, not g^2 / v: g^2 leaves the float range at extreme scales
         ratio = np.divide(g, v, out=np.zeros_like(v), where=safe)

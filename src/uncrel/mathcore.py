@@ -7,7 +7,9 @@ function of its inputs and safe to call concurrently.
 
 Quadrature is one globally adaptive Gauss-Kronrod 21/10 routine: every
 refinement sweep evaluates all nodes of all new panels in a single call
-of the integrand, so integrands take and return numpy arrays.  Panels
+of the integrand, so integrands take and return numpy arrays.  The node
+array an integrand receives is read-only and new in every call, so an
+integrand may key a value it computes on the array's identity.  Panels
 are bisected, except that an end panel of the domain still among the
 worst after three bisections is graded: cut into 16 panels whose widths
 halve towards the end.  Algebraic end singularities (fractional and
@@ -132,6 +134,7 @@ def _gk21(f, lo: np.ndarray, hi: np.ndarray):
     nodes in one call of f; returns (values, error estimates, node values)."""
     half = 0.5 * (hi - lo)
     nodes = 0.5 * (hi + lo)[:, None] + half[:, None] * _X21
+    nodes.flags.writeable = False  # integrands may key values on the array's identity
     vals = f(nodes)
     if type(vals) is not np.ndarray or vals.dtype != np.float64 or vals.shape != nodes.shape:
         vals = np.broadcast_to(np.asarray(vals, dtype=float), nodes.shape)
@@ -299,7 +302,7 @@ def quad_finite(f: Callable, lo: float, hi: float,
     """Adaptive quadrature of f over [lo, hi], starting from _START_PANELS
     uniform panels; returns (value, error estimate), (0, 0) unless lo < hi.
 
-    f must accept numpy arrays.
+    f must accept numpy arrays; the node arrays it receives are read-only.
     """
     if hi <= lo:
         return 0.0, 0.0
@@ -314,8 +317,9 @@ def quad_halfline(f: Callable, spec: QuadratureSpec | None = None,
     Uniform starting panels cover [0, tail_cut], a finite positive
     radius; beyond it a geometric ladder of panels carries the tail, and
     the remainder past the last rung is summed as a geometric series.
-    f must accept numpy arrays and be finite at every interior node; NaN
-    or infinity raises NonFiniteError rather than propagating silently.
+    f must accept numpy arrays, which it receives read-only, and be finite
+    at every interior node; NaN or infinity raises NonFiniteError rather
+    than propagating silently.
     """
     check_positive("tail_cut", tail_cut)
     cuts = np.linspace(0.0, tail_cut, _START_PANELS + 1)
@@ -328,7 +332,8 @@ def gauss_cells(f, knots: np.ndarray, spec: QuadratureSpec | None = None) -> tup
 
     For integrands smooth within each cell but not across knots, such as
     monotone-cubic interpolants of tabulated data; f must accept numpy
-    arrays.  The name stays because bench/layertrace.py traces it by name.
+    arrays, which it receives read-only.  The name stays because
+    bench/layertrace.py traces it by name.
     """
     return _adaptive_gk(f, np.asarray(knots, dtype=float), spec or DEFAULT_QUADRATURE)
 

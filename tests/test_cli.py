@@ -9,7 +9,7 @@ import pytest
 
 from uncrel import cli, varoracle
 from uncrel.cli import main
-from uncrel.densities import DensityPair
+from uncrel.densities import MAX_OSCILLATOR_LEVELS, DensityPair
 from uncrel.inequalities import InequalityId
 from uncrel.mathcore import QuadratureSpec
 
@@ -197,6 +197,18 @@ class TestSweep:
         assert [r["state"] for r in rows] == ["ho1d(n=1)", "ho1d(n=2)"]
         assert all(r["params"] == "alpha=2;k=2;" for r in rows)
         assert all(r["note"] == "hole: spin multiplicity must be an integer >= 1, got 0" for r in rows)
+
+    def test_member_past_the_level_limit_is_a_hole(self, capsys):
+        top = MAX_OSCILLATOR_LEVELS
+        code, out, _ = run_cli(capsys, "sweep", "--ineq", "heisenberg", "--model", "ho1d",
+                               "--q", "1", "--n", f"1,{top + 1}")
+        assert code == 0
+        hole, row = parse_csv(out)
+        assert hole["state"] == f"ho1d(n={top + 1})"
+        assert hole["note"] == (f"hole: ho1d(N={top + 1},q=1) fills {top + 1} oscillator "
+                                f"levels; at most {top} are supported, as the recurrence's "
+                                f"start underflows where higher levels still hold particles")
+        assert row["status"] == "satisfied"
 
     @pytest.mark.parametrize("n_range", ["5..1", "3..2"])
     def test_empty_range_is_a_format_error(self, capsys, n_range):

@@ -1,5 +1,8 @@
 import dataclasses
+import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -220,6 +223,107 @@ class TestHarmonicFermions:
         for q in (0, True):
             with pytest.raises(DomainError, match="spin multiplicity"):
                 D.harmonic_fermions_1d(3, q)
+
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_level_limit(self, q):
+        top = D.MAX_OSCILLATOR_LEVELS
+        assert 650 <= top < 700
+        assert D.harmonic_fermions_1d(q * top, q).position.N == q * top
+        with pytest.raises(DomainError, match=re.escape(
+                f"ho1d(N={q * top + 1},q={q}) fills {top + 1} oscillator levels; "
+                f"at most {top} are supported")):
+            D.harmonic_fermions_1d(q * top + 1, q)
+
+    def test_every_particle_kept_up_to_the_limit(self):
+        # trapezoid sums on [0, 80] are exact to rounding for these entire,
+        # Gaussian-damped functions
+        x = np.linspace(0.0, 80.0, 8001)
+
+        def count(values):
+            return 2.0 * (x[1] - x[0]) * (values.sum() - 0.5 * (values[0] + values[-1]))
+
+        def top_level(levels):  # the density of one fermion in the highest level
+            return D._level_pass(x, D._oscillator_levels([0] * (levels - 1) + [1]), False)[0]
+
+        top = D.MAX_OSCILLATOR_LEVELS
+        for q in (1, 2):
+            assert count(D.harmonic_fermions_1d(q * top, q).position.rho(x)) == \
+                pytest.approx(q * top, rel=5e-16, abs=0)
+        assert abs(count(top_level(top)) - 1.0) < 4e-15
+        # past the limit the underflowed start shows: the 700th level alone
+        # is 4e-10 off
+        assert abs(count(top_level(700)) - 1.0) > 1e-10
+
+
+_BITS = json.loads((Path(__file__).resolve().parent / "data" / "ho1d_bits.json").read_text())
+
+
+class TestLevelPass:
+    """rho and drho of ho1d come from one level pass that drho shares with
+    the next rho call on the same read-only array."""
+
+    def counted(self, monkeypatch):
+        level_pass, calls = D._level_pass, []
+
+        def counting(x, levels, slope):
+            calls.append(slope)
+            return level_pass(x, levels, slope)
+
+        monkeypatch.setattr(D, "_level_pass", counting)
+        return calls
+
+    def test_bits_of_the_generator_sums(self):
+        x = np.array(_BITS["points"])
+        for key, want in _BITS["values"].items():
+            n, q = map(int, key.split(","))
+            pos = D.harmonic_fermions_1d(n, q).position
+            got = [F.fisher_information(pos).value, F.entropic_moment(pos, 1.5).value,
+                   F.radial_moment(pos, 0.5).value, *pos.rho(x), *pos.drho(x)]
+            assert [float(v).hex() for v in got] == want, key
+            pointwise = [*(pos.rho(float(v)) for v in x), *(pos.drho(float(v)) for v in x)]
+            assert [v.hex() for v in pointwise] == want[3:], key
+
+    def test_scalars_give_scalars(self):
+        pos = D.harmonic_fermions_1d(7, 2).position
+        for f in (pos.rho, pos.drho):
+            for v in (1.5, np.float64(1.5), np.array(1.5)):
+                out = f(v)
+                assert type(out) is np.float64
+                assert out == f(np.array([1.5]))[0]
+
+    def test_read_only_array_takes_one_pass(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        pos = D.harmonic_fermions_1d(9, 2).position
+        x = np.linspace(0.0, 5.0, 11)
+        want = pos.rho(x.copy()), pos.drho(x.copy())
+        x.flags.writeable = False
+        calls.clear()
+        slope = pos.drho(x)
+        value = pos.rho(x)
+        assert calls == [True]
+        assert np.array_equal(value, want[0]) and np.array_equal(slope, want[1])
+        # the kept value is let go on its first use
+        assert np.array_equal(pos.rho(x), want[0])
+        assert calls == [True, False]
+        # an equal array that is not the same one is evaluated afresh
+        assert np.array_equal(pos.rho(np.array(x)), want[0])
+        assert calls == [True, False, False]
+
+    def test_array_changed_in_place_gets_fresh_values(self, monkeypatch):
+        pos = D.harmonic_fermions_1d(9, 2).position
+        fresh = D.harmonic_fermions_1d(9, 2).position  # never sees x
+        x = np.linspace(0.0, 5.0, 11)
+        pos.drho(x)
+        x *= 1.5
+        assert np.array_equal(pos.rho(x), fresh.rho(x))
+        pos.rho(x)
+        x += 0.25
+        assert np.array_equal(pos.drho(x), fresh.drho(x))
+        assert np.array_equal(pos.rho(x), fresh.rho(x))
+        calls = self.counted(monkeypatch)
+        pos.drho(x)
+        pos.rho(x)
+        assert calls == [True, False]  # a writeable array is never kept
 
 
 class TestLoadTabulated:

@@ -13,6 +13,7 @@ import scipy.interpolate
 from uncrel import densities as D
 from uncrel import functionals as F
 from uncrel import inequalities as I
+from uncrel import mathcore as M
 from uncrel import varoracle as V
 from uncrel.constants import SystemConfig
 from uncrel.errors import (ConvergenceError, DivergenceError, DomainError, FormatError,
@@ -416,13 +417,13 @@ class TestQuadratureMemo:
     quadrature reads, and by no others."""
 
     def test_self_dual_twin_is_integrated_once(self, monkeypatch):
-        levels, calls = D._hermite_levels, []
+        level_pass, calls = D._level_pass, []
 
-        def counted(x, top):
+        def counted(x, levels, slope):
             calls.append(np.size(x))
-            return levels(x, top)
+            return level_pass(x, levels, slope)
 
-        monkeypatch.setattr(D, "_hermite_levels", counted)
+        monkeypatch.setattr(D, "_level_pass", counted)
         pair = D.harmonic_fermions_1d(20, 2)
         first = F.fisher_information(pair.position)
         one_quadrature = len(calls)
@@ -430,6 +431,25 @@ class TestQuadratureMemo:
         assert F.fisher_information(pair.momentum) is first
         assert F.fisher_information(pair.position) is first
         assert len(calls) == one_quadrature
+
+    def test_one_level_pass_per_sweep(self, monkeypatch):
+        # drho's level pass also gives rho on the same nodes, so each
+        # Gauss-Kronrod sweep of a ho1d Fisher information runs one
+        level_pass, gk21, passes, sweeps = D._level_pass, M._gk21, [], []
+
+        def counted_pass(x, levels, slope):
+            passes.append(slope)
+            return level_pass(x, levels, slope)
+
+        def counted_sweep(f, lo, hi):
+            sweeps.append(lo.size)
+            return gk21(f, lo, hi)
+
+        monkeypatch.setattr(D, "_level_pass", counted_pass)
+        monkeypatch.setattr(M, "_gk21", counted_sweep)
+        F.fisher_information(D.harmonic_fermions_1d(20, 2).position)
+        assert len(sweeps) > 1
+        assert passes == [True] * len(sweeps)
 
     @pytest.mark.parametrize("field", list(_READ_FIELDS))
     def test_a_changed_read_field_gets_its_own_entry(self, field):

@@ -1,8 +1,11 @@
-"""Start-up: importing uncrel and running the CLI never loads scipy or
-numpy.polynomial, and the package and its constants load no numpy.
+"""Start-up: importing uncrel and running the CLI never loads scipy,
+numpy.polynomial or numpy.ma, and the package and its constants load no
+numpy.
 
 scipy costs more import time than numpy and uncrel together, and no
-command needs it; numpy.polynomial is nine more modules no command needs.
+command needs it; numpy.polynomial is nine more modules no command needs,
+and numpy.ma, which np.median would import on a tabulated load, costs
+about 10 ms.
 The closed-form coefficients need only math.  Each check runs in a fresh
 interpreter, since the test process itself imports scipy for its
 reference comparisons.
@@ -24,7 +27,7 @@ ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
 PROBE = r"""
 import contextlib, io, json, runpy, sys
 
-FORBIDDEN = ("scipy", "numpy.polynomial")
+FORBIDDEN = ("scipy", "numpy.polynomial", "numpy.ma")
 
 def forbidden_modules():
     return sorted(m for m in sys.modules
