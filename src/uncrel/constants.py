@@ -5,8 +5,9 @@ Every evaluator is scale-free: it takes dimensionless parameters
 outside a formula's validity window.
 
 The scalar special functions the coefficients are built from live here
-too: the sphere measure Omega_d, the Euler Beta, and the exponential
-integral E1.  E1 is computed locally (power series up to x = 1,
+too: the sphere measure Omega_d, the Euler Beta, the exponential
+integral E1, and Gamma functions and powers past the double range
+(Wide, wide_gamma) for the densities' closed-form moments.  E1 is computed locally (power series up to x = 1,
 modified-Lentz continued fraction above) because it sits inside the
 Newton solve of the Daubechies factor, which also reads the continued
 fraction's tail, and its accuracy budget is audited by the test suite
@@ -26,6 +27,8 @@ __all__ = [
     "SystemConfig",
     "omega",
     "beta",
+    "Wide",
+    "wide_gamma",
     "exp_e1_scaled",
     "e1_fraction_tail",
     "thakkar_coefficient",
@@ -61,6 +64,77 @@ def beta(a: float, b: float) -> float:
     if a <= 0 or b <= 0:
         raise DomainError(f"beta requires positive arguments, got ({a}, {b})")
     return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+
+
+_TINY = 2.2250738585072014e-308  # smallest normal float
+
+
+class Wide:
+    """A positive number m 2^e with a float m and an unbounded integer e,
+    so that products of Gamma functions and powers can pass beyond the
+    double range on the way to a result inside it.
+
+    Products, quotients and powers take the bits of the same float
+    operation wherever that operation's operands and result are normal
+    floats, since scaling by powers of two rounds nothing; beyond that
+    they stay within a few ulps.  value() is the result as a float, and a
+    DomainError where that is not a finite normal float.
+    """
+
+    __slots__ = ("m", "e")
+
+    def __init__(self, x: float, e: int = 0):
+        self.m, k = math.frexp(x)
+        self.e = e + k
+
+    @staticmethod
+    def _of(x) -> "Wide":
+        return x if isinstance(x, Wide) else Wide(x)
+
+    def __mul__(self, other) -> "Wide":
+        other = Wide._of(other)
+        return Wide(self.m * other.m, self.e + other.e)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "Wide":
+        other = Wide._of(other)
+        return Wide(self.m / other.m, self.e - other.e)
+
+    def __pow__(self, y: float) -> "Wide":
+        if -1021 <= self.e <= 1024:  # a normal float: x ** y where that is one too
+            try:
+                v = math.ldexp(self.m, self.e) ** y
+            except OverflowError:
+                v = math.inf
+            if _TINY <= v < math.inf:
+                return Wide(v)
+        check_finite("exponent", y)
+        if abs(y) > 1000.0:  # m^y itself would leave the range
+            half = self ** (y / 2.0)
+            return half * half
+        # x^y = m^y 2^(e y), e y split exactly into an integer and a fraction
+        p, q = float(y).as_integer_ratio()
+        n, rest = divmod(self.e * p, q)
+        return Wide(self.m ** y * 2.0 ** (rest / q), n)
+
+    def value(self, what: str) -> float:
+        if not -1021 <= self.e <= 1024:
+            raise DomainError(f"{what} leaves the double-precision range")
+        return math.ldexp(self.m, self.e)
+
+
+def wide_gamma(x: float) -> Wide:
+    """Gamma(x) for x > 0 as a Wide: math.gamma inside its range, and
+    beyond it Legendre's duplication with h = x/2,
+    Gamma(x) = Gamma(h) (h - 1/2) Gamma(h - 1/2) 2^(x-1) / sqrt(pi),
+    whose arguments are exact (h + 1/2 may round)."""
+    if x < 171.0:
+        return Wide(math.gamma(x))
+    check_finite("Gamma argument", x)
+    h = x / 2.0
+    return wide_gamma(h) * (h - 0.5) * wide_gamma(h - 0.5) * Wide(2.0) ** (x - 1.0) \
+        / math.sqrt(math.pi)
 
 
 def _e1_series(x: float) -> float:

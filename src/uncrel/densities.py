@@ -8,7 +8,8 @@ across concurrent sweeps.  Evaluation callables accept scalars or numpy
 arrays.  The one state kept between calls is ho1d's: drho leaves the rho
 it computed alongside for the next rho call on the very same read-only
 array, such as the quadrature's nodes, which nothing changes in between
-(see harmonic_fermions_1d).
+(see harmonic_fermions_1d); a rescaled density keeps the scaled copy of
+such an array for the same reason (see scale_density).
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
-from .constants import SystemConfig, beta, omega
+from .constants import SystemConfig, Wide, beta, omega, wide_gamma
 from .errors import DomainError, FormatError, check_integer, check_positive
 from .mathcore import gauss_cells, interpolate_monotone
 
@@ -35,6 +36,7 @@ __all__ = [
     "load_tabulated",
     "scale_density",
     "scale_pair",
+    "fixed_moments",
 ]
 
 
@@ -64,8 +66,21 @@ class RadialDensity:
     """A radial probability density in d dimensions normalized to N particles.
 
     rho and drho map radius to density value and radial derivative;
-    analytic_moments, when present, maps moment orders to exact values of
-    <r^order> for the quadrature fast path; support_hint is the decay
+    exact, when present, is the closed form: exact(kind, order) is the
+    exact <r^order> for kind "moment" and W_order for kind "entropic", or
+    None where there is no closed form, so the functionals integrate;
+    a value out of the double range is a DomainError.  Exact are
+      Gaussian: every <r^a>, a > -d, and every W_m;
+      hydrogenic position: every <r^a>, a > -3, and every W_m;
+      hydrogenic momentum: <p^k> for -3 < k < 5, and W_m for m > 3/8
+        (the whole convergence windows);
+      exponential: every <r^a>, a > -d, and every W_m;
+      ho1d: <x^0> and <x^2> only;
+      extremal densities (varoracle): their constraint moments, orders 0
+        and alpha, only;
+      a rescaled density: whatever its base answers, rescaled (a
+        DomainError where the base's value leaves the range);
+    and tabulated densities nothing.  support_hint is the decay
     scale steering tail handling; support restricts the density to a
     finite radial interval; knots marks interpolation breakpoints of
     tabulated data.  tail_exponent is the s of a power-law tail rho ~ r^-s
@@ -80,12 +95,20 @@ class RadialDensity:
     N: float
     rho: Callable
     drho: Callable
-    analytic_moments: Mapping[float, float] | None = None
+    exact: Callable[[str, float], float | None] | None = None
     support_hint: float = 1.0
     support: tuple[float, float] | None = None
     knots: np.ndarray | None = field(default=None, repr=False)
     tail_exponent: float = math.inf
     label: str = ""
+
+
+def fixed_moments(moments: dict) -> Callable:
+    """A RadialDensity.exact that knows the radial moments {order: <r^order>}
+    and nothing else."""
+    def exact(kind, order):
+        return moments.get(order) if kind == "moment" else None
+    return exact
 
 
 @dataclass(frozen=True)
@@ -129,13 +152,20 @@ def _gaussian_radial(d: int, sigma2: float, N: float, label: str) -> RadialDensi
         r = np.asarray(r, dtype=float)
         return -r / sigma2 * norm * np.exp(-r * r / (2.0 * sigma2))
 
-    # <r^a> = N (2 sigma^2)^(a/2) Gamma((a+d)/2) / Gamma(d/2)
-    moments = {
-        float(a): N * (2.0 * sigma2) ** (a / 2.0)
-        * math.gamma((a + d) / 2.0) / math.gamma(d / 2.0)
-        for a in orders
-    }
-    return RadialDensity(d=d, N=N, rho=rho, drho=drho, analytic_moments=moments,
+    def exact(kind, order):
+        if kind == "moment" and order > -d:
+            # <r^a> = N (2 sigma^2)^(a/2) Gamma((a+d)/2) / Gamma(d/2)
+            value = N * Wide(2.0 * sigma2) ** (order / 2.0) \
+                * wide_gamma((order + d) / 2.0) / wide_gamma(d / 2.0)
+        elif kind == "entropic" and order > 0:
+            # W_m = N^m (2 pi sigma^2)^(-d(m-1)/2) m^(-d/2)
+            value = Wide(N) ** order * Wide(order) ** (-d / 2.0) \
+                * Wide(2.0 * math.pi * sigma2) ** (-d * (order - 1.0) / 2.0)
+        else:
+            return None
+        return value.value(f"{label}: {kind} of order {order}")
+
+    return RadialDensity(d=d, N=N, rho=rho, drho=drho, exact=exact,
                          support_hint=4.0 * math.sqrt(sigma2), label=label)
 
 
@@ -172,12 +202,19 @@ def hydrogenic_pair(Z: float) -> DensityPair:
         r = np.asarray(r, dtype=float)
         return -2.0 * Z * cpos * np.exp(-2.0 * Z * r)
 
-    # <r^a> = Gamma(a + 3) / (2^(a+1) Z^a) for a > -3
-    pos_moments = {float(a): math.gamma(a + 3.0) / (2.0 ** (a + 1.0) * Z ** a)
-                   for a in (-2, -1, 0, 1, 2, 3, 4)}
-    pos = RadialDensity(d=3, N=1.0, rho=rho, drho=drho,
-                        analytic_moments=pos_moments, support_hint=4.0 / (2.0 * Z),
-                        label=f"hydrogenic(Z={Z})")
+    def pos_exact(kind, order):
+        if kind == "moment" and order > -3.0:
+            # <r^a> = Gamma(a + 3) / (2^(a+1) Z^a)
+            value = wide_gamma(order + 3.0) / (Wide(2.0) ** (order + 1.0) * Wide(Z) ** order)
+        elif kind == "entropic" and order > 0:
+            # W_m = pi (Z^3/pi)^m / (Z m)^3
+            value = math.pi * Wide(cpos) ** order / (Wide(Z) * order) ** 3.0
+        else:
+            return None
+        return value.value(f"hydrogenic(Z={Z}): {kind} of order {order}")
+
+    pos = RadialDensity(d=3, N=1.0, rho=rho, drho=drho, exact=pos_exact,
+                        support_hint=4.0 / (2.0 * Z), label=f"hydrogenic(Z={Z})")
 
     cmom = 8.0 * Z ** 5 / math.pi ** 2
 
@@ -189,13 +226,22 @@ def hydrogenic_pair(Z: float) -> DensityPair:
         p = np.asarray(p, dtype=float)
         return -8.0 * p * cmom / (Z * Z + p * p) ** 5
 
-    # <p^k> = (16 Z^k / pi) B((k+3)/2, (5-k)/2) for -3 < k < 5
-    mom_moments = {float(k): 16.0 * Z ** k / math.pi
-                   * beta((k + 3.0) / 2.0, (5.0 - k) / 2.0)
-                   for k in (-2, -1, 0, 1, 2, 3, 4)}
-    mom = RadialDensity(d=3, N=1.0, rho=gam, drho=dgam,
-                        analytic_moments=mom_moments, support_hint=3.0 * Z,
-                        tail_exponent=8.0, label=f"hydrogenic-mom(Z={Z})")
+    def mom_exact(kind, order):
+        if kind == "moment" and -3.0 < order < 5.0:
+            # <p^k> = (16 Z^k / pi) B((k+3)/2, (5-k)/2)
+            value = 16.0 * Wide(Z) ** order / math.pi \
+                * beta((order + 3.0) / 2.0, (5.0 - order) / 2.0)
+        elif kind == "entropic" and order > 0.375:
+            # W_m = 2 pi c^m Z^(3-8m) B(3/2, 4m - 3/2), c = 8 Z^5 / pi^2
+            value = 2.0 * math.pi * Wide(cmom) ** order * Wide(Z) ** (3.0 - 8.0 * order) \
+                * beta(1.5, 4.0 * order - 1.5)
+        else:
+            return None
+        return value.value(f"hydrogenic-mom(Z={Z}): {kind} of order {order}")
+
+    mom = RadialDensity(d=3, N=1.0, rho=gam, drho=dgam, exact=mom_exact,
+                        support_hint=3.0 * Z, tail_exponent=8.0,
+                        label=f"hydrogenic-mom(Z={Z})")
     return DensityPair(pos, mom, real_wavefunction=True, label=f"hydrogenic(Z={Z})")
 
 
@@ -222,9 +268,21 @@ def exponential_radial(d: int, lam: float, N: float = 1.0) -> RadialDensity:
         r = np.asarray(r, dtype=float)
         return -lam * c * np.exp(-lam * r)
 
-    moments = {float(a): N * math.gamma(d + a) / (lam ** a * math.gamma(d)) for a in orders}
-    return RadialDensity(d=d, N=N, rho=rho, drho=drho, analytic_moments=moments,
-                         support_hint=8.0 / lam, label=f"exponential(d={d},lam={lam})")
+    label = f"exponential(d={d},lam={lam})"
+
+    def exact(kind, order):
+        if kind == "moment" and order > -d:
+            # <r^a> = N Gamma(d+a) / (lam^a Gamma(d))
+            value = N * wide_gamma(d + order) / (Wide(lam) ** order * wide_gamma(d))
+        elif kind == "entropic" and order > 0:
+            # W_m = Omega_d c^m Gamma(d) / (lam m)^d
+            value = omega(d) * Wide(c) ** order * math.gamma(d) / (Wide(lam) * order) ** d
+        else:
+            return None
+        return value.value(f"{label}: {kind} of order {order}")
+
+    return RadialDensity(d=d, N=N, rho=rho, drho=drho, exact=exact,
+                         support_hint=8.0 / lam, label=label)
 
 
 def _oscillator_levels(weights) -> tuple:
@@ -325,9 +383,9 @@ def harmonic_fermions_1d(N: int, q: int) -> DensityPair:
 
     # total <x^2> = total <p^2> = sum over occupied levels of w (n + 1/2)
     second = sum(w * (n + 0.5) for n, w in enumerate(weights))
-    moments = {0.0: float(N), 2.0: second}
     hint = math.sqrt(2.0 * top + 1.0) + 4.0
-    pos = RadialDensity(d=1, N=float(N), rho=rho, drho=drho, analytic_moments=moments,
+    pos = RadialDensity(d=1, N=float(N), rho=rho, drho=drho,
+                        exact=fixed_moments({0.0: float(N), 2.0: second}),
                         support_hint=hint, label=f"ho1d(N={N},q={q})")
     mom = replace(pos, label=f"ho1d-mom(N={N},q={q})")
     return DensityPair(pos, mom, real_wavefunction=True, label=f"ho1d(N={N},q={q})")
@@ -385,26 +443,50 @@ def scale_density(dens: RadialDensity, lam: float) -> RadialDensity:
 
     Keeps the particle count; radial moments of order a pick up lam^-a,
     entropic moments of order m pick up lam^(d(m-1)), and the Fisher
-    information picks up lam^2.
+    information picks up lam^2.  A closed form of the base density is
+    rescaled the same way.
+
+    The base density sees lam r as one read-only array per read-only
+    input, shared by the rho and drho calls on that same input, so a base
+    that hands rho from drho to rho (harmonic_fermions_1d) still does.
     """
     check_positive("scale factor", lam)
     d = dens.d
     f, df = dens.rho, dens.drho
+    last = None  # (r, lam r) of the last read-only input, let go on reuse
+
+    def scaled(r):
+        nonlocal last
+        hit = last
+        if hit is not None and hit[0] is r:
+            last = None
+            return hit[1]
+        x = lam * np.asarray(r, dtype=float)
+        if isinstance(r, np.ndarray) and not r.flags.writeable and isinstance(x, np.ndarray):
+            x.flags.writeable = False
+            last = (r, x)
+        return x
 
     def rho(r):
-        return lam ** d * f(lam * np.asarray(r, dtype=float))
+        return lam ** d * f(scaled(r))
 
     def drho(r):
-        return lam ** (d + 1) * df(lam * np.asarray(r, dtype=float))
+        return lam ** (d + 1) * df(scaled(r))
 
-    moments = None
-    if dens.analytic_moments is not None:
-        moments = {a: v * lam ** (-a) for a, v in dens.analytic_moments.items()}
+    exact = None
+    if dens.exact is not None:
+        def exact(kind, order):
+            value = dens.exact(kind, order)
+            power = {"moment": -order, "entropic": d * (order - 1.0)}.get(kind)
+            if value is None or power is None:
+                return None
+            return (value * Wide(lam) ** power).value(f"{dens.label}*scale({lam}): "
+                                                      f"{kind} of order {order}")
     support = None
     if dens.support is not None:
         support = (dens.support[0] / lam, dens.support[1] / lam)
     knots = None if dens.knots is None else dens.knots / lam
-    return RadialDensity(d=d, N=dens.N, rho=rho, drho=drho, analytic_moments=moments,
+    return RadialDensity(d=d, N=dens.N, rho=rho, drho=drho, exact=exact,
                          support_hint=dens.support_hint / lam, support=support,
                          knots=knots, tail_exponent=dens.tail_exponent,
                          label=f"{dens.label}*scale({lam})")

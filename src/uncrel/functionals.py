@@ -3,8 +3,15 @@ moments, Fisher information and variance.
 
 Conventions: every functional is a total (the density integrates to N);
 variance alone is per particle, so the Cramer-Rao statement reads
-I * V >= N d^2.  Outputs record whether the analytic fast path or
-quadrature produced them, together with an error estimate.
+I * V >= N d^2.  Outputs record whether a closed form or quadrature
+produced them, together with an error estimate.
+
+One step, _quadrature, decides between the two: a density's closed form
+(RadialDensity.exact) answers radial and entropic moments where it has
+one -- every order of the Gaussian, hydrogenic and exponential models
+inside its convergence window, <x^0> and <x^2> of ho1d, the constraint
+moments of the extremal densities -- and everything else, Fisher
+information always, is integrated.
 """
 
 from __future__ import annotations
@@ -36,6 +43,9 @@ _HIDDEN_SHARE = 1e-10
 class MomentValue:
     """One functional value and how it was made.
 
+    method is 'analytic' for a closed form (see RadialDensity.exact for
+    which families are exact at which orders; W_1 = N is exact for every
+    density) and 'quadrature' otherwise.
     est_error estimates |value - exact|: 0 for closed forms; otherwise the
     adaptive quadrature's summed panel error estimate plus the size of any
     extrapolated tail remainder and of any tail panels left out because
@@ -60,17 +70,22 @@ class MomentValue:
 # rho (held weakly, so entries die with it), then the functional, order and
 # spec, and its d, support, support_hint, drho and knots (by identity; the
 # entry keeps the array, so that identity is not reused while it lives).
-# label, N, analytic_moments and tail_exponent never reach the quadrature,
+# label, N, exact and tail_exponent never reach the quadrature,
 # so the self-dual ho1d momentum twin reads its position side's entries.
 _MEMO: "weakref.WeakKeyDictionary[object, dict]" = weakref.WeakKeyDictionary()
 
 
 def _quadrature(dens: RadialDensity, key: tuple, order: float, integrand,
                 spec: QuadratureSpec | None, excluded=None) -> MomentValue:
-    """Omega_d int integrand(r) dr over the density, memoized (see _MEMO)
-    under `key`, the spec and what the quadrature reads of the density.
-    `excluded(r)`, when given, is integrated the same way and its total
-    added to the error estimate."""
+    """The density's closed form for (key[0], order) where it has one;
+    otherwise Omega_d int integrand(r) dr over the density, memoized (see
+    _MEMO) under `key`, the spec and what the quadrature reads of the
+    density.  `excluded(r)`, when given, is integrated the same way and its
+    total added to the error estimate."""
+    if dens.exact is not None:
+        value = dens.exact(key[0], order)
+        if value is not None:
+            return MomentValue(order, float(value), "analytic")
     table = _MEMO.setdefault(dens.rho, {})
     key = (*key, spec or DEFAULT_QUADRATURE, dens.d, dens.support, dens.support_hint,
            dens.drho, id(dens.knots))
@@ -122,7 +137,7 @@ def radial_moment(dens: RadialDensity, alpha: float,
                   spec: QuadratureSpec | None = None) -> MomentValue:
     """Total radial moment <r^alpha> = Omega_d int r^(alpha+d-1) rho(r) dr.
 
-    Uses the attached closed form when available.  Orders alpha <= -d, or
+    Exact where the density has a closed form.  Orders alpha <= -d, or
     orders the density's declared tail decay cannot pay for, raise
     DivergenceError up front instead of returning a large number.
     """
@@ -131,8 +146,6 @@ def radial_moment(dens: RadialDensity, alpha: float,
     if alpha <= -dens.d:
         raise DivergenceError(
             f"<r^{alpha}> diverges at the origin for d = {dens.d} (need alpha > {-dens.d})")
-    if dens.analytic_moments is not None and alpha in dens.analytic_moments:
-        return MomentValue(alpha, float(dens.analytic_moments[alpha]), "analytic")
     s = dens.tail_exponent
     if alpha + dens.d >= s:
         raise DivergenceError(
@@ -145,7 +158,8 @@ def radial_moment(dens: RadialDensity, alpha: float,
 
 def entropic_moment(dens: RadialDensity, m: float,
                     spec: QuadratureSpec | None = None) -> MomentValue:
-    """Entropic moment W_m = Omega_d int rho(r)^m r^(d-1) dr for m > 0."""
+    """Entropic moment W_m = Omega_d int rho(r)^m r^(d-1) dr for m > 0,
+    exact where the density has a closed form."""
     check_positive("entropic moment order", m)
     m = float(m)
     if m == 1.0:

@@ -14,7 +14,9 @@ window, so its normalization integral diverges.)
 The reconstruction is the brute-force oracle validating the closed-form
 coefficients: constraints are solved in closed form through Beta-function
 reduction, while the extremal's entropic moment is evaluated by
-quadrature.
+quadrature.  So an extremal density's closed form (RadialDensity.exact)
+knows only its constraint moments, orders 0 and alpha: a closed-form
+W_{1+k/d} would hand the oracle the very value it is there to check.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from . import constants
 from .constants import beta, omega
-from .densities import RadialDensity
+from .densities import RadialDensity, fixed_moments
 from .errors import DomainError, check_finite, check_integer, check_positive
 from .functionals import entropic_moment
 from .mathcore import QuadratureSpec
@@ -92,7 +94,7 @@ def minimizer_density(d: int, alpha: float, k: float,
         return -C * e * alpha * np.power(r, alpha - 1.0) * inner
 
     return RadialDensity(d=d, N=N, rho=rho, drho=drho,
-                         analytic_moments={0.0: N, float(alpha): r_alpha},
+                         exact=fixed_moments({0.0: N, float(alpha): r_alpha}),
                          support_hint=a, support=(0.0, a),
                          label=f"extremal-min(d={d},alpha={alpha},k={k})")
 
@@ -136,7 +138,7 @@ def maximizer_density(d: int, alpha: float, k: float,
             * np.power(1.0 + np.power(np.minimum(r, a) / hi, alpha), e - 1.0)
 
     return RadialDensity(d=d, N=N, rho=rho, drho=drho,
-                         analytic_moments={0.0: N, float(alpha): r_alpha},
+                         exact=fixed_moments({0.0: N, float(alpha): r_alpha}),
                          support_hint=a, tail_exponent=alpha * t,
                          label=f"extremal-max(d={d},alpha={alpha},k={k})")
 

@@ -4,12 +4,14 @@
 The CLI promises byte-identical documents for identical invocations; this
 holds that promise across changes to the code, not only between two runs
 of the same code.  A change that moves a document on purpose regenerates
-the file and names the moved cells in CHANGES.md:
+the file and names the moved cells in CHANGES.md; before it writes, the
+script prints the argv and the changed lines of each document that moved:
 
     PYTHONPATH=src python tests/test_cli_documents.py
 """
 
 import contextlib
+import difflib
 import io
 import json
 import sys
@@ -205,8 +207,28 @@ def test_document_is_byte_identical(doc, table_dir):
     assert run(tuple(doc["argv"]), table_dir) == doc
 
 
+def moved_lines(old: dict | None, new: dict) -> list[str]:
+    """The lines of `new` that differ from the recorded `old` document, as
+    -/+ diff lines with the field they sit in; every line if it is new."""
+    out = []
+    for field in ("code", "stdout", "stderr"):
+        before = "" if old is None else str(old[field])
+        after = str(new[field])
+        out += [f"{field}: {line}" for line in difflib.unified_diff(
+                    before.splitlines(), after.splitlines(), lineterm="", n=0)
+                if line[:1] in "+-" and line[:3] not in ("---", "+++")]
+    return out
+
+
 if __name__ == "__main__":
     DATA.parent.mkdir(exist_ok=True)
     docs = record()
+    before = {tuple(doc["argv"]): doc for doc in RECORDED}
+    moved = 0
+    for doc in docs:
+        lines = moved_lines(before.get(tuple(doc["argv"])), doc)
+        if lines:
+            moved += 1
+            print(" ".join(doc["argv"]), *(f"    {line}" for line in lines), sep="\n")
     DATA.write_text(json.dumps(docs, indent=1) + "\n")
-    print(f"wrote {len(docs)} documents to {DATA}", file=sys.stderr)
+    print(f"{moved} of {len(docs)} documents moved; wrote {DATA}", file=sys.stderr)

@@ -1,24 +1,27 @@
 import dataclasses
 import json
 import math
+import random
 import re
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
 from uncrel import densities as D
 from uncrel import functionals as F
 from uncrel import inequalities as I
-from uncrel.constants import SystemConfig
-from uncrel.errors import DomainError, FormatError
+from uncrel import varoracle as V
+from uncrel.constants import SystemConfig, wide_gamma
+from uncrel.errors import DivergenceError, DomainError, FormatError
 
 PI = math.pi
 
 
 def quadrature_only(dens):
-    """Strip analytic moment attachments to force the quadrature path."""
-    return dataclasses.replace(dens, analytic_moments=None)
+    """Strip the closed form to force the quadrature path."""
+    return dataclasses.replace(dens, exact=None)
 
 
 def fleet():
@@ -71,8 +74,8 @@ def test_unrepresentable_state_rejected_at_construction(build):
 class TestGaussianPair:
     def test_second_moments(self):
         pair = D.gaussian_pair(3, 1.0, 1.0)
-        assert pair.position.analytic_moments[2.0] == pytest.approx(3.0, rel=1e-14)
-        assert pair.momentum.analytic_moments[2.0] == pytest.approx(0.75, rel=1e-14)
+        assert pair.position.exact("moment", 2.0) == pytest.approx(3.0, rel=1e-14)
+        assert pair.momentum.exact("moment", 2.0) == pytest.approx(0.75, rel=1e-14)
         assert pair.real_wavefunction
 
     def test_minimum_uncertainty_product(self):
@@ -84,7 +87,7 @@ class TestGaussianPair:
 
     def test_d1_scale(self):
         pair = D.gaussian_pair(1, 2.0, 1.0)
-        assert pair.position.analytic_moments[2.0] == pytest.approx(4.0, rel=1e-14)
+        assert pair.position.exact("moment", 2.0) == pytest.approx(4.0, rel=1e-14)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -96,18 +99,18 @@ class TestGaussianPair:
 class TestHydrogenicPair:
     def test_position_moments(self):
         pos = D.hydrogenic_pair(1.0).position
-        assert pos.analytic_moments[1.0] == pytest.approx(1.5, rel=1e-14)
-        assert pos.analytic_moments[2.0] == pytest.approx(3.0, rel=1e-14)
-        assert pos.analytic_moments[3.0] == pytest.approx(7.5, rel=1e-14)
+        assert pos.exact("moment", 1.0) == pytest.approx(1.5, rel=1e-14)
+        assert pos.exact("moment", 2.0) == pytest.approx(3.0, rel=1e-14)
+        assert pos.exact("moment", 3.0) == pytest.approx(7.5, rel=1e-14)
 
     def test_momentum_moments_against_quadrature(self):
         mom = D.hydrogenic_pair(1.0).momentum
-        assert mom.analytic_moments[1.0] == pytest.approx(8.0 / (3.0 * PI), rel=1e-14)
-        assert mom.analytic_moments[2.0] == pytest.approx(1.0, rel=1e-14)
+        assert mom.exact("moment", 1.0) == pytest.approx(8.0 / (3.0 * PI), rel=1e-14)
+        assert mom.exact("moment", 2.0) == pytest.approx(1.0, rel=1e-14)
         bare = quadrature_only(mom)
         for k in (-2.0, -1.0, 1.0, 2.0):
             assert F.radial_moment(bare, k).value == pytest.approx(
-                mom.analytic_moments[k], rel=1e-9)
+                mom.exact("moment", k), rel=1e-9)
 
     def test_uncertainty_products_charge_invariant(self):
         p1, p2 = D.hydrogenic_pair(1.0), D.hydrogenic_pair(2.0)
@@ -132,7 +135,7 @@ class TestExponentialRadial:
 
     def test_first_moment(self):
         dens = D.exponential_radial(3, 1.0, 1.0)
-        assert dens.analytic_moments[1.0] == pytest.approx(3.0, rel=1e-14)
+        assert dens.exact("moment", 1.0) == pytest.approx(3.0, rel=1e-14)
 
     def test_constructed_normalization(self):
         dens = quadrature_only(D.exponential_radial(2, 1.0, 5.0))
@@ -146,7 +149,7 @@ class TestExponentialRadial:
 class TestHarmonicFermions:
     def test_single_particle_is_oscillator_ground_state(self):
         pair = D.harmonic_fermions_1d(1, 1)
-        assert pair.position.analytic_moments[2.0] == pytest.approx(0.5, rel=1e-14)
+        assert pair.position.exact("moment", 2.0) == pytest.approx(0.5, rel=1e-14)
         x = np.linspace(-3, 3, 31)
         expected = np.exp(-x * x) / math.sqrt(PI)
         assert np.allclose(pair.position.rho(np.abs(x)), expected, rtol=1e-12)
@@ -165,11 +168,12 @@ class TestHarmonicFermions:
     def test_level_filling_with_spin(self):
         # N=3, q=2 occupies level 0 twice and level 1 once
         pair = D.harmonic_fermions_1d(3, 2)
-        assert pair.position.analytic_moments[2.0] == pytest.approx(2.0 * 0.5 + 1.5, rel=1e-14)
+        assert pair.position.exact("moment", 2.0) == pytest.approx(2.0 * 0.5 + 1.5, rel=1e-14)
         # integral floats are integers, and fill the same levels
         again = D.harmonic_fermions_1d(3.0, 2.0).position
         x = np.linspace(0.0, 5.0, 11)
-        assert again.analytic_moments == pair.position.analytic_moments
+        for order in (0.0, 2.0):
+            assert again.exact("moment", order) == pair.position.exact("moment", order)
         assert np.array_equal(again.rho(x), pair.position.rho(x))
 
     def test_derivative_consistency(self):
@@ -211,7 +215,7 @@ class TestHarmonicFermions:
             pair = D.harmonic_fermions_1d(n, q)
             bare = quadrature_only(pair.position)
             second = sum(min(q, n - q * m) * (m + 0.5) for m in range(-(-n // q)))
-            assert pair.position.analytic_moments[2.0] == second
+            assert pair.position.exact("moment", 2.0) == second
             assert F.radial_moment(bare, 0.0).value == pytest.approx(n, rel=7e-16)
             assert F.radial_moment(bare, 2.0).value == pytest.approx(second, rel=7e-16)
             report = I.evaluate(I.InequalityId.CRAMER_RAO, pair, SystemConfig(d=1, N=n, q=q))
@@ -325,6 +329,23 @@ class TestLevelPass:
         pos.rho(x)
         assert calls == [True, False]  # a writeable array is never kept
 
+    def test_rescaled_density_shares_the_pass(self, monkeypatch):
+        scaled = D.scale_density(D.harmonic_fermions_1d(9, 2).position, 2.0)
+        fresh = D.scale_density(D.harmonic_fermions_1d(9, 2).position, 2.0)
+        x = np.linspace(0.0, 2.5, 11)
+        calls = self.counted(monkeypatch)
+        scaled.drho(x)
+        x *= 1.5
+        assert np.array_equal(scaled.rho(x), fresh.rho(x))
+        assert calls == [True, False, False]  # a writeable array is never kept
+        want = fresh.rho(x), fresh.drho(x)
+        x.flags.writeable = False
+        calls.clear()
+        slope = scaled.drho(x)
+        value = scaled.rho(x)
+        assert calls == [True]
+        assert np.array_equal(value, want[0]) and np.array_equal(slope, want[1])
+
 
 class TestLoadTabulated:
     def grid_table(self, Z=1.0, n=400, rmax=12.0):
@@ -404,12 +425,17 @@ class TestInvariants:
             assert F.fisher_information(scaled).value == pytest.approx(
                 F.fisher_information(base).value * lam ** 2, rel=1e-8)
 
-    @pytest.mark.parametrize("dens", fleet()[:6], ids=lambda d: d.label)
+    @pytest.mark.parametrize("dens", fleet()[:9], ids=lambda d: d.label)
     def test_analytic_matches_quadrature(self, dens):
+        # fractional radial and entropic orders: each closed form lies
+        # within the reported error of the stripped density's quadrature
         bare = quadrature_only(dens)
-        for order, exact in (dens.analytic_moments or {}).items():
-            if order in (0.0, 2.0, 1.0, -1.0):
-                assert F.radial_moment(bare, order).value == pytest.approx(exact, rel=1e-8)
+        cases = [(F.radial_moment, a) for a in (-1.5, -0.5, 0.5, 1.5, 2.5, 3.7) if a > -dens.d]
+        cases += [(F.entropic_moment, m) for m in (0.5, 1.5, 2.0, 3.25)]
+        for functional, order in cases:
+            exact, quad = functional(dens, order), functional(bare, order)
+            assert (exact.method, exact.est_error, quad.method) == ("analytic", 0.0, "quadrature")
+            assert abs(exact.value - quad.value) <= quad.est_error, (functional, order)
 
     def test_model_pair_count_mismatch_rejected(self):
         # the 1% allowance is for tabulated sides only
@@ -421,3 +447,171 @@ class TestInvariants:
         with pytest.raises(DomainError):
             D.DensityPair(D.gaussian_pair(2, 1.0).position,
                           D.gaussian_pair(3, 1.0).momentum)
+
+
+_DIMENSIONS = (*range(1, 41), 100, 400)
+_MAX = mpmath.mpf(2) ** 1024
+_MIN = mpmath.mpf(2) ** -1022  # the smallest normal float
+
+
+def _draws(seed, count):
+    """(d, scale, N, order) draws: d from 1..40, 100 and 400, scales
+    log-uniform over 1e-6..1e6, radial orders from -d + 0.01 on
+    (fractional but for the window's edge), N log-uniform over 1e-3..1e6."""
+    rng = random.Random(seed)
+    for i in range(count):
+        d = rng.choice(_DIMENSIONS)
+        order = -d + 0.01 if i % 10 == 0 else rng.uniform(-d + 0.01, 2.0 * d + 10.0)
+        yield d, 10.0 ** rng.uniform(-6.0, 6.0), 10.0 ** rng.uniform(-3.0, 6.0), order
+
+
+def _entropic_orders(rng, low=0.0):
+    """Five m in (low, 4]: log-uniform from 1e-3 (or just above low) and 4."""
+    lo = max(low * 1.001, 1e-3)
+    return [10.0 ** rng.uniform(math.log10(lo), math.log10(4.0)) for _ in range(4)] + [4.0]
+
+
+class TestClosedForms:
+    """Every closed form against 30-digit mpmath at the state's own float
+    parameters: within 1e-13 relative, or a DomainError where the value
+    leaves the double range (or the state cannot be built)."""
+
+    def check(self, compute, exact, base=None):
+        """`base`: the value a rescaled density's closed form starts from,
+        which must be in range too."""
+        exact = mpmath.mpf(exact)
+        try:
+            mv = compute()
+        except DomainError:
+            assert not all(_MIN * (1 + 1e-12) < v < _MAX * (1 - 1e-12)
+                           for v in (exact, exact if base is None else base))
+            return
+        assert (mv.method, mv.est_error) == ("analytic", 0.0)
+        assert abs(mv.value / exact - 1) <= 1e-13, (mv.value, exact)
+
+    def test_gaussian(self):
+        with mpmath.workdps(30):
+            rng = random.Random(11)
+            for d, a, N, order in _draws(1, 500):
+                try:
+                    pair = D.gaussian_pair(d, a, N)
+                except DomainError:
+                    continue
+                for dens, s2 in ((pair.position, a * a), (pair.momentum, 1.0 / (4.0 * a * a))):
+                    s2, dm = mpmath.mpf(s2), mpmath.mpf(d)
+                    self.check(lambda: F.radial_moment(dens, order),
+                               N * (2 * s2) ** (mpmath.mpf(order) / 2)
+                               * mpmath.gamma((order + dm) / 2) / mpmath.gamma(dm / 2))
+                    for m in _entropic_orders(rng):
+                        self.check(lambda: F.entropic_moment(dens, m),
+                                   mpmath.mpf(N) ** m * (2 * mpmath.pi * s2) ** (-dm * (m - 1) / 2)
+                                   * mpmath.mpf(m) ** (-dm / 2))
+
+    def test_exponential(self):
+        with mpmath.workdps(30):
+            rng = random.Random(12)
+            for d, lam, N, order in _draws(2, 500):
+                try:
+                    dens = D.exponential_radial(d, lam, N)
+                except DomainError:
+                    continue
+                dm, lm = mpmath.mpf(d), mpmath.mpf(lam)
+                self.check(lambda: F.radial_moment(dens, order),
+                           N * mpmath.gamma(dm + order) / (lm ** order * mpmath.gamma(dm)))
+                omega = 2 * mpmath.pi ** (dm / 2) / mpmath.gamma(dm / 2)
+                c = N * lm ** dm / (omega * mpmath.gamma(dm))
+                for m in _entropic_orders(rng):
+                    self.check(lambda: F.entropic_moment(dens, m),
+                               omega * c ** m * mpmath.gamma(dm) / (lm * m) ** dm)
+
+    def test_hydrogenic(self):
+        with mpmath.workdps(30):
+            rng = random.Random(13)
+            for i in range(300):
+                Z = 10.0 ** rng.uniform(-6.0, 6.0)
+                pair = D.hydrogenic_pair(Z)
+                z = mpmath.mpf(Z)
+                a = -2.99 if i % 10 == 0 else rng.uniform(-2.99, 80.0)
+                k = rng.uniform(-2.99, 4.99)
+                self.check(lambda: F.radial_moment(pair.position, a),
+                           mpmath.gamma(a + 3) / (2 ** (a + 1) * z ** a))
+                self.check(lambda: F.radial_moment(pair.momentum, k),
+                           16 * z ** k / mpmath.pi * mpmath.beta((k + 3) / 2, (5 - k) / 2))
+                for m in _entropic_orders(rng):
+                    self.check(lambda: F.entropic_moment(pair.position, m),
+                               mpmath.pi * (z ** 3 / mpmath.pi) ** m / (z * m) ** 3)
+                for m in _entropic_orders(rng, low=0.375):
+                    c = 8 * z ** 5 / mpmath.pi ** 2
+                    self.check(lambda: F.entropic_moment(pair.momentum, m),
+                               2 * mpmath.pi * c ** m * z ** (3 - 8 * m)
+                               * mpmath.beta(1.5, 4 * m - 1.5))
+
+    def test_rescaled(self):
+        with mpmath.workdps(30):
+            rng = random.Random(14)
+            for d, a, N, order in _draws(3, 200):
+                lam = 10.0 ** rng.uniform(-3.0, 3.0)
+                try:
+                    dens = D.scale_density(D.exponential_radial(d, a, N), lam)
+                except DomainError:
+                    continue
+                dm, am = mpmath.mpf(d), mpmath.mpf(a)
+                base = N * mpmath.gamma(dm + order) / (am ** order * mpmath.gamma(dm))
+                self.check(lambda: F.radial_moment(dens, order),
+                           base * mpmath.mpf(lam) ** -order, base)
+                m = rng.uniform(0.01, 4.0)
+                omega = 2 * mpmath.pi ** (dm / 2) / mpmath.gamma(dm / 2)
+                c = N * am ** dm / (omega * mpmath.gamma(dm))
+                base = omega * c ** m * mpmath.gamma(dm) / (am * m) ** dm
+                self.check(lambda: F.entropic_moment(dens, m),
+                           base * mpmath.mpf(lam) ** (dm * (m - 1)), base)
+
+    @pytest.mark.parametrize("d", [100, 400])
+    def test_gamma_ratios_past_the_gamma_range(self, d):
+        # the ratios of the Gaussian and exponential moments where
+        # Gamma itself leaves the double range
+        with mpmath.workdps(30):
+            rng = random.Random(d)
+            for _ in range(300):
+                order = rng.uniform(-d + 0.01, 2.0 * d)
+                for x, y in (((order + d) / 2.0, d / 2.0), (d + order, float(d))):
+                    exact = mpmath.gamma(x) / mpmath.gamma(y)
+                    try:
+                        got = (wide_gamma(x) / wide_gamma(y)).value("ratio")
+                    except DomainError:
+                        assert not _MIN < exact < _MAX
+                        continue
+                    assert abs(got / exact - 1) <= 1e-13
+
+    def test_out_of_range_is_a_domain_error(self):
+        pos = D.hydrogenic_pair(1.0).position
+        with pytest.raises(DomainError, match="leaves the double-precision range"):
+            F.radial_moment(pos, 200.0)
+        with pytest.raises(DomainError, match="leaves the double-precision range"):
+            F.entropic_moment(D.gaussian_pair(40, 1e-4).position, 4.0)
+        with pytest.raises(DomainError, match="leaves the double-precision range"):
+            F.radial_moment(D.scale_density(pos, 1e-300), 2.0)
+        for dens in (pos, D.gaussian_pair(3, 1.0).position):
+            with pytest.raises(DomainError, match="must be a finite number"):
+                dens.exact("moment", math.inf)
+
+    def test_windows_end_where_the_integrals_diverge(self):
+        mom = D.hydrogenic_pair(1.0).momentum
+        for order in (5.0, 6.5):
+            with pytest.raises(DivergenceError):
+                F.radial_moment(mom, order)
+        assert mom.exact("entropic", 0.375) is None
+        with pytest.raises(DivergenceError):
+            F.entropic_moment(mom, 0.375)
+        for dens in (mom, D.harmonic_fermions_1d(3, 1).position,
+                     V.minimizer_density(3, 2.0, 1.0)):
+            assert dens.exact("fisher", 2.0) is None
+
+    def test_only_constraint_orders_are_exact_for_ho1d_and_extremals(self):
+        ho1d = D.harmonic_fermions_1d(5, 2).position
+        assert [ho1d.exact("moment", a) for a in (0.0, 2.0)] == [5.0, 1.0 + 3.0 + 2.5]
+        assert ho1d.exact("moment", 1.0) is None and ho1d.exact("entropic", 2.0) is None
+        dens = V.minimizer_density(3, 2.5, 1.0, N=2.0, r_alpha=3.0)
+        assert [dens.exact("moment", a) for a in (0.0, 2.5)] == [2.0, 3.0]
+        assert dens.exact("moment", 2.0) is None
+        assert dens.exact("entropic", 1.0 + 1.0 / 3.0) is None

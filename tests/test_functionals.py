@@ -24,7 +24,7 @@ PI = math.pi
 
 
 def quadrature_only(dens):
-    return dataclasses.replace(dens, analytic_moments=None)
+    return dataclasses.replace(dens, exact=None)
 
 
 def gaussian_moment(d, sigma, alpha):
@@ -87,7 +87,7 @@ class TestRadialMoment:
 
 
 def test_halfline_tail_cut_follows_the_density(monkeypatch):
-    pos = D.gaussian_pair(3, 2.0).position
+    pos = quadrature_only(D.gaussian_pair(3, 2.0).position)
     cuts = []
 
     def capturing(f, spec=None, tail_cut=30.0):
@@ -136,7 +136,8 @@ class TestEntropicMoment:
 
     def test_negative_density_names_one_radius(self):
         pos = D.gaussian_pair(3, 1.0).position
-        dens = dataclasses.replace(pos, rho=lambda r: np.where(r > 2.0, -1e-3, pos.rho(r)))
+        dens = dataclasses.replace(pos, rho=lambda r: np.where(r > 2.0, -1e-3, pos.rho(r)),
+                                   exact=None)
         with pytest.raises(FormatError) as info:
             F.entropic_moment(dens, 2.0)
         message = str(info.value)
@@ -280,7 +281,7 @@ class TestHighDimension:
 
     @pytest.mark.parametrize("d", [50, 60, 80, 100])
     def test_gaussian_against_closed_forms(self, d):
-        pos = D.gaussian_pair(d, 1.0).position
+        pos = quadrature_only(D.gaussian_pair(d, 1.0).position)
         cases = [
             (F.radial_moment(pos, 2.5), 2.0 ** 1.25 * math.gamma((d + 2.5) / 2) / math.gamma(d / 2)),
             (F.entropic_moment(pos, 2.0), (4.0 * PI) ** (-d / 2)),  # int rho^2
@@ -325,7 +326,7 @@ class TestExtremeScales:
     def test_overflowing_weight_within_reported_error(self, a, side, sigma):
         # r^79 and r^79.5 overflow at the peak of rho r^w; the split
         # product keeps the rounding inside the reported error
-        dens = getattr(D.gaussian_pair(80, a), side)
+        dens = quadrature_only(getattr(D.gaussian_pair(80, a), side))
         for mv, exact in ((F.radial_moment(dens, 0.5), gaussian_moment(80, sigma, 0.5)),
                           (F.fisher_information(dens), 80 / sigma ** 2)):
             assert abs(mv.value - exact) <= mv.est_error
@@ -335,7 +336,7 @@ class TestExtremeScales:
         # rho, or rho^m read as 0 below the smallest normal float, is 0
         # where rho r^119 and rho^m r^79 are not negligible: the mass those
         # zeros hide shows as a typed error or lies within the reported one
-        dens = getattr(D.gaussian_pair(80, a), side)
+        dens = quadrature_only(getattr(D.gaussian_pair(80, a), side))
         cases = [(lambda: F.radial_moment(dens, 40.0), gaussian_moment(80, sigma, 40.0))]
         cases += [(lambda m=m: F.entropic_moment(dens, m), gaussian_entropic(80, sigma, m))
                   for m in (0.25, 0.5, 0.75)]
@@ -432,9 +433,10 @@ class TestQuadratureMemo:
         assert F.fisher_information(pair.position) is first
         assert len(calls) == one_quadrature
 
-    def test_one_level_pass_per_sweep(self, monkeypatch):
-        # drho's level pass also gives rho on the same nodes, so each
-        # Gauss-Kronrod sweep of a ho1d Fisher information runs one
+    @staticmethod
+    def level_passes(monkeypatch, dens):
+        """Fisher information of dens, its _level_pass slope flags and the
+        number of Gauss-Kronrod sweeps it took."""
         level_pass, gk21, passes, sweeps = D._level_pass, M._gk21, [], []
 
         def counted_pass(x, levels, slope):
@@ -447,9 +449,23 @@ class TestQuadratureMemo:
 
         monkeypatch.setattr(D, "_level_pass", counted_pass)
         monkeypatch.setattr(M, "_gk21", counted_sweep)
-        F.fisher_information(D.harmonic_fermions_1d(20, 2).position)
-        assert len(sweeps) > 1
-        assert passes == [True] * len(sweeps)
+        return F.fisher_information(dens), passes, len(sweeps)
+
+    def test_one_level_pass_per_sweep(self, monkeypatch):
+        # drho's level pass also gives rho on the same nodes, so each
+        # Gauss-Kronrod sweep of a ho1d Fisher information runs one
+        _, passes, sweeps = self.level_passes(monkeypatch, D.harmonic_fermions_1d(20, 2).position)
+        assert sweeps > 1
+        assert passes == [True] * sweeps
+
+    def test_one_level_pass_per_sweep_when_rescaled(self, monkeypatch):
+        # scale_density hands the base rho and drho one shared lam r per
+        # node array, so the pass drho runs still serves rho
+        base = D.harmonic_fermions_1d(20, 2).position
+        mv, passes, sweeps = self.level_passes(monkeypatch, D.scale_density(base, 2.0))
+        assert sweeps == 4
+        assert passes == [True] * 4
+        assert mv.value == pytest.approx(4.0 * F.fisher_information(base).value, rel=1e-12)
 
     @pytest.mark.parametrize("field", list(_READ_FIELDS))
     def test_a_changed_read_field_gets_its_own_entry(self, field):

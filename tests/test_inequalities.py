@@ -275,7 +275,7 @@ class TestSweep:
         fleet = [D.harmonic_fermions_1d(n, 1) for n in range(1, 5)]
         bad = fleet[2].position
         fleet[2] = dataclasses.replace(fleet[2], position=dataclasses.replace(
-            bad, rho=lambda x: np.full(np.shape(x), np.nan), analytic_moments=None))
+            bad, rho=lambda x: np.full(np.shape(x), np.nan), exact=None))
         rows = I.sweep(ineq, fleet, SystemConfig(d=1, N=1.0, q=1), params)
         assert [r.status for r in rows] == ["satisfied", "satisfied", "hole", "satisfied"]
         assert "not finite" in rows[2].note

@@ -17,7 +17,7 @@ PI = math.pi
 
 
 def quadrature_only(dens):
-    return dataclasses.replace(dens, analytic_moments=None)
+    return dataclasses.replace(dens, exact=None)
 
 
 class TestMinimizerDensity:
