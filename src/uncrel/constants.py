@@ -6,9 +6,10 @@ outside a formula's validity window.
 
 The scalar special functions the coefficients are built from live here
 too: the sphere measure Omega_d, the Euler Beta, the exponential
-integral E1, and Gamma functions and powers past the double range
-(Wide, wide_gamma) for the densities' closed-form moments.  E1 is computed locally (power series up to x = 1,
-modified-Lentz continued fraction above) because it sits inside the
+integral E1, and, for the densities' closed-form moments, Gamma
+functions and powers past the double range (Wide, wide_gamma) and
+Gamma(h + 1/2) / Gamma(h).  E1 is computed locally (power series up to
+x = 1, modified-Lentz continued fraction above) because it sits inside the
 Newton solve of the Daubechies factor, which also reads the continued
 fraction's tail, and its accuracy budget is audited by the test suite
 against independent quadrature.  Nothing here needs numpy.
@@ -29,6 +30,7 @@ __all__ = [
     "beta",
     "Wide",
     "wide_gamma",
+    "gamma_half_ratio",
     "exp_e1_scaled",
     "e1_fraction_tail",
     "thakkar_coefficient",
@@ -76,9 +78,12 @@ class Wide:
 
     Products, quotients and powers take the bits of the same float
     operation wherever that operation's operands and result are normal
-    floats, since scaling by powers of two rounds nothing; beyond that
-    they stay within a few ulps.  value() is the result as a float, and a
-    DomainError where that is not a finite normal float.
+    floats, since scaling by powers of two rounds nothing.  Beyond that a
+    power of x = m 2^e is m^y 2^(e y), and m^y for |y| > 512 is m^z,
+    |z| <= 512, squared j times: its relative error about doubles with
+    each squaring, up to |y|/256 ulps (none for a power of two), and even
+    y ~ 1e300 takes only a thousand squarings.  value() is the result as
+    a float, and a DomainError where that is not a finite normal float.
     """
 
     __slots__ = ("m", "e")
@@ -110,31 +115,60 @@ class Wide:
             if _TINY <= v < math.inf:
                 return Wide(v)
         check_finite("exponent", y)
-        if abs(y) > 1000.0:  # m^y itself would leave the range
-            half = self ** (y / 2.0)
-            return half * half
-        # x^y = m^y 2^(e y), e y split exactly into an integer and a fraction
+        # x^y = m^y 2^(e y), e y split exactly into an integer and a
+        # fraction; a power of two is 1 2^(e-1), so that its powers round
+        # nothing
+        m, e = (1.0, self.e - 1) if self.m == 0.5 else (self.m, self.e)
         p, q = float(y).as_integer_ratio()
-        n, rest = divmod(self.e * p, q)
-        return Wide(self.m ** y * 2.0 ** (rest / q), n)
+        n, rest = divmod(e * p, q)
+        w = Wide(2.0 ** (rest / q), n)
+        if m != 1.0:
+            # m^y = (m^z)^(2^j) with y = z 2^j exactly and |z| <= 512, so
+            # that m^z stays a normal float
+            j = max(0, math.frexp(y)[1] - 9)
+            mz = Wide(m ** math.ldexp(y, -j))
+            for _ in range(j):
+                mz = mz * mz
+            w = w * mz
+        return w
 
     def value(self, what: str) -> float:
-        if not -1021 <= self.e <= 1024:
+        if not (0.5 <= self.m < 1.0 and -1021 <= self.e <= 1024):
             raise DomainError(f"{what} leaves the double-precision range")
         return math.ldexp(self.m, self.e)
 
 
+def gamma_half_ratio(h: float) -> float:
+    """Gamma(h + 1/2) / Gamma(h) for h > 0: the quotient of math.gamma
+    below h = 85 (within 5e-15), and from there sqrt(h) e^s with the
+    asymptotic series s = -1/(8h) + 1/(192h^3) - 1/(640h^5) + 17/(14336h^7)
+    (within 3e-16), where lgamma differences lose digits and Gamma
+    itself leaves the double range."""
+    if h < 85.0:
+        return math.gamma(h + 0.5) / math.gamma(h)
+    u = 1.0 / h
+    return math.sqrt(h) * math.exp(
+        u * (-1.0 / 8.0 + u * u * (1.0 / 192.0 + u * u * (-1.0 / 640.0 + u * u * 17.0 / 14336.0))))
+
+
 def wide_gamma(x: float) -> Wide:
-    """Gamma(x) for x > 0 as a Wide: math.gamma inside its range, and
-    beyond it Legendre's duplication with h = x/2,
-    Gamma(x) = Gamma(h) (h - 1/2) Gamma(h - 1/2) 2^(x-1) / sqrt(pi),
-    whose arguments are exact (h + 1/2 may round)."""
-    if x < 171.0:
-        return Wide(math.gamma(x))
+    """Gamma(x) for x > 0 as a Wide: math.gamma up to 171.5 (past it,
+    near 171.62, Gamma leaves the double range), and beyond it Legendre's
+    duplication with h = x/2,
+    Gamma(x) = Gamma(h)^2 gamma_half_ratio(h) 2^(x-1) / sqrt(pi),
+    one halving a step, so that Gamma(1e300) takes a thousand steps.
+    The relative error about doubles with each step: a few ulps up to
+    x ~ 1000, 1e-12 at x ~ 1e6."""
     check_finite("Gamma argument", x)
-    h = x / 2.0
-    return wide_gamma(h) * (h - 0.5) * wide_gamma(h - 0.5) * Wide(2.0) ** (x - 1.0) \
-        / math.sqrt(math.pi)
+    steps = []
+    while x > 171.5:
+        steps.append(x)
+        x /= 2.0
+    g = Wide(math.gamma(x))
+    for x in reversed(steps):
+        h = x / 2.0
+        g = g * g * gamma_half_ratio(h) * Wide(2.0) ** (x - 1.0) / math.sqrt(math.pi)
+    return g
 
 
 def _e1_series(x: float) -> float:

@@ -8,8 +8,7 @@ across concurrent sweeps.  Evaluation callables accept scalars or numpy
 arrays.  The one state kept between calls is ho1d's: drho leaves the rho
 it computed alongside for the next rho call on the very same read-only
 array, such as the quadrature's nodes, which nothing changes in between
-(see harmonic_fermions_1d); a rescaled density keeps the scaled copy of
-such an array for the same reason (see scale_density).
+(see harmonic_fermions_1d).
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .constants import SystemConfig, Wide, beta, omega, wide_gamma
+from .constants import SystemConfig, Wide, beta, gamma_half_ratio, omega, wide_gamma
 from .errors import DomainError, FormatError, check_integer, check_positive
 from .mathcore import gauss_cells, interpolate_monotone
 
@@ -232,9 +231,10 @@ def hydrogenic_pair(Z: float) -> DensityPair:
             value = 16.0 * Wide(Z) ** order / math.pi \
                 * beta((order + 3.0) / 2.0, (5.0 - order) / 2.0)
         elif kind == "entropic" and order > 0.375:
-            # W_m = 2 pi c^m Z^(3-8m) B(3/2, 4m - 3/2), c = 8 Z^5 / pi^2
-            value = 2.0 * math.pi * Wide(cmom) ** order * Wide(Z) ** (3.0 - 8.0 * order) \
-                * beta(1.5, 4.0 * order - 1.5)
+            # W_m = 2 pi c^m Z^(3-8m) B(3/2, 4m - 3/2), c = 8 Z^5 / pi^2, and
+            # B(3/2, b) = (sqrt(pi)/2) Gamma(b) / ((b + 1/2) Gamma(b + 1/2))
+            value = math.pi ** 1.5 * Wide(cmom) ** order * Wide(Z) ** (3.0 - 8.0 * order) \
+                / ((4.0 * order - 1.0) * gamma_half_ratio(4.0 * order - 1.5))
         else:
             return None
         return value.value(f"hydrogenic-mom(Z={Z}): {kind} of order {order}")
@@ -445,33 +445,16 @@ def scale_density(dens: RadialDensity, lam: float) -> RadialDensity:
     entropic moments of order m pick up lam^(d(m-1)), and the Fisher
     information picks up lam^2.  A closed form of the base density is
     rescaled the same way.
-
-    The base density sees lam r as one read-only array per read-only
-    input, shared by the rho and drho calls on that same input, so a base
-    that hands rho from drho to rho (harmonic_fermions_1d) still does.
     """
     check_positive("scale factor", lam)
     d = dens.d
     f, df = dens.rho, dens.drho
-    last = None  # (r, lam r) of the last read-only input, let go on reuse
-
-    def scaled(r):
-        nonlocal last
-        hit = last
-        if hit is not None and hit[0] is r:
-            last = None
-            return hit[1]
-        x = lam * np.asarray(r, dtype=float)
-        if isinstance(r, np.ndarray) and not r.flags.writeable and isinstance(x, np.ndarray):
-            x.flags.writeable = False
-            last = (r, x)
-        return x
 
     def rho(r):
-        return lam ** d * f(scaled(r))
+        return lam ** d * f(lam * np.asarray(r, dtype=float))
 
     def drho(r):
-        return lam ** (d + 1) * df(scaled(r))
+        return lam ** (d + 1) * df(lam * np.asarray(r, dtype=float))
 
     exact = None
     if dens.exact is not None:

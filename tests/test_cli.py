@@ -506,6 +506,20 @@ class TestMomentHoles:
         assert float(row["value"]) == pytest.approx(3.0, rel=1e-12)  # <r^2> = 3 / Z^2
 
 
+    @pytest.mark.parametrize("model", ["hydrogenic", "gaussian", "exponential"])
+    def test_huge_orders_are_holes(self, capsys, deadline, model):
+        deadline(10.0)
+        code, out, err = run_cli(capsys, "moments", "--model", model,
+                                 "--orders", "1e12,1e300,2.5")
+        assert (code, err) == (0, "")
+        *holes, row = parse_csv(out)
+        for hole in holes:
+            assert hole["method"].endswith("leaves the double-precision range")
+            assert hole["method"].startswith("hole: DomainError: ")
+            assert hole["value"] == hole["est_error"] == ""
+        assert (row["order"], row["method"]) == ("2.5", "analytic")
+
+
 class TestInequalityNames:
     def test_unknown_inequality_lists_ids_and_aliases(self, capsys):
         code, _, err = run_cli(capsys, "check", "--ineq", "bogus", "--model", "hydrogenic")

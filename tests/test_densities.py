@@ -13,7 +13,7 @@ from uncrel import densities as D
 from uncrel import functionals as F
 from uncrel import inequalities as I
 from uncrel import varoracle as V
-from uncrel.constants import SystemConfig, wide_gamma
+from uncrel.constants import SystemConfig, Wide, gamma_half_ratio, wide_gamma
 from uncrel.errors import DivergenceError, DomainError, FormatError
 
 PI = math.pi
@@ -329,23 +329,6 @@ class TestLevelPass:
         pos.rho(x)
         assert calls == [True, False]  # a writeable array is never kept
 
-    def test_rescaled_density_shares_the_pass(self, monkeypatch):
-        scaled = D.scale_density(D.harmonic_fermions_1d(9, 2).position, 2.0)
-        fresh = D.scale_density(D.harmonic_fermions_1d(9, 2).position, 2.0)
-        x = np.linspace(0.0, 2.5, 11)
-        calls = self.counted(monkeypatch)
-        scaled.drho(x)
-        x *= 1.5
-        assert np.array_equal(scaled.rho(x), fresh.rho(x))
-        assert calls == [True, False, False]  # a writeable array is never kept
-        want = fresh.rho(x), fresh.drho(x)
-        x.flags.writeable = False
-        calls.clear()
-        slope = scaled.drho(x)
-        value = scaled.rho(x)
-        assert calls == [True]
-        assert np.array_equal(value, want[0]) and np.array_equal(slope, want[1])
-
 
 class TestLoadTabulated:
     def grid_table(self, Z=1.0, n=400, rmax=12.0):
@@ -582,6 +565,59 @@ class TestClosedForms:
                         assert not _MIN < exact < _MAX
                         continue
                     assert abs(got / exact - 1) <= 1e-13
+
+    def test_hydrogenic_momentum_entropic_past_the_grid(self):
+        # B(3/2, 4m - 3/2) from Gamma(h + 1/2) / Gamma(h), not from lgamma
+        # differences, which lose 1e-13 by m = 100
+        with mpmath.workdps(30):
+            rng = random.Random(15)
+            for _ in range(200):
+                Z, m = 10.0 ** rng.uniform(-0.5, 0.5), 10.0 ** rng.uniform(math.log10(4.0), 2.0)
+                z = mpmath.mpf(Z)
+                c = 8 * z ** 5 / mpmath.pi ** 2
+                self.check(lambda: F.entropic_moment(D.hydrogenic_pair(Z).momentum, m),
+                           2 * mpmath.pi * c ** m * z ** (3 - 8 * m) * mpmath.beta(1.5, 4 * m - 1.5))
+
+    def test_powers_and_gamma_far_past_the_range(self):
+        ulp = 2.0 ** -52
+        with mpmath.workdps(40):
+            rng = random.Random(16)
+            for _ in range(300):
+                x = 10.0 ** rng.uniform(-300.0, 300.0)
+                y = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(0.0, 5.0)
+                w = Wide(x) ** y
+                got = mpmath.mpf(w.m) * mpmath.mpf(2) ** w.e
+                assert abs(got / mpmath.mpf(x) ** y - 1) <= max(abs(y) / 256.0, 4.0) * ulp
+                # a power of two rounds only 2^fraction
+                w = Wide(0.25) ** (y * 1e7)
+                got = mpmath.mpf(w.m) * mpmath.mpf(2) ** w.e
+                assert abs(got / mpmath.mpf(0.25) ** (y * 1e7) - 1) <= ulp
+            for _ in range(100):
+                x = 10.0 ** rng.uniform(2.0, 6.0)
+                g = wide_gamma(x)
+                got = mpmath.mpf(g.m) * mpmath.mpf(2) ** g.e
+                assert abs(got / mpmath.gamma(x) - 1) <= max(x / 32.0, 4.0) * ulp
+            for _ in range(300):
+                h = 10.0 ** rng.uniform(-3.0, 8.0)
+                exact = mpmath.gamma(h + mpmath.mpf(0.5)) / mpmath.gamma(h)
+                assert abs(gamma_half_ratio(h) / exact - 1) <= 5e-15
+
+    @pytest.mark.parametrize("order", [1e12, 1e12 + 0.5, 1e300, 1.7e308])
+    def test_huge_orders_are_typed_errors_at_once(self, order, deadline):
+        # Gamma functions and powers past the double range take a number
+        # of steps logarithmic in the order, in loops, not recursion
+        deadline(10.0)
+        hyd, gauss = D.hydrogenic_pair(1.0), D.gaussian_pair(3, 1.0)
+        states = (hyd.position, hyd.momentum, gauss.position, gauss.momentum,
+                  D.hydrogenic_pair(1e6).position, D.gaussian_pair(40, 1e-6).position,
+                  D.exponential_radial(3, 1.0), D.exponential_radial(40, 1e6),
+                  D.scale_density(D.exponential_radial(3, 1.0), 1e-3))
+        for dens in states:
+            for functional in (F.radial_moment, F.entropic_moment):
+                with pytest.raises(DomainError):
+                    functional(dens, order)
+        with pytest.raises(DomainError, match="leaves the double-precision range"):
+            wide_gamma(1e300).value("Gamma(1e300)")
 
     def test_out_of_range_is_a_domain_error(self):
         pos = D.hydrogenic_pair(1.0).position
