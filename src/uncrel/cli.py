@@ -371,7 +371,9 @@ def cmd_export(args, spec: QuadratureSpec) -> ReportDocument:
         check_positive("rmax", args.rmax)
     state, cfg, held = build_state(args)
     dens, space = _select_space(state, held, args.space)
-    # without --rmax: the whole support of a table, else three decay scales
+    # without --rmax: the whole support of a table, else three support_hint
+    # lengths; the quadrature reads tail_cut instead, so its layout does not
+    # set this grid
     end = dens.support[1] if dens.support is not None else 3.0 * dens.support_hint
     grid = np.linspace(0.0, end if args.rmax is None else args.rmax, args.points)
     vals = dens.rho(grid)

@@ -50,6 +50,12 @@ _LOG_RANGE = 708.0  # |ln x| below this: x is a finite normal float, with room f
 # with each level, to 3e-10 at the 700th, and an 800-level density is 0.7%
 # short of its particles
 MAX_OSCILLATOR_LEVELS = 676
+# ho1d's quadrature head ends this far past the top level's classical
+# turning point sqrt(2 top + 1).  The ground state decays fastest there:
+# rho/N = pi^(-1/2) e^(-36) = 1.3e-16 and rho'^2/(rho N) = 1.9e-14 at
+# x = 1 + 5, the most of any state of up to 676 levels (q = 1..3, each
+# evaluated at its own cut), against a relative tolerance of 1e-10
+_HEAD_MARGIN = 5.0
 
 
 def _check_range(what: str, *products: tuple[float, ...]) -> None:
@@ -79,13 +85,18 @@ class RadialDensity:
         and alpha, only;
       a rescaled density: whatever its base answers, rescaled (a
         DomainError where the base's value leaves the range);
-    and tabulated densities nothing.  support_hint is the decay
-    scale steering tail handling; support restricts the density to a
-    finite radial interval; knots marks interpolation breakpoints of
-    tabulated data.  tail_exponent is the s of a power-law tail rho ~ r^-s
-    at large radius, and inf (the default) for faster than any power
-    (exponential, Gaussian) or compact support; the functionals read it
-    to reject divergent orders up front.  Instances compare by identity
+    and tabulated densities nothing.  support_hint is a length over which
+    the density falls off (export's default grid spans three of them).  A
+    half-line density is integrated over a head [0, tail_cut], where the
+    quadrature's geometric tail ladder starts, from starting panels in
+    proportion to levels (see mathcore.quad_halfline): levels counts the
+    humps the head holds, the occupied levels of ho1d and 1 for the
+    single-orbital models, whose tail_cut is five times their support_hint.
+    support restricts the density to a finite radial interval; knots marks
+    interpolation breakpoints of tabulated data.  tail_exponent is the s of
+    a power-law tail rho ~ r^-s at large radius, and inf (the default) for
+    faster than any power (exponential, Gaussian) or compact support; the
+    functionals read it to reject divergent orders up front.  Instances compare by identity
     (eq=False); the functionals memoize quadrature results under rho and
     the other fields a quadrature reads, not per density object.
     """
@@ -96,6 +107,8 @@ class RadialDensity:
     drho: Callable
     exact: Callable[[str, float], float | None] | None = None
     support_hint: float = 1.0
+    tail_cut: float = 5.0
+    levels: int = 1
     support: tuple[float, float] | None = None
     knots: np.ndarray | None = field(default=None, repr=False)
     tail_exponent: float = math.inf
@@ -157,15 +170,18 @@ def _gaussian_radial(d: int, sigma2: float, N: float, label: str) -> RadialDensi
             value = N * Wide(2.0 * sigma2) ** (order / 2.0) \
                 * wide_gamma((order + d) / 2.0) / wide_gamma(d / 2.0)
         elif kind == "entropic" and order > 0:
-            # W_m = N^m (2 pi sigma^2)^(-d(m-1)/2) m^(-d/2)
-            value = Wide(N) ** order * Wide(order) ** (-d / 2.0) \
-                * Wide(2.0 * math.pi * sigma2) ** (-d * (order - 1.0) / 2.0)
+            # W_m = N^m (2 pi sigma^2)^(-d(m-1)/2) m^(-d/2); -d(m-1)/2
+            # overflows near the float maximum m, and -(m-1)/2 does not
+            power, base = -d * (order - 1.0) / 2.0, Wide(2.0 * math.pi * sigma2)
+            spread = base ** power if math.isfinite(power) else (base ** ((1.0 - order) / 2.0)) ** d
+            value = Wide(N) ** order * Wide(order) ** (-d / 2.0) * spread
         else:
             return None
         return value.value(f"{label}: {kind} of order {order}")
 
+    hint = 4.0 * math.sqrt(sigma2)
     return RadialDensity(d=d, N=N, rho=rho, drho=drho, exact=exact,
-                         support_hint=4.0 * math.sqrt(sigma2), label=label)
+                         support_hint=hint, tail_cut=5.0 * hint, label=label)
 
 
 def gaussian_pair(d: int, a: float, N: float = 1.0) -> DensityPair:
@@ -212,8 +228,9 @@ def hydrogenic_pair(Z: float) -> DensityPair:
             return None
         return value.value(f"hydrogenic(Z={Z}): {kind} of order {order}")
 
+    hint = 4.0 / (2.0 * Z)
     pos = RadialDensity(d=3, N=1.0, rho=rho, drho=drho, exact=pos_exact,
-                        support_hint=4.0 / (2.0 * Z), label=f"hydrogenic(Z={Z})")
+                        support_hint=hint, tail_cut=5.0 * hint, label=f"hydrogenic(Z={Z})")
 
     cmom = 8.0 * Z ** 5 / math.pi ** 2
 
@@ -232,15 +249,19 @@ def hydrogenic_pair(Z: float) -> DensityPair:
                 * beta((order + 3.0) / 2.0, (5.0 - order) / 2.0)
         elif kind == "entropic" and order > 0.375:
             # W_m = 2 pi c^m Z^(3-8m) B(3/2, 4m - 3/2), c = 8 Z^5 / pi^2, and
-            # B(3/2, b) = (sqrt(pi)/2) Gamma(b) / ((b + 1/2) Gamma(b + 1/2))
-            value = math.pi ** 1.5 * Wide(cmom) ** order * Wide(Z) ** (3.0 - 8.0 * order) \
+            # B(3/2, b) = (sqrt(pi)/2) Gamma(b) / ((b + 1/2) Gamma(b + 1/2));
+            # 3 - 8m overflows near the float maximum m, and Z^(-m) does not
+            power = 3.0 - 8.0 * order
+            spread = Wide(Z) ** power if math.isfinite(power) \
+                else Wide(Z) ** 3.0 * (Wide(Z) ** -order) ** 8
+            value = math.pi ** 1.5 * Wide(cmom) ** order * spread \
                 / ((4.0 * order - 1.0) * gamma_half_ratio(4.0 * order - 1.5))
         else:
             return None
         return value.value(f"hydrogenic-mom(Z={Z}): {kind} of order {order}")
 
     mom = RadialDensity(d=3, N=1.0, rho=gam, drho=dgam, exact=mom_exact,
-                        support_hint=3.0 * Z, tail_exponent=8.0,
+                        support_hint=3.0 * Z, tail_cut=5.0 * (3.0 * Z), tail_exponent=8.0,
                         label=f"hydrogenic-mom(Z={Z})")
     return DensityPair(pos, mom, real_wavefunction=True, label=f"hydrogenic(Z={Z})")
 
@@ -281,8 +302,9 @@ def exponential_radial(d: int, lam: float, N: float = 1.0) -> RadialDensity:
             return None
         return value.value(f"{label}: {kind} of order {order}")
 
+    hint = 8.0 / lam
     return RadialDensity(d=d, N=N, rho=rho, drho=drho, exact=exact,
-                         support_hint=8.0 / lam, label=label)
+                         support_hint=hint, tail_cut=5.0 * hint, label=label)
 
 
 def _oscillator_levels(weights) -> tuple:
@@ -383,10 +405,11 @@ def harmonic_fermions_1d(N: int, q: int) -> DensityPair:
 
     # total <x^2> = total <p^2> = sum over occupied levels of w (n + 1/2)
     second = sum(w * (n + 0.5) for n, w in enumerate(weights))
-    hint = math.sqrt(2.0 * top + 1.0) + 4.0
+    turn = math.sqrt(2.0 * top + 1.0)  # the top level's classical turning point
     pos = RadialDensity(d=1, N=float(N), rho=rho, drho=drho,
                         exact=fixed_moments({0.0: float(N), 2.0: second}),
-                        support_hint=hint, label=f"ho1d(N={N},q={q})")
+                        support_hint=turn + 4.0, tail_cut=turn + _HEAD_MARGIN,
+                        levels=top + 1, label=f"ho1d(N={N},q={q})")
     mom = replace(pos, label=f"ho1d-mom(N={N},q={q})")
     return DensityPair(pos, mom, real_wavefunction=True, label=f"ho1d(N={N},q={q})")
 
@@ -428,14 +451,8 @@ def load_tabulated(cfg: SystemConfig, r, rho_values) -> RadialDensity:
         warnings.warn(
             f"measured normalization {measured:.6g} deviates from declared "
             f"N = {cfg.N:.6g} by more than 1%", stacklevel=2)
-    # the median knot spacing, as np.median gives it, which imports numpy.ma
-    gaps = np.sort(np.diff(r))
-    mid = gaps.size // 2
-    step = gaps[mid] if gaps.size % 2 else (gaps[mid - 1] + gaps[mid]) / 2.0
-    tail = max(hi / 8.0, float(step) * 8.0)
     return RadialDensity(d=cfg.d, N=float(measured), rho=rho, drho=drho,
-                         support_hint=tail, support=(lo, hi), knots=r,
-                         label="tabulated")
+                         support=(lo, hi), knots=r, label="tabulated")
 
 
 def scale_density(dens: RadialDensity, lam: float) -> RadialDensity:
@@ -470,7 +487,8 @@ def scale_density(dens: RadialDensity, lam: float) -> RadialDensity:
         support = (dens.support[0] / lam, dens.support[1] / lam)
     knots = None if dens.knots is None else dens.knots / lam
     return RadialDensity(d=d, N=dens.N, rho=rho, drho=drho, exact=exact,
-                         support_hint=dens.support_hint / lam, support=support,
+                         support_hint=dens.support_hint / lam, tail_cut=dens.tail_cut / lam,
+                         levels=dens.levels, support=support,
                          knots=knots, tail_exponent=dens.tail_exponent,
                          label=f"{dens.label}*scale({lam})")
 

@@ -29,8 +29,6 @@ from .mathcore import DEFAULT_QUADRATURE, QuadratureSpec, gauss_cells, quad_fini
 
 __all__ = ["MomentValue", "radial_moment", "entropic_moment", "fisher_information", "variance"]
 
-# half-line tail handled by the geometric panel ladder beyond this multiple of the decay scale
-_TAIL_FACTOR = 5.0
 # smallest normal float; below it a density value has lost precision
 _TINY = np.finfo(float).tiny
 # share of the largest integrand value below which zeros past an
@@ -68,9 +66,9 @@ class MomentValue:
 
 # memo of quadrature results under what a quadrature reads: the density's
 # rho (held weakly, so entries die with it), then the functional, order and
-# spec, and its d, support, support_hint, drho and knots (by identity; the
-# entry keeps the array, so that identity is not reused while it lives).
-# label, N, exact and tail_exponent never reach the quadrature,
+# spec, and its d, support, tail_cut, levels, drho and knots (by identity;
+# the entry keeps the array, so that identity is not reused while it lives).
+# label, N, exact, support_hint and tail_exponent never reach the quadrature,
 # so the self-dual ho1d momentum twin reads its position side's entries.
 _MEMO: "weakref.WeakKeyDictionary[object, dict]" = weakref.WeakKeyDictionary()
 
@@ -87,7 +85,7 @@ def _quadrature(dens: RadialDensity, key: tuple, order: float, integrand,
         if value is not None:
             return MomentValue(order, float(value), "analytic")
     table = _MEMO.setdefault(dens.rho, {})
-    key = (*key, spec or DEFAULT_QUADRATURE, dens.d, dens.support, dens.support_hint,
+    key = (*key, spec or DEFAULT_QUADRATURE, dens.d, dens.support, dens.tail_cut, dens.levels,
            dens.drho, id(dens.knots))
     if key not in table:
         value, err = _integrate(dens, integrand, spec)
@@ -101,13 +99,14 @@ def _quadrature(dens: RadialDensity, key: tuple, order: float, integrand,
 def _integrate(dens: RadialDensity, integrand, spec: QuadratureSpec | None) -> tuple[float, float]:
     """Integrate `integrand(r)` over the density's radial support, laid out
     by the density: its knot cells, its compact support, or a half line
-    whose tail ladder starts at _TAIL_FACTOR decay scales."""
+    whose head of `levels` levels ends, and tail ladder starts, at its
+    tail_cut."""
     if dens.knots is not None:
         return gauss_cells(integrand, dens.knots, spec)
     if dens.support is not None:
         lo, hi = dens.support
         return quad_finite(integrand, lo, hi, spec)
-    return quad_halfline(integrand, spec, _TAIL_FACTOR * dens.support_hint)
+    return quad_halfline(integrand, spec, dens.tail_cut, dens.levels)
 
 
 def _weighted(x, r, w: float) -> np.ndarray:

@@ -95,7 +95,7 @@ def minimizer_density(d: int, alpha: float, k: float,
 
     return RadialDensity(d=d, N=N, rho=rho, drho=drho,
                          exact=fixed_moments({0.0: N, float(alpha): r_alpha}),
-                         support_hint=a, support=(0.0, a),
+                         support=(0.0, a),
                          label=f"extremal-min(d={d},alpha={alpha},k={k})")
 
 
@@ -139,7 +139,7 @@ def maximizer_density(d: int, alpha: float, k: float,
 
     return RadialDensity(d=d, N=N, rho=rho, drho=drho,
                          exact=fixed_moments({0.0: N, float(alpha): r_alpha}),
-                         support_hint=a, tail_exponent=alpha * t,
+                         support_hint=a, tail_cut=5.0 * a, tail_exponent=alpha * t,
                          label=f"extremal-max(d={d},alpha={alpha},k={k})")
 
 

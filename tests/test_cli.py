@@ -347,6 +347,21 @@ class TestDeterminism:
 
 
 class TestRoundTrip:
+    @pytest.mark.parametrize("flags,end", [
+        (("--model", "gaussian", "--d", "3", "--a", "2"), 3.0 * 4.0 * 2.0),
+        (("--model", "gaussian", "--d", "3", "--space", "momentum"), 3.0 * 4.0 * 0.5),
+        (("--model", "hydrogenic", "--Z", "2"), 3.0 * 4.0 / 4.0),
+        (("--model", "hydrogenic", "--Z", "2", "--space", "momentum"), 3.0 * 3.0 * 2.0),
+        (("--model", "exponential", "--d", "3", "--lam", "2"), 3.0 * 8.0 / 2.0),
+        (("--model", "ho1d", "--n", "40"), 3.0 * (math.sqrt(39.0) + 4.0)),
+    ], ids=["gaussian", "gaussian_momentum", "hydrogenic", "hydrogenic_momentum",
+            "exponential", "ho1d"])
+    def test_default_export_grid_spans_three_lengths(self, capsys, flags, end):
+        # three decay lengths of the model, whatever its quadrature layout
+        code, out, _ = run_cli(capsys, "export", *flags, "--points", "5")
+        assert code == 0
+        assert float(parse_csv(out)[-1]["r"]) == pytest.approx(end, rel=1e-11)
+
     def test_export_then_reingest(self, capsys, tmp_path):
         table = tmp_path / "dens.csv"
         code, _, _ = run_cli(capsys, "export", "--model", "hydrogenic", "--Z", "1",

@@ -3,6 +3,7 @@ import json
 import math
 import random
 import re
+import sys
 from pathlib import Path
 
 import mpmath
@@ -618,6 +619,19 @@ class TestClosedForms:
                     functional(dens, order)
         with pytest.raises(DomainError, match="leaves the double-precision range"):
             wide_gamma(1e300).value("Gamma(1e300)")
+
+    @pytest.mark.parametrize("order", [1e300, 1.7e308, sys.float_info.max])
+    @pytest.mark.parametrize("build", [
+        lambda: D.gaussian_pair(3, 1.0).position,
+        lambda: D.gaussian_pair(40, 1e-6).momentum,
+        lambda: D.hydrogenic_pair(2.0).momentum,
+        lambda: D.hydrogenic_pair(0.5).momentum,
+    ], ids=["gaussian", "gaussian_d40", "hydrogenic_momentum", "hydrogenic_momentum_wide"])
+    def test_entropic_order_near_the_float_maximum_names_the_range(self, build, order):
+        # W_m's exponents -d(m-1)/2 and 3 - 8m overflow near the float maximum
+        with pytest.raises(DomainError, match=re.escape(
+                f"entropic of order {order} leaves the double-precision range")):
+            F.entropic_moment(build(), order)
 
     def test_out_of_range_is_a_domain_error(self):
         pos = D.hydrogenic_pair(1.0).position

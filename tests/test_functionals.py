@@ -87,16 +87,20 @@ class TestRadialMoment:
 
 
 def test_halfline_tail_cut_follows_the_density(monkeypatch):
-    pos = quadrature_only(D.gaussian_pair(3, 2.0).position)
+    gauss = quadrature_only(D.gaussian_pair(3, 2.0).position)
+    ho1d = D.harmonic_fermions_1d(40, 2).position
     cuts = []
 
-    def capturing(f, spec=None, tail_cut=30.0):
-        cuts.append(tail_cut)
-        return quad_halfline(f, spec, tail_cut)
+    def capturing(f, spec=None, tail_cut=30.0, levels=1):
+        cuts.append((tail_cut, levels))
+        return quad_halfline(f, spec, tail_cut, levels)
 
     monkeypatch.setattr(F, "quad_halfline", capturing)
-    F.radial_moment(pos, 0.5)
-    assert cuts == [5.0 * pos.support_hint]
+    F.radial_moment(gauss, 0.5)
+    F.radial_moment(ho1d, 0.5)
+    # the single-orbital models' ladder starts at five times their length
+    # scale; ho1d's a margin past its top level's turning point sqrt(2 * 19 + 1)
+    assert cuts == [(5.0 * gauss.support_hint, 1), (math.sqrt(39.0) + 5.0, 20)]
 
 
 class TestEntropicMoment:
@@ -190,7 +194,8 @@ class TestFisherInformation:
         # states (the N > 1 determinants below are strictly sub-additive)
         for pair in (D.gaussian_pair(1, 1.0), D.gaussian_pair(2, 0.8),
                      D.gaussian_pair(3, 1.2), D.hydrogenic_pair(1.0),
-                     D.harmonic_fermions_1d(1, 1)):
+                     D.harmonic_fermions_1d(1, 1), D.harmonic_fermions_1d(2, 2),
+                     D.harmonic_fermions_1d(3, 3)):
             assert pair.real_wavefunction
             i_pos = F.fisher_information(pair.position).value
             i_mom = F.fisher_information(pair.momentum).value
@@ -407,7 +412,8 @@ def _table():
 _READ_FIELDS = {
     "d": lambda dens: dataclasses.replace(dens, d=2),
     "support": lambda dens: dataclasses.replace(dens, support=(0.0, 2.0)),
-    "support_hint": lambda dens: dataclasses.replace(dens, support_hint=2.0 * dens.support_hint),
+    "tail_cut": lambda dens: dataclasses.replace(dens, tail_cut=2.0 * dens.tail_cut),
+    "levels": lambda dens: dataclasses.replace(dens, levels=40),
     "drho": lambda dens: dataclasses.replace(dens, drho=lambda r: 2.0 * dens.drho(r)),
     "knots": lambda dens: dataclasses.replace(dens, knots=dens.knots[::2].copy()),
 }
@@ -448,7 +454,9 @@ class TestQuadratureMemo:
 
         monkeypatch.setattr(D, "_level_pass", counted_pass)
         monkeypatch.setattr(M, "_gk21", counted_sweep)
-        F.fisher_information(D.harmonic_fermions_1d(20, 2).position)
+        # the default spec takes one sweep; this one needs a second
+        tight = M.QuadratureSpec(rel_tol=1e-13)
+        F.fisher_information(D.harmonic_fermions_1d(20, 2).position, tight)
         assert len(sweeps) > 1
         assert passes == [True] * len(sweeps)
 
@@ -502,3 +510,74 @@ def test_ho1d_fleet_integrates_each_fisher_information_once(monkeypatch):
         rows = I.sweep(I.InequalityId(name), fleet, SystemConfig(d=1, N=1.0, q=2))
         assert all(r.status == "satisfied" for r in rows)
     assert len(calls) == 40
+
+
+def _work(monkeypatch, functional) -> tuple[int, int]:
+    """(Gauss-Kronrod sweeps, integrand nodes) of the quadratures that
+    `functional()` runs, on a cleared memo."""
+    gk21, sweeps = M._gk21, []
+
+    def counted(f, lo, hi):
+        sweeps.append(lo.size * 21)
+        return gk21(f, lo, hi)
+
+    monkeypatch.setattr(M, "_gk21", counted)
+    F._MEMO.clear()
+    functional()
+    monkeypatch.setattr(M, "_gk21", gk21)
+    return len(sweeps), sum(sweeps)
+
+
+class TestHo1dLayout:
+    """ho1d's half-line head ends a margin past the top level's turning
+    point, where its tail ladder starts, and starts from panels in
+    proportion to its levels; the other densities keep their layout."""
+
+    @pytest.mark.parametrize("q", [1, 2])
+    @pytest.mark.parametrize("n", [100, 200, 400, 676])
+    def test_large_n_fisher_information(self, monkeypatch, n, q):
+        pos = D.harmonic_fermions_1d(n, q).position
+        sweeps, _ = _work(monkeypatch, lambda: F.fisher_information(pos))
+        got = F.fisher_information(pos)
+        tight = F.fisher_information(pos, M.QuadratureSpec(rel_tol=1e-13))
+        assert sweeps <= 2
+        assert abs(got.value - tight.value) <= got.est_error
+        # Cramer-Rao per particle, (I/N)(<x^2>/N) >= 1, and I <= 4 <p^2>,
+        # where <p^2> = <x^2> for the self-dual ho1d state
+        second = F.radial_moment(pos, 2.0).value
+        assert got.value * second / n ** 2 >= 1.0
+        assert got.value <= 4.0 * second
+
+    def test_fleet_work_counts(self, monkeypatch):
+        # the Fisher information of harmonic_fermions_1d(N, 2), N = 1..40,
+        # the states of the benchmark's ho1d fleet: one sweep each, two for
+        # N = 26 and 30
+        sweeps = nodes = 0
+        for n in range(1, 41):
+            pos = D.harmonic_fermions_1d(n, 2).position
+            s, k = _work(monkeypatch, lambda: F.fisher_information(pos))
+            sweeps, nodes = sweeps + s, nodes + k
+        assert (sweeps, nodes) == (42, 28770)
+
+    @pytest.mark.parametrize("functional,work", [
+        (lambda: F.radial_moment(quadrature_only(D.gaussian_pair(3, 1.0).position), 2.0),
+         (1, 672)),
+        (lambda: F.fisher_information(D.gaussian_pair(3, 1.0).position), (1, 672)),
+        (lambda: F.fisher_information(D.hydrogenic_pair(1.0).position), (1, 672)),
+        (lambda: F.fisher_information(D.hydrogenic_pair(1.0).momentum), (1, 672)),
+        (lambda: F.entropic_moment(V.minimizer_density(3, 2.0, 2.0), 1.5), (2, 378)),
+        (lambda: F.entropic_moment(V.maximizer_density(3, 2.0, -1.0), 0.8), (2, 735)),
+    ], ids=["gaussian_stripped", "gaussian_fisher", "hydrogenic_fisher",
+            "hydrogenic_momentum_fisher", "minimizer", "maximizer"])
+    def test_other_layouts_keep_their_work(self, monkeypatch, functional, work):
+        assert _work(monkeypatch, functional) == work
+
+    def test_rescaled_state_keeps_the_layout(self, monkeypatch):
+        base = D.harmonic_fermions_1d(20, 2).position
+        scaled = D.scale_density(base, 2.0)
+        assert (scaled.tail_cut, scaled.levels) == (base.tail_cut / 2.0, base.levels)
+        base_work = _work(monkeypatch, lambda: F.fisher_information(base))
+        scaled_work = _work(monkeypatch, lambda: F.fisher_information(scaled))
+        assert scaled_work[0] == base_work[0]
+        got, want = F.fisher_information(scaled), F.fisher_information(base)
+        assert abs(got.value - 4.0 * want.value) <= got.est_error + 4.0 * want.est_error

@@ -138,6 +138,27 @@ class TestIntegrateHalfline:
         with pytest.raises(DomainError, match="tail_cut"):
             quad_halfline(lambda r: np.exp(-r), tail_cut=cut)
 
+    @pytest.mark.parametrize("levels", [0, -3, 1.5, math.nan, True])
+    def test_levels_validation(self, levels):
+        with pytest.raises(DomainError, match="levels"):
+            quad_halfline(lambda r: np.exp(-r), levels=levels)
+
+    @pytest.mark.parametrize("levels,panels", [(1, 16), (12, 16), (13, 17), (20, 25), (676, 845)])
+    def test_head_panels_follow_the_levels(self, monkeypatch, levels, panels):
+        # max(16, ceil(1.25 levels)) uniform head panels, then 16 ladder rungs
+        gk21, first = mathcore._gk21, []
+
+        def counted(f, lo, hi):
+            first.append((lo.copy(), hi.copy()))
+            return gk21(f, lo, hi)
+
+        monkeypatch.setattr(mathcore, "_gk21", counted)
+        quad_halfline(lambda r: np.exp(-r), tail_cut=3.0, levels=levels)
+        lo, hi = first[0]
+        assert lo.size == panels + 16
+        np.testing.assert_allclose(hi[:panels] - lo[:panels], 3.0 / panels)
+        assert hi[panels - 1] == lo[panels] == 3.0
+
     @settings(max_examples=25, deadline=None)
     @given(a=st.floats(-10, 10, allow_nan=False), b=st.floats(-10, 10, allow_nan=False))
     def test_linearity(self, a, b):
@@ -272,10 +293,10 @@ class TestEndGrading:
     def test_fractional_moment_at_the_origin(self, monkeypatch):
         g_calls = []
 
-        def counting(f, spec=None, tail_cut=30.0):
+        def counting(f, spec=None, tail_cut=30.0, levels=1):
             g, calls = self.counted(f)
             g_calls.append(calls)
-            return quad_halfline(g, spec, tail_cut)
+            return quad_halfline(g, spec, tail_cut, levels)
 
         monkeypatch.setattr(functionals, "quad_halfline", counting)
         pos = dataclasses.replace(densities.gaussian_pair(1, 1.0).position, exact=None)
