@@ -54,11 +54,16 @@ def omega(d: int) -> float:
     """Surface measure of the unit sphere in d dimensions, 2 pi^(d/2) / Gamma(d/2).
 
     This is the angular factor turning a radial integral into a full
-    d-dimensional one (2 for d=1, 2 pi for d=2, 4 pi for d=3).
+    d-dimensional one (2 for d=1, 2 pi for d=2, 4 pi for d=3).  From
+    d = 344 on, Gamma(d/2) leaves the double range: a DomainError.
     """
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got {d}")
-    return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+    try:
+        return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+    except OverflowError:
+        raise DomainError(f"Omega_d for d = {d}: Gamma(d/2) leaves the "
+                          "double-precision range") from None
 
 
 def beta(a: float, b: float) -> float:

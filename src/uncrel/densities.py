@@ -13,7 +13,6 @@ array, such as the quadrature's nodes, which nothing changes in between
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -33,8 +32,6 @@ __all__ = [
     "exponential_radial",
     "harmonic_fermions_1d",
     "load_tabulated",
-    "scale_density",
-    "scale_pair",
     "fixed_moments",
 ]
 
@@ -42,7 +39,6 @@ __all__ = [
 # relative deviation of a table's measured normalization from its declared N
 # beyond which load_tabulated warns
 _TABLE_NORM_TOL = 0.01
-_LOG_RANGE = 708.0  # |ln x| below this: x is a finite normal float, with room for rounding
 # most oscillator levels harmonic_fermions_1d fills.  The recurrence starts
 # from pi^(-1/4) e^(-x^2/2), subnormal from |x| ~ 37.6 and 0 from 38.6 on.
 # The first 676 levels integrate to 1 within 1.5e-15, the noise of a
@@ -58,33 +54,24 @@ MAX_OSCILLATOR_LEVELS = 676
 _HEAD_MARGIN = 5.0
 
 
-def _check_range(what: str, *products: tuple[float, ...]) -> None:
-    """DomainError unless every factor of each product, and each running
-    product taken left to right, is a finite normal float.  A product is
-    given by the natural logs of its factors, a divisor by minus its log."""
-    if not all(abs(x) < _LOG_RANGE for p in products for x in (*p, *itertools.accumulate(p))):
-        raise DomainError(f"{what}: its closed forms leave the double-precision range")
-
-
 @dataclass(frozen=True, eq=False)
 class RadialDensity:
     """A radial probability density in d dimensions normalized to N particles.
 
     rho and drho map radius to density value and radial derivative;
     exact, when present, is the closed form: exact(kind, order) is the
-    exact <r^order> for kind "moment" and W_order for kind "entropic", or
-    None where there is no closed form, so the functionals integrate;
-    a value out of the double range is a DomainError.  Exact are
-      Gaussian: every <r^a>, a > -d, and every W_m;
-      hydrogenic position: every <r^a>, a > -3, and every W_m;
+    exact <r^order> for kind "moment", W_order for kind "entropic" and
+    the Fisher information for kind "fisher" (order 2), or None where
+    there is no closed form, so the functionals integrate; a value out of
+    the double range is a DomainError.  Exact are
+      Gaussian: every <r^a>, a > -d, every W_m, and I = N d / sigma^2;
+      hydrogenic position: every <r^a>, a > -3, every W_m, and I = 4 Z^2;
       hydrogenic momentum: <p^k> for -3 < k < 5, and W_m for m > 3/8
-        (the whole convergence windows);
-      exponential: every <r^a>, a > -d, and every W_m;
+        (the whole convergence windows), and I = 12 / Z^2;
+      exponential: every <r^a>, a > -d, every W_m, and I = lam^2 N;
       ho1d: <x^0> and <x^2> only;
       extremal densities (varoracle): their constraint moments, orders 0
         and alpha, only;
-      a rescaled density: whatever its base answers, rescaled (a
-        DomainError where the base's value leaves the range);
     and tabulated densities nothing.  support_hint is a length over which
     the density falls off (export's default grid spans three of them).  A
     half-line density is integrated over a head [0, tail_cut], where the
@@ -149,12 +136,7 @@ class DensityPair:
 
 
 def _gaussian_radial(d: int, sigma2: float, N: float, label: str) -> RadialDensity:
-    orders = [a for a in (-2, -1, 0, 1, 2, 3, 4) if a > -d]
-    log_n, log_pow = math.log(N), -d / 2.0 * math.log(2.0 * math.pi * sigma2)
-    _check_range(label, (log_n, log_pow), (-0.5 * math.log(sigma2), log_n + log_pow),
-                 *((log_n, a / 2.0 * math.log(2.0 * sigma2), math.lgamma((a + d) / 2.0),
-                    -math.lgamma(d / 2.0)) for a in orders))
-    norm = N * (2.0 * math.pi * sigma2) ** (-d / 2.0)
+    norm = (Wide(N) * Wide(2.0 * math.pi * sigma2) ** (-d / 2.0)).value(label)
 
     def rho(r):
         r = np.asarray(r, dtype=float)
@@ -170,11 +152,13 @@ def _gaussian_radial(d: int, sigma2: float, N: float, label: str) -> RadialDensi
             value = N * Wide(2.0 * sigma2) ** (order / 2.0) \
                 * wide_gamma((order + d) / 2.0) / wide_gamma(d / 2.0)
         elif kind == "entropic" and order > 0:
-            # W_m = N^m (2 pi sigma^2)^(-d(m-1)/2) m^(-d/2); -d(m-1)/2
-            # overflows near the float maximum m, and -(m-1)/2 does not
-            power, base = -d * (order - 1.0) / 2.0, Wide(2.0 * math.pi * sigma2)
-            spread = base ** power if math.isfinite(power) else (base ** ((1.0 - order) / 2.0)) ** d
-            value = Wide(N) ** order * Wide(order) ** (-d / 2.0) * spread
+            # W_m = (N / B)^m B / m^(d/2), B = (2 pi sigma^2)^(d/2): no
+            # exponent m - 1, which rounds to m from m = 2^53 on
+            base = Wide(2.0 * math.pi * sigma2) ** (d / 2.0)
+            value = (Wide(N) / base) ** order * base / Wide(order) ** (d / 2.0)
+        elif kind == "fisher":
+            # I = N d / sigma^2
+            value = Wide(N) * d / sigma2
         else:
             return None
         return value.value(f"{label}: {kind} of order {order}")
@@ -193,10 +177,12 @@ def gaussian_pair(d: int, a: float, N: float = 1.0) -> DensityPair:
     check_integer("dimension", d)
     check_positive("length scale", a)
     check_positive("particle count", N)
+    label = f"gaussian(d={d},a={a})"
     # a^2 and 8 pi a^2 normal: so are sigma^2, 2 sigma^2 and 2 pi sigma^2 of both sides
-    _check_range(f"gaussian(d={d},a={a})", (2.0 * math.log(a), math.log(8.0 * math.pi)))
-    pos = _gaussian_radial(d, a * a, N, label=f"gaussian(d={d},a={a})")
-    mom = _gaussian_radial(d, 1.0 / (4.0 * a * a), N, label=f"gaussian-mom(d={d},a={a})")
+    a2 = Wide(a * a).value(label)
+    Wide(8.0 * math.pi * a2).value(label)
+    pos = _gaussian_radial(d, a2, N, label=label)
+    mom = _gaussian_radial(d, 1.0 / (4.0 * a2), N, label=f"gaussian-mom(d={d},a={a})")
     return DensityPair(pos, mom, real_wavefunction=True, label=f"gaussian(d={d},a={a},N={N})")
 
 
@@ -205,7 +191,8 @@ def hydrogenic_pair(Z: float) -> DensityPair:
     (Z^3/pi) e^(-2 Z r), momentum (8 Z^5 / pi^2) (Z^2 + p^2)^-4."""
     check_positive("charge", Z)
     # the widest intermediate below: (Z^2 + p^2)^5, Z^10 to 32 Z^10 for p <= Z
-    _check_range(f"hydrogenic(Z={Z})", (10.0 * math.log(Z), 5.0 * math.log(2.0)))
+    for bound in (1.0, 32.0):
+        (Wide(Z) ** 10.0 * bound).value(f"hydrogenic(Z={Z})")
 
     cpos = Z ** 3 / math.pi
 
@@ -224,6 +211,9 @@ def hydrogenic_pair(Z: float) -> DensityPair:
         elif kind == "entropic" and order > 0:
             # W_m = pi (Z^3/pi)^m / (Z m)^3
             value = math.pi * Wide(cpos) ** order / (Wide(Z) * order) ** 3.0
+        elif kind == "fisher":
+            # I = 4 Z^2
+            value = 4.0 * Wide(Z) ** 2.0
         else:
             return None
         return value.value(f"hydrogenic(Z={Z}): {kind} of order {order}")
@@ -256,6 +246,9 @@ def hydrogenic_pair(Z: float) -> DensityPair:
                 else Wide(Z) ** 3.0 * (Wide(Z) ** -order) ** 8
             value = math.pi ** 1.5 * Wide(cmom) ** order * spread \
                 / ((4.0 * order - 1.0) * gamma_half_ratio(4.0 * order - 1.5))
+        elif kind == "fisher":
+            # I = 12 / Z^2
+            value = Wide(12.0) / Wide(Z) ** 2.0
         else:
             return None
         return value.value(f"hydrogenic-mom(Z={Z}): {kind} of order {order}")
@@ -272,14 +265,11 @@ def exponential_radial(d: int, lam: float, N: float = 1.0) -> RadialDensity:
     check_integer("dimension", d)
     check_positive("decay rate", lam)
     check_positive("particle count", N)
-    orders = [a for a in (-2, -1, 0, 1, 2, 3, 4) if a > -d]
-    log_n, log_lam, log_gd = math.log(N), math.log(lam), math.lgamma(d)
-    log_den = math.log(2.0) + d / 2.0 * math.log(math.pi) - math.lgamma(d / 2.0) + log_gd
-    _check_range(f"exponential(d={d},lam={lam})", (log_den - log_gd, log_gd),
-                 (log_n, d * log_lam, -log_den), (log_lam, log_n + d * log_lam - log_den),
-                 *((log_n, math.lgamma(d + a), -(a * log_lam + log_gd)) for a in orders),
-                 *((a * log_lam, log_gd) for a in orders))
-    c = N * lam ** d / (omega(d) * math.gamma(d))
+    label = f"exponential(d={d},lam={lam})"
+    # Omega_d Gamma(d), past the range of math.gamma(d) from d = 172 on
+    sphere = Wide(omega(d)) * wide_gamma(d)
+    c = (Wide(N) * Wide(lam) ** d / sphere).value(label)
+    (Wide(lam) * c).value(label)  # drho's factor
 
     def rho(r):
         r = np.asarray(r, dtype=float)
@@ -289,15 +279,16 @@ def exponential_radial(d: int, lam: float, N: float = 1.0) -> RadialDensity:
         r = np.asarray(r, dtype=float)
         return -lam * c * np.exp(-lam * r)
 
-    label = f"exponential(d={d},lam={lam})"
-
     def exact(kind, order):
         if kind == "moment" and order > -d:
             # <r^a> = N Gamma(d+a) / (lam^a Gamma(d))
             value = N * wide_gamma(d + order) / (Wide(lam) ** order * wide_gamma(d))
         elif kind == "entropic" and order > 0:
-            # W_m = Omega_d c^m Gamma(d) / (lam m)^d
-            value = omega(d) * Wide(c) ** order * math.gamma(d) / (Wide(lam) * order) ** d
+            # W_m = Omega_d Gamma(d) c^m / (lam m)^d
+            value = sphere * Wide(c) ** order / (Wide(lam) * order) ** d
+        elif kind == "fisher":
+            # I = lam^2 N
+            value = Wide(lam) ** 2.0 * N
         else:
             return None
         return value.value(f"{label}: {kind} of order {order}")
@@ -453,49 +444,3 @@ def load_tabulated(cfg: SystemConfig, r, rho_values) -> RadialDensity:
             f"N = {cfg.N:.6g} by more than 1%", stacklevel=2)
     return RadialDensity(d=cfg.d, N=float(measured), rho=rho, drho=drho,
                          support=(lo, hi), knots=r, label="tabulated")
-
-
-def scale_density(dens: RadialDensity, lam: float) -> RadialDensity:
-    """Unit-preserving rescaling rho_lam(r) = lam^d rho(lam r).
-
-    Keeps the particle count; radial moments of order a pick up lam^-a,
-    entropic moments of order m pick up lam^(d(m-1)), and the Fisher
-    information picks up lam^2.  A closed form of the base density is
-    rescaled the same way.
-    """
-    check_positive("scale factor", lam)
-    d = dens.d
-    f, df = dens.rho, dens.drho
-
-    def rho(r):
-        return lam ** d * f(lam * np.asarray(r, dtype=float))
-
-    def drho(r):
-        return lam ** (d + 1) * df(lam * np.asarray(r, dtype=float))
-
-    exact = None
-    if dens.exact is not None:
-        def exact(kind, order):
-            value = dens.exact(kind, order)
-            power = {"moment": -order, "entropic": d * (order - 1.0)}.get(kind)
-            if value is None or power is None:
-                return None
-            return (value * Wide(lam) ** power).value(f"{dens.label}*scale({lam}): "
-                                                      f"{kind} of order {order}")
-    support = None
-    if dens.support is not None:
-        support = (dens.support[0] / lam, dens.support[1] / lam)
-    knots = None if dens.knots is None else dens.knots / lam
-    return RadialDensity(d=d, N=dens.N, rho=rho, drho=drho, exact=exact,
-                         support_hint=dens.support_hint / lam, tail_cut=dens.tail_cut / lam,
-                         levels=dens.levels, support=support,
-                         knots=knots, tail_exponent=dens.tail_exponent,
-                         label=f"{dens.label}*scale({lam})")
-
-
-def scale_pair(pair: DensityPair, lam: float) -> DensityPair:
-    """Conjugate rescaling: position stretched by lam, momentum by 1/lam."""
-    return DensityPair(scale_density(pair.position, lam),
-                       scale_density(pair.momentum, 1.0 / lam),
-                       real_wavefunction=pair.real_wavefunction,
-                       label=f"{pair.label}*scale({lam})")

@@ -7,11 +7,11 @@ I * V >= N d^2.  Outputs record whether a closed form or quadrature
 produced them, together with an error estimate.
 
 One step, _quadrature, decides between the two: a density's closed form
-(RadialDensity.exact) answers radial and entropic moments where it has
-one -- every order of the Gaussian, hydrogenic and exponential models
-inside its convergence window, <x^0> and <x^2> of ho1d, the constraint
-moments of the extremal densities -- and everything else, Fisher
-information always, is integrated.
+(RadialDensity.exact) answers where it has one -- every functional of
+the Gaussian, hydrogenic and exponential models (radial and entropic
+moments inside their convergence windows, and Fisher information),
+<x^0> and <x^2> of ho1d, the constraint moments of the extremal
+densities -- and everything else is integrated.
 """
 
 from __future__ import annotations
@@ -42,8 +42,10 @@ class MomentValue:
     """One functional value and how it was made.
 
     method is 'analytic' for a closed form (see RadialDensity.exact for
-    which families are exact at which orders; W_1 = N is exact for every
-    density) and 'quadrature' otherwise.
+    which families are exact at which orders: every functional of the
+    Gaussian, hydrogenic and exponential models, Fisher information
+    included; W_1 = N is exact for every density) and 'quadrature'
+    otherwise.
     est_error estimates |value - exact|: 0 for closed forms; otherwise the
     adaptive quadrature's summed panel error estimate plus the size of any
     extrapolated tail remainder and of any tail panels left out because
@@ -188,7 +190,8 @@ def entropic_moment(dens: RadialDensity, m: float,
 def fisher_information(dens: RadialDensity,
                        spec: QuadratureSpec | None = None) -> MomentValue:
     """Shift-invariant Fisher information, radial reduction:
-    I = Omega_d int rho'(r)^2 / rho(r) r^(d-1) dr.
+    I = Omega_d int rho'(r)^2 / rho(r) r^(d-1) dr,
+    exact where the density has a closed form.
 
     The integrand is 0 where the density is.  The interpolant of a
     tabulated density may touch zero, so there it is also 0 where the

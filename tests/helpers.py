@@ -1,0 +1,45 @@
+"""Densities built from others for the tests: one stripped of its closed
+forms, so that the functionals integrate it, and the unit-preserving
+rescaling that is the oracle of scale invariance."""
+
+import dataclasses
+
+import numpy as np
+
+from uncrel.densities import DensityPair, RadialDensity
+
+
+def quadrature_only(dens: RadialDensity) -> RadialDensity:
+    """Strip the closed form to force the quadrature path."""
+    return dataclasses.replace(dens, exact=None)
+
+
+def scale_density(dens: RadialDensity, lam: float) -> RadialDensity:
+    """rho_lam(r) = lam^d rho(lam r), with no closed form.
+
+    Keeps the particle count; radial moments of order a pick up lam^-a,
+    entropic moments of order m pick up lam^(d(m-1)), and the Fisher
+    information picks up lam^2, each integrated from the rescaled rho.
+    """
+    d, f, df = dens.d, dens.rho, dens.drho
+
+    def rho(r):
+        return lam ** d * f(lam * np.asarray(r, dtype=float))
+
+    def drho(r):
+        return lam ** (d + 1) * df(lam * np.asarray(r, dtype=float))
+
+    support = None if dens.support is None else (dens.support[0] / lam, dens.support[1] / lam)
+    return dataclasses.replace(
+        dens, rho=rho, drho=drho, exact=None, support_hint=dens.support_hint / lam,
+        tail_cut=dens.tail_cut / lam, support=support,
+        knots=None if dens.knots is None else dens.knots / lam,
+        label=f"{dens.label}*scale({lam})")
+
+
+def scale_pair(pair: DensityPair, lam: float) -> DensityPair:
+    """Conjugate rescaling: position stretched by lam, momentum by 1/lam."""
+    return DensityPair(scale_density(pair.position, lam),
+                       scale_density(pair.momentum, 1.0 / lam),
+                       real_wavefunction=pair.real_wavefunction,
+                       label=f"{pair.label}*scale({lam})")

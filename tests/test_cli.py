@@ -253,10 +253,18 @@ class TestErrors:
         assert "rel_tol" in err
 
     def test_unrepresentable_model_exit(self, capsys):
-        # its normalization overflows: a typed error, not a traceback
-        code, _, err = run_cli(capsys, "moments", "--model", "exponential", "--d", "200")
+        # its normalization underflows: a typed error, not a traceback
+        code, _, err = run_cli(capsys, "moments", "--model", "exponential", "--d", "230")
         assert code == 3
         assert err.startswith("error[DomainError]")
+
+    def test_sphere_measure_out_of_range_exit(self, capsys, tmp_path):
+        # Gamma(d/2) of Omega_d overflows from d = 344: a typed error, not a traceback
+        table = tmp_path / "wide.csv"
+        table.write_text("# d=400\n" + "".join(f"{r},{math.exp(-r)}\n" for r in range(10)))
+        code, _, err = run_cli(capsys, "moments", "--file", str(table), "--orders", "1")
+        assert code == 3
+        assert err.startswith("error[DomainError]: Omega_d for d = 400")
 
     def test_unrepresentable_bound_exit(self, capsys):
         # N^4 of the d = 1 Heisenberg-like rhs leaves the double range

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import random
@@ -15,14 +14,11 @@ from uncrel import functionals as F
 from uncrel import inequalities as I
 from uncrel import varoracle as V
 from uncrel.constants import SystemConfig, Wide, gamma_half_ratio, wide_gamma
-from uncrel.errors import DivergenceError, DomainError, FormatError
+from uncrel.errors import DivergenceError, DomainError, FormatError, UncrelError
+
+from helpers import quadrature_only, scale_density
 
 PI = math.pi
-
-
-def quadrature_only(dens):
-    """Strip the closed form to force the quadrature path."""
-    return dataclasses.replace(dens, exact=None)
 
 
 def fleet():
@@ -56,17 +52,19 @@ def test_bad_scalar_rejected_at_construction(build):
     lambda: D.gaussian_pair(56, 1e-6),
     lambda: D.gaussian_pair(3, 1e-160),
     lambda: D.gaussian_pair(3, 1e160),
-    lambda: D.exponential_radial(200, 1.0),
-    lambda: D.exponential_radial(60, 1e6),
+    lambda: D.exponential_radial(230, 1.0),
+    lambda: D.exponential_radial(60, 1e8),
     lambda: D.exponential_radial(1, 1e-320),
+    lambda: D.exponential_radial(1, 1e-310, 1e10),
     lambda: D.hydrogenic_pair(1e62),
     lambda: D.hydrogenic_pair(1e-110),
 ], ids=["gaussian-d53-wide", "gaussian-d56-narrow", "gaussian-a-underflow",
-        "gaussian-a-overflow", "exponential-d200", "exponential-d60-fast",
-        "exponential-subnormal-lam", "hydrogenic-huge-Z", "hydrogenic-tiny-Z"])
+        "gaussian-a-overflow", "exponential-d230", "exponential-d60-fast",
+        "exponential-subnormal-lam", "exponential-subnormal-lam-normal-c",
+        "hydrogenic-huge-Z", "hydrogenic-tiny-Z"])
 def test_unrepresentable_state_rejected_at_construction(build):
-    """States whose normalization, derivative or closed-form moments are
-    no finite normal float raise DomainError, not OverflowError or
+    """States whose normalization or derivative factor is no finite
+    normal float raise DomainError, not OverflowError or
     ZeroDivisionError, and never come back holding 0 or inf."""
     with pytest.raises(DomainError, match="double-precision range"):
         build()
@@ -380,7 +378,7 @@ class TestLoadTabulated:
     def test_scaling_moves_the_support(self):
         r, rho = self.grid_table()
         dens = D.load_tabulated(SystemConfig(d=3, N=1.0, q=2), r, rho)
-        scaled = D.scale_density(dens, 2.0)
+        scaled = scale_density(dens, 2.0)
         assert scaled.support == (0.0, 6.0)
         assert np.array_equal(scaled.knots, r / 2.0)
         assert F.radial_moment(scaled, 1.0).value == pytest.approx(
@@ -399,7 +397,7 @@ class TestInvariants:
                      D.hydrogenic_pair(1.0).momentum,
                      D.exponential_radial(2, 1.5, 1.0)):
             base = quadrature_only(dens)
-            scaled = D.scale_density(base, lam)
+            scaled = scale_density(base, lam)
             for alpha in (1.0, 2.0):
                 assert F.radial_moment(scaled, alpha).value == pytest.approx(
                     F.radial_moment(base, alpha).value * lam ** (-alpha), rel=1e-8)
@@ -460,15 +458,12 @@ class TestClosedForms:
     parameters: within 1e-13 relative, or a DomainError where the value
     leaves the double range (or the state cannot be built)."""
 
-    def check(self, compute, exact, base=None):
-        """`base`: the value a rescaled density's closed form starts from,
-        which must be in range too."""
+    def check(self, compute, exact):
         exact = mpmath.mpf(exact)
         try:
             mv = compute()
         except DomainError:
-            assert not all(_MIN * (1 + 1e-12) < v < _MAX * (1 - 1e-12)
-                           for v in (exact, exact if base is None else base))
+            assert not _MIN * (1 + 1e-12) < exact < _MAX * (1 - 1e-12)
             return
         assert (mv.method, mv.est_error) == ("analytic", 0.0)
         assert abs(mv.value / exact - 1) <= 1e-13, (mv.value, exact)
@@ -483,6 +478,7 @@ class TestClosedForms:
                     continue
                 for dens, s2 in ((pair.position, a * a), (pair.momentum, 1.0 / (4.0 * a * a))):
                     s2, dm = mpmath.mpf(s2), mpmath.mpf(d)
+                    self.check(lambda: F.fisher_information(dens), N * dm / s2)
                     self.check(lambda: F.radial_moment(dens, order),
                                N * (2 * s2) ** (mpmath.mpf(order) / 2)
                                * mpmath.gamma((order + dm) / 2) / mpmath.gamma(dm / 2))
@@ -500,6 +496,7 @@ class TestClosedForms:
                 except DomainError:
                     continue
                 dm, lm = mpmath.mpf(d), mpmath.mpf(lam)
+                self.check(lambda: F.fisher_information(dens), lm ** 2 * N)
                 self.check(lambda: F.radial_moment(dens, order),
                            N * mpmath.gamma(dm + order) / (lm ** order * mpmath.gamma(dm)))
                 omega = 2 * mpmath.pi ** (dm / 2) / mpmath.gamma(dm / 2)
@@ -517,6 +514,8 @@ class TestClosedForms:
                 z = mpmath.mpf(Z)
                 a = -2.99 if i % 10 == 0 else rng.uniform(-2.99, 80.0)
                 k = rng.uniform(-2.99, 4.99)
+                self.check(lambda: F.fisher_information(pair.position), 4 * z ** 2)
+                self.check(lambda: F.fisher_information(pair.momentum), 12 / z ** 2)
                 self.check(lambda: F.radial_moment(pair.position, a),
                            mpmath.gamma(a + 3) / (2 ** (a + 1) * z ** a))
                 self.check(lambda: F.radial_moment(pair.momentum, k),
@@ -530,25 +529,77 @@ class TestClosedForms:
                                2 * mpmath.pi * c ** m * z ** (3 - 8 * m)
                                * mpmath.beta(1.5, 4 * m - 1.5))
 
-    def test_rescaled(self):
+    def test_formerly_rejected_states(self):
+        # representable states that a range check on intermediates of
+        # older formulas rejected
         with mpmath.workdps(30):
-            rng = random.Random(14)
-            for d, a, N, order in _draws(3, 200):
-                lam = 10.0 ** rng.uniform(-3.0, 3.0)
-                try:
-                    dens = D.scale_density(D.exponential_radial(d, a, N), lam)
-                except DomainError:
-                    continue
-                dm, am = mpmath.mpf(d), mpmath.mpf(a)
-                base = N * mpmath.gamma(dm + order) / (am ** order * mpmath.gamma(dm))
-                self.check(lambda: F.radial_moment(dens, order),
-                           base * mpmath.mpf(lam) ** -order, base)
-                m = rng.uniform(0.01, 4.0)
+            dens = D.gaussian_pair(340, 1.0).position
+            self.check(lambda: F.radial_moment(dens, 2.0), 340)
+            self.check(lambda: F.entropic_moment(dens, 2.0), (4 * mpmath.pi) ** -170)
+            self.check(lambda: F.fisher_information(dens), 340)
+            for d, lam in ((200, 1.0), (60, 1e6)):
+                dens, dm, lm = D.exponential_radial(d, lam), mpmath.mpf(d), mpmath.mpf(lam)
                 omega = 2 * mpmath.pi ** (dm / 2) / mpmath.gamma(dm / 2)
-                c = N * am ** dm / (omega * mpmath.gamma(dm))
-                base = omega * c ** m * mpmath.gamma(dm) / (am * m) ** dm
-                self.check(lambda: F.entropic_moment(dens, m),
-                           base * mpmath.mpf(lam) ** (dm * (m - 1)), base)
+                c = lm ** dm / (omega * mpmath.gamma(dm))
+                self.check(lambda: F.radial_moment(dens, 2.0), dm * (dm + 1) / lm ** 2)
+                self.check(lambda: F.entropic_moment(dens, 2.0),
+                           omega * c ** 2 * mpmath.gamma(dm) / (2 * lm) ** dm)
+                self.check(lambda: F.fisher_information(dens), lm ** 2)
+
+    def test_to_the_edge_of_the_range(self):
+        # gaussian_pair(d, 1.0) builds up to d = 770 and exponential_radial(d,
+        # 1.0) up to d = 226, where their normalizations leave the range;
+        # every functional is exact or a DomainError, and stripped of the
+        # closed forms a value or a typed error
+        orders = (0.5, 2.0)
+        with mpmath.workdps(30):
+            for d in range(1, 781):
+                if d > 770:
+                    with pytest.raises(DomainError, match="double-precision range"):
+                        D.gaussian_pair(d, 1.0)
+                    continue
+                dm, pair = mpmath.mpf(d), D.gaussian_pair(d, 1.0)
+                states = [pair.position, pair.momentum]
+                for dens, s2 in zip(states, (mpmath.mpf(1), mpmath.mpf(0.25))):
+                    self.check(lambda: F.fisher_information(dens), dm / s2)
+                    for a in (-d + 0.5, 2.0, d / 2.0):
+                        self.check(lambda: F.radial_moment(dens, a), (2 * s2) ** (a / 2)
+                                   * mpmath.gamma((a + dm) / 2) / mpmath.gamma(dm / 2))
+                    for m in orders:
+                        self.check(lambda: F.entropic_moment(dens, m),
+                                   (2 * mpmath.pi * s2) ** (-dm * (m - 1) / 2) / m ** (dm / 2))
+                if d > 226:
+                    with pytest.raises(DomainError, match="double-precision range"):
+                        D.exponential_radial(d, 1.0)
+                else:
+                    # c = 1 / (Omega_d Gamma(d)), so W_m = (Omega_d Gamma(d))^(1-m) / m^d
+                    dens = D.exponential_radial(d, 1.0)
+                    sphere = 2 * mpmath.pi ** (dm / 2) / mpmath.gamma(dm / 2) * mpmath.gamma(dm)
+                    self.check(lambda: F.fisher_information(dens), 1)
+                    for a in (-d + 0.5, 2.0, d / 2.0):
+                        self.check(lambda: F.radial_moment(dens, a),
+                                   mpmath.gamma(dm + a) / mpmath.gamma(dm))
+                    for m in orders:
+                        self.check(lambda: F.entropic_moment(dens, m), sphere ** (1 - m) / m ** dm)
+                    states.append(dens)
+                if d not in (1, 2, 3, 100, 171, 172, 226, 343, 344, 500, 770):
+                    continue
+                for bare in map(quadrature_only, states):
+                    for compute in (lambda: F.radial_moment(bare, 2.0),
+                                    lambda: F.entropic_moment(bare, 2.0),
+                                    lambda: F.fisher_information(bare)):
+                        try:
+                            assert math.isfinite(compute().value)
+                        except UncrelError:
+                            pass
+
+    def test_gaussian_entropic_keeps_m_minus_one(self):
+        # from m = 2^53 on, m - 1 rounds to m; here 2 pi sigma^2 rounds to
+        # 4.0 and N = 4, so rho = e^(-r^2 / (2 sigma^2)) and W_m = 2 pi sigma^2 / m
+        a, m = 0.7978845608028654, 1e17
+        dens = D.gaussian_pair(2, a, 4.0).position
+        with mpmath.workdps(30):
+            self.check(lambda: F.entropic_moment(dens, m), 2 * mpmath.pi * mpmath.mpf(a) ** 2 / m)
 
     @pytest.mark.parametrize("d", [100, 400])
     def test_gamma_ratios_past_the_gamma_range(self, d):
@@ -611,8 +662,7 @@ class TestClosedForms:
         hyd, gauss = D.hydrogenic_pair(1.0), D.gaussian_pair(3, 1.0)
         states = (hyd.position, hyd.momentum, gauss.position, gauss.momentum,
                   D.hydrogenic_pair(1e6).position, D.gaussian_pair(40, 1e-6).position,
-                  D.exponential_radial(3, 1.0), D.exponential_radial(40, 1e6),
-                  D.scale_density(D.exponential_radial(3, 1.0), 1e-3))
+                  D.exponential_radial(3, 1.0), D.exponential_radial(40, 1e6))
         for dens in states:
             for functional in (F.radial_moment, F.entropic_moment):
                 with pytest.raises(DomainError):
@@ -639,8 +689,6 @@ class TestClosedForms:
             F.radial_moment(pos, 200.0)
         with pytest.raises(DomainError, match="leaves the double-precision range"):
             F.entropic_moment(D.gaussian_pair(40, 1e-4).position, 4.0)
-        with pytest.raises(DomainError, match="leaves the double-precision range"):
-            F.radial_moment(D.scale_density(pos, 1e-300), 2.0)
         for dens in (pos, D.gaussian_pair(3, 1.0).position):
             with pytest.raises(DomainError, match="must be a finite number"):
                 dens.exact("moment", math.inf)
@@ -653,8 +701,8 @@ class TestClosedForms:
         assert mom.exact("entropic", 0.375) is None
         with pytest.raises(DivergenceError):
             F.entropic_moment(mom, 0.375)
-        for dens in (mom, D.harmonic_fermions_1d(3, 1).position,
-                     V.minimizer_density(3, 2.0, 1.0)):
+        assert mom.exact("fisher", 2.0) == 12.0  # 12 / Z^2
+        for dens in (D.harmonic_fermions_1d(3, 1).position, V.minimizer_density(3, 2.0, 1.0)):
             assert dens.exact("fisher", 2.0) is None
 
     def test_only_constraint_orders_are_exact_for_ho1d_and_extremals(self):

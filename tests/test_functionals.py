@@ -20,11 +20,9 @@ from uncrel.errors import (ConvergenceError, DivergenceError, DomainError, Forma
                            NonFiniteError, UncrelError)
 from uncrel.mathcore import quad_halfline
 
+from helpers import quadrature_only, scale_density
+
 PI = math.pi
-
-
-def quadrature_only(dens):
-    return dataclasses.replace(dens, exact=None)
 
 
 def gaussian_moment(d, sigma, alpha):
@@ -186,7 +184,7 @@ class TestFisherInformation:
 
     def test_scaling(self):
         dens = D.hydrogenic_pair(1.0).position
-        scaled = D.scale_density(dens, 2.0)
+        scaled = scale_density(dens, 2.0)
         assert F.fisher_information(scaled).value == pytest.approx(16.0, rel=1e-9)
 
     def test_real_wavefunction_identity_single_orbital(self):
@@ -233,7 +231,7 @@ class TestFisherInformation:
     def test_nan_density_is_rejected(self):
         # a NaN value is not below the floor: it reaches the quadrature,
         # which rejects it wherever it sits
-        pos = D.gaussian_pair(3, 1.0).position
+        pos = quadrature_only(D.gaussian_pair(3, 1.0).position)
         dens = dataclasses.replace(pos, rho=lambda r: np.where(r > 2.0, np.nan, pos.rho(r)))
         with pytest.raises(NonFiniteError):
             F.fisher_information(dens)
@@ -302,12 +300,12 @@ class TestHighDimension:
 
 class TestExtremeScales:
     """Gaussians from d = 1 to 100 and a = 1e-6 to 1e6: each side gives
-    its Fisher information d / a^2 (position) or 4 d a^2 (momentum) or
-    raises a typed error.  The integrand is g^2 / rho formed as
-    (g / rho) g, since g^2 alone underflows at wide scales and overflows
-    at narrow ones, and its weight r^(d-1) as a product of two halves
-    where it overflows alone; states beyond the double range are rejected
-    at construction, and an accepted state computes."""
+    its Fisher information d / a^2 (position) or 4 d a^2 (momentum) in
+    closed form, or raises a typed error; states beyond the double range
+    are rejected at construction.  Stripped of the closed form, the
+    integrand is g^2 / rho formed as (g / rho) g, since g^2 alone
+    underflows at wide scales and overflows at narrow ones, and its
+    weight r^(d-1) as a product of two halves where it overflows alone."""
 
     @pytest.mark.parametrize("side", ["position", "momentum"])
     @pytest.mark.parametrize("a", [1e-6, 1e-3, 1.0, 1e3, 1e6])
@@ -324,7 +322,7 @@ class TestExtremeScales:
 
     def test_wide_gaussian_does_not_underflow(self):
         # g * g underflowed to 0 here, and the value came back 0 +- 0
-        mv = F.fisher_information(D.gaussian_pair(25, 1e6).position)
+        mv = F.fisher_information(quadrature_only(D.gaussian_pair(25, 1e6).position))
         assert mv.value == pytest.approx(25e-12, rel=1e-12)
 
     @pytest.mark.parametrize("a,side,sigma", [(1e3, "position", 1e3), (1e-3, "momentum", 500.0)])
@@ -462,7 +460,7 @@ class TestQuadratureMemo:
 
     @pytest.mark.parametrize("field", list(_READ_FIELDS))
     def test_a_changed_read_field_gets_its_own_entry(self, field):
-        dens = _table() if field == "knots" else D.gaussian_pair(3, 1.0).position
+        dens = _table() if field == "knots" else quadrature_only(D.gaussian_pair(3, 1.0).position)
         first = F.fisher_information(dens)
         changed = _READ_FIELDS[field](dens)
         # the same density under a rho the memo has never seen
@@ -472,16 +470,16 @@ class TestQuadratureMemo:
         assert (got.value, got.est_error) == (want.value, want.est_error)
 
     @pytest.mark.parametrize("build", [
-        lambda: D.gaussian_pair(3, 1.0).position,
-        lambda: D.gaussian_pair(3, 1.0).momentum,
-        lambda: D.hydrogenic_pair(1.0).position,
-        lambda: D.hydrogenic_pair(1.0).momentum,
-        lambda: D.exponential_radial(3, 1.0),
+        lambda: quadrature_only(D.gaussian_pair(3, 1.0).position),
+        lambda: quadrature_only(D.gaussian_pair(3, 1.0).momentum),
+        lambda: quadrature_only(D.hydrogenic_pair(1.0).position),
+        lambda: quadrature_only(D.hydrogenic_pair(1.0).momentum),
+        lambda: quadrature_only(D.exponential_radial(3, 1.0)),
         lambda: D.harmonic_fermions_1d(4, 2).momentum,
         _table,
         lambda: V.minimizer_density(3, 2.0, 1.0),
         lambda: V.maximizer_density(3, 2.0, -1.0),
-        lambda: D.scale_density(D.gaussian_pair(3, 1.0).position, 2.0),
+        lambda: scale_density(D.gaussian_pair(3, 1.0).position, 2.0),
     ], ids=["gaussian", "gaussian-mom", "hydrogenic", "hydrogenic-mom", "exponential",
             "ho1d", "tabulated", "minimizer", "maximizer", "scaled"])
     def test_entries_die_with_their_density(self, build):
@@ -528,6 +526,17 @@ def _work(monkeypatch, functional) -> tuple[int, int]:
     return len(sweeps), sum(sweeps)
 
 
+@pytest.mark.parametrize("pair", [D.gaussian_pair(3, 0.7), D.hydrogenic_pair(1.0)],
+                         ids=lambda pair: pair.label)
+def test_model_pairs_run_no_quadrature(monkeypatch, pair):
+    # every functional of a model state is a closed form, so no relation of
+    # the catalog integrates on one
+    cfg = SystemConfig(d=3, N=1.0, q=2)
+    for name in I.CATALOG:
+        work = _work(monkeypatch, lambda: I.evaluate(I.InequalityId(name), pair, cfg))
+        assert work == (0, 0), name
+
+
 class TestHo1dLayout:
     """ho1d's half-line head ends a margin past the top level's turning
     point, where its tail ladder starts, and starts from panels in
@@ -562,9 +571,12 @@ class TestHo1dLayout:
     @pytest.mark.parametrize("functional,work", [
         (lambda: F.radial_moment(quadrature_only(D.gaussian_pair(3, 1.0).position), 2.0),
          (1, 672)),
-        (lambda: F.fisher_information(D.gaussian_pair(3, 1.0).position), (1, 672)),
-        (lambda: F.fisher_information(D.hydrogenic_pair(1.0).position), (1, 672)),
-        (lambda: F.fisher_information(D.hydrogenic_pair(1.0).momentum), (1, 672)),
+        (lambda: F.fisher_information(quadrature_only(D.gaussian_pair(3, 1.0).position)),
+         (1, 672)),
+        (lambda: F.fisher_information(quadrature_only(D.hydrogenic_pair(1.0).position)),
+         (1, 672)),
+        (lambda: F.fisher_information(quadrature_only(D.hydrogenic_pair(1.0).momentum)),
+         (1, 672)),
         (lambda: F.entropic_moment(V.minimizer_density(3, 2.0, 2.0), 1.5), (2, 378)),
         (lambda: F.entropic_moment(V.maximizer_density(3, 2.0, -1.0), 0.8), (2, 735)),
     ], ids=["gaussian_stripped", "gaussian_fisher", "hydrogenic_fisher",
@@ -574,7 +586,7 @@ class TestHo1dLayout:
 
     def test_rescaled_state_keeps_the_layout(self, monkeypatch):
         base = D.harmonic_fermions_1d(20, 2).position
-        scaled = D.scale_density(base, 2.0)
+        scaled = scale_density(base, 2.0)
         assert (scaled.tail_cut, scaled.levels) == (base.tail_cut / 2.0, base.levels)
         base_work = _work(monkeypatch, lambda: F.fisher_information(base))
         scaled_work = _work(monkeypatch, lambda: F.fisher_information(scaled))

@@ -102,18 +102,20 @@ def imported_modules(tree: ast.Module) -> set[str]:
 
 def test_every_test_dependency_is_declared():
     """A fresh `pip install .[test]` can collect every test module: each
-    third-party top-level import of tests/*.py is a dependency or in the
-    test extra (the import names of these packages are their names)."""
+    third-party top-level import of tests/*.py, neither the package nor a
+    module of tests/, is a dependency or in the test extra (the import
+    names of these packages are their names)."""
     tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
     project = tomllib.loads((TESTS.parent / "pyproject.toml").read_text(encoding="utf-8"))
     requirements = project["project"]["dependencies"] \
         + project["project"]["optional-dependencies"]["test"]
     declared = {re.match(r"[A-Za-z0-9_.-]+", req)[0].lower().replace("-", "_")
                 for req in requirements}
+    local = {path.stem for path in TESTS.glob("*.py")} | {"uncrel"}  # the tests' own helpers
     undeclared = {}
     for path in sorted(TESTS.glob("*.py")):
         for name in imported_modules(ast.parse(path.read_text(encoding="utf-8"))):
             top = name.split(".")[0]
-            if top not in sys.stdlib_module_names and top != "uncrel" and top not in declared:
+            if top not in sys.stdlib_module_names and top not in local and top not in declared:
                 undeclared.setdefault(top, path.name)
     assert not undeclared, f"imported by tests but not declared (name: file) {undeclared}"

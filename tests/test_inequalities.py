@@ -12,6 +12,8 @@ from uncrel import inequalities as I
 from uncrel.constants import SystemConfig
 from uncrel.errors import DomainError, FormatError, UncrelError
 
+from helpers import scale_pair
+
 PI = math.pi
 
 H_PAIR = D.hydrogenic_pair(1.0)
@@ -304,7 +306,7 @@ class TestScaleInvariance:
                              ids=lambda p: p.value if hasattr(p, "value") else "")
     def test_dimensionless_reports_invariant(self, ineq, params, lam):
         base = I.evaluate(ineq, H_PAIR, CFG_H, params)
-        scaled = I.evaluate(ineq, D.scale_pair(H_PAIR, lam), CFG_H, params)
+        scaled = I.evaluate(ineq, scale_pair(H_PAIR, lam), CFG_H, params)
         assert scaled.lhs == pytest.approx(base.lhs, rel=1e-9)
         assert scaled.rhs == pytest.approx(base.rhs, rel=1e-9)
         assert scaled.margin == pytest.approx(base.margin, rel=1e-9, abs=1e-9 * abs(base.lhs))
@@ -315,7 +317,7 @@ class TestScaleInvariance:
                              ids=lambda p: p.value if hasattr(p, "value") else "")
     def test_dimensionful_verdicts_invariant(self, ineq, params, lam):
         base = I.evaluate(ineq, H_PAIR, CFG_H, params)
-        scaled = I.evaluate(ineq, D.scale_pair(H_PAIR, lam), CFG_H, params)
+        scaled = I.evaluate(ineq, scale_pair(H_PAIR, lam), CFG_H, params)
         assert scaled.ratio == pytest.approx(base.ratio, rel=1e-9)
         assert scaled.satisfied == base.satisfied
 

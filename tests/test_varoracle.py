@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -13,11 +12,9 @@ from uncrel.functionals import entropic_moment, radial_moment
 from uncrel.constants import beta
 from uncrel.mathcore import quad_finite, quad_halfline
 
+from helpers import quadrature_only, scale_density
+
 PI = math.pi
-
-
-def quadrature_only(dens):
-    return dataclasses.replace(dens, exact=None)
 
 
 class TestMinimizerDensity:
@@ -251,7 +248,6 @@ class TestExtremalG:
             comp = V.maximizer_density(d, comp_alpha, k)
             r2 = radial_moment(quadrature_only(comp), 2.0).value
             # rescale the competitor to meet <r^2> = 1 exactly
-            from uncrel.densities import scale_density
             lam = math.sqrt(r2)
             rescaled = scale_density(quadrature_only(comp), lam)
             assert radial_moment(rescaled, 2.0).value == pytest.approx(1.0, rel=1e-9)
