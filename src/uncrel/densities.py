@@ -137,6 +137,7 @@ class DensityPair:
 
 def _gaussian_radial(d: int, sigma2: float, N: float, label: str) -> RadialDensity:
     norm = (Wide(N) * Wide(2.0 * math.pi * sigma2) ** (-d / 2.0)).value(label)
+    (Wide(norm) / Wide(sigma2) ** 0.5).value(label)  # the peak of drho, r = sigma
 
     def rho(r):
         r = np.asarray(r, dtype=float)
@@ -152,10 +153,12 @@ def _gaussian_radial(d: int, sigma2: float, N: float, label: str) -> RadialDensi
             value = N * Wide(2.0 * sigma2) ** (order / 2.0) \
                 * wide_gamma((order + d) / 2.0) / wide_gamma(d / 2.0)
         elif kind == "entropic" and order > 0:
-            # W_m = (N / B)^m B / m^(d/2), B = (2 pi sigma^2)^(d/2): no
-            # exponent m - 1, which rounds to m from m = 2^53 on
-            base = Wide(2.0 * math.pi * sigma2) ** (d / 2.0)
-            value = (Wide(N) / base) ** order * base / Wide(order) ** (d / 2.0)
+            # W_m = N^m (B^-m)^(d/2) B^(d/2) / m^(d/2), B = 2 pi sigma^2: no
+            # exponent m - 1, which rounds to m from m = 2^53 on, and no
+            # power of order m of a rounded quotient, whose rounding m magnifies
+            base, half = Wide(2.0 * math.pi * sigma2), d / 2.0
+            value = Wide(N) ** order * (base ** -order) ** half * base ** half \
+                / Wide(order) ** half
         elif kind == "fisher":
             # I = N d / sigma^2
             value = Wide(N) * d / sigma2
@@ -238,12 +241,11 @@ def hydrogenic_pair(Z: float) -> DensityPair:
             value = 16.0 * Wide(Z) ** order / math.pi \
                 * beta((order + 3.0) / 2.0, (5.0 - order) / 2.0)
         elif kind == "entropic" and order > 0.375:
-            # W_m = 2 pi c^m Z^(3-8m) B(3/2, 4m - 3/2), c = 8 Z^5 / pi^2, and
-            # B(3/2, b) = (sqrt(pi)/2) Gamma(b) / ((b + 1/2) Gamma(b + 1/2));
-            # 3 - 8m overflows near the float maximum m, and Z^(-m) does not
-            power = 3.0 - 8.0 * order
-            spread = Wide(Z) ** power if math.isfinite(power) \
-                else Wide(Z) ** 3.0 * (Wide(Z) ** -order) ** 8
+            # W_m = 2 pi c^m (Z^-m)^8 Z^3 B(3/2, 4m - 3/2), c = 8 Z^5 / pi^2,
+            # and B(3/2, b) = (sqrt(pi)/2) Gamma(b) / ((b + 1/2) Gamma(b + 1/2));
+            # no exponent 3 - 8m, which overflows near the float maximum m
+            # and rounds the 3 away from m = 2^52 on
+            spread = (Wide(Z) ** -order) ** 8 * Wide(Z) ** 3.0
             value = math.pi ** 1.5 * Wide(cmom) ** order * spread \
                 / ((4.0 * order - 1.0) * gamma_half_ratio(4.0 * order - 1.5))
         elif kind == "fisher":

@@ -182,7 +182,15 @@ def entropic_moment(dens: RadialDensity, m: float,
         # underflowed zero, past which the half-line tail is extrapolated
         v = np.where(v < _TINY, 0.0, v)
         with np.errstate(over="ignore"):  # an overflow stays inf, for the quadrature to reject
-            return _weighted(np.power(v, m), r, w)
+            power = np.power(v, m)
+            out = _weighted(power, r, w)
+            # where rho is normal but rho^m underflows (m > 1), rho^m r^w is
+            # formed as (rho r^(w/m))^m, its power split as in _weighted
+            lost = (power == 0) & (v > 0)
+            if lost.any():
+                half = np.power(r[lost], w / (2.0 * m))
+                out[lost] = np.power(v[lost] * half * half, m)
+            return out
 
     return _quadrature(dens, ("entropic", m), m, integrand, spec)
 

@@ -52,6 +52,7 @@ def test_bad_scalar_rejected_at_construction(build):
     lambda: D.gaussian_pair(56, 1e-6),
     lambda: D.gaussian_pair(3, 1e-160),
     lambda: D.gaussian_pair(3, 1e160),
+    lambda: D.gaussian_pair(3, 1e-100),
     lambda: D.exponential_radial(230, 1.0),
     lambda: D.exponential_radial(60, 1e8),
     lambda: D.exponential_radial(1, 1e-320),
@@ -59,7 +60,7 @@ def test_bad_scalar_rejected_at_construction(build):
     lambda: D.hydrogenic_pair(1e62),
     lambda: D.hydrogenic_pair(1e-110),
 ], ids=["gaussian-d53-wide", "gaussian-d56-narrow", "gaussian-a-underflow",
-        "gaussian-a-overflow", "exponential-d230", "exponential-d60-fast",
+        "gaussian-a-overflow", "gaussian-drho-overflow", "exponential-d230", "exponential-d60-fast",
         "exponential-subnormal-lam", "exponential-subnormal-lam-normal-c",
         "hydrogenic-huge-Z", "hydrogenic-tiny-Z"])
 def test_unrepresentable_state_rejected_at_construction(build):
@@ -550,8 +551,7 @@ class TestClosedForms:
         # gaussian_pair(d, 1.0) builds up to d = 770 and exponential_radial(d,
         # 1.0) up to d = 226, where their normalizations leave the range;
         # every functional is exact or a DomainError, and stripped of the
-        # closed forms a value or a typed error
-        orders = (0.5, 2.0)
+        # closed forms a typed error or a value within its reported error
         with mpmath.workdps(30):
             for d in range(1, 781):
                 if d > 770:
@@ -559,39 +559,42 @@ class TestClosedForms:
                         D.gaussian_pair(d, 1.0)
                     continue
                 dm, pair = mpmath.mpf(d), D.gaussian_pair(d, 1.0)
-                states = [pair.position, pair.momentum]
-                for dens, s2 in zip(states, (mpmath.mpf(1), mpmath.mpf(0.25))):
-                    self.check(lambda: F.fisher_information(dens), dm / s2)
-                    for a in (-d + 0.5, 2.0, d / 2.0):
-                        self.check(lambda: F.radial_moment(dens, a), (2 * s2) ** (a / 2)
-                                   * mpmath.gamma((a + dm) / 2) / mpmath.gamma(dm / 2))
-                    for m in orders:
-                        self.check(lambda: F.entropic_moment(dens, m),
-                                   (2 * mpmath.pi * s2) ** (-dm * (m - 1) / 2) / m ** (dm / 2))
+                # each state with its exact <r^a>, W_m and Fisher information
+                states = [(dens, lambda a, s2=s2: (2 * s2) ** (a / 2)
+                           * mpmath.gamma((a + dm) / 2) / mpmath.gamma(dm / 2),
+                           lambda m, s2=s2: (2 * mpmath.pi * s2) ** (-dm * (m - 1) / 2)
+                           / m ** (dm / 2), dm / s2)
+                          for dens, s2 in ((pair.position, mpmath.mpf(1)),
+                                           (pair.momentum, mpmath.mpf(0.25)))]
                 if d > 226:
                     with pytest.raises(DomainError, match="double-precision range"):
                         D.exponential_radial(d, 1.0)
                 else:
                     # c = 1 / (Omega_d Gamma(d)), so W_m = (Omega_d Gamma(d))^(1-m) / m^d
-                    dens = D.exponential_radial(d, 1.0)
                     sphere = 2 * mpmath.pi ** (dm / 2) / mpmath.gamma(dm / 2) * mpmath.gamma(dm)
-                    self.check(lambda: F.fisher_information(dens), 1)
+                    states.append((D.exponential_radial(d, 1.0),
+                                   lambda a: mpmath.gamma(dm + a) / mpmath.gamma(dm),
+                                   lambda m: sphere ** (1 - m) / m ** dm, mpmath.mpf(1)))
+                for dens, moment, entropic, fisher in states:
+                    self.check(lambda: F.fisher_information(dens), fisher)
                     for a in (-d + 0.5, 2.0, d / 2.0):
-                        self.check(lambda: F.radial_moment(dens, a),
-                                   mpmath.gamma(dm + a) / mpmath.gamma(dm))
-                    for m in orders:
-                        self.check(lambda: F.entropic_moment(dens, m), sphere ** (1 - m) / m ** dm)
-                    states.append(dens)
+                        self.check(lambda: F.radial_moment(dens, a), moment(a))
+                    for m in (0.5, 2.0):
+                        self.check(lambda: F.entropic_moment(dens, m), entropic(m))
                 if d not in (1, 2, 3, 100, 171, 172, 226, 343, 344, 500, 770):
                     continue
-                for bare in map(quadrature_only, states):
-                    for compute in (lambda: F.radial_moment(bare, 2.0),
-                                    lambda: F.entropic_moment(bare, 2.0),
-                                    lambda: F.fisher_information(bare)):
+                for dens, moment, entropic, fisher in states:
+                    bare = quadrature_only(dens)
+                    for compute, exact in ((lambda: F.radial_moment(bare, 2.0), moment(2.0)),
+                                           (lambda: F.entropic_moment(bare, 2.0), entropic(2.0)),
+                                           (lambda: F.fisher_information(bare), fisher)):
                         try:
-                            assert math.isfinite(compute().value)
+                            mv = compute()
                         except UncrelError:
-                            pass
+                            continue
+                        # below the smallest normal float a difference is rounding
+                        assert abs(mv.value - exact) <= max(mv.est_error, _MIN), \
+                            (dens.label, mv, exact)
 
     def test_gaussian_entropic_keeps_m_minus_one(self):
         # from m = 2^53 on, m - 1 rounds to m; here 2 pi sigma^2 rounds to
@@ -600,6 +603,30 @@ class TestClosedForms:
         dens = D.gaussian_pair(2, a, 4.0).position
         with mpmath.workdps(30):
             self.check(lambda: F.entropic_moment(dens, m), 2 * mpmath.pi * mpmath.mpf(a) ** 2 / m)
+
+    @pytest.mark.parametrize("m", [2.0 ** 52, 1e16, 1e17])
+    def test_hydrogenic_entropic_keeps_z_cubed(self, m):
+        # from m = 2^52 on, 3 - 8m rounds to -8m, which drops a factor Z^3
+        # (0.81 here); 8 / (pi^2 Z^3) ~ 1 keeps W_m in range.  Powers of
+        # order ~1e17 of a float keep only a few digits, so the bound is 2%
+        Z = (8.0 / math.pi ** 2) ** (1.0 / 3.0)
+        with mpmath.workdps(40):
+            mz, mm = mpmath.mpf(Z), mpmath.mpf(m)
+            exact = 2 * mpmath.pi * mpmath.mpf(8.0 * Z ** 5 / math.pi ** 2) ** mm \
+                * mz ** (3 - 8 * mm) * mpmath.beta(1.5, 4 * mm - 1.5)
+            value = F.entropic_moment(D.hydrogenic_pair(Z).momentum, m).value
+            assert abs(value / exact - 1) < 0.02
+
+    @pytest.mark.parametrize("d,a", [(2, 0.61), (3, 0.6), (3, 0.9), (5, 0.55)])
+    def test_gaussian_entropic_at_a_large_order(self, d, a):
+        # N = B^(d/2), B = 2 pi sigma^2, keeps W_m = N^m B^(-d(m-1)/2) / m^(d/2)
+        # in range at large m, where a rounding of N / B would grow m-fold
+        m, base = 1e5, 2.0 * math.pi * (a * a)
+        N = base ** (d / 2.0)
+        dens = D.gaussian_pair(d, a, N).position
+        with mpmath.workdps(30):
+            self.check(lambda: F.entropic_moment(dens, m), mpmath.mpf(N) ** m
+                       * mpmath.mpf(base) ** (-d * (m - 1) / 2) / mpmath.mpf(m) ** (d / 2))
 
     @pytest.mark.parametrize("d", [100, 400])
     def test_gamma_ratios_past_the_gamma_range(self, d):

@@ -173,14 +173,16 @@ class TestOrderChecks:
 class TestFisherInformation:
     def test_gaussian(self):
         pair = D.gaussian_pair(3, 1.0, 1.0)
-        info = F.fisher_information(pair.position).value
+        info = F.fisher_information(quadrature_only(pair.position)).value
         assert info == pytest.approx(3.0, rel=1e-10)
         assert info == pytest.approx(4.0 * F.radial_moment(pair.momentum, 2.0).value, rel=1e-10)
 
     def test_hydrogenic(self):
         pair = D.hydrogenic_pair(1.0)
-        assert F.fisher_information(pair.position).value == pytest.approx(4.0, rel=1e-10)
-        assert F.fisher_information(pair.momentum).value == pytest.approx(12.0, rel=1e-10)
+        assert F.fisher_information(quadrature_only(pair.position)).value \
+            == pytest.approx(4.0, rel=1e-10)
+        assert F.fisher_information(quadrature_only(pair.momentum)).value \
+            == pytest.approx(12.0, rel=1e-10)
 
     def test_scaling(self):
         dens = D.hydrogenic_pair(1.0).position
@@ -299,13 +301,14 @@ class TestHighDimension:
 
 
 class TestExtremeScales:
-    """Gaussians from d = 1 to 100 and a = 1e-6 to 1e6: each side gives
-    its Fisher information d / a^2 (position) or 4 d a^2 (momentum) in
-    closed form, or raises a typed error; states beyond the double range
-    are rejected at construction.  Stripped of the closed form, the
+    """Gaussians from d = 1 to 100 and a = 1e-6 to 1e6, stripped of their
+    closed forms: each side gives its Fisher information d / a^2
+    (position) or 4 d a^2 (momentum) or raises a typed error.  The
     integrand is g^2 / rho formed as (g / rho) g, since g^2 alone
     underflows at wide scales and overflows at narrow ones, and its
-    weight r^(d-1) as a product of two halves where it overflows alone."""
+    weight r^(d-1) as a product of two halves where it overflows alone;
+    states beyond the double range are rejected at construction, and an
+    accepted state computes."""
 
     @pytest.mark.parametrize("side", ["position", "momentum"])
     @pytest.mark.parametrize("a", [1e-6, 1e-3, 1.0, 1e3, 1e6])
@@ -317,8 +320,9 @@ class TestExtremeScales:
             dens = getattr(D.gaussian_pair(d, a), side)
         except UncrelError:
             return
-        mv = F.fisher_information(dens)
+        mv = F.fisher_information(quadrature_only(dens))
         assert abs(mv.value - exact) <= max(mv.est_error, 1e-9 * exact)
+        assert F.fisher_information(dens).value == pytest.approx(exact, rel=1e-13)
 
     def test_wide_gaussian_does_not_underflow(self):
         # g * g underflowed to 0 here, and the value came back 0 +- 0
@@ -349,6 +353,15 @@ class TestExtremeScales:
             except UncrelError:
                 continue
             assert abs(mv.value - exact) <= mv.est_error
+
+    @pytest.mark.parametrize("d,m", [(40, 3.0), (80, 1.5), (80, 2.0)])
+    @pytest.mark.parametrize("a,side,sigma", [(1e3, "position", 1e3), (1e-3, "momentum", 500.0)])
+    def test_underflowing_power_keeps_its_mass(self, d, m, a, side, sigma):
+        # rho is normal but rho^m underflows to 0 over the bulk, where
+        # rho^m r^(d-1) is a normal float; those zeros returned W_m = 0 +- 0
+        dens = quadrature_only(getattr(D.gaussian_pair(d, a), side))
+        mv = F.entropic_moment(dens, m)
+        assert mv.value == pytest.approx(gaussian_entropic(d, sigma, m), rel=1e-12)
 
 
 def interpolant_moment(r, y, d, alpha):
