@@ -71,7 +71,8 @@ class RadialDensity:
       exponential: every <r^a>, a > -d, every W_m, and I = lam^2 N;
       ho1d: <x^0> and <x^2> only;
       extremal densities (varoracle): their constraint moments, orders 0
-        and alpha, only;
+        and alpha, only, and the minimizer's Fisher information for k >= d,
+        which diverges (DivergenceError);
     and tabulated densities nothing.  support_hint is a length over which
     the density falls off (export's default grid spans three of them).  A
     half-line density is integrated over a head [0, tail_cut], where the

@@ -10,14 +10,15 @@ refinement sweep evaluates all nodes of all new panels in a single call
 of the integrand, so integrands take and return numpy arrays.  The node
 array an integrand receives is read-only and new in every call, so an
 integrand may key a value it computes on the array's identity.  Panels
-are bisected, except that an end panel of the domain still among the
-worst after three bisections is graded: cut into 16 panels whose widths
-halve towards the end.  Algebraic end singularities (fractional and
-negative radial moments at r = 0, the edge of a compact extremal
-density) then take a few sweeps instead of one bisection per sweep,
-while smooth ends, whose error falls like h^20 per halving, are never
-graded.  The half line is a uniform head [0, tail_cut] plus a geometric
-ladder of tail panels [tail_cut 2^j, tail_cut 2^(j+1)] closed by a
+are bisected, except that an end panel of the domain is graded the
+first time refinement picks it: cut into 16 panels whose widths halve
+towards the end.  Algebraic end singularities (fractional and negative
+radial moments at r = 0, the edge of a compact extremal density) then
+take a few sweeps instead of one bisection per sweep.  No cut comes
+closer to a nonzero end than nodes can resolve there, so a singularity
+too strong to integrate above that floor is a ConvergenceError.  The
+half line is a uniform head [0, tail_cut] plus a geometric ladder of
+tail panels [tail_cut 2^j, tail_cut 2^(j+1)] closed by a
 geometric-series remainder; the caller places tail_cut where the
 integrand has fallen off, and states how many levels (humps) the head
 holds, which sets its starting panels.  Tabulated data start from one
@@ -61,7 +62,8 @@ class QuadratureSpec:
     """Tolerances and budget for adaptive quadrature.
 
     max_refinements is the number of panels refinement may add: one per
-    bisection, fifteen per graded end (see _adaptive_gk).  The absolute
+    bisection, fifteen per graded end panel (see _adaptive_gk), so an
+    end singularity needs at least 15 to be refined at all.  The absolute
     tolerance is not a setting: abs_tol is fixed at 1e-14.  Where the
     panels start is the caller's: gauss_cells' knots, quad_halfline's
     tail_cut and levels.
@@ -126,14 +128,16 @@ _PANELS_PER_LEVEL = 1.25
 _FIRST_RUNGS = 16
 # the ladder closes once the geometric remainder is this share of the tolerance
 _REMAINDER_SHARE = 0.1
-# an end panel chosen for refinement after this many bisections is graded:
-# cut into _GRADE_PANELS panels of ratio 2 towards the end of the domain
-_GRADE_AFTER = 3
+# an end panel chosen for refinement is graded: cut into _GRADE_PANELS
+# panels of ratio 2 towards the end of the domain
 _GRADE_PANELS = 16
 # breakpoints of a graded end panel as shares of its width from that end:
 # 0, 2^-15, 2^-14, ..., 1/2, 1
 _GRADE_CUTS = np.concatenate([[0.0], np.ldexp(1.0, np.arange(1 - _GRADE_PANELS, 1))])
 _EPS50 = 50.0 * np.finfo(float).eps
+# the narrowest panel at an end E, as a share of |E|, whose outermost node
+# lies two float spacings inside E: nodes of a narrower one round onto E
+_END_FLOOR = 4.0 * np.finfo(float).eps / (1.0 - _XGK[0])
 _LOG2_MAX = math.log2(np.finfo(float).max)
 _NO_PANELS = np.empty(0)
 
@@ -177,12 +181,15 @@ def _geometric_remainder(sums: np.ndarray) -> tuple[float, float]:
 
 def _graded(lo: float, hi: float, at_lo: bool) -> np.ndarray:
     """Breakpoints cutting [lo, hi] into _GRADE_PANELS panels whose widths
-    halve towards lo (at_lo) or towards hi."""
+    halve towards lo (at_lo) or towards hi, less the cuts closer to that
+    end than _END_FLOOR |end|."""
+    steps = (hi - lo) * _GRADE_CUTS
+    steps = steps[(steps == 0.0) | (steps >= _END_FLOOR * abs(lo if at_lo else hi))]
     if at_lo:
-        cuts = lo + (hi - lo) * _GRADE_CUTS
+        cuts = lo + steps
         cuts[-1] = hi
     else:
-        cuts = hi - (hi - lo) * _GRADE_CUTS[::-1]
+        cuts = hi - steps[::-1]
         cuts[0] = lo
     return cuts
 
@@ -198,14 +205,16 @@ def _adaptive_gk(f, cuts: np.ndarray, spec: QuadratureSpec, ladder_from: float |
 
     Each sweep evaluates all new panels in one call of f, then refines
     the fewest worst panels whose removal would bring the summed error
-    under half the tolerance.  A panel is bisected, except a panel at an
-    end of the domain (cuts[0], and cuts[-1] without a ladder) that
-    bisections have already narrowed _GRADE_AFTER times: that one is cut
-    into _GRADE_PANELS panels halving towards the end, so an algebraic
-    endpoint singularity is resolved in a few sweeps instead of one
-    bisection per sweep.  Other panels are only ever bisected.
-    spec.max_refinements counts the panels refinement adds: one per
-    bisection, _GRADE_PANELS - 1 per graded end.
+    under half the tolerance.  A panel at an end of the domain (cuts[0],
+    and cuts[-1] without a ladder) is graded: cut into _GRADE_PANELS
+    panels halving towards the end, so an algebraic endpoint singularity
+    is resolved in a few sweeps instead of one bisection per sweep.  Cuts
+    closer to a nonzero end E than _END_FLOOR |E| are left out, as the
+    nodes of a narrower panel round onto E; an end panel with no cut left
+    stays as it is, its error kept in the sum.  Interior panels and
+    ladder rungs are only ever bisected.  spec.max_refinements counts the
+    panels refinement adds: one per bisection, _GRADE_PANELS - 1 per
+    graded end.
 
     The ladder grows until a rung meets an exactly zero integrand value
     (an underflowed tail), which drops that rung and the ones after it,
@@ -220,13 +229,8 @@ def _adaptive_gk(f, cuts: np.ndarray, spec: QuadratureSpec, ladder_from: float |
     # the first sweep adds the first rungs as later sweeps add more
     rungs, add = 0, max(0, min(_FIRST_RUNGS, max_rungs))
     new_lo, new_hi = cuts[:-1], cuts[1:]
-    # ends of the domain (a ladder has none), and the widths below which an
-    # end panel has been bisected _GRADE_AFTER times: halfway, in log scale,
-    # to the width after one bisection fewer, so rounding cannot matter
+    # ends of the domain (a ladder has none)
     end_lo, end_hi = float(cuts[0]), (math.inf if ladder_open else float(cuts[-1]))
-    narrow = 2.0 ** (0.5 - _GRADE_AFTER)
-    narrow_lo = narrow * float(new_hi[0] - new_lo[0])
-    narrow_hi = narrow * float(new_hi[-1] - new_lo[-1])
     # rows lo, hi, value, error of every panel, new panels last
     panels, keep = None, slice(None)
     remainder, dropped, refinements = 0.0, 0.0, 0
@@ -279,17 +283,21 @@ def _adaptive_gk(f, cuts: np.ndarray, spec: QuadratureSpec, ladder_from: float |
             worst = np.argsort(err)[::-1]
             rest = panel_err - np.cumsum(err[worst])  # error left if the first i+1 were exact
             split = worst[:min(int(np.searchsorted(-rest, -0.5 * tol)) + 1, budget)]
-            s_lo, s_hi = lo[split], hi[split]
-            width = s_hi - s_lo
-            grade = ((s_lo == end_lo) & (width < narrow_lo)) | ((s_hi == end_hi) & (width < narrow_hi))
-            graded = []
+            at_lo = lo[split] == end_lo
+            grade = at_lo | (hi[split] == end_hi)
+            # an end panel too narrow for a cut outside the floor of its end
+            # stays as it is, its error kept in the sum
+            end = np.where(at_lo, lo[split], hi[split])
+            fits = ~grade | (0.5 * (hi[split] - lo[split]) >= _END_FLOOR * np.abs(end))
+            split, grade, at_lo = split[fits], grade[fits], at_lo[fits]
             if grade.any():
                 # a graded end adds _GRADE_PANELS - 1 panels: refine the
                 # worst panels whose added panels fit in the budget
                 added = np.cumsum(np.where(grade, _GRADE_PANELS - 1, 1))
                 n = int(np.searchsorted(added, budget, side="right"))
-                split, s_lo, s_hi, grade = split[:n], s_lo[:n], s_hi[:n], grade[:n]
-                graded = [_graded(a, b, a == end_lo) for a, b in zip(s_lo[grade], s_hi[grade])]
+                split, grade, at_lo = split[:n], grade[:n], at_lo[:n]
+            s_lo, s_hi = lo[split], hi[split]
+            graded = [_graded(a, b, t) for a, b, t in zip(s_lo[grade], s_hi[grade], at_lo[grade])]
             if split.size == 0:
                 raise ConvergenceError(
                     f"quadrature on [{end_lo}, {end_hi}] "

@@ -15,8 +15,9 @@ The reconstruction is the brute-force oracle validating the closed-form
 coefficients: constraints are solved in closed form through Beta-function
 reduction, while the extremal's entropic moment is evaluated by
 quadrature.  So an extremal density's closed form (RadialDensity.exact)
-knows only its constraint moments, orders 0 and alpha: a closed-form
-W_{1+k/d} would hand the oracle the very value it is there to check.
+knows only its constraint moments, orders 0 and alpha, and where the
+minimizer's Fisher information diverges: a closed-form W_{1+k/d} would
+hand the oracle the very value it is there to check.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from . import constants
 from .constants import beta, omega
 from .densities import RadialDensity, fixed_moments
-from .errors import DomainError, check_finite, check_integer, check_positive
+from .errors import DivergenceError, DomainError, check_finite, check_integer, check_positive
 from .functionals import entropic_moment
 from .mathcore import QuadratureSpec
 
@@ -71,7 +72,9 @@ def minimizer_density(d: int, alpha: float, k: float,
     """Compactly supported extremal density C (a^alpha - r^alpha)^(d/k),
     r <= a, meeting the constraints int f = N and <r^alpha> = r_alpha.
 
-    Minimizes W_{1+k/d} for k > 0 under those constraints.
+    Minimizes W_{1+k/d} for k > 0 under those constraints.  Near the edge
+    rho'^2 / rho ~ (a^alpha - r^alpha)^(d/k - 2), so for k >= d the Fisher
+    information is infinite: its closed form raises DivergenceError.
     """
     _validate_orders(d, alpha, k)
     if k <= 0:
@@ -93,10 +96,17 @@ def minimizer_density(d: int, alpha: float, k: float,
         inner = np.power(core, e - 1.0, out=np.zeros_like(core), where=core > 0.0)
         return -C * e * alpha * np.power(r, alpha - 1.0) * inner
 
-    return RadialDensity(d=d, N=N, rho=rho, drho=drho,
-                         exact=fixed_moments({0.0: N, float(alpha): r_alpha}),
-                         support=(0.0, a),
-                         label=f"extremal-min(d={d},alpha={alpha},k={k})")
+    label = f"extremal-min(d={d},alpha={alpha},k={k})"
+    moments = fixed_moments({0.0: N, float(alpha): r_alpha})
+
+    def exact(kind, order):
+        if kind == "fisher" and k >= d:
+            raise DivergenceError(f"Fisher information of {label} diverges at the "
+                                  f"support edge for k >= d")
+        return moments(kind, order)
+
+    return RadialDensity(d=d, N=N, rho=rho, drho=drho, exact=exact,
+                         support=(0.0, a), label=label)
 
 
 def maximizer_density(d: int, alpha: float, k: float,

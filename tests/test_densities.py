@@ -259,7 +259,14 @@ class TestHarmonicFermions:
         assert abs(count(top_level(700)) - 1.0) > 1e-10
 
 
-_BITS = json.loads((Path(__file__).resolve().parent / "data" / "ho1d_bits.json").read_text())
+_BITS_PATH = Path(__file__).resolve().parent / "data" / "ho1d_bits.json"
+_BITS = json.loads(_BITS_PATH.read_text())
+# the quadrature cells that open each row of ho1d_bits.json
+_BITS_CELLS = ("fisher", "W1.5", "x^0.5")
+
+
+def _bits_functionals(pos):
+    return [F.fisher_information(pos), F.entropic_moment(pos, 1.5), F.radial_moment(pos, 0.5)]
 
 
 class TestLevelPass:
@@ -281,8 +288,7 @@ class TestLevelPass:
         for key, want in _BITS["values"].items():
             n, q = map(int, key.split(","))
             pos = D.harmonic_fermions_1d(n, q).position
-            got = [F.fisher_information(pos).value, F.entropic_moment(pos, 1.5).value,
-                   F.radial_moment(pos, 0.5).value, *pos.rho(x), *pos.drho(x)]
+            got = [*(mv.value for mv in _bits_functionals(pos)), *pos.rho(x), *pos.drho(x)]
             assert [float(v).hex() for v in got] == want, key
             pointwise = [*(pos.rho(float(v)) for v in x), *(pos.drho(float(v)) for v in x)]
             assert [v.hex() for v in pointwise] == want[3:], key
@@ -740,3 +746,34 @@ class TestClosedForms:
         assert [dens.exact("moment", a) for a in (0.0, 2.5)] == [2.0, 3.0]
         assert dens.exact("moment", 2.0) is None
         assert dens.exact("entropic", 1.0 + 1.0 / 3.0) is None
+
+
+def _dump_bits(bits) -> str:
+    """ho1d_bits.json as recorded: one line per row."""
+    rows = ",\n".join(f"  {json.dumps(key)}: {json.dumps(row)}" for key, row in bits["values"].items())
+    return (f'{{\n "about": {json.dumps(bits["about"])},\n "points": {json.dumps(bits["points"])},\n'
+            f' "values": {{\n{rows}\n }}\n}}\n')
+
+
+if __name__ == "__main__":
+    # Re-record the three quadrature cells of each row of ho1d_bits.json,
+    # for a change that moves them on purpose, and print each cell that
+    # moved.  rho and drho stay pinned to the generator sums: a change in
+    # their bits stops the script before it writes.
+    #
+    #     PYTHONPATH=src python tests/test_densities.py
+    x = np.array(_BITS["points"])
+    moved = 0
+    for key, row in _BITS["values"].items():
+        n, q = map(int, key.split(","))
+        pos = D.harmonic_fermions_1d(n, q).position
+        assert [float(v).hex() for v in (*pos.rho(x), *pos.drho(x))] == row[3:], key
+        for i, (cell, mv) in enumerate(zip(_BITS_CELLS, _bits_functionals(pos))):
+            if mv.value.hex() != row[i]:
+                moved += 1
+                print(f"{key} {cell}: {float.fromhex(row[i])!r} -> {mv.value!r} "
+                      f"(est_error {mv.est_error:.3g})")
+                row[i] = mv.value.hex()
+    _BITS_PATH.write_text(_dump_bits(_BITS))
+    print(f"{moved} of {len(_BITS_CELLS) * len(_BITS['values'])} cells moved; wrote {_BITS_PATH}",
+          file=sys.stderr)

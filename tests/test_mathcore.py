@@ -202,10 +202,10 @@ class TestIntegrateHalfline:
             quad_finite(lambda r: r ** -0.5, 0.0, 1.0, QuadratureSpec(max_refinements=5))
 
 
-# integrals that take several refinement sweeps but never grade an end
-# (their features are interior, or on the tail ladder), and their
-# (value, error) as float.hex() made with the bisect-only refinement that
-# preceded end grading: grading and the leaner sweeps must not move a bit
+# integrals whose features are interior, or on the tail ladder, and which
+# take several refinement sweeps; their (value, error) as float.hex() are
+# pinned, so a change of refinement that moves a bit shows here and is
+# re-recorded on purpose, each pin checked against its reference below
 GOLDEN_INTEGRALS = {
     "lorentz_peak": lambda: quad_finite(lambda r: 1.0 / (1e-6 + (r - 0.37) ** 2), 0.0, 1.0),
     "narrow_gauss": lambda: quad_finite(lambda r: np.exp(-2e5 * (r - 0.61) ** 2), 0.0, 1.0),
@@ -239,23 +239,71 @@ GOLDEN_INTEGRALS = {
 QUAD_GOLDEN = [
     ("lorentz_peak", "0x1.8829af5e2e453p+11", "0x1.b0628020b8137p-25"),
     ("narrow_gauss", "0x1.03bd9920665c0p-8", "0x1.2fb9545eefdc8p-52"),
-    ("cos400", "0x1.7ffc6254eb900p+2", "0x1.2a7de508642c1p-42"),
+    ("cos400", "0x1.7ffc6254eb902p+2", "0x1.2a7de508642c2p-42"),
     ("runge", "0x1.44e1985213cb2p-7", "0x1.fba07e003eed5p-54"),
     ("cusp_inside", "0x1.e60f75ce0ad0bp-2", "0x1.aa7c7805c5346p-36"),
     ("step_smooth", "-0x1.1ba5e353f7ceep-1", "0x1.fce5f9a7936e8p-46"),
     ("halfline_bump20", "0x1.22661a4eeae09p-6", "0x1.88d648af7b28ep-41"),
     ("halfline_power_tail", "0x1.3fffffffffffbp+3", "0x1.a993d638bd323p-34"),
     ("halfline_cut_tight", "0x1.0000000000000p+1", "0x1.46ba0be1b0902p-45"),
-    ("halfline_power_tail3", "0x1.3813813813813p-3", "0x1.78ed041989332p-40"),
-    ("halfline_osc_tail", "0x1.401060a075da4p+3", "0x1.ef15a19154007p-32"),
+    ("halfline_power_tail3", "0x1.3813813813814p-3", "0x1.78816f0867465p-40"),
+    ("halfline_osc_tail", "0x1.401060a075da4p+3", "0x1.ef1331cd433f7p-32"),
     ("halfline_peak_past_cut", "0x1.6ec67d56fc737p+1", "0x1.d909e0a14d90ep-39"),
     ("halfline_kink", "0x1.13333333326e5p+3", "0x1.baa8f4b405c17p-32"),
     ("two_lorentz", "0x1.8802c67bf3554p+12", "0x1.a6d6de7f7d9dep-25"),
     ("log_kink", "0x1.be9772700920dp-3", "0x1.1486384a2cf60p-37"),
     ("halfline_tail_bump", "0x1.0105d686c31f8p+3", "0x1.986f5ce2088b7p-44"),
     ("halfline_gauss_mixture", "0x1.b39927766051dp-5", "0x1.1b94b511a3ef6p-39"),
-    ("halfline_lorentz_tail", "0x1.4854e7fab3220p+1", "0x1.0ae8dc584a399p-33"),
+    ("halfline_lorentz_tail", "0x1.4854e7fab3220p+1", "0x1.0ae8bac79330bp-33"),
 ]
+
+
+def _lorentz(c, eps=1e-6):
+    # int_0^1 dr / (eps + (r - c)^2)
+    s = mpmath.sqrt(eps)
+    return (mpmath.atan((1 - c) / s) + mpmath.atan(c / s)) / s
+
+
+def _gauss(c, w):
+    # int_0^inf exp(-((r - c) / w)^2) dr
+    return w * mpmath.sqrt(mpmath.pi) / 2 * (1 + mpmath.erf(c / w))
+
+
+def _log1p_ramp(u):
+    # int_0^u log(1 + t) dt
+    return (1 + u) * mpmath.log1p(u) - u
+
+
+# the exact value of each golden integral: a closed form, or mpmath
+# quadrature split at the integrand's features where there is none
+GOLDEN_REFERENCES = {
+    "lorentz_peak": lambda: _lorentz(mpmath.mpf("0.37")),
+    "narrow_gauss": lambda: mpmath.sqrt(mpmath.pi / 2e5) / 2 * (
+        mpmath.erf(mpmath.sqrt(2e5) * mpmath.mpf("0.39")) + mpmath.erf(mpmath.sqrt(2e5) * mpmath.mpf("0.61"))),
+    "cos400": lambda: mpmath.sin(1200) / 400 + 6,
+    "runge": lambda: 2 * mpmath.atan(mpmath.sqrt(1e5)) / mpmath.sqrt(1e5),
+    "cusp_inside": lambda: (mpmath.mpf("0.4321") ** 1.5 + mpmath.mpf("0.5679") ** 1.5) * 2 / 3,
+    "step_smooth": lambda: (mpmath.log(mpmath.cosh(mpmath.mpf(2230))) - mpmath.log(mpmath.cosh(mpmath.mpf(7770)))) / 1e4,
+    "halfline_bump20": lambda: _gauss(20, mpmath.mpf("0.01")),
+    "halfline_power_tail": lambda: mpmath.mpf(10),
+    "halfline_cut_tight": lambda: mpmath.mpf(2),
+    "halfline_power_tail3": lambda: mpmath.beta(3, 1.5),
+    "halfline_osc_tail": lambda: 10 + mpmath.mpf("0.2") / (mpmath.mpf("0.04") + 100),
+    "halfline_peak_past_cut": lambda: mpmath.quad(
+        lambda r: mpmath.exp(-r / 10) / (mpmath.mpf("1e-4") + (r - 47) ** 2),
+        [0, 46, 47 - mpmath.mpf("0.01"), 47, 47 + mpmath.mpf("0.01"), 48, 100, mpmath.inf]),
+    "halfline_kink": lambda: mpmath.mpf("8.6"),
+    "two_lorentz": lambda: _lorentz(mpmath.mpf("0.3")) + _lorentz(mpmath.mpf("0.8")),
+    "log_kink": lambda: _log1p_ramp(mpmath.mpf("0.55")) + _log1p_ramp(mpmath.mpf("0.45")),
+    "halfline_tail_bump": lambda: 8 + 100 * mpmath.quad(
+        lambda r: mpmath.exp(-r / 8 - ((r - 45) / mpmath.mpf("0.05")) ** 2),
+        [44, 45 - mpmath.mpf("0.05"), 45, 45 + mpmath.mpf("0.05"), 46]),
+    "halfline_gauss_mixture": lambda: _gauss(3, mpmath.mpf("0.01")) + _gauss(7, mpmath.mpf("0.02"))
+    + _gauss(11, mpmath.mpf("0.005")),
+    "halfline_lorentz_tail": lambda: mpmath.quad(
+        lambda r: 1 / ((mpmath.mpf("1e-4") + (r - 5) ** 2) * (1 + r ** 3)),
+        [0, 4, 5 - mpmath.mpf("0.01"), 5, 5 + mpmath.mpf("0.01"), 6, 100, mpmath.inf]),
+}
 
 
 class TestQuadratureGolden:
@@ -264,11 +312,22 @@ class TestQuadratureGolden:
         v, e = GOLDEN_INTEGRALS[name]()
         assert (v.hex(), e.hex()) == (value, error)
 
+    @pytest.mark.parametrize("name,value,error", [
+        pytest.param(*g, marks=pytest.mark.xfail(strict=True, reason=(
+            "no node of the first sweep falls within the width-0.005 bump at r = 11, "
+            "so its 0.005 sqrt(pi) is missing from a value reported to 2e-12")))
+        if g[0] == "halfline_gauss_mixture" else g for g in QUAD_GOLDEN], ids=[g[0] for g in QUAD_GOLDEN])
+    def test_pin_within_its_error_of_the_reference(self, name, value, error):
+        with mpmath.workdps(30):
+            gap = abs(mpmath.mpf(float.fromhex(value)) - GOLDEN_REFERENCES[name]())
+        assert gap <= float.fromhex(error)
+
 
 class TestEndGrading:
-    """An algebraic end singularity is cut geometrically towards the end
-    once bisections stop paying, so it takes a few sweeps, not one
-    bisection per sweep (up to 66 sweeps before grading)."""
+    """An end panel of the domain is cut geometrically towards the end the
+    first time refinement picks it, so an algebraic end singularity takes
+    a few sweeps, not one bisection per sweep (up to 66 sweeps before
+    grading)."""
 
     @staticmethod
     def counted(f):
@@ -279,14 +338,14 @@ class TestEndGrading:
             return f(r)
         return g, calls
 
-    @pytest.mark.parametrize("f,exact", [
-        (lambda r: r ** -0.5, 2.0),
-        (lambda r: np.sqrt(1.0 - r), 2.0 / 3.0),
+    @pytest.mark.parametrize("f,exact,sweeps", [
+        (lambda r: r ** -0.5, 2.0, 6),
+        (lambda r: np.sqrt(1.0 - r), 2.0 / 3.0, 2),
     ], ids=["origin", "upper_end"])
-    def test_finite_interval(self, f, exact):
+    def test_finite_interval(self, f, exact, sweeps):
         g, calls = self.counted(f)
         val, err = quad_finite(g, 0.0, 1.0)
-        assert len(calls) <= 15
+        assert len(calls) == sweeps
         assert val == pytest.approx(exact, rel=1e-10)
         assert err >= abs(val - exact)
 
@@ -302,18 +361,54 @@ class TestEndGrading:
         pos = dataclasses.replace(densities.gaussian_pair(1, 1.0).position, exact=None)
         mv = functionals.radial_moment(pos, -0.5)
         exact = 2.0 ** -0.25 * math.gamma(0.25) / math.gamma(0.5)
-        assert len(g_calls) == 1 and len(g_calls[0]) <= 15
+        assert len(g_calls) == 1 and len(g_calls[0]) == 6
         assert mv.value == pytest.approx(exact, rel=1e-10)
         assert mv.est_error >= abs(mv.value - exact)
 
-    @pytest.mark.parametrize("budget,sweeps", [(17, 4), (18, 5)])
+    @pytest.mark.parametrize("budget,sweeps", [(14, 1), (15, 2)])
     def test_graded_end_counts_its_panels(self, budget, sweeps):
-        # three bisections of the end panel at r = 0, then a grade that
-        # adds fifteen panels: it fits a budget of 18 refinements, not 17
+        # the end panel at r = 0 is the first one refinement picks, and
+        # grading it adds fifteen panels: it fits a budget of 15
+        # refinements, not 14
         g, calls = self.counted(lambda r: r ** -0.5)
         with pytest.raises(ConvergenceError):
             quad_finite(g, 0.0, 1.0, QuadratureSpec(max_refinements=budget))
         assert len(calls) == sweeps
+
+    @pytest.mark.parametrize("p", np.random.default_rng(1505).uniform(-0.75, 4.0, 100))
+    def test_power_at_the_origin(self, p):
+        # r^p on [0, 1] and r^p e^-r on the half line, singular or with a
+        # kink at r = 0: at most 10 sweeps each, and honest errors
+        for quad, f, exact in (
+                (lambda g: quad_finite(g, 0.0, 1.0), lambda r: r ** p, 1.0 / (p + 1.0)),
+                (quad_halfline, lambda r: r ** p * np.exp(-r), math.gamma(p + 1.0))):
+            g, calls = self.counted(f)
+            val, err = quad(g)
+            assert len(calls) <= 10
+            assert err >= abs(val - exact)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "a kink too faint to refine: the first sweep's error estimate, rescaled "
+        "against the panel's mean deviation, falls below the actual error"))
+    @pytest.mark.parametrize("p", [2.0261565801445874e-10, 1.00000001])
+    def test_power_near_an_integer_on_the_half_line(self, p):
+        val, err = quad_halfline(lambda r: r ** p * np.exp(-r))
+        assert err >= abs(val - math.gamma(p + 1.0))
+
+    @pytest.mark.parametrize("upper", [True, False], ids=["at_1_from_below", "at_1_from_above"])
+    def test_singularity_at_a_nonzero_end(self, upper):
+        # (1 - r)^p on [0, 1] and (r - 1)^p on [1, 2]: no cut comes so close
+        # to the end at 1 that nodes round onto it, so every p > -0.18
+        # converges with an honest error, and a singularity too strong for
+        # that floor is a ConvergenceError
+        for p in np.arange(-95, 396) / 100.0:
+            f = (lambda r: (1.0 - r) ** p) if upper else (lambda r: (r - 1.0) ** p)
+            try:
+                val, err = quad_finite(f, 0.0, 1.0) if upper else quad_finite(f, 1.0, 2.0)
+            except ConvergenceError:
+                assert p <= -0.18
+                continue
+            assert err >= abs(val - 1.0 / (1.0 + p)), p
 
 
 class TestMinimizeScalar:

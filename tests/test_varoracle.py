@@ -7,9 +7,10 @@ import scipy.optimize
 from uncrel import varoracle as V
 from uncrel.constants import (entropic_lower_coeff, heisenberg_exponent,
                               semiclassical_constant)
-from uncrel.errors import DomainError
-from uncrel.functionals import entropic_moment, radial_moment
-from uncrel.constants import beta
+from uncrel import functionals
+from uncrel.errors import ConvergenceError, DivergenceError, DomainError
+from uncrel.functionals import entropic_moment, fisher_information, radial_moment
+from uncrel.constants import beta, omega
 from uncrel.mathcore import quad_finite, quad_halfline
 
 from helpers import quadrature_only, scale_density
@@ -79,6 +80,34 @@ class TestMinimizerDensity:
             V.minimizer_density(3, 2.0, -1.0)
         with pytest.raises(DomainError):
             V.minimizer_density(3, -2.0, 1.0)
+
+    @pytest.mark.parametrize("d,alpha,k", [(3, 2.0, 4.0), (2, 2.0, 2.0), (3, 2.0, 3.0), (1, 1.0, 3.0)])
+    def test_fisher_information_diverges_for_k_at_least_d(self, monkeypatch, d, alpha, k):
+        # near the edge rho'^2 / rho ~ (a^alpha - r^alpha)^(d/k - 2), which
+        # cannot be integrated once k >= d (k = d: a log divergence); the
+        # closed form says so before any quadrature runs
+        def no_quadrature(*args):
+            raise AssertionError("quadrature ran")
+
+        monkeypatch.setattr(functionals, "_integrate", no_quadrature)
+        with pytest.raises(DivergenceError, match="diverges at the support edge"):
+            fisher_information(V.minimizer_density(d, alpha, k))
+
+    @pytest.mark.parametrize("d,alpha,k", [
+        (3, 2.0, 1.0), (3, 2.0, 1.6),
+        pytest.param(3, 2.0, 2.0, marks=pytest.mark.xfail(raises=ConvergenceError, strict=True, reason=(
+            "for d/2 < k < d the integrand's edge singularity (a^alpha - r^alpha)^(d/k - 2) "
+            "is too strong to integrate above the cut floor at the nonzero end a"))),
+    ])
+    def test_fisher_information_below_k_equal_d(self, d, alpha, k):
+        # Omega C e^2 alpha a^(p + alpha (e - 2)) B(p / alpha, e - 1),
+        # with e = d/k and p = 2 alpha - 2 + d, for k < d
+        dens = V.minimizer_density(d, alpha, k)
+        e, p = d / k, 2.0 * alpha - 2.0 + d
+        a, C = dens.support[1], float(dens.rho(0.0)) / dens.support[1] ** (alpha * e)
+        exact = omega(d) * C * e * e * alpha * a ** (p + alpha * (e - 2.0)) * beta(p / alpha, e - 1.0)
+        got = fisher_information(dens)
+        assert abs(got.value - exact) <= got.est_error
 
 
 def solve_scale_by_root(d, alpha, k, N=1.0, r_alpha=1.0):
