@@ -242,11 +242,6 @@ class SystemConfig:
         check_positive("particle count", self.N)
         check_integer("spin multiplicity", self.q)
 
-    @property
-    def s(self) -> float:
-        """Spin, derived from the multiplicity: s = (q - 1) / 2."""
-        return (self.q - 1) / 2.0
-
 
 def thakkar_coefficient(k: float) -> float:
     """Semiclassical coefficient c_k = 3 (3 pi^2)^(k/3) / (k + 3) of the
@@ -365,8 +360,12 @@ def entropic_lower_coeff(d: int, alpha: float, k: float) -> float:
         raise DomainError(f"entropic_lower_coeff requires alpha, k > 0, got ({alpha}, {k})")
     m = 1.0 + k / d
     b = beta(d / alpha, 2.0 + d / k)
-    head = m ** m * alpha ** (1.0 + 2.0 * k / d) * (omega(d) * b) ** (-k / d)
-    tail = (k ** k / (m * alpha + k) ** (m * alpha + k)) ** (1.0 / alpha)
+    try:
+        head = m ** m * alpha ** (1.0 + 2.0 * k / d) * (omega(d) * b) ** (-k / d)
+        tail = (k ** k / (m * alpha + k) ** (m * alpha + k)) ** (1.0 / alpha)
+    except (OverflowError, ZeroDivisionError):
+        raise DomainError(f"entropic_lower_coeff({d}, {alpha}, {k}) cannot be formed "
+                          f"in double precision") from None
     return head * tail
 
 

@@ -65,7 +65,7 @@ class RadialDensity:
     there is no closed form, so the functionals integrate; a value out of
     the double range is a DomainError.  Exact are
       Gaussian: every <r^a>, a > -d, every W_m, and I = N d / sigma^2;
-      hydrogenic position: every <r^a>, a > -3, every W_m, and I = 4 Z^2;
+      hydrogenic position: the exponential model at d = 3, lam = 2 Z;
       hydrogenic momentum: <p^k> for -3 < k < 5, and W_m for m > 3/8
         (the whole convergence windows), and I = 12 / Z^2;
       exponential: every <r^a>, a > -d, every W_m, and I = lam^2 N;
@@ -191,40 +191,13 @@ def gaussian_pair(d: int, a: float, N: float = 1.0) -> DensityPair:
 
 
 def hydrogenic_pair(Z: float) -> DensityPair:
-    """Ground-state hydrogenic densities (d = 3, N = 1): position
-    (Z^3/pi) e^(-2 Z r), momentum (8 Z^5 / pi^2) (Z^2 + p^2)^-4."""
+    """Ground-state hydrogenic densities (d = 3, N = 1): position (Z^3/pi) e^(-2 Z r),
+    the exponential model at lam = 2 Z, and momentum (8 Z^5 / pi^2) (Z^2 + p^2)^-4."""
     check_positive("charge", Z)
     # the widest intermediate below: (Z^2 + p^2)^5, Z^10 to 32 Z^10 for p <= Z
     for bound in (1.0, 32.0):
         (Wide(Z) ** 10.0 * bound).value(f"hydrogenic(Z={Z})")
-
-    cpos = Z ** 3 / math.pi
-
-    def rho(r):
-        r = np.asarray(r, dtype=float)
-        return cpos * np.exp(-2.0 * Z * r)
-
-    def drho(r):
-        r = np.asarray(r, dtype=float)
-        return -2.0 * Z * cpos * np.exp(-2.0 * Z * r)
-
-    def pos_exact(kind, order):
-        if kind == "moment" and order > -3.0:
-            # <r^a> = Gamma(a + 3) / (2^(a+1) Z^a)
-            value = wide_gamma(order + 3.0) / (Wide(2.0) ** (order + 1.0) * Wide(Z) ** order)
-        elif kind == "entropic" and order > 0:
-            # W_m = pi (Z^3/pi)^m / (Z m)^3
-            value = math.pi * Wide(cpos) ** order / (Wide(Z) * order) ** 3.0
-        elif kind == "fisher":
-            # I = 4 Z^2
-            value = 4.0 * Wide(Z) ** 2.0
-        else:
-            return None
-        return value.value(f"hydrogenic(Z={Z}): {kind} of order {order}")
-
-    hint = 4.0 / (2.0 * Z)
-    pos = RadialDensity(d=3, N=1.0, rho=rho, drho=drho, exact=pos_exact,
-                        support_hint=hint, tail_cut=5.0 * hint, label=f"hydrogenic(Z={Z})")
+    pos = _exponential_radial(3, 2.0 * Z, 1.0, f"hydrogenic(Z={Z})", 2.0 / Z)
 
     cmom = 8.0 * Z ** 5 / math.pi ** 2
 
@@ -262,13 +235,7 @@ def hydrogenic_pair(Z: float) -> DensityPair:
     return DensityPair(pos, mom, real_wavefunction=True, label=f"hydrogenic(Z={Z})")
 
 
-def exponential_radial(d: int, lam: float, N: float = 1.0) -> RadialDensity:
-    """Position-only exponential model rho(r) = N lam^d e^(-lam r) / (Omega_d Gamma(d));
-    normalization is exact by construction and <r^a> = N Gamma(d+a) / (lam^a Gamma(d))."""
-    check_integer("dimension", d)
-    check_positive("decay rate", lam)
-    check_positive("particle count", N)
-    label = f"exponential(d={d},lam={lam})"
+def _exponential_radial(d: int, lam: float, N: float, label: str, hint: float) -> RadialDensity:
     # Omega_d Gamma(d), past the range of math.gamma(d) from d = 172 on
     sphere = Wide(omega(d)) * wide_gamma(d)
     c = (Wide(N) * Wide(lam) ** d / sphere).value(label)
@@ -296,9 +263,17 @@ def exponential_radial(d: int, lam: float, N: float = 1.0) -> RadialDensity:
             return None
         return value.value(f"{label}: {kind} of order {order}")
 
-    hint = 8.0 / lam
     return RadialDensity(d=d, N=N, rho=rho, drho=drho, exact=exact,
                          support_hint=hint, tail_cut=5.0 * hint, label=label)
+
+
+def exponential_radial(d: int, lam: float, N: float = 1.0) -> RadialDensity:
+    """Position-only exponential model rho(r) = N lam^d e^(-lam r) / (Omega_d Gamma(d));
+    normalization is exact by construction and <r^a> = N Gamma(d+a) / (lam^a Gamma(d))."""
+    check_integer("dimension", d)
+    check_positive("decay rate", lam)
+    check_positive("particle count", N)
+    return _exponential_radial(d, lam, N, f"exponential(d={d},lam={lam})", 8.0 / lam)
 
 
 def _oscillator_levels(weights) -> tuple:

@@ -59,23 +59,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and budget for adaptive quadrature.
-
-    max_refinements is the number of panels refinement may add: one per
-    bisection, fifteen per graded end panel (see _adaptive_gk), so an
-    end singularity needs at least 15 to be refined at all.  The absolute
-    tolerance is not a setting: abs_tol is fixed at 1e-14.  Where the
-    panels start is the caller's: gauss_cells' knots, quad_halfline's
-    tail_cut and levels.
+    """The relative tolerance of adaptive quadrature; abs_tol is fixed at
+    1e-14 and the budget at _MAX_REFINEMENTS panels (see _adaptive_gk).
+    Where the panels start is the caller's: gauss_cells' knots,
+    quad_halfline's tail_cut and levels.
     """
 
     abs_tol: ClassVar[float] = 1e-14
     rel_tol: float = 1e-10
-    max_refinements: int = 200
 
     def __post_init__(self):
         check_positive("rel_tol", self.rel_tol)
-        check_integer("max_refinements", self.max_refinements)
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
@@ -116,6 +110,9 @@ _WG21 = np.zeros(21)
 _WG21[1:10:2] = _WG
 _WG21[19:10:-2] = _WG
 
+# panels refinement may add to one quadrature: one per bisection, fifteen
+# per graded end panel, so an end singularity needs 15 to be refined at all
+_MAX_REFINEMENTS = 200
 # uniform panels a finite interval (or the head [0, tail_cut]) starts from
 _START_PANELS = 16
 # starting head panels per level of a multi-level integrand, where that
@@ -212,7 +209,7 @@ def _adaptive_gk(f, cuts: np.ndarray, spec: QuadratureSpec, ladder_from: float |
     closer to a nonzero end E than _END_FLOOR |E| are left out, as the
     nodes of a narrower panel round onto E; an end panel with no cut left
     stays as it is, its error kept in the sum.  Interior panels and
-    ladder rungs are only ever bisected.  spec.max_refinements counts the
+    ladder rungs are only ever bisected.  _MAX_REFINEMENTS bounds the
     panels refinement adds: one per bisection, _GRADE_PANELS - 1 per
     graded end.
 
@@ -279,7 +276,7 @@ def _adaptive_gk(f, cuts: np.ndarray, spec: QuadratureSpec, ladder_from: float |
             return total, panel_err + abs(remainder) + dropped
         new_lo, new_hi, keep = _NO_PANELS, _NO_PANELS, slice(None)
         if panel_err > tol:
-            budget = max(spec.max_refinements - refinements, 0)
+            budget = max(_MAX_REFINEMENTS - refinements, 0)
             worst = np.argsort(err)[::-1]
             rest = panel_err - np.cumsum(err[worst])  # error left if the first i+1 were exact
             split = worst[:min(int(np.searchsorted(-rest, -0.5 * tol)) + 1, budget)]
@@ -301,7 +298,7 @@ def _adaptive_gk(f, cuts: np.ndarray, spec: QuadratureSpec, ladder_from: float |
             if split.size == 0:
                 raise ConvergenceError(
                     f"quadrature on [{end_lo}, {end_hi}] "
-                    f"did not converge in {spec.max_refinements} refinements: "
+                    f"did not converge in {_MAX_REFINEMENTS} refinements: "
                     f"error {panel_err:.3g} > tolerance {tol:.3g}")
             keep = np.ones(lo.size, dtype=bool)
             keep[split] = False

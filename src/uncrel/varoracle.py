@@ -17,12 +17,16 @@ reduction, while the extremal's entropic moment is evaluated by
 quadrature.  So an extremal density's closed form (RadialDensity.exact)
 knows only its constraint moments, orders 0 and alpha, and where the
 minimizer's Fisher information diverges: a closed-form W_{1+k/d} would
-hand the oracle the very value it is there to check.
+hand the oracle the very value it is there to check.  A scale,
+normalization or closed form that float arithmetic cannot form as a
+positive double is a DomainError.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -57,14 +61,25 @@ def _validate_orders(d: int, alpha: float, k: float) -> None:
     check_finite("momentum order", k)
 
 
-def _scale_from_ratio(alpha: float, ratio_factor: float, N: float, r_alpha: float) -> float:
-    # a^alpha = (r_alpha / N) * ratio_factor, from the Beta reduction of
-    # the two constraint integrals
+def _formed(what: str, form: Callable[[], float]) -> float:
+    """form(), a DomainError where it overflows or is not a positive double."""
+    try:
+        value = form()
+    except (OverflowError, ZeroDivisionError):
+        value = 0.0
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{what} cannot be formed in double precision")
+    return value
+
+
+def _scale_from_ratio(alpha: float, ratio: float, N: float, r_alpha: float, label: str) -> float:
+    # a^alpha = (r_alpha / N) * ratio, from the Beta reduction of the two
+    # constraint integrals
     check_positive("particle count", N)
     check_positive("radial moment", r_alpha)
-    if ratio_factor <= 0:
+    if ratio <= 0:
         raise DomainError("constraint system is infeasible for these parameters")
-    return ((r_alpha / N) * ratio_factor) ** (1.0 / alpha)
+    return _formed(f"the scale of {label}", lambda: (r_alpha / N * ratio) ** (1.0 / alpha))
 
 
 def minimizer_density(d: int, alpha: float, k: float,
@@ -80,9 +95,11 @@ def minimizer_density(d: int, alpha: float, k: float,
     if k <= 0:
         raise DomainError(f"minimizer_density requires k > 0, got {k}")
     e = d / k
-    a = _scale_from_ratio(alpha, 1.0 + alpha * (e + 1.0) / d, N, r_alpha)
-    C = N * alpha / (omega(d) * a ** (d + alpha * e) * beta(d / alpha, e + 1.0))
-    a_alpha = a ** alpha
+    label = f"extremal-min(d={d},alpha={alpha},k={k})"
+    a = _scale_from_ratio(alpha, 1.0 + alpha * (e + 1.0) / d, N, r_alpha, label)
+    C = _formed(f"the normalization of {label}", lambda: N * alpha / (
+        omega(d) * a ** (d + alpha * e) * beta(d / alpha, e + 1.0)))
+    a_alpha = _formed(f"the scale of {label}", lambda: a ** alpha)
 
     def rho(r):
         r = np.asarray(r, dtype=float)
@@ -96,7 +113,6 @@ def minimizer_density(d: int, alpha: float, k: float,
         inner = np.power(core, e - 1.0, out=np.zeros_like(core), where=core > 0.0)
         return -C * e * alpha * np.power(r, alpha - 1.0) * inner
 
-    label = f"extremal-min(d={d},alpha={alpha},k={k})"
     moments = fixed_moments({0.0: N, float(alpha): r_alpha})
 
     def exact(kind, order):
@@ -128,8 +144,10 @@ def maximizer_density(d: int, alpha: float, k: float,
             f"for d = {d}, k = {k}: the extremal candidate is not integrable")
     e = d / k
     t = -e  # positive exponent of (a^alpha + r^alpha)^-t
-    a = _scale_from_ratio(alpha, alpha * (d + k) / (d * (-k)) - 1.0, N, r_alpha)
-    C = N * alpha / (omega(d) * a ** (d + alpha * e) * beta(d / alpha, t - d / alpha))
+    label = f"extremal-max(d={d},alpha={alpha},k={k})"
+    a = _scale_from_ratio(alpha, alpha * (d + k) / (d * (-k)) - 1.0, N, r_alpha, label)
+    C = _formed(f"the normalization of {label}", lambda: N * alpha / (
+        omega(d) * a ** (d + alpha * e) * beta(d / alpha, t - d / alpha)))
 
     # a^alpha + r^alpha = hi^alpha (1 + (lo/hi)^alpha) with hi = max(a, r),
     # lo = min(a, r): far out, r^alpha alone overflows while the density
@@ -149,8 +167,16 @@ def maximizer_density(d: int, alpha: float, k: float,
 
     return RadialDensity(d=d, N=N, rho=rho, drho=drho,
                          exact=fixed_moments({0.0: N, float(alpha): r_alpha}),
-                         support_hint=a, tail_cut=5.0 * a, tail_exponent=alpha * t,
-                         label=f"extremal-max(d={d},alpha={alpha},k={k})")
+                         support_hint=a, tail_cut=5.0 * a, tail_exponent=alpha * t, label=label)
+
+
+def _extremal(d: int, alpha: float, k: float, spec: QuadratureSpec | None,
+              density: Callable, closed_form: Callable) -> ExtremalConstant:
+    # W_{1+k/d} of the extremal density at N = <r^alpha> = 1 and its closed form
+    numeric = entropic_moment(density(d, alpha, k, N=1.0, r_alpha=1.0), 1.0 + k / d, spec).value
+    closed = _formed(f"{closed_form.__name__}({d}, {alpha}, {k})",
+                     lambda: closed_form(d, alpha, k))
+    return ExtremalConstant(d, alpha, k, numeric, closed, abs(numeric - closed) / closed)
 
 
 def extremal_F(d: int, alpha: float, k: float,
@@ -158,10 +184,7 @@ def extremal_F(d: int, alpha: float, k: float,
     """Numeric variational coefficient of the entropic-moment lower bound
     (k > 0), read off the reconstructed minimizer at reference constraints
     N = 1, <r^alpha> = 1, compared against the closed form."""
-    dens = minimizer_density(d, alpha, k, N=1.0, r_alpha=1.0)
-    numeric = entropic_moment(dens, 1.0 + k / d, spec).value
-    closed = constants.entropic_lower_coeff(d, alpha, k)
-    return ExtremalConstant(d, alpha, k, numeric, closed, abs(numeric - closed) / abs(closed))
+    return _extremal(d, alpha, k, spec, minimizer_density, constants.entropic_lower_coeff)
 
 
 def extremal_G(d: int, alpha: float, k: float,
@@ -169,7 +192,4 @@ def extremal_G(d: int, alpha: float, k: float,
     """Numeric variational coefficient of the entropic-moment upper bound
     (-d < k < 0), read off the reconstructed maximizer at reference
     constraints N = 1, <r^alpha> = 1, compared against the closed form."""
-    dens = maximizer_density(d, alpha, k, N=1.0, r_alpha=1.0)
-    numeric = entropic_moment(dens, 1.0 + k / d, spec).value
-    closed = constants.entropic_upper_coeff_closed(d, alpha, k)
-    return ExtremalConstant(d, alpha, k, numeric, closed, abs(numeric - closed) / abs(closed))
+    return _extremal(d, alpha, k, spec, maximizer_density, constants.entropic_upper_coeff_closed)

@@ -258,6 +258,19 @@ class TestErrors:
         assert code == 3
         assert err.startswith("error[DomainError]")
 
+    @pytest.mark.parametrize("mode,d,alpha,k", [
+        ("F", "3", "1e300", "1"),      # entropic_lower_coeff's intermediates overflow
+        ("F", "3", "2", "1e-300"),     # the minimizer's a^(d + alpha d/k) overflows
+        ("F", "3", "1e-200", "1"),     # the closed form rounds to 0
+        ("G", "3", "2", "-1e-300"),    # the maximizer's normalization divides by 0
+    ])
+    def test_unformable_oracle_exit(self, capsys, mode, d, alpha, k):
+        code, out, err = run_cli(capsys, "oracle", "--mode", mode, "--d", d,
+                                 "--alpha", alpha, f"--k={k}")
+        assert (code, out) == (3, "")
+        assert re.fullmatch(r"error\[DomainError\]: [^\n]* cannot be formed in double "
+                            r"precision\n", err)
+
     def test_sphere_measure_out_of_range_exit(self, capsys, tmp_path):
         # Gamma(d/2) of Omega_d overflows from d = 344: a typed error, not a traceback
         table = tmp_path / "wide.csv"
@@ -536,9 +549,10 @@ class TestMomentHoles:
                                  "--orders", "1e12,1e300,2.5")
         assert (code, err) == (0, "")
         *holes, row = parse_csv(out)
+        state = re.search(r"^# state=(.*)$", out, re.M)[1]
         for hole in holes:
             assert hole["method"].endswith("leaves the double-precision range")
-            assert hole["method"].startswith("hole: DomainError: ")
+            assert hole["method"].startswith(f"hole: DomainError: {state}: ")
             assert hole["value"] == hole["est_error"] == ""
         assert (row["order"], row["method"]) == ("2.5", "analytic")
 

@@ -118,10 +118,6 @@ B_GOLDEN = [
 
 
 class TestSystemConfig:
-    def test_spin(self):
-        assert C.SystemConfig(d=3, N=2.0, q=2).s == 0.5
-        assert C.SystemConfig(d=1, N=1.0, q=1).s == 0.0
-
     @pytest.mark.parametrize("kwargs", [dict(d=0), dict(d=3, N=0.0),
                                         dict(d=3, N=-1.0), dict(d=3, q=0)])
     def test_validation(self, kwargs):

@@ -1,4 +1,6 @@
 import math
+import random
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from uncrel import varoracle as V
 from uncrel.constants import (entropic_lower_coeff, heisenberg_exponent,
                               semiclassical_constant)
 from uncrel import functionals
-from uncrel.errors import ConvergenceError, DivergenceError, DomainError
+from uncrel.errors import ConvergenceError, DivergenceError, DomainError, UncrelError
 from uncrel.functionals import entropic_moment, fisher_information, radial_moment
 from uncrel.constants import beta, omega
 from uncrel.mathcore import quad_finite, quad_halfline
@@ -281,3 +283,29 @@ class TestExtremalG:
             rescaled = scale_density(quadrature_only(comp), lam)
             assert radial_moment(rescaled, 2.0).value == pytest.approx(1.0, rel=1e-9)
             assert entropic_moment(rescaled, m).value <= best * (1.0 + 1e-9)
+
+
+class TestUnformable:
+    def test_seeded_sweep_raises_typed_errors_only(self):
+        # d, alpha and k over the double range and near it: each draw
+        # returns a result or raises an UncrelError; numpy's own warnings
+        # of the densities' evaluation are not what this checks
+        rng, results = random.Random(7), 0
+        for i in range(400):
+            d = rng.choice((1, 2, 3, 5, 10, 40, 300))
+            alpha = 10 ** rng.uniform(-300, 300) if i % 2 else 10 ** rng.uniform(-3, 3)
+            if rng.random() < 0.5:
+                mode = "F"
+                k = 10 ** rng.uniform(-300, 300) if i % 3 == 0 else 10 ** rng.uniform(-3, 3)
+            else:
+                mode = "G"
+                k = -d * (10 ** -rng.uniform(0, 300) if i % 3 == 0 else rng.uniform(0.001, 0.999))
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    getattr(V, f"extremal_{mode}")(d, alpha, k)
+                results += 1
+            except UncrelError:
+                pass
+        # the typed errors take no result away: 119 draws returned one before
+        assert results >= 119
