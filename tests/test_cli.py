@@ -263,6 +263,8 @@ class TestErrors:
         ("F", "3", "2", "1e-300"),     # the minimizer's a^(d + alpha d/k) overflows
         ("F", "3", "1e-200", "1"),     # the closed form rounds to 0
         ("G", "3", "2", "-1e-300"),    # the maximizer's normalization divides by 0
+        # the maximizer's normalization overflows to inf, and its rho read nan
+        ("G", "40", "49.87065566013143", "-0.29346814704191976"),
     ])
     def test_unformable_oracle_exit(self, capsys, mode, d, alpha, k):
         code, out, err = run_cli(capsys, "oracle", "--mode", mode, "--d", d,
