@@ -20,8 +20,8 @@ from uncrel import constants, densities, functionals, mathcore
 from uncrel.errors import (BracketError, ConvergenceError, DomainError, FormatError,
                            NonFiniteError)
 from uncrel.constants import beta, exp_e1_scaled, omega
-from uncrel.mathcore import (QuadratureSpec, interpolate_monotone, minimize_scalar, quad_finite,
-                             quad_halfline)
+from uncrel.mathcore import (QuadratureSpec, gauss_cells, interpolate_monotone, minimize_scalar,
+                             quad_finite, quad_halfline)
 
 
 def exp_e1(x):
@@ -522,6 +522,36 @@ class TestQuadFinite:
     @pytest.mark.parametrize("lo,hi", [(1.0, 1.0), (2.0, 1.0)])
     def test_empty_interval(self, lo, hi):
         assert quad_finite(np.ones_like, lo, hi) == (0.0, 0.0)
+
+
+class TestNodeArrays:
+    """Each sweep hands the integrand a fresh read-only node array that
+    shares no memory with any earlier one, so an integrand may key what it
+    computes on the array's identity, as ho1d's shared level pass does."""
+
+    @pytest.mark.parametrize("quad,f", [
+        # the end panel at the origin is graded over several sweeps
+        (lambda f: quad_finite(f, 0.0, 1.0), lambda r: r ** -0.5),
+        # graded at the origin while the ladder grows past its first rungs
+        (quad_halfline, lambda r: r ** -0.5 * (1.0 + r) ** -1.1),
+        (lambda f: gauss_cells(f, np.array([0.0, 0.25, 0.5, 1.0])), lambda r: r ** -0.5),
+    ], ids=["quad_finite", "quad_halfline", "gauss_cells"])
+    def test_fresh_read_only_nodes(self, quad, f):
+        kept = []
+
+        def keeping(r):
+            kept.append(r)
+            return f(r)
+
+        quad(keeping)
+        assert len(kept) > 2
+        for i, r in enumerate(kept):
+            assert not r.flags.writeable
+            for earlier in kept[:i]:
+                assert r is not earlier and not np.shares_memory(r, earlier)
+        if quad is quad_halfline:
+            # a later sweep adds rungs beyond the first sweep's ladder
+            assert max(r.max() for r in kept[1:]) > kept[0].max()
 
 
 class TestInterpolateMonotone:

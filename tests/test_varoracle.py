@@ -1,11 +1,15 @@
+import json
 import math
 import random
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.optimize
 
+from uncrel import mathcore as M
 from uncrel import varoracle as V
 from uncrel.constants import (entropic_lower_coeff, heisenberg_exponent,
                               semiclassical_constant)
@@ -314,3 +318,82 @@ class TestUnformable:
                 pass
         # the typed errors take no result away: 119 draws returned one before
         assert results >= 119
+
+
+_ORACLE_BITS_PATH = Path(__file__).resolve().parent / "data" / "oracle_bits.json"
+_ORACLE_BITS = json.loads(_ORACLE_BITS_PATH.read_text())
+
+
+def _oracle_draws() -> list[tuple[str, int, float, float]]:
+    """40 seeded (mode, d, alpha, k) of each mode over the ranges of the
+    benchmark's bounds catalog: d in 1..5 and alpha, k in [0.5, 4] for F;
+    -0.9 d < k < -0.1 d and alpha inside the window for G."""
+    rng = random.Random(1505)
+    draws = [("F", rng.randint(1, 5), rng.uniform(0.5, 4.0), rng.uniform(0.5, 4.0))
+             for _ in range(40)]
+    for _ in range(40):
+        d = rng.randint(1, 5)
+        k = -rng.uniform(0.1, 0.9) * d
+        window = -k * d / (d + k)
+        draws.append(("G", d, window * rng.uniform(1.1, 3.0) + 0.05, k))
+    return draws
+
+
+def _oracle_bits(draws) -> tuple[list[list], int, int]:
+    """([mode, d, alpha, k, value, est_error] per draw, sweeps, nodes): the
+    entropic moment W_{1+k/d} of each draw's extremal density by
+    quadrature, value and error as float.hex, and the Gauss-Kronrod sweeps
+    and integrand nodes of all of them."""
+    gk21, sweeps = M._gk21, []
+
+    def counted(f, lo, hi):
+        sweeps.append(lo.size * 21)
+        return gk21(f, lo, hi)
+
+    rows = []
+    M._gk21 = counted
+    try:
+        for mode, d, alpha, k in draws:
+            density = V.minimizer_density if mode == "F" else V.maximizer_density
+            mv = entropic_moment(density(d, alpha, k), 1.0 + k / d)
+            rows.append([mode, d, alpha, k, mv.value.hex(), mv.est_error.hex()])
+    finally:
+        M._gk21 = gk21
+    return rows, len(sweeps), sum(sweeps)
+
+
+class TestOracleBits:
+    """The quadrature of the variational oracle, pinned bit for bit: a
+    change of the quadrature engine that keeps its panels and arithmetic
+    keeps every value and error estimate here."""
+
+    def test_draws_are_the_recorded_ones(self):
+        assert [list(d) for d in _oracle_draws()] == [row[:4] for row in _ORACLE_BITS["rows"]]
+
+    def test_same_bits_and_work(self):
+        rows, sweeps, nodes = _oracle_bits([tuple(row[:4]) for row in _ORACLE_BITS["rows"]])
+        assert rows == _ORACLE_BITS["rows"]
+        assert (sweeps, nodes) == (_ORACLE_BITS["sweeps"], _ORACLE_BITS["nodes"])
+
+
+def _dump_oracle_bits(bits) -> str:
+    """oracle_bits.json as recorded: one line per draw."""
+    rows = ",\n".join(f"  {json.dumps(row)}" for row in bits["rows"])
+    return (f'{{\n "about": {json.dumps(bits["about"])},\n "sweeps": {bits["sweeps"]},\n'
+            f' "nodes": {bits["nodes"]},\n "rows": [\n{rows}\n ]\n}}\n')
+
+
+if __name__ == "__main__":
+    # Re-record oracle_bits.json, for a change that moves the oracle's
+    # quadrature on purpose, and print each value that moved.
+    #
+    #     PYTHONPATH=src python tests/test_varoracle.py
+    rows, sweeps, nodes = _oracle_bits(_oracle_draws())
+    old = {tuple(row[:4]): row for row in _ORACLE_BITS["rows"]} if _ORACLE_BITS_PATH.exists() else {}
+    for row in rows:
+        was = old.get(tuple(row[:4]))
+        if was is not None and was[4:] != row[4:]:
+            print(f"{row[:4]}: {was[4:]} -> {row[4:]}")
+    bits = {"about": _ORACLE_BITS["about"], "sweeps": sweeps, "nodes": nodes, "rows": rows}
+    _ORACLE_BITS_PATH.write_text(_dump_oracle_bits(bits))
+    print(f"{sweeps} sweeps, {nodes} nodes; wrote {_ORACLE_BITS_PATH}", file=sys.stderr)
