@@ -293,14 +293,18 @@ def _level_pass(x: np.ndarray, levels: tuple, slope: bool):
     One run of the recurrence, into buffers allocated once per call.  Each
     product and sum takes its operands in the order the formulas above
     give them, with psi_{-1} = 0 and each sum started from +0, so the bits
-    are those of summing the terms one by one.
+    are those of summing the terms one by one.  The recurrence runs only
+    where psi_0 = pi^(-1/4) e^(-x^2/2) is nonzero: from |x| ~ 38.6 on it
+    underflows, every level with it, and rho and rho' are +0.
     """
-    prev, rho, drho = (np.zeros(x.shape) for _ in range(3))
-    cur, nxt, tmp, inner = (np.empty(x.shape) for _ in range(4))
-    np.multiply(x, -0.5, out=cur)
-    cur *= x
-    np.exp(cur, out=cur)
+    cur = np.exp(x * -0.5 * x, out=np.empty(x.shape))
     cur *= math.pi ** -0.25
+    live = cur != 0.0
+    whole = live.all()
+    if not whole:
+        x, cur = x[live], cur[live]
+    prev, rho, drho = (np.zeros(x.shape) for _ in range(3))
+    nxt, tmp, inner = (np.empty(x.shape) for _ in range(3))
     for n, (w, up, down, lift) in enumerate(levels):
         if n:
             # psi_n = sqrt(2/n) x psi_{n-1} - sqrt((n-1)/n) psi_{n-2}
@@ -319,7 +323,10 @@ def _level_pass(x: np.ndarray, levels: tuple, slope: bool):
             np.multiply(cur, 2.0 * w, out=tmp)
             tmp *= inner
             drho += tmp
-    if not x.ndim:
+    if not whole:
+        rho, drho, live_rho, live_drho = np.zeros(live.shape), np.zeros(live.shape), rho, drho
+        rho[live], drho[live] = live_rho, live_drho
+    if not rho.ndim:
         return rho[()], drho[()] if slope else None
     return rho, drho if slope else None
 

@@ -89,13 +89,14 @@ def _quadrature(dens: RadialDensity, key: tuple, order: float, integrand,
     table = _MEMO.setdefault(dens.rho, {})
     key = (*key, spec or DEFAULT_QUADRATURE, dens.d, dens.support, dens.tail_cut, dens.levels,
            dens.drho, id(dens.knots))
-    if key not in table:
+    hit = table.get(key)
+    if hit is None:
         value, err = _integrate(dens, integrand, spec)
         scale = omega(dens.d)
         extra = 0.0 if excluded is None else scale * _integrate(dens, excluded, spec)[0]
-        table[key] = (MomentValue(order, scale * value, "quadrature", scale * err + extra),
-                      dens.knots)
-    return table[key][0]
+        hit = table[key] = (MomentValue(order, scale * value, "quadrature", scale * err + extra),
+                            dens.knots)
+    return hit[0]
 
 
 def _integrate(dens: RadialDensity, integrand, spec: QuadratureSpec | None) -> tuple[float, float]:
@@ -111,26 +112,36 @@ def _integrate(dens: RadialDensity, integrand, spec: QuadratureSpec | None) -> t
     return quad_halfline(integrand, spec, dens.tail_cut, dens.levels)
 
 
-def _weighted(x, r, w: float) -> np.ndarray:
-    """x r^w, and 0 where x is 0: far out on the tail ladder r^w overflows
+def _weighted(x, r, w: float, m: float = 1.0) -> np.ndarray:
+    """x^m r^w, and 0 where x is 0: far out on the tail ladder r^w overflows
     at high d while x has underflowed to 0, and 0 * inf would be NaN.
-    Where r^w overflows and x > 0 the product is formed as
-    (x r^(w/2)) r^(w/2), which stays finite if the product is; an
-    overflow left stays inf, for the quadrature to reject.  A zero x past
-    the outermost such node may be an underflow hiding the mass of
-    x r^w there, so those zeros become inf too, unless the product at
+    Where r^w overflows and x^m > 0 the product is formed as
+    (x^m r^(w/2)) r^(w/2), and where x > 0 but x^m underflows (m > 1) as
+    (x r^(w/2m) r^(w/2m))^m; either stays finite if the product is.  An
+    overflow left stays inf, and an x that is itself not finite gives NaN
+    or inf, for the quadrature to reject.  A zero x^m past the outermost
+    node where r^w overflows may be an underflow hiding the mass of
+    x^m r^w there, so those zeros become inf too, unless the product at
     that node is negligible against the largest one."""
-    out = np.zeros(np.shape(x))
-    with np.errstate(over="ignore"):
-        np.power(r, w, out=out, where=x != 0)
-        prod = x * out
-        big = np.isinf(out) & (x > 0)
-        if big.any():
-            half = np.power(r[big], w / 2)
-            prod[big] = x[big] * half * half
-            edge = np.argmax(np.where(big, r, -np.inf))
-            if abs(prod.flat[edge]) > _HIDDEN_SHARE * np.max(np.abs(prod)):
-                prod[(x == 0) & (r > r.flat[edge])] = np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = x if m == 1.0 else np.power(x, m)
+        out = np.power(r, w)
+        prod = power * out
+        if not np.isfinite(out).all():
+            zero = power == 0
+            prod[zero] = power[zero]
+            big = np.isinf(out) & (power > 0)
+            if big.any():
+                half = np.power(r[big], w / 2)
+                prod[big] = power[big] * half * half
+                edge = np.argmax(np.where(big, r, -np.inf))
+                if abs(prod.flat[edge]) > _HIDDEN_SHARE * np.max(np.abs(prod)):
+                    prod[(power == 0) & (r > r.flat[edge])] = np.inf
+        if m != 1.0 and not power.all():
+            lost = (power == 0) & (x > 0)
+            if lost.any():
+                half = np.power(r[lost], w / (2.0 * m))
+                prod[lost] = np.power(x[lost] * half * half, m)
         return prod
 
 
@@ -173,24 +184,17 @@ def entropic_moment(dens: RadialDensity, m: float,
     w = dens.d - 1.0
 
     def integrand(r):
-        v = dens.rho(r)
-        negative = np.asarray(v) < 0
-        if negative.any():
-            raise FormatError(f"density is negative at r = {float(np.asarray(r)[negative][0])}")
+        v = np.asarray(dens.rho(r))
         # a subnormal density value has lost significant bits, and
         # rho^m with m < 1 magnifies that loss: read it as an
         # underflowed zero, past which the half-line tail is extrapolated
-        v = np.where(v < _TINY, 0.0, v)
-        with np.errstate(over="ignore"):  # an overflow stays inf, for the quadrature to reject
-            power = np.power(v, m)
-            out = _weighted(power, r, w)
-            # where rho is normal but rho^m underflows (m > 1), rho^m r^w is
-            # formed as (rho r^(w/m))^m, its power split as in _weighted
-            lost = (power == 0) & (v > 0)
-            if lost.any():
-                half = np.power(r[lost], w / (2.0 * m))
-                out[lost] = np.power(v[lost] * half * half, m)
-            return out
+        small = v < _TINY
+        if small.any():
+            negative = v < 0
+            if negative.any():
+                raise FormatError(f"density is negative at r = {float(np.asarray(r)[negative][0])}")
+            v = np.where(small, 0.0, v)
+        return _weighted(v, r, w, m)
 
     return _quadrature(dens, ("entropic", m), m, integrand, spec)
 

@@ -164,11 +164,11 @@ def _gk21(f, lo: np.ndarray, hi: np.ndarray):
     return resk * half, np.maximum(err, _EPS50 * resabs), vals
 
 
-def _geometric_remainder(sums: np.ndarray) -> tuple[float, float]:
+def _geometric_remainder(sums: list) -> tuple[float, float]:
     """(remainder, ratio): the sum of the rungs past the last one, taking
     the ratio of the last two rung sums as constant; remainder 0 and the
     ratio as found when it is not in (0, 1)."""
-    if sums.size < 2 or sums[-2] == 0.0:
+    if len(sums) < 2 or sums[-2] == 0.0:
         return 0.0, math.nan
     ratio = sums[-1] / sums[-2]
     if not 0.0 < ratio < 1.0:
@@ -188,6 +188,17 @@ def _graded(lo: float, hi: float, at_lo: bool) -> np.ndarray:
     else:
         cuts = hi - steps[::-1]
         cuts[0] = lo
+    return cuts
+
+
+def _uniform(lo: float, hi: float, panels: int) -> np.ndarray:
+    """np.linspace(lo, hi, panels + 1) bit for bit, without its generic set-up."""
+    lo, hi = float(lo), float(hi)
+    step = (hi - lo) / panels
+    # where the step underflows, linspace forms (i / panels) (hi - lo)
+    cuts = np.arange(panels + 1.0) * step if step else np.arange(panels + 1.0) / panels * (hi - lo)
+    cuts += lo
+    cuts[-1] = hi
     return cuts
 
 
@@ -232,29 +243,37 @@ def _adaptive_gk(f, cuts: np.ndarray, spec: QuadratureSpec, ladder_from: float |
     panels, keep = None, slice(None)
     remainder, dropped, refinements = 0.0, 0.0, 0
     while True:
-        if add:
-            j = np.arange(rungs, rungs + add)
-            # ldexp scales exactly; 2.0 ** j alone overflows past j = 1023
-            new_lo = np.concatenate((new_lo, np.ldexp(ladder_from, j)))
-            new_hi = np.concatenate((new_hi, np.ldexp(ladder_from, j + 1)))
-            rungs += add
-            add = 0
+        if ladder_open:
+            # c 2^j for j = 0..rungs; ldexp scales exactly, where 2.0 ** j
+            # alone overflows past j = 1023
+            edges = np.ldexp(ladder_from, np.arange(rungs + add + 1))
+            if add:
+                new_lo = np.concatenate((new_lo, edges[rungs:-1]))
+                new_hi = np.concatenate((new_hi, edges[rungs + 1:]))
+            rungs, add = rungs + add, 0
         v, e, fvals = _gk21(f, new_lo, new_hi)
         new = np.array((new_lo, new_hi, v, e))
         panels = new if panels is None else np.concatenate((panels[:, keep], new), axis=1)
         if ladder_open:
-            edges = np.ldexp(ladder_from, np.arange(rungs + 1))
-            rung = np.minimum(np.searchsorted(edges, panels[0], side="right") - 1, rungs - 1)
-            new_rung = rung[rung.size - v.size:]
-            zero = new_rung[(new_rung >= 0) & (fvals == 0.0).any(axis=1)]
+            # each panel's rung plus one: 0 on the head, and the top rung's
+            # for a left end on or past the ladder's top edge
+            count = edges[:-1].searchsorted(panels[0], side="right")
+            zero = _NO_PANELS
+            if not fvals.all():
+                new_count = count[count.size - fvals.shape[0]:]
+                zero = new_count[(new_count > 0) & (fvals == 0.0).any(axis=1)]
             if zero.size:
-                kept = rung < zero.min()
+                kept = count < zero.min()
                 dropped = float(np.sum(np.abs(panels[2][~kept]) + panels[3][~kept]))
-                panels, rung = panels[:, kept], rung[kept]
-            on_ladder = rung >= 0
+                panels, count = panels[:, kept], count[kept]
+            # the rung sums, each summed in panel order; bin 0 is the head's
             remainder, ratio = _geometric_remainder(
-                np.bincount(rung[on_ladder], weights=panels[2][on_ladder]))
-            tol = max(spec.abs_tol, spec.rel_tol * abs(panels[2].sum() + remainder))
+                np.bincount(count, weights=panels[2]).tolist()[1:])
+        val, err = panels[2], panels[3]
+        total = float(val.sum() + remainder)
+        panel_err = float(err.sum())
+        tol = max(spec.abs_tol, spec.rel_tol * abs(total))
+        if ladder_open:
             decaying = 0.0 < ratio < 1.0
             if zero.size or (decaying and abs(remainder) <= _REMAINDER_SHARE * tol):
                 ladder_open = False
@@ -268,44 +287,47 @@ def _adaptive_gk(f, cuts: np.ndarray, spec: QuadratureSpec, ladder_from: float |
                         raise ConvergenceError(
                             f"integrand does not decay on [{ladder_from}, inf)")
                     ladder_open = False
-        lo, hi, val, err = panels
-        total = float(val.sum() + remainder)
-        panel_err = float(err.sum())
-        tol = max(spec.abs_tol, spec.rel_tol * abs(total))
         if panel_err <= tol and not ladder_open:
             return total, panel_err + abs(remainder) + dropped
         new_lo, new_hi, keep = _NO_PANELS, _NO_PANELS, slice(None)
         if panel_err > tol:
             budget = max(_MAX_REFINEMENTS - refinements, 0)
-            worst = np.argsort(err)[::-1]
-            rest = panel_err - np.cumsum(err[worst])  # error left if the first i+1 were exact
-            split = worst[:min(int(np.searchsorted(-rest, -0.5 * tol)) + 1, budget)]
-            at_lo = lo[split] == end_lo
-            grade = at_lo | (hi[split] == end_hi)
-            # an end panel too narrow for a cut outside the floor of its end
-            # stays as it is, its error kept in the sum
-            end = np.where(at_lo, lo[split], hi[split])
-            fits = ~grade | (0.5 * (hi[split] - lo[split]) >= _END_FLOOR * np.abs(end))
-            split, grade, at_lo = split[fits], grade[fits], at_lo[fits]
-            if grade.any():
+            worst = err.argsort()[::-1]
+            # the error left if the first i+1 were exact, negated: the
+            # cumulative error less the total
+            n = int((err[worst].cumsum() - panel_err).searchsorted(-0.5 * tol)) + 1
+            split = worst[:min(n, budget)]
+            s_lo, s_hi = panels[0][split], panels[1][split]
+            graded = []
+            if end_lo in s_lo or end_hi in s_hi:
                 # a graded end adds _GRADE_PANELS - 1 panels: refine the
-                # worst panels whose added panels fit in the budget
-                added = np.cumsum(np.where(grade, _GRADE_PANELS - 1, 1))
-                n = int(np.searchsorted(added, budget, side="right"))
-                split, grade, at_lo = split[:n], grade[:n], at_lo[:n]
-            s_lo, s_hi = lo[split], hi[split]
-            graded = [_graded(a, b, t) for a, b, t in zip(s_lo[grade], s_hi[grade], at_lo[grade])]
+                # worst panels whose added panels fit in the budget.  An end
+                # panel too narrow for a cut outside the floor of its end
+                # stays as it is, its error kept in the sum
+                taken, bisected, added = [], [], 0
+                for i, (a, b) in enumerate(zip(s_lo.tolist(), s_hi.tolist())):
+                    at_lo = a == end_lo
+                    end = at_lo or b == end_hi
+                    if end and not 0.5 * (b - a) >= _END_FLOOR * abs(a if at_lo else b):
+                        continue
+                    added += _GRADE_PANELS - 1 if end else 1
+                    if added > budget:
+                        break
+                    taken.append(i)
+                    if end:
+                        graded.append(_graded(a, b, at_lo))
+                    else:
+                        bisected.append(i)
+                split, s_lo, s_hi = split[taken], s_lo[bisected], s_hi[bisected]
             if split.size == 0:
                 raise ConvergenceError(
                     f"quadrature on [{end_lo}, {end_hi}] "
                     f"did not converge in {_MAX_REFINEMENTS} refinements: "
                     f"error {panel_err:.3g} > tolerance {tol:.3g}")
-            keep = np.ones(lo.size, dtype=bool)
+            keep = np.ones(val.size, dtype=bool)
             keep[split] = False
             # one added panel per bisection, _GRADE_PANELS - 1 per graded end
             refinements += split.size + (_GRADE_PANELS - 2) * len(graded)
-            if graded:
-                s_lo, s_hi = s_lo[~grade], s_hi[~grade]
             mid = 0.5 * (s_lo + s_hi)
             new_lo = np.concatenate([s_lo, mid, *(c[:-1] for c in graded)])
             new_hi = np.concatenate([mid, s_hi, *(c[1:] for c in graded)])
@@ -320,8 +342,7 @@ def quad_finite(f: Callable, lo: float, hi: float,
     """
     if hi <= lo:
         return 0.0, 0.0
-    cuts = np.linspace(lo, hi, _START_PANELS + 1)
-    return _adaptive_gk(f, cuts, spec or DEFAULT_QUADRATURE)
+    return _adaptive_gk(f, _uniform(lo, hi, _START_PANELS), spec or DEFAULT_QUADRATURE)
 
 
 def quad_halfline(f: Callable, spec: QuadratureSpec | None = None,
@@ -342,8 +363,8 @@ def quad_halfline(f: Callable, spec: QuadratureSpec | None = None,
     check_positive("tail_cut", tail_cut)
     check_integer("levels", levels)
     panels = max(_START_PANELS, math.ceil(_PANELS_PER_LEVEL * levels))
-    cuts = np.linspace(0.0, tail_cut, panels + 1)
-    return _adaptive_gk(f, cuts, spec or DEFAULT_QUADRATURE, ladder_from=tail_cut)
+    return _adaptive_gk(f, _uniform(0.0, tail_cut, panels), spec or DEFAULT_QUADRATURE,
+                        ladder_from=tail_cut)
 
 
 def gauss_cells(f, knots: np.ndarray, spec: QuadratureSpec | None = None) -> tuple[float, float]:

@@ -103,12 +103,12 @@ def minimizer_density(d: int, alpha: float, k: float,
 
     def rho(r):
         r = np.asarray(r, dtype=float)
-        core = np.clip(a_alpha - np.power(r, alpha), 0.0, None)
+        core = np.maximum(a_alpha - np.power(r, alpha), 0.0)
         return C * np.power(core, e)
 
     def drho(r):
         r = np.asarray(r, dtype=float)
-        core = np.clip(a_alpha - np.power(r, alpha), 0.0, None)
+        core = np.maximum(a_alpha - np.power(r, alpha), 0.0)
         # 0 past the edge, and at it, where core^(e - 1) is infinite for k > d
         inner = np.power(core, e - 1.0, out=np.zeros_like(core), where=core > 0.0)
         return -C * e * alpha * np.power(r, alpha - 1.0) * inner

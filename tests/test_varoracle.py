@@ -2,7 +2,6 @@ import json
 import math
 import random
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +13,8 @@ from uncrel import varoracle as V
 from uncrel.constants import (entropic_lower_coeff, heisenberg_exponent,
                               semiclassical_constant)
 from uncrel import functionals
-from uncrel.errors import ConvergenceError, DivergenceError, DomainError, UncrelError
+from uncrel.errors import (ConvergenceError, DivergenceError, DomainError, NonFiniteError,
+                           UncrelError)
 from uncrel.functionals import entropic_moment, fisher_information, radial_moment
 from uncrel.constants import beta, omega
 from uncrel.mathcore import quad_finite, quad_halfline
@@ -296,9 +296,7 @@ class TestExtremalG:
 class TestUnformable:
     def test_seeded_sweep_raises_typed_errors_only(self):
         # d, alpha and k over the double range and near it: each draw
-        # returns a result or raises an UncrelError.  Not checked here: on
-        # 7 draws, d = 300 minimizers, a numpy warning of x r^w in
-        # functionals._weighted comes before the NonFiniteError
+        # returns a result or raises an UncrelError, with no numpy warning
         rng, results = random.Random(7), 0
         for i in range(400):
             d = rng.choice((1, 2, 3, 5, 10, 40, 300))
@@ -310,14 +308,19 @@ class TestUnformable:
                 mode = "G"
                 k = -d * (10 ** -rng.uniform(0, 300) if i % 3 == 0 else rng.uniform(0.001, 0.999))
             try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", RuntimeWarning)
-                    getattr(V, f"extremal_{mode}")(d, alpha, k)
+                getattr(V, f"extremal_{mode}")(d, alpha, k)
                 results += 1
             except UncrelError:
                 pass
         # the typed errors take no result away: 119 draws returned one before
         assert results >= 119
+
+    def test_overflowing_density_times_underflowing_weight_is_a_typed_error(self):
+        # at d = 300 the minimizer overflows near the origin, where r^299
+        # underflows to 0; inf * 0 is NaN, which the quadrature rejects
+        # without a numpy warning first
+        with pytest.raises(NonFiniteError):
+            V.extremal_F(300, 3.7602917135850507, 421.5072643689511)
 
 
 _ORACLE_BITS_PATH = Path(__file__).resolve().parent / "data" / "oracle_bits.json"
