@@ -269,8 +269,8 @@ def _adaptive_gk(f, cuts: np.ndarray, spec: QuadratureSpec, ladder_from: float |
             # the rung sums, each summed in panel order; bin 0 is the head's
             remainder, ratio = _geometric_remainder(
                 np.bincount(count, weights=panels[2]).tolist()[1:])
-        val, err = panels[2], panels[3]
-        total = float(val.sum() + remainder)
+        err = panels[3]
+        total = float(panels[2].sum() + remainder)
         panel_err = float(err.sum())
         tol = max(spec.abs_tol, spec.rel_tol * abs(total))
         if ladder_open:
@@ -298,14 +298,15 @@ def _adaptive_gk(f, cuts: np.ndarray, spec: QuadratureSpec, ladder_from: float |
             n = int((err[worst].cumsum() - panel_err).searchsorted(-0.5 * tol)) + 1
             split = worst[:min(n, budget)]
             s_lo, s_hi = panels[0][split], panels[1][split]
+            lo_list, hi_list = s_lo.tolist(), s_hi.tolist()
             graded = []
-            if end_lo in s_lo or end_hi in s_hi:
+            if end_lo in lo_list or end_hi in hi_list:
                 # a graded end adds _GRADE_PANELS - 1 panels: refine the
                 # worst panels whose added panels fit in the budget.  An end
                 # panel too narrow for a cut outside the floor of its end
                 # stays as it is, its error kept in the sum
                 taken, bisected, added = [], [], 0
-                for i, (a, b) in enumerate(zip(s_lo.tolist(), s_hi.tolist())):
+                for i, (a, b) in enumerate(zip(lo_list, hi_list)):
                     at_lo = a == end_lo
                     end = at_lo or b == end_hi
                     if end and not 0.5 * (b - a) >= _END_FLOOR * abs(a if at_lo else b):
@@ -324,7 +325,7 @@ def _adaptive_gk(f, cuts: np.ndarray, spec: QuadratureSpec, ladder_from: float |
                     f"quadrature on [{end_lo}, {end_hi}] "
                     f"did not converge in {_MAX_REFINEMENTS} refinements: "
                     f"error {panel_err:.3g} > tolerance {tol:.3g}")
-            keep = np.ones(val.size, dtype=bool)
+            keep = np.ones(err.size, dtype=bool)
             keep[split] = False
             # one added panel per bisection, _GRADE_PANELS - 1 per graded end
             refinements += split.size + (_GRADE_PANELS - 2) * len(graded)

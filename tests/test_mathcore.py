@@ -523,6 +523,16 @@ class TestQuadFinite:
     def test_empty_interval(self, lo, hi):
         assert quad_finite(np.ones_like, lo, hi) == (0.0, 0.0)
 
+    @pytest.mark.parametrize("lo,hi", [(0.0, 1.0), (-3.0, 7.5), (0.1, 0.7), (1e-300, 3e-300),
+                                       (0.0, 1e-322), (5e-324, 2e-323), (1.0, 1.0 + 2e-16),
+                                       (0, 3), (-1e300, 1e300)])
+    @pytest.mark.parametrize("panels", [1, 3, 16, 17, 845])
+    def test_uniform_cuts_are_linspace(self, lo, hi, panels):
+        # the starting cuts are np.linspace's, bit for bit, a subnormal
+        # step included
+        want = np.linspace(lo, hi, panels + 1)
+        assert mathcore._uniform(lo, hi, panels).tobytes() == want.tobytes()
+
 
 class TestNodeArrays:
     """Each sweep hands the integrand a fresh read-only node array that
