@@ -244,8 +244,8 @@ def _adaptive_gk(f, cuts: np.ndarray, spec: QuadratureSpec, ladder_from: float |
     remainder, dropped, refinements = 0.0, 0.0, 0
     while True:
         if ladder_open:
-            # c 2^j for j = 0..rungs; ldexp scales exactly, where 2.0 ** j
-            # alone overflows past j = 1023
+            # the rung edges c 2^j once this sweep's rungs are added; ldexp
+            # scales exactly, where 2.0 ** j alone overflows past j = 1023
             edges = np.ldexp(ladder_from, np.arange(rungs + add + 1))
             if add:
                 new_lo = np.concatenate((new_lo, edges[rungs:-1]))
