@@ -9,10 +9,11 @@ too: the sphere measure Omega_d, the Euler Beta, the exponential
 integral E1, and, for the densities' closed-form moments, Gamma
 functions and powers past the double range (Wide, wide_gamma) and
 Gamma(h + 1/2) / Gamma(h).  E1 is computed locally (power series up to
-x = 1, modified-Lentz continued fraction above) because it sits inside the
-Newton solve of the Daubechies factor, which also reads the continued
-fraction's tail, and its accuracy budget is audited by the test suite
-against independent quadrature.  Nothing here needs numpy.
+x = 1, above it a continued fraction evaluated backward from a depth set
+by x) because it sits inside the Newton solve of the Daubechies factor,
+which also reads the continued fraction's tail, and its accuracy budget
+is audited by the test suite against mpmath and independent quadrature.
+Nothing here needs numpy.
 """
 
 from __future__ import annotations
@@ -176,44 +177,41 @@ def wide_gamma(x: float) -> Wide:
     return g
 
 
+# coefficients (-1)^(n+1) / (n n!), n = 1..19, of Ein(x) = sum_n c_n x^n;
+# the next term is below 2.1e-20 for x <= 1
+_EIN = tuple((-1) ** (n + 1) / (n * math.factorial(n)) for n in range(1, 20))
+
+
 def _e1_series(x: float) -> float:
-    # E1(x) = -gamma - ln x + sum_{n>=1} (-1)^(n+1) x^n / (n n!)
-    s, term = 0.0, 1.0
-    for n in range(1, 500):
-        term *= -x / n
-        add = term / n
-        s += add
-        if abs(add) < 1e-18 * max(1.0, abs(s)):
-            break
-    return -EULER_GAMMA - math.log(x) - s
+    # E1(x) = -gamma - ln x + Ein(x), Ein by Horner's rule
+    s = 0.0
+    for c in reversed(_EIN):
+        s = s * x + c
+    return -EULER_GAMMA - math.log(x) + s * x
 
 
 def e1_fraction_tail(x: float) -> float:
     """Tail r = 1/(x + 3 - 4/(x + 5 - 9/(x + 7 - ...))) of the continued
-    fraction e^x E1(x) = 1/(x + 1 - r), for x > 1 (modified Lentz).
+    fraction e^x E1(x) = 1/(x + 1 - r), for x > 1.
+
+    The fraction is evaluated backward from depth n = 10 + 114/x, with x
+    added last at each level, so that its low bits are not rounded away
+    in the deep denominators.  Cut at depth n, the fraction is off by
+    about exp(-4 sqrt(n x)); at this depth that stays below 1e-17 relative
+    (against 40-digit mpmath over x in (1, 200]), and r and 1 - r come out
+    within 4e-16 relative, one ulp above x = 2.
 
     With it 1/(e^x E1(x)) - x = 1 - r is free of the cancellation that
     subtracting x from 1/(e^x E1(x)) suffers for large x.
     """
     if not x > 1.0:
         raise DomainError(f"e1_fraction_tail requires x > 1, got {x}")
-    tiny = 1e-300
-    b = x + 3.0
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(2, 500):
-        a = -float(i * i)
-        b += 2.0
-        d = 1.0 / (a * d + b)
-        c = b + a / c
-        if c == 0.0:
-            c = tiny
-        delta = c * d
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return h
+    n = int(10.0 + 114.0 / x)
+    t, c = 0.0, 2.0 * n + 3.0
+    for i in range(n, 1, -1):
+        c -= 2.0  # 2 i + 1
+        t = i * i / (x + (c - t))
+    return 1.0 / (x + (3.0 - t))
 
 
 def exp_e1_scaled(x: float) -> float:
@@ -264,7 +262,7 @@ def semiclassical_constant(d: int, k: float) -> float:
 
 
 # Newton steps the stationarity solve may take; from its start point no
-# rho sampled over [1e-3, 1e300] needs more than 5
+# rho sampled over [1e-3, 1e300] needs more than 4
 _NEWTON_STEPS = 50
 # lgamma(rho) and rho ln a overflow from rho ~ 2.5e305
 _RHO_MAX = 1e300
@@ -272,19 +270,21 @@ _RHO_MAX = 1e300
 _STIRLING_FROM = 1e3
 
 
-def _stationarity(a: float) -> tuple[float, float, float]:
-    """(ln(aS / (1 - aS)), its derivative in ln a, ln(1 - aS)) at a, with
-    S = e^a E1(a); d(aS)/d ln a = a (S (1 + a) - 1)."""
+def _stationarity(a: float) -> tuple[float, float, float, float]:
+    """(ln(aS / (1 - aS)), its derivative in ln a, ln(1 - aS), r) at a,
+    with S = e^a E1(a) = 1/(a + 1 - r), r being the continued fraction
+    tail from a = 1 on; d(aS)/d ln a = a (S (1 + a) - 1)."""
     if a <= 1.0:
         s = exp_e1_scaled(a)
         p = a * s
         ln_gap = math.log1p(-p)
-        return math.log(p) - ln_gap, a * (s * (1.0 + a) - 1.0) / (p * (1.0 - p)), ln_gap
+        return (math.log(p) - ln_gap, a * (s * (1.0 + a) - 1.0) / (p * (1.0 - p)), ln_gap,
+                a + 1.0 - 1.0 / s)
     # 1/S = a + 1 - r, so 1 - aS = (1 - r) S and S (1 + a) - 1 = r S, free
     # of the cancellation that 1 - aS suffers as aS -> 1
     r = e1_fraction_tail(a)
-    return (math.log(a) - math.log1p(-r), r * (a + 1.0 - r) / (1.0 - r),
-            math.log1p(-r) - math.log(a + 1.0 - r))
+    ln_1r = math.log1p(-r)
+    return math.log(a) - ln_1r, r * (a + 1.0 - r) / (1.0 - r), ln_1r - math.log(a + 1.0 - r), r
 
 
 def _daubechies_ratio(rho: float) -> float:
@@ -295,32 +295,43 @@ def _daubechies_ratio(rho: float) -> float:
     aS / (1 - aS) = rho with S = e^a E1(a).  The left side increases in
     a, and Newton's method in t = ln a solves the equation in a few
     steps.  All of it stays in logarithms: a^-rho overflows once rho
-    reaches ~80 and e^-a underflows for large a.  From _STIRLING_FROM on,
-    lgamma(rho) and rho ln a cancel to ~1/(2 rho) of their size, and B
-    is formed without them from Stirling's series and a = rho (1 - r) at
-    the root, r being the continued fraction tail.
+    reaches ~80 and e^-a underflows for large a.  Below _STIRLING_FROM the
+    objective's four terms are summed exactly, as dividing by a small rho
+    magnifies their rounding; from there on lgamma(rho) and rho ln a
+    cancel to ~1/(2 rho) of their size, and B is formed without them from
+    Stirling's series and a = rho (1 - r) at the root, r being the
+    continued fraction tail.
     """
     target = math.log(rho)
-    t = math.log(rho if rho >= 2.0 else rho / 2.0)
+    if rho >= 0.8:
+        # a = rho (1 - r) at the root, a quadratic in a for r ~ 1/(a + 3);
+        # the tail's first two levels at its root put t within 0.13 of the
+        # root at rho = 0.8 (where rho / 2 is as close), 3e-4 at 10
+        a = 0.5 * (rho - 3.0 + math.hypot(rho - 3.0, math.sqrt(8.0 * rho)))
+        t = math.log(rho * (1.0 - 1.0 / (a + 3.0 - 4.0 / (a + 5.0))))
+    else:
+        t = math.log(rho / 2.0)
+    # an offset delta of t from the root moves the stationary objective's
+    # ln B by at most delta^2 / 2 (40-digit mpmath, rho in [1e-6, 1e3]); the
+    # Stirling form uses a = rho (1 - r), true at the root alone
+    tol = 1e-8 if rho < _STIRLING_FROM else 1e-14
     last = math.inf
     for _ in range(_NEWTON_STEPS):
         a = math.exp(t)
-        f, df, ln_gap = _stationarity(a)
+        f, df, ln_gap, r = _stationarity(a)
         step = (f - target) / df
-        # converged once the step is at rounding level, or has stopped
-        # shrinking this close to the root; the objective is stationary
-        # there, so B is taken at a itself
-        if abs(step) < 1e-14 or (abs(step) >= abs(last) and abs(step) < 1e-10):
+        # converged once the step is below tol, or has stopped shrinking
+        # this close to the root; B is taken at a itself
+        if abs(step) < tol or (abs(step) >= abs(last) and abs(step) < 1e-10):
             if rho < _STIRLING_FROM:
-                return math.exp(-(math.lgamma(rho) - rho * t + a - ln_gap) / rho)
+                return math.exp(-math.fsum((math.lgamma(rho), -rho * t, a, -ln_gap)) / rho)
             # lgamma(rho) - (rho - 1/2) ln rho + rho - ln(2 pi) / 2 = g(rho), and
             # rho ln(rho / a) + a - rho = rho (-r - log1p(-r)), not formed
             # from a - rho, whose rounding is eps rho
-            r = e1_fraction_tail(a)
             ln_1r = math.log1p(-r)
             g = (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / (1260.0 * rho * rho)) / (rho * rho)) / rho
             return math.exp(-(g + 0.5 * math.log(2.0 * math.pi / rho) + rho * (-r - ln_1r)
-                              + math.log(a + 1.0 - r) - ln_1r) / rho)
+                              - ln_gap) / rho)
         t -= step
         last = step
     raise ConvergenceError(f"Daubechies stationarity equation at rho = {rho} "

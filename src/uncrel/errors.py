@@ -37,21 +37,34 @@ class NonFiniteError(ConvergenceError):
     """An integrand returned NaN or infinity at an interior point."""
 
 
+def _finite_real(what: str, x, wanted: str) -> None:
+    """DomainError unless x is a real number, not a bool, that a finite
+    float holds; a plain float or int skips the costly numbers.Real ABC check."""
+    try:
+        if (type(x) is float or type(x) is int
+                or (not isinstance(x, bool) and isinstance(x, numbers.Real))) and math.isfinite(x):
+            return
+        got = x
+    except OverflowError:  # an integer, or a ratio, past the double range
+        got = "a number beyond the double-precision range"
+    raise DomainError(f"{what} must be {wanted}, got {got}")
+
+
 def check_integer(what: str, x) -> None:
-    """DomainError unless x is an integer >= 1; a bool is not one."""
-    if isinstance(x, bool) or not isinstance(x, numbers.Real) \
-            or not math.isfinite(x) or x != int(x) or x < 1:
+    """DomainError unless x is an integer >= 1 that a float can hold; a
+    bool is not one."""
+    _finite_real(what, x, "an integer >= 1")
+    if x != int(x) or x < 1:
         raise DomainError(f"{what} must be an integer >= 1, got {x}")
 
 
 def check_finite(what: str, x) -> None:
     """DomainError unless x is a finite real number; a bool is not one."""
-    if isinstance(x, bool) or not isinstance(x, numbers.Real) or not math.isfinite(x):
-        raise DomainError(f"{what} must be a finite number, got {x}")
+    _finite_real(what, x, "a finite number")
 
 
 def check_positive(what: str, x) -> None:
     """DomainError unless x is a finite real number > 0; a bool is not one."""
-    check_finite(what, x)
+    _finite_real(what, x, "a finite number")
     if x <= 0:
         raise DomainError(f"{what} must be positive, got {x}")

@@ -258,6 +258,14 @@ class TestErrors:
         assert code == 3
         assert err.startswith("error[DomainError]")
 
+    def test_dimension_beyond_double_exit(self, capsys):
+        # int() reads the 401 digits; the check rejects them as a typed error
+        code, out, err = run_cli(capsys, "check", "--ineq", "heisenberg", "--model", "gaussian",
+                                 "--d", "1" + "0" * 400)
+        assert (code, out) == (3, "")
+        assert err == ("error[DomainError]: dimension must be an integer >= 1, got a number "
+                       "beyond the double-precision range\n")
+
     @pytest.mark.parametrize("mode,d,alpha,k", [
         ("F", "3", "1e300", "1"),      # entropic_lower_coeff's intermediates overflow
         ("F", "3", "2", "1e-300"),     # the minimizer's a^(d + alpha d/k) overflows

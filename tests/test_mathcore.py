@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -49,10 +50,20 @@ class TestSpecialFunctions:
             fn(*args)
 
 
+def _tail_reference(x):
+    """(r, 1 - r) for the continued fraction tail r = x + 1 - 1/(e^x E1(x)),
+    from x itself, not from a rounded x + 1.  r ~ 1/x is what is left of
+    x + 1 - 1/(e^x E1(x)), so the reference loses 2 log10(x) of its digits."""
+    with mpmath.workdps(30 + int(2 * math.log10(x))):
+        x = mpmath.mpf(x)
+        s = mpmath.exp(x) * mpmath.e1(x)
+        return float(x + 1 - 1 / s), float(1 / s - x)
+
+
 class TestExpE1:
     @pytest.mark.parametrize("x", [1e-5, 0.1, 0.6, 0.999, 1.0, 1.001, 2.0, 10.0, 50.0])
     def test_against_scipy(self, x):
-        assert exp_e1(x) == pytest.approx(float(scipy.special.exp1(x)), rel=1e-13)
+        assert exp_e1(x) == pytest.approx(float(scipy.special.exp1(x)), rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("x", [0.3, 0.6, 3.0])
     def test_against_quadrature(self, x):
@@ -66,14 +77,22 @@ class TestExpE1:
 
     @pytest.mark.parametrize("x", [1.0 + 2.0 ** -52, 1.5, 3.0, 30.0, 400.0, 1e4, 1e8])
     def test_fraction_tail_against_mpmath(self, x):
-        # r = x + 1 - 1/(e^x E1(x)), taken at 30 digits; the tail itself
-        # keeps its digits where 1/(e^x E1(x)) - x = 1 - r loses them
-        with mpmath.workdps(30):
-            s = mpmath.exp(x) * mpmath.e1(x)
-            ref = float(x + 1 - 1 / s)
-            gap = float(1 / s - x)
-        assert constants.e1_fraction_tail(x) == pytest.approx(ref, rel=4e-16)
-        assert 1.0 - constants.e1_fraction_tail(x) == pytest.approx(gap, rel=4e-16)
+        # the tail keeps its digits where 1/(e^x E1(x)) - x = 1 - r loses them
+        ref, gap = _tail_reference(x)
+        assert constants.e1_fraction_tail(x) == pytest.approx(ref, rel=4e-16, abs=0)
+        assert 1.0 - constants.e1_fraction_tail(x) == pytest.approx(gap, rel=4e-16, abs=0)
+
+    def test_fraction_tail_on_seeded_grid(self):
+        # log-uniform over (1, 1e8], and 1 + 10^u just above the lower end,
+        # where the fraction is deepest
+        rng = random.Random(20260526)
+        xs = [10.0 ** rng.uniform(0.0, 8.0) for _ in range(200)]
+        xs += [1.0 + 10.0 ** rng.uniform(-15.0, 0.0) for _ in range(100)]
+        for x in xs:
+            ref, gap = _tail_reference(x)
+            r = constants.e1_fraction_tail(x)
+            assert abs(r / ref - 1.0) <= 4e-16, x
+            assert abs((1.0 - r) / gap - 1.0) <= 4e-16, x
 
     @pytest.mark.parametrize("x", [1.0, 0.5, math.nan])
     def test_fraction_tail_domain(self, x):
