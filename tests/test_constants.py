@@ -49,7 +49,8 @@ B_REFERENCE = {
 # daubechies_factor(d, k).hex() on the 16 cells of Table 1, then on 50
 # ratios rho = d/k spread geometrically over [0.25, 400], recorded from the
 # Newton solve of the stationarity equation; test_matches_mpmath holds
-# the values they pin to 5e-15 of a 30-digit reference
+# the values they pin to 5e-15 of a 30-digit reference.  Running this
+# file re-records them (see the end of the file).
 B_GOLDEN = [
     (1, 1.0, '0x1.5369461ae3740p-3'),
     (2, 1.0, '0x1.9f7610607da15p-2'),
