@@ -180,7 +180,7 @@ def read_table(path: str):
     header: dict[str, str] = {}
     rs, rhos = [], []
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             for line in fh:
                 line = line.strip()
                 if not line:
@@ -335,6 +335,7 @@ def cmd_sweep(args, spec: QuadratureSpec) -> ReportDocument:
     if args.model not in _SWEPT:
         raise FormatError(f"sweeps support models {', '.join(_SWEPT)}; got {args.model!r}")
     flag = _SWEPT[args.model]
+    check_integer("spin multiplicity", args.q)  # the sweep's, not a member's: fail it whole
     values = _parse_range(args.n_range)
     entry = CATALOG[ineq]
     params = entry.with_params(_ineq_params(args))

@@ -5,10 +5,7 @@ All densities are radial and live in natural units (hbar = m = 1).  A
 RadialDensity is immutable after construction and its evaluation returns
 the same values for the same input, so instances can be shared freely
 across concurrent sweeps.  Evaluation callables accept scalars or numpy
-arrays.  The one state kept between calls is ho1d's: drho leaves the rho
-it computed alongside for the next rho call on the very same read-only
-array, such as the quadrature's nodes, which nothing changes in between
-(see harmonic_fermions_1d).
+arrays, give np.float64 for a scalar, and keep no state between calls.
 """
 
 from __future__ import annotations
@@ -58,7 +55,10 @@ _HEAD_MARGIN = 5.0
 class RadialDensity:
     """A radial probability density in d dimensions normalized to N particles.
 
-    rho and drho map radius to density value and radial derivative;
+    rho maps radius to density value, and drho to the pair (rho, rho')
+    with rho's bits, which Fisher information reads at the same nodes.  A
+    drho never calls its density's rho: the quadrature memo holds drho in
+    entries kept under a weak reference to rho, which would then live on.
     exact, when present, is the closed form: exact(kind, order) is the
     exact <r^order> for kind "moment", W_order for kind "entropic" and
     the Fisher information for kind "fisher" (order 2), or None where
@@ -146,7 +146,8 @@ def _gaussian_radial(d: int, sigma2: float, N: float, label: str) -> RadialDensi
 
     def drho(r):
         r = np.asarray(r, dtype=float)
-        return -r / sigma2 * norm * np.exp(-r * r / (2.0 * sigma2))
+        e = np.exp(-r * r / (2.0 * sigma2))
+        return norm * e, -r / sigma2 * norm * e
 
     def exact(kind, order):
         if kind == "moment" and order > -d:
@@ -207,7 +208,8 @@ def hydrogenic_pair(Z: float) -> DensityPair:
 
     def dgam(p):
         p = np.asarray(p, dtype=float)
-        return -8.0 * p * cmom / (Z * Z + p * p) ** 5
+        s = Z * Z + p * p
+        return cmom / s ** 4, -8.0 * p * cmom / s ** 5
 
     def mom_exact(kind, order):
         if kind == "moment" and -3.0 < order < 5.0:
@@ -247,7 +249,8 @@ def _exponential_radial(d: int, lam: float, N: float, label: str, hint: float) -
 
     def drho(r):
         r = np.asarray(r, dtype=float)
-        return -lam * c * np.exp(-lam * r)
+        e = np.exp(-lam * r)
+        return c * e, -lam * c * e
 
     def exact(kind, order):
         if kind == "moment" and order > -d:
@@ -326,9 +329,7 @@ def _level_pass(x: np.ndarray, levels: tuple, slope: bool):
     if not whole:
         rho, drho, live_rho, live_drho = np.zeros(live.shape), np.zeros(live.shape), rho, drho
         rho[live], drho[live] = live_rho, live_drho
-    if not rho.ndim:
-        return rho[()], drho[()] if slope else None
-    return rho, drho if slope else None
+    return rho[()], drho[()] if slope else None  # a scalar for a 0-d x
 
 
 def harmonic_fermions_1d(N: int, q: int) -> DensityPair:
@@ -341,15 +342,9 @@ def harmonic_fermions_1d(N: int, q: int) -> DensityPair:
     oscillator eigenfunctions; the momentum density coincides with it
     pointwise because Hermite functions are Fourier eigenfunctions.  The
     momentum side shares the position side's rho and drho, so each
-    quadrature-backed functional of the pair is integrated once.
-
-    drho computes rho alongside in one level pass (_level_pass), and the
-    next rho call on the very same array takes that value, so a
-    Fisher-information sweep, which asks for drho first, runs the
-    recurrence once.  Only read-only arrays such as the quadrature's nodes
-    are kept, so an input changed in place between the calls is evaluated
-    afresh.  The kept (x, rho) is replaced whole and let go on first use,
-    so concurrent sweeps find either an entry for their own array or none.
+    quadrature-backed functional of the pair is integrated once.  rho and
+    drho are each one level pass (_level_pass), so a Fisher-information
+    sweep, which reads rho and rho' from drho, runs the recurrence once.
     """
     check_integer("particle number", N)
     check_integer("spin multiplicity", q)
@@ -361,23 +356,12 @@ def harmonic_fermions_1d(N: int, q: int) -> DensityPair:
             f"underflows where higher levels still hold particles")
     weights = [int(q)] * top + [rest + 1]  # fermions on levels 0..top
     levels = _oscillator_levels(weights)
-    kept = None  # (x, rho) of drho's last read-only input
 
     def rho(x):
-        nonlocal kept
-        hit = kept
-        if hit is not None and hit[0] is x:
-            kept = None
-            return hit[1]
         return _level_pass(np.asarray(x, dtype=float), levels, False)[0]
 
     def drho(x):
-        nonlocal kept
-        r = np.asarray(x, dtype=float)
-        value, slope = _level_pass(r, levels, True)
-        if r is x and not x.flags.writeable:
-            kept = (x, value)
-        return slope
+        return _level_pass(np.asarray(x, dtype=float), levels, True)
 
     # total <x^2> = total <p^2> = sum over occupied levels of w (n + 1/2)
     second = sum(w * (n + 0.5) for n, w in enumerate(weights))
@@ -417,8 +401,9 @@ def load_tabulated(cfg: SystemConfig, r, rho_values) -> RadialDensity:
 
     def drho(x):
         x = np.asarray(x, dtype=float)
-        v = interp.derivative(np.clip(x, lo, hi))
-        return np.where((x < lo) | (x > hi), 0.0, v)
+        inside, outside = np.clip(x, lo, hi), (x < lo) | (x > hi)
+        v = np.maximum(np.where(outside, 0.0, interp(inside)), 0.0)
+        return v, np.where(outside, 0.0, interp.derivative(inside))[()]
 
     measured = omega(cfg.d) * gauss_cells(lambda x: interp(x) * x ** (cfg.d - 1), r)[0]
     if measured <= 0:

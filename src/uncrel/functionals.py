@@ -202,8 +202,8 @@ def entropic_moment(dens: RadialDensity, m: float,
 def fisher_information(dens: RadialDensity,
                        spec: QuadratureSpec | None = None) -> MomentValue:
     """Shift-invariant Fisher information, radial reduction:
-    I = Omega_d int rho'(r)^2 / rho(r) r^(d-1) dr,
-    exact where the density has a closed form.
+    I = Omega_d int rho'(r)^2 / rho(r) r^(d-1) dr, with rho and rho'
+    from one drho call, exact where the density has a closed form.
 
     The integrand is 0 where the density is.  The interpolant of a
     tabulated density may touch zero, so there it is also 0 where the
@@ -215,9 +215,7 @@ def fisher_information(dens: RadialDensity,
     floor = 0.0 if dens.knots is None else 1e-12 * float(np.max(f(dens.knots)))
 
     def integrand(r):
-        # drho first: a density may compute rho alongside and hand it back
-        g = np.asarray(df(r), dtype=float)
-        v = np.asarray(f(r), dtype=float)
+        v, g = (np.asarray(part, dtype=float) for part in df(r))
         safe = ~(v <= floor)  # a NaN value passes, for the quadrature to reject
         # (g / v) g, not g^2 / v: g^2 leaves the float range at extreme scales
         ratio = np.divide(g, v, out=np.zeros_like(v), where=safe)

@@ -8,9 +8,9 @@ function of its inputs and safe to call concurrently.
 Quadrature is one globally adaptive Gauss-Kronrod 21/10 routine: every
 refinement sweep evaluates all nodes of all new panels in a single call
 of the integrand, so integrands take and return numpy arrays.  The node
-array an integrand receives is read-only and new in every call, so an
-integrand may key a value it computes on the array's identity.  Panels
-are bisected, except that an end panel of the domain is graded the
+array an integrand receives is read-only and new in every call: it
+cannot change the nodes the rule reads, nor see a kept array change.
+Panels are bisected, except that an end panel of the domain is graded the
 first time refinement picks it: cut into 16 panels whose widths halve
 towards the end.  Algebraic end singularities (fractional and negative
 radial moments at r = 0, the edge of a compact extremal density) then
@@ -144,7 +144,7 @@ def _gk21(f, lo: np.ndarray, hi: np.ndarray):
     nodes in one call of f; returns (values, error estimates, node values)."""
     half = 0.5 * (hi - lo)
     nodes = 0.5 * (hi + lo)[:, None] + half[:, None] * _X21
-    nodes.flags.writeable = False  # integrands may key values on the array's identity
+    nodes.flags.writeable = False  # f must not change the nodes read below
     vals = f(nodes)
     if type(vals) is not np.ndarray or vals.dtype != np.float64 or vals.shape != nodes.shape:
         vals = np.broadcast_to(np.asarray(vals, dtype=float), nodes.shape)

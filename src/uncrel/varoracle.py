@@ -111,7 +111,7 @@ def minimizer_density(d: int, alpha: float, k: float,
         core = np.maximum(a_alpha - np.power(r, alpha), 0.0)
         # 0 past the edge, and at it, where core^(e - 1) is infinite for k > d
         inner = np.power(core, e - 1.0, out=np.zeros_like(core), where=core > 0.0)
-        return -C * e * alpha * np.power(r, alpha - 1.0) * inner
+        return C * np.power(core, e), -C * e * alpha * np.power(r, alpha - 1.0) * inner
 
     moments = fixed_moments({0.0: N, float(alpha): r_alpha})
 
@@ -162,8 +162,10 @@ def maximizer_density(d: int, alpha: float, k: float,
         # r^(alpha-1) = (r/hi)^(alpha-1) hi^(alpha-1), merged into hi^(alpha e - 1)
         r = np.asarray(r, dtype=float)
         hi = np.maximum(r, a)
-        return C * e * alpha * np.power(r / hi, alpha - 1.0) * np.power(hi, alpha * e - 1.0) \
-            * np.power(1.0 + np.power(np.minimum(r, a) / hi, alpha), e - 1.0)
+        base = 1.0 + np.power(np.minimum(r, a) / hi, alpha)
+        return C * np.power(hi, alpha * e) * np.power(base, e), \
+            C * e * alpha * np.power(r / hi, alpha - 1.0) * np.power(hi, alpha * e - 1.0) \
+            * np.power(base, e - 1.0)
 
     return RadialDensity(d=d, N=N, rho=rho, drho=drho,
                          exact=fixed_moments({0.0: N, float(alpha): r_alpha}),

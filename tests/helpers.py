@@ -26,8 +26,9 @@ def scale_density(dens: RadialDensity, lam: float) -> RadialDensity:
     def rho(r):
         return lam ** d * f(lam * np.asarray(r, dtype=float))
 
-    def drho(r):
-        return lam ** (d + 1) * df(lam * np.asarray(r, dtype=float))
+    def drho(r):  # from df alone, not f: see RadialDensity
+        value, slope = df(lam * np.asarray(r, dtype=float))
+        return lam ** d * value, lam ** (d + 1) * slope
 
     support = None if dens.support is None else (dens.support[0] / lam, dens.support[1] / lam)
     return dataclasses.replace(

@@ -10,11 +10,13 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from uncrel import cli, functionals, inequalities
+from uncrel import cli, functionals, inequalities, mathcore
 from uncrel.constants import SystemConfig
-from uncrel.densities import DensityPair, RadialDensity, harmonic_fermions_1d
+from uncrel.densities import (DensityPair, RadialDensity, gaussian_pair, harmonic_fermions_1d,
+                              load_tabulated)
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -63,6 +65,32 @@ def test_traced_density_fields():
     fields = set(RadialDensity.__dataclass_fields__)
     assert {"rho", "drho", "knots", "support", "label"} <= fields
     assert {"position", "momentum"} <= set(DensityPair.__dataclass_fields__)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: harmonic_fermions_1d(12, 2).position,
+    lambda: load_tabulated(SystemConfig(d=3, N=1.0), np.linspace(0.0, 8.0, 40),
+                           gaussian_pair(3, 1.0).position.rho(np.linspace(0.0, 8.0, 40))),
+], ids=["ho1d", "tabulated"])
+def test_traced_density_keeps_fisher_bits(build, monkeypatch):
+    # the trace's counted drho hands on the (rho, rho') pair, and the Fisher
+    # integrand makes that one call a sweep and no rho call; rho is read
+    # only for a table's floor and its left-out mass
+    gk21, sweeps = mathcore._gk21, []
+
+    def counted(f, lo, hi):
+        sweeps.append(f.__name__)
+        return gk21(f, lo, hi)
+
+    plain, tracer = build(), layertrace.Tracer()
+    traced = tracer.wrap_density(build())
+    want = functionals.fisher_information(plain)
+    monkeypatch.setattr(mathcore, "_gk21", counted)
+    got = functionals.fisher_information(traced)
+    assert (got.value.hex(), got.est_error.hex()) == (want.value.hex(), want.est_error.hex())
+    assert tracer.counts["drho_calls"] == sweeps.count("integrand") > 0
+    assert tracer.counts["rho_calls"] == (plain.knots is not None) + sweeps.count("excluded")
+    assert len(sweeps) == tracer.counts["drho_calls"] + sweeps.count("excluded")
 
 
 def test_worker_inequality_ids():

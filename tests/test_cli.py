@@ -190,13 +190,33 @@ class TestSweep:
         assert lines[:header + 1] + lines[header + 2:] == valid.splitlines()
 
     def test_every_member_a_hole(self, capsys):
+        top = MAX_OSCILLATOR_LEVELS
         code, out, _ = run_cli(capsys, "sweep", "--ineq", "heisenberg", "--model", "ho1d",
-                               "--n", "1..2", "--q", "0")
+                               "--n", f"{top + 1}..{top + 2}", "--q", "1")
         assert code == 0
         rows = parse_csv(out)
-        assert [r["state"] for r in rows] == ["ho1d(n=1)", "ho1d(n=2)"]
+        assert [r["state"] for r in rows] == [f"ho1d(n={top + 1})", f"ho1d(n={top + 2})"]
         assert all(r["params"] == "alpha=2;k=2;" for r in rows)
-        assert all(r["note"] == "hole: spin multiplicity must be an integer >= 1, got 0" for r in rows)
+        assert [r["note"].split(" fills ")[0] for r in rows] == [
+            f"hole: ho1d(N={top + 1},q=1)", f"hole: ho1d(N={top + 2},q=1)"]
+
+    @pytest.mark.parametrize("model", ["ho1d", "gaussian"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_bad_spin_multiplicity_fails_the_sweep(self, capsys, model, fmt):
+        # --q belongs to the sweep, not to a member: it is checked once,
+        # before any member is built, as check checks it
+        code, out, err = run_cli(capsys, "sweep", "--ineq", "cramer_rao", "--model", model,
+                                 "--n", "1..3", "--q", "0", "--format", fmt)
+        assert code == 3
+        message = "spin multiplicity must be an integer >= 1, got 0"
+        if fmt == "json":
+            assert json.loads(out)["error"] == {"type": "DomainError", "message": message,
+                                                "exit_code": 3}
+        else:
+            assert (out, err) == ("", f"error[DomainError]: {message}\n")
+        check = run_cli(capsys, "check", "--ineq", "cramer_rao", "--model", model, "--q", "0",
+                        "--format", fmt)
+        assert check == (code, out, err)
 
     def test_member_past_the_level_limit_is_a_hole(self, capsys):
         top = MAX_OSCILLATOR_LEVELS
@@ -406,6 +426,21 @@ class TestRoundTrip:
         values = {row["order"]: float(row["value"]) for row in doc["rows"]}
         assert values["0"] == pytest.approx(1.0, abs=1e-5)
         assert values["1"] == pytest.approx(1.5, abs=1e-5)
+
+    def test_table_saved_with_a_byte_order_mark(self, capsys, tmp_path):
+        # an editor may save an exported table as UTF-8 with a byte-order
+        # mark; the table reads as it did without one
+        table, marked = tmp_path / "dens.csv", tmp_path / "marked.csv"
+        code, _, _ = run_cli(capsys, "export", "--model", "hydrogenic", "--Z", "1",
+                             "--space", "momentum", "--points", "400", "--out", str(table))
+        assert code == 0
+        marked.write_bytes(b"\xef\xbb\xbf" + table.read_bytes())
+        assert cli.read_table(str(marked))[0]["d"] == "3"
+        docs = [run_cli(capsys, "moments", "--file", str(path), "--orders", "0,2")
+                for path in (table, marked)]
+        assert docs[0][0] == 0
+        assert docs[1] == docs[0]
+        assert {row["space"] for row in parse_csv(docs[1][1])} == {"momentum"}
 
     def test_tabulated_conjugate_pair(self, capsys, tmp_path):
         # each table's measured normalization differs slightly from N = 1

@@ -181,7 +181,7 @@ class TestHarmonicFermions:
         x = np.linspace(0.1, 4.0, 17)
         h = 1e-6
         fd = (pair.position.rho(x + h) - pair.position.rho(x - h)) / (2 * h)
-        assert np.allclose(pair.position.drho(x), fd, rtol=1e-6, atol=1e-9)
+        assert np.allclose(pair.position.drho(x)[1], fd, rtol=1e-6, atol=1e-9)
 
     def test_matches_level_by_level_reference(self):
         # every psi_n rebuilt from psi_0 on its own; the shared recurrence
@@ -205,7 +205,7 @@ class TestHarmonicFermions:
                 drho = drho + w * 2.0 * psi(m, x) * (np.sqrt(2.0 * m) * below - x * psi(m, x))
             dens = D.harmonic_fermions_1d(n, q).position
             assert np.array_equal(dens.rho(x), rho)
-            assert np.array_equal(dens.drho(x), drho)
+            assert np.array_equal(dens.drho(x)[1], drho)
 
     @pytest.mark.parametrize("q", [3, 4, 6])
     def test_any_spin_multiplicity(self, q):
@@ -270,70 +270,109 @@ def _bits_functionals(pos):
 
 
 class TestLevelPass:
-    """rho and drho of ho1d come from one level pass that drho shares with
-    the next rho call on the same read-only array."""
-
-    def counted(self, monkeypatch):
-        level_pass, calls = D._level_pass, []
-
-        def counting(x, levels, slope):
-            calls.append(slope)
-            return level_pass(x, levels, slope)
-
-        monkeypatch.setattr(D, "_level_pass", counting)
-        return calls
+    """rho and drho of ho1d are each one level pass, pinned to the bits of
+    the generator sums."""
 
     def test_bits_of_the_generator_sums(self):
         x = np.array(_BITS["points"])
         for key, want in _BITS["values"].items():
             n, q = map(int, key.split(","))
             pos = D.harmonic_fermions_1d(n, q).position
-            got = [*(mv.value for mv in _bits_functionals(pos)), *pos.rho(x), *pos.drho(x)]
+            got = [*(mv.value for mv in _bits_functionals(pos)), *pos.rho(x), *pos.drho(x)[1]]
             assert [float(v).hex() for v in got] == want, key
-            pointwise = [*(pos.rho(float(v)) for v in x), *(pos.drho(float(v)) for v in x)]
+            pointwise = [*(pos.rho(float(v)) for v in x), *(pos.drho(float(v))[1] for v in x)]
             assert [v.hex() for v in pointwise] == want[3:], key
 
     def test_scalars_give_scalars(self):
         pos = D.harmonic_fermions_1d(7, 2).position
-        for f in (pos.rho, pos.drho):
+        for f in (pos.rho, lambda v: pos.drho(v)[1]):
             for v in (1.5, np.float64(1.5), np.array(1.5)):
                 out = f(v)
                 assert type(out) is np.float64
                 assert out == f(np.array([1.5]))[0]
 
-    def test_read_only_array_takes_one_pass(self, monkeypatch):
-        calls = self.counted(monkeypatch)
-        pos = D.harmonic_fermions_1d(9, 2).position
-        x = np.linspace(0.0, 5.0, 11)
-        want = pos.rho(x.copy()), pos.drho(x.copy())
-        x.flags.writeable = False
-        calls.clear()
-        slope = pos.drho(x)
-        value = pos.rho(x)
-        assert calls == [True]
-        assert np.array_equal(value, want[0]) and np.array_equal(slope, want[1])
-        # the kept value is let go on its first use
-        assert np.array_equal(pos.rho(x), want[0])
-        assert calls == [True, False]
-        # an equal array that is not the same one is evaluated afresh
-        assert np.array_equal(pos.rho(np.array(x)), want[0])
-        assert calls == [True, False, False]
 
-    def test_array_changed_in_place_gets_fresh_values(self, monkeypatch):
-        pos = D.harmonic_fermions_1d(9, 2).position
-        fresh = D.harmonic_fermions_1d(9, 2).position  # never sees x
-        x = np.linspace(0.0, 5.0, 11)
-        pos.drho(x)
-        x *= 1.5
-        assert np.array_equal(pos.rho(x), fresh.rho(x))
-        pos.rho(x)
-        x += 0.25
-        assert np.array_equal(pos.drho(x), fresh.drho(x))
-        assert np.array_equal(pos.rho(x), fresh.rho(x))
-        calls = self.counted(monkeypatch)
-        pos.drho(x)
-        pos.rho(x)
-        assert calls == [True, False]  # a writeable array is never kept
+def _gaussian_table():
+    r = np.linspace(0.0, 8.0, 40)
+    return D.load_tabulated(SystemConfig(d=3, N=1.0), r, D.gaussian_pair(3, 1.0).position.rho(r))
+
+
+# each constructor's density and the radii, past 31 across its bulk, to
+# read it at: where it has fallen to 0, and its edge cases (the table's
+# end and past it, the minimizer's edge a and past it, with k > d, and the
+# maximizer's tail past r^alpha's overflow)
+_SLOPE_CASES = {
+    "gaussian": (lambda: D.gaussian_pair(3, 0.7).position, lambda dens: [40.0]),
+    "gaussian-mom": (lambda: D.gaussian_pair(3, 0.7).momentum, lambda dens: [40.0]),
+    "hydrogenic": (lambda: D.hydrogenic_pair(1.5).position, lambda dens: [400.0]),
+    "hydrogenic-mom": (lambda: D.hydrogenic_pair(1.5).momentum, lambda dens: [1e20]),
+    "exponential": (lambda: D.exponential_radial(2, 0.5, 3.0), lambda dens: [2000.0]),
+    "ho1d": (lambda: D.harmonic_fermions_1d(9, 2).position, lambda dens: [39.0, 1e3]),
+    "tabulated": (_gaussian_table, lambda dens: [8.0, 8.5]),
+    "minimizer": (lambda: V.minimizer_density(2, 2.0, 4.0),
+                  lambda dens: [dens.support[1], 2.0 * dens.support[1]]),
+    "maximizer": (lambda: V.maximizer_density(3, 2.0, -1.0), lambda dens: [1e100, 1e160, 1e300]),
+}
+
+
+class TestSlopeContract:
+    """drho(r) is the pair (rho(r), rho'(r)), whose first part has the bits
+    of rho(r), and neither keeps anything between calls."""
+
+    @staticmethod
+    def radii(name):
+        build, extra = _SLOPE_CASES[name]
+        dens = build()
+        return dens, np.concatenate([np.linspace(0.0, 3.0 * dens.support_hint, 31), extra(dens)])
+
+    @staticmethod
+    def bits(*parts):
+        return [np.asarray(part, dtype=np.float64).tobytes() for part in parts]
+
+    @pytest.mark.parametrize("name", list(_SLOPE_CASES))
+    def test_value_is_rho(self, name):
+        dens, x = self.radii(name)
+        locked = x.copy()
+        locked.flags.writeable = False
+        for r in (x, locked):
+            value, slope = dens.drho(r)
+            assert value.shape == slope.shape == r.shape
+            assert self.bits(value) == self.bits(dens.rho(r))
+        assert np.any(dens.drho(x)[1] != 0.0)
+
+    @pytest.mark.parametrize("name", list(_SLOPE_CASES))
+    def test_scalars_give_float64(self, name):
+        dens, x = self.radii(name)
+        value, slope = dens.drho(x)
+        for i, v in enumerate(x):
+            for arg in (float(v), np.float64(v), np.array(v)):
+                got = (dens.rho(arg), *dens.drho(arg))
+                assert [type(part) for part in got] == [np.float64] * 3
+                assert self.bits(got[0]) == self.bits(got[1])
+                # numpy's power may round a 0-d operand apart from an array
+                for part, want in zip(got[1:], (value[i], slope[i])):
+                    assert abs(part - want) <= np.spacing(abs(want))
+
+    @pytest.mark.parametrize("name", list(_SLOPE_CASES))
+    def test_no_state_between_calls(self, name):
+        dens, x = self.radii(name)
+        build = _SLOPE_CASES[name][0]
+
+        def calls(fresh):  # each call on its own fresh density sees a copy
+            return {"rho": lambda r: (fresh.rho(r),), "drho": fresh.drho}
+
+        for order in (("drho", "rho"), ("rho", "drho")):
+            for locked in (False, True):
+                r = x.copy()
+                for step, call in enumerate(order):
+                    if locked:
+                        r.flags.writeable = False
+                    assert self.bits(*calls(dens)[call](r)) == \
+                        self.bits(*calls(build())[call](r.copy()))
+                    # the next call sees the same array changed in place
+                    r.flags.writeable = True
+                    r *= 0.75
+                    r += 0.125 * step
 
 
 class TestLoadTabulated:
@@ -767,7 +806,7 @@ if __name__ == "__main__":
     for key, row in _BITS["values"].items():
         n, q = map(int, key.split(","))
         pos = D.harmonic_fermions_1d(n, q).position
-        assert [float(v).hex() for v in (*pos.rho(x), *pos.drho(x))] == row[3:], key
+        assert [float(v).hex() for v in (*pos.rho(x), *pos.drho(x)[1])] == row[3:], key
         for i, (cell, mv) in enumerate(zip(_BITS_CELLS, _bits_functionals(pos))):
             if mv.value.hex() != row[i]:
                 moved += 1

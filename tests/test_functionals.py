@@ -226,7 +226,7 @@ class TestFisherInformation:
 
     def test_zero_density_has_zero_information(self):
         dens = D.RadialDensity(d=3, N=1.0, rho=lambda r: np.zeros(np.shape(r)),
-                               drho=lambda r: np.zeros(np.shape(r)))
+                               drho=lambda r: (np.zeros(np.shape(r)),) * 2)
         assert F.fisher_information(dens).value == 0.0
         assert F.radial_moment(dens, 1.0).value == 0.0
 
@@ -234,7 +234,12 @@ class TestFisherInformation:
         # a NaN value is not below the floor: it reaches the quadrature,
         # which rejects it wherever it sits
         pos = quadrature_only(D.gaussian_pair(3, 1.0).position)
-        dens = dataclasses.replace(pos, rho=lambda r: np.where(r > 2.0, np.nan, pos.rho(r)))
+
+        def drho(r):
+            value, slope = pos.drho(r)
+            return np.where(r > 2.0, np.nan, value), slope
+
+        dens = dataclasses.replace(pos, drho=drho)
         with pytest.raises(NonFiniteError):
             F.fisher_information(dens)
 
@@ -425,7 +430,8 @@ _READ_FIELDS = {
     "support": lambda dens: dataclasses.replace(dens, support=(0.0, 2.0)),
     "tail_cut": lambda dens: dataclasses.replace(dens, tail_cut=2.0 * dens.tail_cut),
     "levels": lambda dens: dataclasses.replace(dens, levels=40),
-    "drho": lambda dens: dataclasses.replace(dens, drho=lambda r: 2.0 * dens.drho(r)),
+    "drho": lambda dens: dataclasses.replace(
+        dens, drho=lambda r: (dens.drho(r)[0], 2.0 * dens.drho(r)[1])),
     "knots": lambda dens: dataclasses.replace(dens, knots=dens.knots[::2].copy()),
 }
 

@@ -555,8 +555,8 @@ class TestQuadFinite:
 
 class TestNodeArrays:
     """Each sweep hands the integrand a fresh read-only node array that
-    shares no memory with any earlier one, so an integrand may key what it
-    computes on the array's identity, as ho1d's shared level pass does."""
+    shares no memory with any earlier one, so an integrand cannot change
+    the nodes the rule reads, and an array it keeps never changes."""
 
     @pytest.mark.parametrize("quad,f", [
         # the end panel at the origin is graded over several sweeps

@@ -77,7 +77,7 @@ class TestMinimizerDensity:
         # its bits
         dens = V.minimizer_density(d, alpha, k)
         a = dens.support[1]
-        values = dens.drho(np.array([0.0, 0.5 * a, a, 2.0 * a]))
+        values = dens.drho(np.array([0.0, 0.5 * a, a, 2.0 * a]))[1]
         assert tuple(v.hex() for v in values[:2]) == inner
         assert np.all(values[2:] == 0.0)
 
