@@ -1,17 +1,24 @@
 """Densities built from others for the tests: one stripped of its closed
-forms, so that the functionals integrate it, and the unit-preserving
-rescaling that is the oracle of scale invariance."""
+forms, so that the functionals integrate it, the unit-preserving
+rescaling that is the oracle of scale invariance, and a small table."""
 
 import dataclasses
 
 import numpy as np
 
-from uncrel.densities import DensityPair, RadialDensity
+from uncrel.constants import SystemConfig
+from uncrel.densities import DensityPair, RadialDensity, gaussian_pair, load_tabulated
 
 
 def quadrature_only(dens: RadialDensity) -> RadialDensity:
     """Strip the closed form to force the quadrature path."""
     return dataclasses.replace(dens, exact=None)
+
+
+def gaussian_table() -> RadialDensity:
+    """The d = 3 unit Gaussian tabulated at 40 points on [0, 8]."""
+    r = np.linspace(0.0, 8.0, 40)
+    return load_tabulated(SystemConfig(d=3, N=1.0), r, gaussian_pair(3, 1.0).position.rho(r))
 
 
 def scale_density(dens: RadialDensity, lam: float) -> RadialDensity:

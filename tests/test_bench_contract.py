@@ -10,13 +10,13 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from uncrel import cli, functionals, inequalities, mathcore
 from uncrel.constants import SystemConfig
-from uncrel.densities import (DensityPair, RadialDensity, gaussian_pair, harmonic_fermions_1d,
-                              load_tabulated)
+from uncrel.densities import DensityPair, RadialDensity, harmonic_fermions_1d
+
+from helpers import gaussian_table
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -67,11 +67,8 @@ def test_traced_density_fields():
     assert {"position", "momentum"} <= set(DensityPair.__dataclass_fields__)
 
 
-@pytest.mark.parametrize("build", [
-    lambda: harmonic_fermions_1d(12, 2).position,
-    lambda: load_tabulated(SystemConfig(d=3, N=1.0), np.linspace(0.0, 8.0, 40),
-                           gaussian_pair(3, 1.0).position.rho(np.linspace(0.0, 8.0, 40))),
-], ids=["ho1d", "tabulated"])
+@pytest.mark.parametrize("build", [lambda: harmonic_fermions_1d(12, 2).position, gaussian_table],
+                         ids=["ho1d", "tabulated"])
 def test_traced_density_keeps_fisher_bits(build, monkeypatch):
     # the trace's counted drho hands on the (rho, rho') pair, and the Fisher
     # integrand makes that one call a sweep and no rho call; rho is read

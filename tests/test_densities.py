@@ -16,7 +16,7 @@ from uncrel import varoracle as V
 from uncrel.constants import SystemConfig, Wide, gamma_half_ratio, wide_gamma
 from uncrel.errors import DivergenceError, DomainError, FormatError, UncrelError
 
-from helpers import quadrature_only, scale_density
+from helpers import gaussian_table, quadrature_only, scale_density
 
 PI = math.pi
 
@@ -292,11 +292,6 @@ class TestLevelPass:
                 assert out == f(np.array([1.5]))[0]
 
 
-def _gaussian_table():
-    r = np.linspace(0.0, 8.0, 40)
-    return D.load_tabulated(SystemConfig(d=3, N=1.0), r, D.gaussian_pair(3, 1.0).position.rho(r))
-
-
 # each constructor's density and the radii, past 31 across its bulk, to
 # read it at: where it has fallen to 0, and its edge cases (the table's
 # end and past it, the minimizer's edge a and past it, with k > d, and the
@@ -308,7 +303,7 @@ _SLOPE_CASES = {
     "hydrogenic-mom": (lambda: D.hydrogenic_pair(1.5).momentum, lambda dens: [1e20]),
     "exponential": (lambda: D.exponential_radial(2, 0.5, 3.0), lambda dens: [2000.0]),
     "ho1d": (lambda: D.harmonic_fermions_1d(9, 2).position, lambda dens: [39.0, 1e3]),
-    "tabulated": (_gaussian_table, lambda dens: [8.0, 8.5]),
+    "tabulated": (gaussian_table, lambda dens: [8.0, 8.5]),
     "minimizer": (lambda: V.minimizer_density(2, 2.0, 4.0),
                   lambda dens: [dens.support[1], 2.0 * dens.support[1]]),
     "maximizer": (lambda: V.maximizer_density(3, 2.0, -1.0), lambda dens: [1e100, 1e160, 1e300]),

@@ -20,7 +20,7 @@ from uncrel.errors import (ConvergenceError, DivergenceError, DomainError, Forma
                            NonFiniteError, UncrelError)
 from uncrel.mathcore import quad_halfline
 
-from helpers import quadrature_only, scale_density
+from helpers import gaussian_table, quadrature_only, scale_density
 
 PI = math.pi
 
@@ -419,11 +419,6 @@ class TestTabulatedQuadrature:
         assert abs(mv.value - exact) <= mv.est_error
 
 
-def _table():
-    r = np.linspace(0.0, 8.0, 40)
-    return D.load_tabulated(SystemConfig(d=3, N=1.0), r, D.gaussian_pair(3, 1.0).position.rho(r))
-
-
 # the fields of a density that reach the quadrature, each changed on a copy
 _READ_FIELDS = {
     "d": lambda dens: dataclasses.replace(dens, d=2),
@@ -479,7 +474,8 @@ class TestQuadratureMemo:
 
     @pytest.mark.parametrize("field", list(_READ_FIELDS))
     def test_a_changed_read_field_gets_its_own_entry(self, field):
-        dens = _table() if field == "knots" else quadrature_only(D.gaussian_pair(3, 1.0).position)
+        dens = gaussian_table() if field == "knots" \
+            else quadrature_only(D.gaussian_pair(3, 1.0).position)
         first = F.fisher_information(dens)
         changed = _READ_FIELDS[field](dens)
         # the same density under a rho the memo has never seen
@@ -495,7 +491,7 @@ class TestQuadratureMemo:
         lambda: quadrature_only(D.hydrogenic_pair(1.0).momentum),
         lambda: quadrature_only(D.exponential_radial(3, 1.0)),
         lambda: D.harmonic_fermions_1d(4, 2).momentum,
-        _table,
+        gaussian_table,
         lambda: V.minimizer_density(3, 2.0, 1.0),
         lambda: V.maximizer_density(3, 2.0, -1.0),
         lambda: scale_density(D.gaussian_pair(3, 1.0).position, 2.0),
