@@ -335,7 +335,10 @@ def cmd_sweep(args, spec: QuadratureSpec) -> ReportDocument:
     if args.model not in _SWEPT:
         raise FormatError(f"sweeps support models {', '.join(_SWEPT)}; got {args.model!r}")
     flag = _SWEPT[args.model]
-    check_integer("spin multiplicity", args.q)  # the sweep's, not a member's: fail it whole
+    # the sweep's flags, not a member's: a bad one fails the sweep whole
+    check_integer("dimension", args.d)
+    check_positive("length scale", args.a)
+    check_integer("spin multiplicity", args.q)
     values = _parse_range(args.n_range)
     entry = CATALOG[ineq]
     params = entry.with_params(_ineq_params(args))
@@ -372,9 +375,8 @@ def cmd_export(args, spec: QuadratureSpec) -> ReportDocument:
         check_positive("rmax", args.rmax)
     state, cfg, held = build_state(args)
     dens, space = _select_space(state, held, args.space)
-    # without --rmax: the whole support of a table, else three support_hint
-    # lengths; the quadrature reads tail_cut instead, so its layout does not
-    # set this grid
+    # without --rmax: a table's whole support, else three support_hint
+    # lengths; the quadrature's cuts do not set this grid
     end = dens.support[1] if dens.support is not None else 3.0 * dens.support_hint
     grid = np.linspace(0.0, end if args.rmax is None else args.rmax, args.points)
     vals = dens.rho(grid)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .constants import SystemConfig, Wide, beta, gamma_half_ratio, omega, wide_gamma
 from .errors import DomainError, FormatError, check_integer, check_positive
-from .mathcore import gauss_cells, interpolate_monotone
+from .mathcore import gauss_cells, interpolate_monotone, uniform_cuts
 
 __all__ = [
     "RadialDensity",
@@ -49,6 +49,11 @@ MAX_OSCILLATOR_LEVELS = 676
 # x = 1 + 5, the most of any state of up to 676 levels (q = 1..3, each
 # evaluated at its own cut), against a relative tolerance of 1e-10
 _HEAD_MARGIN = 5.0
+# ho1d's uniform head panels per occupied level, where that makes more than
+# 16; measured on ho1d Fisher information: its 40 states N = 1..40, q = 2
+# take 50 sweeps at 1 panel per level, 42 at 1.25 and 40 at 1.5, and
+# N = 676, q = 1 one sweep at each, of 18081 nodes at 1.25 and 21630 at 1.5
+_PANELS_PER_LEVEL = 1.25
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,34 +78,36 @@ class RadialDensity:
       extremal densities (varoracle): their constraint moments, orders 0
         and alpha, only, and the minimizer's Fisher information for k >= d,
         which diverges (DivergenceError);
-    and tabulated densities nothing.  support_hint is a length over which
-    the density falls off (export's default grid spans three of them).  A
-    half-line density is integrated over a head [0, tail_cut], where the
-    quadrature's geometric tail ladder starts, from starting panels in
-    proportion to levels (see mathcore.quad_halfline): levels counts the
-    humps the head holds, the occupied levels of ho1d and 1 for the
-    single-orbital models, whose tail_cut is five times their support_hint.
-    support restricts the density to a finite radial interval; knots marks
-    interpolation breakpoints of tabulated data.  tail_exponent is the s of
-    a power-law tail rho ~ r^-s at large radius, and inf (the default) for
-    faster than any power (exponential, Gaussian) or compact support; the
-    functionals read it to reject divergent orders up front.  Instances compare by identity
-    (eq=False); the functionals memoize quadrature results under rho and
-    the other fields a quadrature reads, not per density object.
+    and tabulated densities nothing.  cuts, a read-only float64 array, are
+    the breakpoints of the first quadrature sweep: 16 uniform panels on
+    [0, 5 support_hint] for the single-orbital models and the maximizer,
+    on [0, a] for the minimizer, max(16, ceil(1.25 levels)) on ho1d's head,
+    and a table's knots.  support is a finite radial interval the cuts
+    span, or None for the half line, whose tail ladder starts at cuts[-1]
+    (see mathcore.quad_halfline).  support_hint is a length over which the
+    density falls off (export's default grid spans three of them); knots
+    marks interpolation breakpoints of tabulated data.  tail_exponent is
+    the s of a power-law tail rho ~ r^-s at large radius, and inf (the
+    default) for faster than any power (exponential, Gaussian) or compact
+    support; the functionals read it to reject divergent orders up front.
+    Instances compare by identity (eq=False); the functionals memoize
+    quadrature results under rho and the other fields a quadrature reads.
     """
 
     d: int
     N: float
     rho: Callable
     drho: Callable
+    cuts: np.ndarray = field(repr=False)
     exact: Callable[[str, float], float | None] | None = None
     support_hint: float = 1.0
-    tail_cut: float = 5.0
-    levels: int = 1
     support: tuple[float, float] | None = None
     knots: np.ndarray | None = field(default=None, repr=False)
     tail_exponent: float = math.inf
     label: str = ""
+
+    def __post_init__(self):
+        self.cuts.flags.writeable = False  # the quadrature memo keys on its identity
 
 
 def fixed_moments(moments: dict) -> Callable:
@@ -169,8 +176,8 @@ def _gaussian_radial(d: int, sigma2: float, N: float, label: str) -> RadialDensi
         return value.value(f"{label}: {kind} of order {order}")
 
     hint = 4.0 * math.sqrt(sigma2)
-    return RadialDensity(d=d, N=N, rho=rho, drho=drho, exact=exact,
-                         support_hint=hint, tail_cut=5.0 * hint, label=label)
+    return RadialDensity(d=d, N=N, rho=rho, drho=drho, cuts=uniform_cuts(0.0, 5.0 * hint),
+                         exact=exact, support_hint=hint, label=label)
 
 
 def gaussian_pair(d: int, a: float, N: float = 1.0) -> DensityPair:
@@ -202,14 +209,15 @@ def hydrogenic_pair(Z: float) -> DensityPair:
 
     cmom = 8.0 * Z ** 5 / math.pi ** 2
 
+    # np.power, not **: a numpy scalar's ** rounds apart from an array's
     def gam(p):
         p = np.asarray(p, dtype=float)
-        return cmom / (Z * Z + p * p) ** 4
+        return cmom / np.power(Z * Z + p * p, 4)
 
     def dgam(p):
         p = np.asarray(p, dtype=float)
         s = Z * Z + p * p
-        return cmom / s ** 4, -8.0 * p * cmom / s ** 5
+        return cmom / np.power(s, 4), -8.0 * p * cmom / np.power(s, 5)
 
     def mom_exact(kind, order):
         if kind == "moment" and -3.0 < order < 5.0:
@@ -231,8 +239,8 @@ def hydrogenic_pair(Z: float) -> DensityPair:
             return None
         return value.value(f"hydrogenic-mom(Z={Z}): {kind} of order {order}")
 
-    mom = RadialDensity(d=3, N=1.0, rho=gam, drho=dgam, exact=mom_exact,
-                        support_hint=3.0 * Z, tail_cut=5.0 * (3.0 * Z), tail_exponent=8.0,
+    mom = RadialDensity(d=3, N=1.0, rho=gam, drho=dgam, cuts=uniform_cuts(0.0, 5.0 * (3.0 * Z)),
+                        exact=mom_exact, support_hint=3.0 * Z, tail_exponent=8.0,
                         label=f"hydrogenic-mom(Z={Z})")
     return DensityPair(pos, mom, real_wavefunction=True, label=f"hydrogenic(Z={Z})")
 
@@ -266,8 +274,8 @@ def _exponential_radial(d: int, lam: float, N: float, label: str, hint: float) -
             return None
         return value.value(f"{label}: {kind} of order {order}")
 
-    return RadialDensity(d=d, N=N, rho=rho, drho=drho, exact=exact,
-                         support_hint=hint, tail_cut=5.0 * hint, label=label)
+    return RadialDensity(d=d, N=N, rho=rho, drho=drho, cuts=uniform_cuts(0.0, 5.0 * hint),
+                         exact=exact, support_hint=hint, label=label)
 
 
 def exponential_radial(d: int, lam: float, N: float = 1.0) -> RadialDensity:
@@ -366,10 +374,11 @@ def harmonic_fermions_1d(N: int, q: int) -> DensityPair:
     # total <x^2> = total <p^2> = sum over occupied levels of w (n + 1/2)
     second = sum(w * (n + 0.5) for n, w in enumerate(weights))
     turn = math.sqrt(2.0 * top + 1.0)  # the top level's classical turning point
+    panels = max(16, math.ceil(_PANELS_PER_LEVEL * (top + 1)))
     pos = RadialDensity(d=1, N=float(N), rho=rho, drho=drho,
+                        cuts=uniform_cuts(0.0, turn + _HEAD_MARGIN, panels),
                         exact=fixed_moments({0.0: float(N), 2.0: second}),
-                        support_hint=turn + 4.0, tail_cut=turn + _HEAD_MARGIN,
-                        levels=top + 1, label=f"ho1d(N={N},q={q})")
+                        support_hint=turn + 4.0, label=f"ho1d(N={N},q={q})")
     mom = replace(pos, label=f"ho1d-mom(N={N},q={q})")
     return DensityPair(pos, mom, real_wavefunction=True, label=f"ho1d(N={N},q={q})")
 
@@ -381,7 +390,7 @@ def load_tabulated(cfg: SystemConfig, r, rho_values) -> RadialDensity:
     returned density; a measured count deviating from cfg.N by more than
     1% emits a warning.
     """
-    r = np.asarray(r, dtype=float)
+    r = np.array(r, dtype=float)  # a copy: the density makes it read-only
     rho_values = np.asarray(rho_values, dtype=float)
     if r.ndim != 1 or r.shape != rho_values.shape:
         raise FormatError("tabulated density must be two equal-length columns")
@@ -412,5 +421,5 @@ def load_tabulated(cfg: SystemConfig, r, rho_values) -> RadialDensity:
         warnings.warn(
             f"measured normalization {measured:.6g} deviates from declared "
             f"N = {cfg.N:.6g} by more than 1%", stacklevel=2)
-    return RadialDensity(d=cfg.d, N=float(measured), rho=rho, drho=drho,
+    return RadialDensity(d=cfg.d, N=float(measured), rho=rho, drho=drho, cuts=r,
                          support=(lo, hi), knots=r, label="tabulated")

@@ -7,11 +7,8 @@ I * V >= N d^2.  Outputs record whether a closed form or quadrature
 produced them, together with an error estimate.
 
 One step, _quadrature, decides between the two: a density's closed form
-(RadialDensity.exact) answers where it has one -- every functional of
-the Gaussian, hydrogenic and exponential models (radial and entropic
-moments inside their convergence windows, and Fisher information),
-<x^0> and <x^2> of ho1d, the constraint moments of the extremal
-densities -- and everything else is integrated.
+(RadialDensity.exact) answers where it has one, and everything else is
+one quadrature from the density's cuts.
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ import numpy as np
 from .constants import omega
 from .densities import RadialDensity
 from .errors import DivergenceError, DomainError, FormatError, check_finite, check_positive
-from .mathcore import DEFAULT_QUADRATURE, QuadratureSpec, gauss_cells, quad_finite, quad_halfline
+from .mathcore import DEFAULT_QUADRATURE, QuadratureSpec, gauss_cells, quad_halfline
 
 __all__ = ["MomentValue", "radial_moment", "entropic_moment", "fisher_information", "variance"]
 
@@ -41,11 +38,8 @@ _HIDDEN_SHARE = 1e-10
 class MomentValue:
     """One functional value and how it was made.
 
-    method is 'analytic' for a closed form (see RadialDensity.exact for
-    which families are exact at which orders: every functional of the
-    Gaussian, hydrogenic and exponential models, Fisher information
-    included; W_1 = N is exact for every density) and 'quadrature'
-    otherwise.
+    method is 'analytic' for a closed form (see RadialDensity.exact; W_1
+    = N is exact for every density) and 'quadrature' otherwise.
     est_error estimates |value - exact|: 0 for closed forms; otherwise the
     adaptive quadrature's summed panel error estimate plus the size of any
     extrapolated tail remainder and of any tail panels left out because
@@ -68,48 +62,35 @@ class MomentValue:
 
 # memo of quadrature results under what a quadrature reads: the density's
 # rho (held weakly, so entries die with it), then the functional, order and
-# spec, and its d, support, tail_cut, levels, drho and knots (by identity;
-# the entry keeps the array, so that identity is not reused while it lives).
+# spec, and its d, support, cuts, drho and knots (arrays by identity; the
+# entry keeps them, so that an identity is not reused while it lives).
 # label, N, exact, support_hint and tail_exponent never reach the quadrature,
 # so the self-dual ho1d momentum twin reads its position side's entries.
 _MEMO: "weakref.WeakKeyDictionary[object, dict]" = weakref.WeakKeyDictionary()
 
 
 def _quadrature(dens: RadialDensity, key: tuple, order: float, integrand,
-                spec: QuadratureSpec | None, excluded=None) -> MomentValue:
+                spec: QuadratureSpec | None, left_out: float = 0.0) -> MomentValue:
     """The density's closed form for (key[0], order) where it has one;
-    otherwise Omega_d int integrand(r) dr over the density, memoized (see
-    _MEMO) under `key`, the spec and what the quadrature reads of the
-    density.  `excluded(r)`, when given, is integrated the same way and its
-    total added to the error estimate."""
+    otherwise Omega_d int integrand(r) dr, one quadrature over the
+    density's cuts, or over the half line they head where it has no
+    support, memoized under `key` (see _MEMO), with `left_out` added to
+    its error estimate."""
     if dens.exact is not None:
         value = dens.exact(key[0], order)
         if value is not None:
             return MomentValue(order, float(value), "analytic")
     table = _MEMO.setdefault(dens.rho, {})
-    key = (*key, spec or DEFAULT_QUADRATURE, dens.d, dens.support, dens.tail_cut, dens.levels,
-           dens.drho, id(dens.knots))
+    key = (*key, spec or DEFAULT_QUADRATURE, dens.d, dens.support, id(dens.cuts), dens.drho,
+           id(dens.knots))
     hit = table.get(key)
     if hit is None:
-        value, err = _integrate(dens, integrand, spec)
+        value, err = (quad_halfline(integrand, spec, dens.cuts) if dens.support is None
+                      else gauss_cells(integrand, dens.cuts, spec))
         scale = omega(dens.d)
-        extra = 0.0 if excluded is None else scale * _integrate(dens, excluded, spec)[0]
-        hit = table[key] = (MomentValue(order, scale * value, "quadrature", scale * err + extra),
-                            dens.knots)
+        hit = table[key] = (MomentValue(order, scale * value, "quadrature", scale * err + left_out),
+                            dens.cuts, dens.knots)
     return hit[0]
-
-
-def _integrate(dens: RadialDensity, integrand, spec: QuadratureSpec | None) -> tuple[float, float]:
-    """Integrate `integrand(r)` over the density's radial support, laid out
-    by the density: its knot cells, its compact support, or a half line
-    whose head of `levels` levels ends, and tail ladder starts, at its
-    tail_cut."""
-    if dens.knots is not None:
-        return gauss_cells(integrand, dens.knots, spec)
-    if dens.support is not None:
-        lo, hi = dens.support
-        return quad_finite(integrand, lo, hi, spec)
-    return quad_halfline(integrand, spec, dens.tail_cut, dens.levels)
 
 
 def _weighted(x, r, w: float, m: float = 1.0) -> np.ndarray:
@@ -207,26 +188,31 @@ def fisher_information(dens: RadialDensity,
 
     The integrand is 0 where the density is.  The interpolant of a
     tabulated density may touch zero, so there it is also 0 where the
-    density is at most 1e-12 of its peak (PCHIP peaks at a knot), and the
-    mass left out that way is added to the error estimate.
+    density is at most 1e-12 of its peak (PCHIP peaks at a knot).  PCHIP
+    keeps a cell between its knot values y_i and y_(i+1), so the mass left
+    out is at most min(floor, max(y_i, y_(i+1))) Omega_d (r_(i+1)^d - r_i^d)
+    / d summed over the cells with min(y_i, y_(i+1)) <= floor; that bound
+    is added to the error estimate.
     """
     w = dens.d - 1.0
-    f, df = dens.rho, dens.drho
-    floor = 0.0 if dens.knots is None else 1e-12 * float(np.max(f(dens.knots)))
+    floor = left_out = 0.0
+    if dens.knots is not None:
+        x, y = dens.knots, dens.rho(dens.knots)
+        floor = 1e-12 * float(np.max(y))
+        low, high = np.minimum(y[:-1], y[1:]), np.maximum(y[:-1], y[1:])
+        cells = (low <= floor) & (high > 0.0)
+        top = np.minimum(floor, high[cells])
+        shells = _weighted(top, x[1:][cells], dens.d) - _weighted(top, x[:-1][cells], dens.d)
+        left_out = omega(dens.d) / dens.d * float(np.sum(shells))
 
     def integrand(r):
-        v, g = (np.asarray(part, dtype=float) for part in df(r))
+        v, g = (np.asarray(part, dtype=float) for part in dens.drho(r))
         safe = ~(v <= floor)  # a NaN value passes, for the quadrature to reject
         # (g / v) g, not g^2 / v: g^2 leaves the float range at extreme scales
         ratio = np.divide(g, v, out=np.zeros_like(v), where=safe)
         return _weighted(np.multiply(ratio, g, out=ratio, where=safe), r, w)
 
-    def excluded(r):
-        v = np.asarray(f(r), dtype=float)
-        return np.where(v <= floor, v, 0.0) * np.power(r, w)
-
-    return _quadrature(dens, ("fisher",), 2.0, integrand, spec,
-                       None if dens.knots is None else excluded)
+    return _quadrature(dens, ("fisher",), 2.0, integrand, spec, left_out)
 
 
 def variance(dens: RadialDensity, spec: QuadratureSpec | None = None) -> float:

@@ -17,13 +17,11 @@ radial moments at r = 0, the edge of a compact extremal density) then
 take a few sweeps instead of one bisection per sweep.  No cut comes
 closer to a nonzero end than nodes can resolve there, so a singularity
 too strong to integrate above that floor is a ConvergenceError.  The
-half line is a uniform head [0, tail_cut] plus a geometric ladder of
-tail panels [tail_cut 2^j, tail_cut 2^(j+1)] closed by a
-geometric-series remainder; the caller places tail_cut where the
-integrand has fallen off, and states how many levels (humps) the head
-holds, which sets its starting panels.  Tabulated data start from one
-panel per knot cell, since their interpolant is smooth within a cell but
-not across its knots.
+caller gives the breakpoints of the first sweep: a finite interval's
+(gauss_cells), or the half line's head [0, c] (quad_halfline), which a
+geometric ladder of tail panels [c 2^j, c 2^(j+1)] continues, closed by
+a geometric-series remainder; the caller places c where the integrand
+has fallen off.
 
 Minimization is Brent's method, a port of the loop of scipy's
 Brent.optimize (scipy 1.17); monotone interpolation is PCHIP, a numpy
@@ -43,7 +41,7 @@ from typing import Callable, ClassVar
 import numpy as np
 
 from .errors import (BracketError, ConvergenceError, FormatError, NonFiniteError,
-                     check_integer, check_positive)
+                     check_positive)
 
 __all__ = [
     "QuadratureSpec",
@@ -52,6 +50,7 @@ __all__ = [
     "quad_halfline",
     "quad_finite",
     "gauss_cells",
+    "uniform_cuts",
     "minimize_scalar",
     "interpolate_monotone",
 ]
@@ -62,7 +61,7 @@ class QuadratureSpec:
     """The relative tolerance of adaptive quadrature; abs_tol is fixed at
     1e-14 and the budget at _MAX_REFINEMENTS panels (see _adaptive_gk).
     Where the panels start is the caller's: gauss_cells' knots,
-    quad_halfline's tail_cut and levels.
+    quad_halfline's head.
     """
 
     abs_tol: ClassVar[float] = 1e-14
@@ -113,14 +112,8 @@ _WG21[19:10:-2] = _WG
 # panels refinement may add to one quadrature: one per bisection, fifteen
 # per graded end panel, so an end singularity needs 15 to be refined at all
 _MAX_REFINEMENTS = 200
-# uniform panels a finite interval (or the head [0, tail_cut]) starts from
+# uniform panels a finite interval (or the default head [0, 30]) starts from
 _START_PANELS = 16
-# starting head panels per level of a multi-level integrand, where that
-# makes more than _START_PANELS; measured on ho1d Fisher information: its
-# 40 states N = 1..40, q = 2 take 50 sweeps at 1 panel per level, 42 at
-# 1.25 and 40 at 1.5, and N = 676, q = 1 one sweep at each, of 18081
-# nodes at 1.25 and 21630 at 1.5
-_PANELS_PER_LEVEL = 1.25
 # ladder rungs [c 2^j, c 2^(j+1)] of the first half-line sweep
 _FIRST_RUNGS = 16
 # the ladder closes once the geometric remainder is this share of the tolerance
@@ -191,7 +184,7 @@ def _graded(lo: float, hi: float, at_lo: bool) -> np.ndarray:
     return cuts
 
 
-def _uniform(lo: float, hi: float, panels: int) -> np.ndarray:
+def uniform_cuts(lo: float, hi: float, panels: int = _START_PANELS) -> np.ndarray:
     """np.linspace(lo, hi, panels + 1) bit for bit, without its generic set-up."""
     lo, hi = float(lo), float(hi)
     step = (hi - lo) / panels
@@ -339,43 +332,43 @@ def quad_finite(f: Callable, lo: float, hi: float,
     """Adaptive quadrature of f over [lo, hi], starting from _START_PANELS
     uniform panels; returns (value, error estimate), (0, 0) unless lo < hi.
 
-    f must accept numpy arrays; the node arrays it receives are read-only.
+    f must accept numpy arrays, which it receives read-only.  No library
+    caller is left, as densities state their cuts; it stays while the
+    benchmark's layer trace wraps it by name and its contract test pins it.
     """
     if hi <= lo:
         return 0.0, 0.0
-    return _adaptive_gk(f, _uniform(lo, hi, _START_PANELS), spec or DEFAULT_QUADRATURE)
+    return _adaptive_gk(f, uniform_cuts(lo, hi), spec or DEFAULT_QUADRATURE)
 
 
 def quad_halfline(f: Callable, spec: QuadratureSpec | None = None,
-                  tail_cut: float = 30.0, levels: int = 1) -> tuple[float, float]:
+                  head: np.ndarray | None = None) -> tuple[float, float]:
     """Adaptive quadrature of f over [0, inf); returns (value, error estimate).
 
-    Uniform starting panels cover the head [0, tail_cut]: max(16,
-    ceil(1.25 levels)) of them, levels >= 1 being the number of levels or
-    humps of f there.  tail_cut is a finite positive radius by which f
-    has fallen off; the first sweep adds 16 rungs [tail_cut 2^j,
-    tail_cut 2^(j+1)] of a geometric ladder that carries the tail, later
-    sweeps add rungs until one meets a zero of f or the remainder past
-    the last rung, summed as a geometric series, is negligible.  f must
-    accept numpy arrays, which it receives read-only, and be finite at
-    every interior node; NaN or infinity raises NonFiniteError rather
+    head holds the breakpoints of the first sweep's panels on [0, c], by
+    default 16 uniform panels on [0, 30].  c = head[-1] is a finite
+    positive radius by which f has fallen off; the first sweep adds 16
+    rungs [c 2^j, c 2^(j+1)] of a geometric ladder that carries the tail,
+    later sweeps add rungs until one meets a zero of f or the remainder
+    past the last rung, summed as a geometric series, is negligible.  f
+    must accept numpy arrays, which it receives read-only, and be finite
+    at every interior node; NaN or infinity raises NonFiniteError rather
     than propagating silently.
     """
-    check_positive("tail_cut", tail_cut)
-    check_integer("levels", levels)
-    panels = max(_START_PANELS, math.ceil(_PANELS_PER_LEVEL * levels))
-    return _adaptive_gk(f, _uniform(0.0, tail_cut, panels), spec or DEFAULT_QUADRATURE,
-                        ladder_from=tail_cut)
+    head = uniform_cuts(0.0, 30.0) if head is None else np.asarray(head, dtype=float)
+    end = float(head[-1])
+    check_positive("head end", end)
+    return _adaptive_gk(f, head, spec or DEFAULT_QUADRATURE, ladder_from=end)
 
 
 def gauss_cells(f, knots: np.ndarray, spec: QuadratureSpec | None = None) -> tuple[float, float]:
     """Adaptive quadrature of f over [knots[0], knots[-1]] starting from one
     panel per knot cell; returns (value, error estimate).
 
-    For integrands smooth within each cell but not across knots, such as
-    monotone-cubic interpolants of tabulated data; f must accept numpy
-    arrays, which it receives read-only.  The name stays because
-    bench/layertrace.py traces it by name.
+    The cells are a compact density's cuts, which for tabulated data are
+    the knots of the interpolant, smooth within a cell but not across it;
+    f must accept numpy arrays, which it receives read-only.  The name
+    stays because bench/layertrace.py traces it by name.
     """
     return _adaptive_gk(f, np.asarray(knots, dtype=float), spec or DEFAULT_QUADRATURE)
 

@@ -35,7 +35,7 @@ from .constants import beta, omega
 from .densities import RadialDensity, fixed_moments
 from .errors import DivergenceError, DomainError, check_finite, check_integer, check_positive
 from .functionals import entropic_moment
-from .mathcore import QuadratureSpec
+from .mathcore import QuadratureSpec, uniform_cuts
 
 __all__ = ["ExtremalConstant", "minimizer_density", "maximizer_density",
            "extremal_F", "extremal_G"]
@@ -121,8 +121,8 @@ def minimizer_density(d: int, alpha: float, k: float,
                                   f"support edge for k >= d")
         return moments(kind, order)
 
-    return RadialDensity(d=d, N=N, rho=rho, drho=drho, exact=exact,
-                         support=(0.0, a), label=label)
+    return RadialDensity(d=d, N=N, rho=rho, drho=drho, cuts=uniform_cuts(0.0, a),
+                         exact=exact, support=(0.0, a), label=label)
 
 
 def maximizer_density(d: int, alpha: float, k: float,
@@ -167,9 +167,9 @@ def maximizer_density(d: int, alpha: float, k: float,
             C * e * alpha * np.power(r / hi, alpha - 1.0) * np.power(hi, alpha * e - 1.0) \
             * np.power(base, e - 1.0)
 
-    return RadialDensity(d=d, N=N, rho=rho, drho=drho,
+    return RadialDensity(d=d, N=N, rho=rho, drho=drho, cuts=uniform_cuts(0.0, 5.0 * a),
                          exact=fixed_moments({0.0: N, float(alpha): r_alpha}),
-                         support_hint=a, tail_cut=5.0 * a, tail_exponent=alpha * t, label=label)
+                         support_hint=a, tail_exponent=alpha * t, label=label)
 
 
 def _extremal(d: int, alpha: float, k: float, spec: QuadratureSpec | None,

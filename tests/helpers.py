@@ -38,10 +38,10 @@ def scale_density(dens: RadialDensity, lam: float) -> RadialDensity:
         return lam ** d * value, lam ** (d + 1) * slope
 
     support = None if dens.support is None else (dens.support[0] / lam, dens.support[1] / lam)
+    cuts = dens.cuts / lam
     return dataclasses.replace(
-        dens, rho=rho, drho=drho, exact=None, support_hint=dens.support_hint / lam,
-        tail_cut=dens.tail_cut / lam, support=support,
-        knots=None if dens.knots is None else dens.knots / lam,
+        dens, rho=rho, drho=drho, cuts=cuts, exact=None, support_hint=dens.support_hint / lam,
+        support=support, knots=None if dens.knots is None else cuts,
         label=f"{dens.label}*scale({lam})")
 
 

@@ -14,9 +14,11 @@ import pytest
 
 from uncrel import cli, functionals, inequalities, mathcore
 from uncrel.constants import SystemConfig
-from uncrel.densities import DensityPair, RadialDensity, harmonic_fermions_1d
+from uncrel.densities import (DensityPair, RadialDensity, exponential_radial, gaussian_pair,
+                              harmonic_fermions_1d, hydrogenic_pair)
+from uncrel.varoracle import maximizer_density, minimizer_density
 
-from helpers import gaussian_table
+from helpers import gaussian_table, quadrature_only
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -72,7 +74,8 @@ def test_traced_density_fields():
 def test_traced_density_keeps_fisher_bits(build, monkeypatch):
     # the trace's counted drho hands on the (rho, rho') pair, and the Fisher
     # integrand makes that one call a sweep and no rho call; rho is read
-    # only for a table's floor and its left-out mass
+    # once, at a table's knots, for its floor and its left-out mass, and
+    # no quadrature but the integrand's runs
     gk21, sweeps = mathcore._gk21, []
 
     def counted(f, lo, hi):
@@ -85,9 +88,37 @@ def test_traced_density_keeps_fisher_bits(build, monkeypatch):
     monkeypatch.setattr(mathcore, "_gk21", counted)
     got = functionals.fisher_information(traced)
     assert (got.value.hex(), got.est_error.hex()) == (want.value.hex(), want.est_error.hex())
-    assert tracer.counts["drho_calls"] == sweeps.count("integrand") > 0
-    assert tracer.counts["rho_calls"] == (plain.knots is not None) + sweeps.count("excluded")
-    assert len(sweeps) == tracer.counts["drho_calls"] + sweeps.count("excluded")
+    assert tracer.counts["drho_calls"] == len(sweeps) > 0
+    assert set(sweeps) == {"integrand"}
+    assert tracer.counts["rho_calls"] == (plain.knots is not None)
+
+
+# the kind the trace files each constructor's integrated functionals under;
+# the per-kind times of traced runs compare across commits only while these hold
+_FUNCTIONAL_KINDS = {
+    "gaussian": (lambda: quadrature_only(gaussian_pair(3, 1.0).position), "halfline"),
+    "gaussian-mom": (lambda: quadrature_only(gaussian_pair(3, 1.0).momentum), "halfline"),
+    "hydrogenic": (lambda: quadrature_only(hydrogenic_pair(1.0).position), "halfline"),
+    "hydrogenic-mom": (lambda: quadrature_only(hydrogenic_pair(1.0).momentum), "halfline"),
+    "exponential": (lambda: quadrature_only(exponential_radial(3, 1.0)), "halfline"),
+    "maximizer": (lambda: maximizer_density(3, 2.0, -1.0), "halfline"),
+    "ho1d": (lambda: harmonic_fermions_1d(4, 2).position, "ho1d"),
+    "ho1d-mom": (lambda: harmonic_fermions_1d(4, 2).momentum, "ho1d"),
+    "minimizer": (lambda: minimizer_density(3, 2.0, 1.0), "compact"),
+    "tabulated": (gaussian_table, "tabulated"),
+}
+
+
+@pytest.mark.parametrize("name", list(_FUNCTIONAL_KINDS))
+def test_functional_kinds(name):
+    build, kind = _FUNCTIONAL_KINDS[name]
+    tracer = layertrace.Tracer()
+    for fn, args in (("radial_moment", (0.5,)), ("entropic_moment", (2.0,)),
+                     ("fisher_information", ())):
+        traced = tracer._functional_wrapper(fn, getattr(functionals, fn))
+        assert traced(build(), *args).method == "quadrature"
+    assert sorted(tracer.kind_s) == [f"{fn}_s.{kind}" for fn in
+                                     ("entropic_moment", "fisher_information", "radial_moment")]
 
 
 def test_worker_inequality_ids():

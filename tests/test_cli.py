@@ -218,6 +218,27 @@ class TestSweep:
                         "--format", fmt)
         assert check == (code, out, err)
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--d", "0", "dimension must be an integer >= 1, got 0"),
+        ("--a", "0", "length scale must be positive, got 0.0"),
+        ("--a", "nan", "length scale must be a finite number, got nan"),
+    ])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_bad_template_flag_fails_the_sweep(self, capsys, flag, value, message, fmt):
+        # --d and --a, like --q, are the sweep's: checked once, before any
+        # member is built, as check checks them
+        code, out, err = run_cli(capsys, "sweep", "--ineq", "heisenberg", "--model", "gaussian",
+                                 "--n", "1..2", flag, value, "--format", fmt)
+        assert code == 3
+        if fmt == "json":
+            assert json.loads(out)["error"] == {"type": "DomainError", "message": message,
+                                                "exit_code": 3}
+        else:
+            assert (out, err) == ("", f"error[DomainError]: {message}\n")
+        check = run_cli(capsys, "check", "--ineq", "heisenberg", "--model", "gaussian",
+                        flag, value, "--format", fmt)
+        assert check == (code, out, err)
+
     def test_member_past_the_level_limit_is_a_hole(self, capsys):
         top = MAX_OSCILLATOR_LEVELS
         code, out, _ = run_cli(capsys, "sweep", "--ineq", "heisenberg", "--model", "ho1d",

@@ -15,7 +15,7 @@ from uncrel import functionals as F
 from uncrel import inequalities as I
 from uncrel import mathcore as M
 from uncrel import varoracle as V
-from uncrel.constants import SystemConfig
+from uncrel.constants import SystemConfig, omega
 from uncrel.errors import (ConvergenceError, DivergenceError, DomainError, FormatError,
                            NonFiniteError, UncrelError)
 from uncrel.mathcore import quad_halfline
@@ -84,21 +84,26 @@ class TestRadialMoment:
             F.radial_moment(mom, 5.0)
 
 
-def test_halfline_tail_cut_follows_the_density(monkeypatch):
+def test_halfline_head_follows_the_density(monkeypatch):
     gauss = quadrature_only(D.gaussian_pair(3, 2.0).position)
     ho1d = D.harmonic_fermions_1d(40, 2).position
-    cuts = []
+    heads = []
 
-    def capturing(f, spec=None, tail_cut=30.0, levels=1):
-        cuts.append((tail_cut, levels))
-        return quad_halfline(f, spec, tail_cut, levels)
+    def capturing(f, spec=None, head=None):
+        heads.append(head)
+        return quad_halfline(f, spec, head)
 
     monkeypatch.setattr(F, "quad_halfline", capturing)
     F.radial_moment(gauss, 0.5)
     F.radial_moment(ho1d, 0.5)
+    assert heads[0] is gauss.cuts and heads[1] is ho1d.cuts
     # the single-orbital models' ladder starts at five times their length
-    # scale; ho1d's a margin past its top level's turning point sqrt(2 * 19 + 1)
-    assert cuts == [(5.0 * gauss.support_hint, 1), (math.sqrt(39.0) + 5.0, 20)]
+    # scale, after 16 panels; ho1d's a margin past its top level's turning
+    # point sqrt(2 * 19 + 1), after ceil(1.25 * 20) panels, one per 0.8 levels
+    for head, end, panels in zip(heads, (5.0 * gauss.support_hint, math.sqrt(39.0) + 5.0),
+                                 (16, 25)):
+        assert head.tobytes() == np.linspace(0.0, end, panels + 1).tobytes()
+        assert not head.flags.writeable
 
 
 class TestEntropicMoment:
@@ -155,7 +160,7 @@ class TestOrderChecks:
         def no_quadrature(*args):
             raise AssertionError("a quadrature ran")
 
-        monkeypatch.setattr(F, "_integrate", no_quadrature)
+        monkeypatch.setattr(M, "_adaptive_gk", no_quadrature)
         dens = D.gaussian_pair(3, 1.0).position
         with pytest.raises(DomainError, match="^moment order must be a finite number"):
             F.radial_moment(dens, order)
@@ -226,7 +231,8 @@ class TestFisherInformation:
 
     def test_zero_density_has_zero_information(self):
         dens = D.RadialDensity(d=3, N=1.0, rho=lambda r: np.zeros(np.shape(r)),
-                               drho=lambda r: (np.zeros(np.shape(r)),) * 2)
+                               drho=lambda r: (np.zeros(np.shape(r)),) * 2,
+                               cuts=M.uniform_cuts(0.0, 5.0))
         assert F.fisher_information(dens).value == 0.0
         assert F.radial_moment(dens, 1.0).value == 0.0
 
@@ -418,16 +424,51 @@ class TestTabulatedQuadrature:
             return
         assert abs(mv.value - exact) <= mv.est_error
 
+    @pytest.mark.filterwarnings("ignore:measured normalization")
+    @pytest.mark.parametrize("d,r,values", [
+        (1, np.linspace(0.0, 12.0, 400), D.gaussian_pair(1, 1.0).position.rho),
+        (1, np.linspace(0.0, 12.0, 4000), D.gaussian_pair(1, 1.0).position.rho),
+        (60, np.linspace(0.0, 1.5e5, 400), lambda r: 1e-282 * np.exp(-(r / 2.8e4) ** 2)),
+    ], ids=["gaussian-400", "gaussian-4000", "d60-r^d-overflows"])
+    def test_left_out_mass_bound_is_honest(self, monkeypatch, d, r, values):
+        # the Fisher integrand is 0 where the interpolant is at most 1e-12
+        # of its peak, past r ~ 7.4 (d = 1) and 1.47e5 (d = 60) here; the
+        # mass left out that way, bounded cell by cell from the knot
+        # values, goes into the error estimate.  At d = 60 the last knots'
+        # r^d is past the double range, though the bound is not
+        dens = D.load_tabulated(SystemConfig(d=d, N=1.0), r, values(r))
+        quadrature, bounds = F._quadrature, []
+
+        def capturing(*args):
+            bounds.append(args[-1])
+            return quadrature(*args)
+
+        monkeypatch.setattr(F, "_quadrature", capturing)
+        F.fisher_information(dens)
+        floor = 1e-12 * float(np.max(dens.rho(r)))
+        mass = omega(d) * M.gauss_cells(
+            lambda x: np.where(dens.rho(x) <= floor, dens.rho(x), 0.0) * x ** (d - 1.0), r)[0]
+        assert mass > 0.0
+        assert mass <= bounds[0] <= 2.0 * mass + 1e-300
+
 
 # the fields of a density that reach the quadrature, each changed on a copy
 _READ_FIELDS = {
     "d": lambda dens: dataclasses.replace(dens, d=2),
+    "rho": lambda dens: dataclasses.replace(dens, rho=lambda r: dens.rho(r)),
     "support": lambda dens: dataclasses.replace(dens, support=(0.0, 2.0)),
-    "tail_cut": lambda dens: dataclasses.replace(dens, tail_cut=2.0 * dens.tail_cut),
-    "levels": lambda dens: dataclasses.replace(dens, levels=40),
+    "cuts": lambda dens: dataclasses.replace(dens, cuts=2.0 * dens.cuts),
     "drho": lambda dens: dataclasses.replace(
         dens, drho=lambda r: (dens.drho(r)[0], 2.0 * dens.drho(r)[1])),
     "knots": lambda dens: dataclasses.replace(dens, knots=dens.knots[::2].copy()),
+}
+# the fields the quadrature never reads, each changed on a copy
+_UNREAD_FIELDS = {
+    "label": lambda dens: dataclasses.replace(dens, label="renamed"),
+    "N": lambda dens: dataclasses.replace(dens, N=2.0 * dens.N),
+    "exact": lambda dens: dataclasses.replace(dens, exact=lambda kind, order: None),
+    "support_hint": lambda dens: dataclasses.replace(dens, support_hint=2.0 * dens.support_hint),
+    "tail_exponent": lambda dens: dataclasses.replace(dens, tail_exponent=50.0),
 }
 
 
@@ -472,6 +513,17 @@ class TestQuadratureMemo:
         assert len(sweeps) > 1
         assert passes == [True] * len(sweeps)
 
+    def test_every_field_is_keyed_or_never_read(self):
+        # a new field must join the memo key or the list of unread fields
+        fields = list(D.RadialDensity.__dataclass_fields__)
+        assert sorted(fields) == sorted([*_READ_FIELDS, *_UNREAD_FIELDS])
+
+    @pytest.mark.parametrize("field", list(_UNREAD_FIELDS))
+    def test_a_changed_unread_field_shares_the_entry(self, field):
+        dens = quadrature_only(D.gaussian_pair(3, 1.0).position)
+        first = F.fisher_information(dens)
+        assert F.fisher_information(_UNREAD_FIELDS[field](dens)) is first
+
     @pytest.mark.parametrize("field", list(_READ_FIELDS))
     def test_a_changed_read_field_gets_its_own_entry(self, field):
         dens = gaussian_table() if field == "knots" \
@@ -511,13 +563,13 @@ class TestQuadratureMemo:
 
 
 def test_ho1d_fleet_integrates_each_fisher_information_once(monkeypatch):
-    integrate, calls = F._integrate, []
+    calls = []
 
     def counted(*args):
-        calls.append(args[0].label)
-        return integrate(*args)
+        calls.append(args[2])
+        return quad_halfline(*args)
 
-    monkeypatch.setattr(F, "_integrate", counted)
+    monkeypatch.setattr(F, "quad_halfline", counted)
     fleet = [D.harmonic_fermions_1d(n, 2) for n in range(1, 41)]
     for name in ("fisher_product_heisenberg", "cramer_rao", "zumbach"):
         rows = I.sweep(I.InequalityId(name), fleet, SystemConfig(d=1, N=1.0, q=2))
@@ -603,7 +655,7 @@ class TestHo1dLayout:
     def test_rescaled_state_keeps_the_layout(self, monkeypatch):
         base = D.harmonic_fermions_1d(20, 2).position
         scaled = scale_density(base, 2.0)
-        assert (scaled.tail_cut, scaled.levels) == (base.tail_cut / 2.0, base.levels)
+        assert scaled.cuts.tobytes() == (base.cuts / 2.0).tobytes()
         base_work = _work(monkeypatch, lambda: F.fisher_information(base))
         scaled_work = _work(monkeypatch, lambda: F.fisher_information(scaled))
         assert scaled_work[0] == base_work[0]

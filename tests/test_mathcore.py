@@ -151,31 +151,29 @@ class TestIntegrateHalfline:
         with pytest.raises(TypeError):
             QuadratureSpec(abs_tol=1e-12)
 
-    @pytest.mark.parametrize("cut", [0.0, -1.0, math.nan, math.inf, True])
-    def test_tail_cut_validation(self, cut):
-        with pytest.raises(DomainError, match="tail_cut"):
-            quad_halfline(lambda r: np.exp(-r), tail_cut=cut)
-
-    @pytest.mark.parametrize("levels", [0, -3, 1.5, math.nan, True])
-    def test_levels_validation(self, levels):
-        with pytest.raises(DomainError, match="levels"):
-            quad_halfline(lambda r: np.exp(-r), levels=levels)
+    @pytest.mark.parametrize("end", [0.0, -1.0, math.nan, math.inf])
+    def test_head_validation(self, end):
+        with pytest.raises(DomainError, match="head end"):
+            quad_halfline(lambda r: np.exp(-r), head=np.array([0.0, 0.5, end]))
 
     @pytest.mark.parametrize("levels,panels", [(1, 16), (12, 16), (13, 17), (20, 25), (676, 845)])
     def test_head_panels_follow_the_levels(self, monkeypatch, levels, panels):
-        # max(16, ceil(1.25 levels)) uniform head panels, then 16 ladder rungs
+        # ho1d of `levels` filled levels states max(16, ceil(1.25 levels))
+        # uniform head panels; the first sweep adds 16 ladder rungs
         gk21, first = mathcore._gk21, []
 
         def counted(f, lo, hi):
             first.append((lo.copy(), hi.copy()))
             return gk21(f, lo, hi)
 
+        head = densities.harmonic_fermions_1d(levels, 1).position.cuts
+        end = math.sqrt(2.0 * levels - 1.0) + 5.0
         monkeypatch.setattr(mathcore, "_gk21", counted)
-        quad_halfline(lambda r: np.exp(-r), tail_cut=3.0, levels=levels)
+        quad_halfline(lambda r: np.exp(-r), head=head)
         lo, hi = first[0]
         assert lo.size == panels + 16
-        np.testing.assert_allclose(hi[:panels] - lo[:panels], 3.0 / panels)
-        assert hi[panels - 1] == lo[panels] == 3.0
+        np.testing.assert_allclose(hi[:panels] - lo[:panels], end / panels)
+        assert hi[panels - 1] == lo[panels] == end
 
     @settings(max_examples=25, deadline=None)
     @given(a=st.floats(-10, 10, allow_nan=False), b=st.floats(-10, 10, allow_nan=False))
@@ -236,11 +234,13 @@ GOLDEN_INTEGRALS = {
     "halfline_bump20": lambda: quad_halfline(lambda r: np.exp(-((r - 20.0) / 0.01) ** 2)),
     "halfline_power_tail": lambda: quad_halfline(lambda r: (1.0 + r) ** -1.1),
     "halfline_cut_tight": lambda: quad_halfline(lambda r: r ** 3 * np.exp(-0.5 * r * r),
-                                                QuadratureSpec(rel_tol=1e-13), tail_cut=3.0),
+                                                QuadratureSpec(rel_tol=1e-13),
+                                                head=mathcore.uniform_cuts(0.0, 3.0)),
     "halfline_power_tail3": lambda: quad_halfline(lambda r: r * r / (1.0 + r) ** 4.5),
     "halfline_osc_tail": lambda: quad_halfline(lambda r: np.exp(-0.2 * r) * (2.0 + np.cos(10.0 * r))),
     "halfline_peak_past_cut": lambda: quad_halfline(
-        lambda r: np.exp(-r / 10.0) / (1e-4 + (r - 47.0) ** 2), tail_cut=8.0),
+        lambda r: np.exp(-r / 10.0) / (1e-4 + (r - 47.0) ** 2),
+        head=mathcore.uniform_cuts(0.0, 8.0)),
     "halfline_kink": lambda: quad_halfline(lambda r: np.exp(-np.abs(r - 3.3)) * (1.0 + r)),
     "two_lorentz": lambda: quad_finite(
         lambda r: 1.0 / (1e-6 + (r - 0.3) ** 2) + 1.0 / (1e-6 + (r - 0.8) ** 2), 0.0, 1.0),
@@ -371,10 +371,10 @@ class TestEndGrading:
     def test_fractional_moment_at_the_origin(self, monkeypatch):
         g_calls = []
 
-        def counting(f, spec=None, tail_cut=30.0, levels=1):
+        def counting(f, spec=None, head=None):
             g, calls = self.counted(f)
             g_calls.append(calls)
-            return quad_halfline(g, spec, tail_cut, levels)
+            return quad_halfline(g, spec, head)
 
         monkeypatch.setattr(functionals, "quad_halfline", counting)
         pos = dataclasses.replace(densities.gaussian_pair(1, 1.0).position, exact=None)
@@ -550,7 +550,7 @@ class TestQuadFinite:
         # the starting cuts are np.linspace's, bit for bit, a subnormal
         # step included
         want = np.linspace(lo, hi, panels + 1)
-        assert mathcore._uniform(lo, hi, panels).tobytes() == want.tobytes()
+        assert mathcore.uniform_cuts(lo, hi, panels).tobytes() == want.tobytes()
 
 
 class TestNodeArrays:

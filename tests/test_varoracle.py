@@ -99,7 +99,7 @@ class TestMinimizerDensity:
         def no_quadrature(*args):
             raise AssertionError("quadrature ran")
 
-        monkeypatch.setattr(functionals, "_integrate", no_quadrature)
+        monkeypatch.setattr(M, "_adaptive_gk", no_quadrature)
         with pytest.raises(DivergenceError, match="diverges at the support edge"):
             fisher_information(V.minimizer_density(d, alpha, k))
 
