@@ -482,6 +482,12 @@ def main(argv=None) -> int:
         spec = _quadrature_spec(args)
         doc = _COMMANDS[args.command](args, spec)
         text = doc.render(args.format)
+        if args.out:
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise FormatError(f"cannot write {args.out}: {exc}") from exc
     except UncrelError as exc:
         code = 2 if isinstance(exc, FormatError) else 4 if isinstance(exc, ConvergenceError) else 3
         if args.format == "json":
@@ -491,10 +497,7 @@ def main(argv=None) -> int:
         else:
             print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return code
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
     return 0
 

@@ -30,6 +30,7 @@ __all__ = [
     "harmonic_fermions_1d",
     "load_tabulated",
     "fixed_moments",
+    "density_views",
 ]
 
 
@@ -61,9 +62,9 @@ class RadialDensity:
     """A radial probability density in d dimensions normalized to N particles.
 
     rho maps radius to density value, and drho to the pair (rho, rho')
-    with rho's bits, which Fisher information reads at the same nodes.  A
-    drho never calls its density's rho: the quadrature memo holds drho in
-    entries kept under a weak reference to rho, which would then live on.
+    with rho's bits, read by Fisher information at the same nodes.  Both view
+    one evaluation (density_views): a drho calling rho would keep rho alive
+    in the quadrature memo, whose entries hold drho under a weak key on rho.
     exact, when present, is the closed form: exact(kind, order) is the
     exact <r^order> for kind "moment", W_order for kind "entropic" and
     the Fisher information for kind "fisher" (order 2), or None where
@@ -110,6 +111,13 @@ class RadialDensity:
         self.cuts.flags.writeable = False  # the quadrature memo keys on its identity
 
 
+def density_views(density: Callable) -> dict:
+    """rho and drho of a RadialDensity, views of one evaluation density(r, slope):
+    the value at a float64 array r, or with slope the pair (value, derivative)."""
+    return {"rho": lambda r: density(np.asarray(r, dtype=float), False),
+            "drho": lambda r: density(np.asarray(r, dtype=float), True)}
+
+
 def fixed_moments(moments: dict) -> Callable:
     """A RadialDensity.exact that knows the radial moments {order: <r^order>}
     and nothing else."""
@@ -147,14 +155,9 @@ def _gaussian_radial(d: int, sigma2: float, N: float, label: str) -> RadialDensi
     norm = (Wide(N) * Wide(2.0 * math.pi * sigma2) ** (-d / 2.0)).value(label)
     (Wide(norm) / Wide(sigma2) ** 0.5).value(label)  # the peak of drho, r = sigma
 
-    def rho(r):
-        r = np.asarray(r, dtype=float)
-        return norm * np.exp(-r * r / (2.0 * sigma2))
-
-    def drho(r):
-        r = np.asarray(r, dtype=float)
+    def density(r, slope):
         e = np.exp(-r * r / (2.0 * sigma2))
-        return norm * e, -r / sigma2 * norm * e
+        return (norm * e, -r / sigma2 * norm * e) if slope else norm * e
 
     def exact(kind, order):
         if kind == "moment" and order > -d:
@@ -176,7 +179,7 @@ def _gaussian_radial(d: int, sigma2: float, N: float, label: str) -> RadialDensi
         return value.value(f"{label}: {kind} of order {order}")
 
     hint = 4.0 * math.sqrt(sigma2)
-    return RadialDensity(d=d, N=N, rho=rho, drho=drho, cuts=uniform_cuts(0.0, 5.0 * hint),
+    return RadialDensity(d=d, N=N, **density_views(density), cuts=uniform_cuts(0.0, 5.0 * hint),
                          exact=exact, support_hint=hint, label=label)
 
 
@@ -210,14 +213,10 @@ def hydrogenic_pair(Z: float) -> DensityPair:
     cmom = 8.0 * Z ** 5 / math.pi ** 2
 
     # np.power, not **: a numpy scalar's ** rounds apart from an array's
-    def gam(p):
-        p = np.asarray(p, dtype=float)
-        return cmom / np.power(Z * Z + p * p, 4)
-
-    def dgam(p):
-        p = np.asarray(p, dtype=float)
+    def density(p, slope):
         s = Z * Z + p * p
-        return cmom / np.power(s, 4), -8.0 * p * cmom / np.power(s, 5)
+        gam = cmom / np.power(s, 4)
+        return (gam, -8.0 * p * cmom / np.power(s, 5)) if slope else gam
 
     def mom_exact(kind, order):
         if kind == "moment" and -3.0 < order < 5.0:
@@ -239,9 +238,9 @@ def hydrogenic_pair(Z: float) -> DensityPair:
             return None
         return value.value(f"hydrogenic-mom(Z={Z}): {kind} of order {order}")
 
-    mom = RadialDensity(d=3, N=1.0, rho=gam, drho=dgam, cuts=uniform_cuts(0.0, 5.0 * (3.0 * Z)),
-                        exact=mom_exact, support_hint=3.0 * Z, tail_exponent=8.0,
-                        label=f"hydrogenic-mom(Z={Z})")
+    mom = RadialDensity(d=3, N=1.0, **density_views(density),
+                        cuts=uniform_cuts(0.0, 5.0 * (3.0 * Z)), exact=mom_exact,
+                        support_hint=3.0 * Z, tail_exponent=8.0, label=f"hydrogenic-mom(Z={Z})")
     return DensityPair(pos, mom, real_wavefunction=True, label=f"hydrogenic(Z={Z})")
 
 
@@ -251,14 +250,9 @@ def _exponential_radial(d: int, lam: float, N: float, label: str, hint: float) -
     c = (Wide(N) * Wide(lam) ** d / sphere).value(label)
     (Wide(lam) * c).value(label)  # drho's factor
 
-    def rho(r):
-        r = np.asarray(r, dtype=float)
-        return c * np.exp(-lam * r)
-
-    def drho(r):
-        r = np.asarray(r, dtype=float)
+    def density(r, slope):
         e = np.exp(-lam * r)
-        return c * e, -lam * c * e
+        return (c * e, -lam * c * e) if slope else c * e
 
     def exact(kind, order):
         if kind == "moment" and order > -d:
@@ -274,7 +268,7 @@ def _exponential_radial(d: int, lam: float, N: float, label: str, hint: float) -
             return None
         return value.value(f"{label}: {kind} of order {order}")
 
-    return RadialDensity(d=d, N=N, rho=rho, drho=drho, cuts=uniform_cuts(0.0, 5.0 * hint),
+    return RadialDensity(d=d, N=N, **density_views(density), cuts=uniform_cuts(0.0, 5.0 * hint),
                          exact=exact, support_hint=hint, label=label)
 
 
@@ -365,17 +359,14 @@ def harmonic_fermions_1d(N: int, q: int) -> DensityPair:
     weights = [int(q)] * top + [rest + 1]  # fermions on levels 0..top
     levels = _oscillator_levels(weights)
 
-    def rho(x):
-        return _level_pass(np.asarray(x, dtype=float), levels, False)[0]
-
-    def drho(x):
-        return _level_pass(np.asarray(x, dtype=float), levels, True)
+    def density(x, slope):
+        return _level_pass(x, levels, True) if slope else _level_pass(x, levels, False)[0]
 
     # total <x^2> = total <p^2> = sum over occupied levels of w (n + 1/2)
     second = sum(w * (n + 0.5) for n, w in enumerate(weights))
     turn = math.sqrt(2.0 * top + 1.0)  # the top level's classical turning point
     panels = max(16, math.ceil(_PANELS_PER_LEVEL * (top + 1)))
-    pos = RadialDensity(d=1, N=float(N), rho=rho, drho=drho,
+    pos = RadialDensity(d=1, N=float(N), **density_views(density),
                         cuts=uniform_cuts(0.0, turn + _HEAD_MARGIN, panels),
                         exact=fixed_moments({0.0: float(N), 2.0: second}),
                         support_hint=turn + 4.0, label=f"ho1d(N={N},q={q})")
@@ -386,9 +377,10 @@ def harmonic_fermions_1d(N: int, q: int) -> DensityPair:
 def load_tabulated(cfg: SystemConfig, r, rho_values) -> RadialDensity:
     """Interpolant-backed density from a strictly increasing (r, rho) table.
 
-    The normalization is measured (not rescaled) and stored on the
-    returned density; a measured count deviating from cfg.N by more than
-    1% emits a warning.
+    Its evaluation is the table's PCHIP interpolant (mathcore.MonotoneInterpolant),
+    0 outside the table.  The normalization is measured (not rescaled) and
+    stored on the returned density; a measured count deviating from cfg.N
+    by more than 1% emits a warning.
     """
     r = np.array(r, dtype=float)  # a copy: the density makes it read-only
     rho_values = np.asarray(rho_values, dtype=float)
@@ -399,21 +391,6 @@ def load_tabulated(cfg: SystemConfig, r, rho_values) -> RadialDensity:
     if r[0] < 0:
         raise FormatError("radii must be non-negative")
     interp = interpolate_monotone(r, rho_values)  # validates ordering and sign
-
-    lo, hi = float(r[0]), float(r[-1])
-
-    def rho(x):
-        x = np.asarray(x, dtype=float)
-        v = interp(np.clip(x, lo, hi))
-        v = np.where((x < lo) | (x > hi), 0.0, v)
-        return np.maximum(v, 0.0)
-
-    def drho(x):
-        x = np.asarray(x, dtype=float)
-        inside, outside = np.clip(x, lo, hi), (x < lo) | (x > hi)
-        v = np.maximum(np.where(outside, 0.0, interp(inside)), 0.0)
-        return v, np.where(outside, 0.0, interp.derivative(inside))[()]
-
     measured = omega(cfg.d) * gauss_cells(lambda x: interp(x) * x ** (cfg.d - 1), r)[0]
     if measured <= 0:
         raise DomainError("tabulated density has zero measured normalization")
@@ -421,5 +398,5 @@ def load_tabulated(cfg: SystemConfig, r, rho_values) -> RadialDensity:
         warnings.warn(
             f"measured normalization {measured:.6g} deviates from declared "
             f"N = {cfg.N:.6g} by more than 1%", stacklevel=2)
-    return RadialDensity(d=cfg.d, N=float(measured), rho=rho, drho=drho, cuts=r,
-                         support=(lo, hi), knots=r, label="tabulated")
+    return RadialDensity(d=cfg.d, N=float(measured), **density_views(interp), cuts=r,
+                         support=(float(r[0]), float(r[-1])), knots=r, label="tabulated")

@@ -25,11 +25,11 @@ has fallen off.
 
 Minimization is Brent's method, a port of the loop of scipy's
 Brent.optimize (scipy 1.17); monotone interpolation is PCHIP, a numpy
-port of scipy's PchipInterpolator whose cubic pieces are summed in the
-order of scipy's PPoly.  Both return the same bits as scipy on the same
-input, and the test suite pins that against scipy.  None of this
-imports scipy, which costs more start-up time than numpy and everything
-here together.
+port of scipy's PchipInterpolator summed in the order of scipy's PPoly.
+Both return scipy's bits on the same input (PCHIP inside its knots; it
+is 0 outside them), and the test suite pins that against scipy.  None of
+this imports scipy, which costs more start-up time than numpy and
+everything here together.
 """
 
 from __future__ import annotations
@@ -505,65 +505,68 @@ def _pchip_end_slope(h0, h1, m0, m1):
 
 
 class MonotoneInterpolant:
-    """C1 monotone-preserving cubic (PCHIP) through the sample points.
-
-    Reproduces the samples exactly, never overshoots below the data
-    (non-negative data give a non-negative interpolant), and exposes
-    the first derivative; both are NaN outside [x[0], x[-1]].
-
-    Slopes and cubic coefficients are formed as scipy's
-    PchipInterpolator and CubicHermiteSpline form them, and each cell's
-    polynomial is summed in the order of scipy's PPoly evaluation, so
-    values and derivatives equal scipy's bit for bit.
+    """C1 monotone-preserving cubic (PCHIP) through the sample points, read
+    as a density: interp(r) is the value, interp(r, True) the pair (value,
+    derivative), both from one cell search.  Inside [x[0], x[-1]] they equal
+    scipy's PchipInterpolator(extrapolate=False) and its .derivative() bit
+    for bit (coefficients formed as CubicHermiteSpline forms them, summed in
+    PPoly's order); outside they are 0, a NaN radius gives NaN, and the
+    value is never below 0.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
         self.x = x
-        self.y = y
-        h = np.diff(x)
-        m = np.diff(y) / h
-        dk = np.empty_like(y)
-        if x.size == 2:
-            dk[:] = m[0]
-        else:
-            # interior slopes: weighted harmonic mean of the neighbouring
-            # secants, zero at a local extremum or next to a flat cell
-            flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
-            w1 = 2 * h[1:] + h[:-1]
-            w2 = h[1:] + 2 * h[:-1]
-            # a tiny secant makes whmean overflow to inf, i.e. a zero slope
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        with np.errstate(all="ignore"):  # out-of-range results are rejected below
+            h = np.diff(x)
+            m = np.diff(y) / h
+            dk = np.empty_like(y)
+            if x.size == 2:
+                dk[:] = m[0]
+            else:
+                # interior slopes: weighted harmonic mean of the neighbouring
+                # secants, zero at a local extremum or next to a flat cell; a
+                # tiny secant makes whmean overflow to inf, i.e. a zero slope
+                flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+                w1 = 2 * h[1:] + h[:-1]
+                w2 = h[1:] + 2 * h[:-1]
                 whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
                 dk[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
-            dk[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
-            dk[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
-        # Hermite cubic per cell, highest power first
-        t = (dk[:-1] + dk[1:] - 2 * m) / h
-        self._coef = (t / h, (m - dk[:-1]) / h - t, dk[:-1], y[:-1])
-        self._dcoef = (self._coef[0] * 3.0, self._coef[1] * 2.0, self._coef[2])
+                dk[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+                dk[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+            # Hermite cubic per cell, row k the coefficient of (r - x_i)^k
+            t = (dk[:-1] + dk[1:] - 2 * m) / h
+            self._coef = np.array([y[:-1], dk[:-1], (m - dk[:-1]) / h - t, t / h])
+            # k c_k, k = 1..3, are the slope's; an infinite secant leaves inf or NaN there
+            if not np.isfinite(self._coef[1:] * 3.0).all():
+                raise FormatError("table secants or cubic coefficients out of the double range")
 
-    def _evaluate(self, coef, r):
+    def __call__(self, r, slope: bool = False):
         r = np.asarray(r, dtype=float)
-        x = self.x
-        i = np.clip(np.searchsorted(x, r, side="right") - 1, 0, x.size - 2)
-        s = r - x[i]
-        # power sum from the constant term up, as PPoly evaluates it
-        v = np.zeros_like(s)
-        z = np.ones_like(s)
-        for c in reversed(coef):
-            v += c[i] * z
+        x, c, shape, r = self.x, self._coef, r.shape, r.ravel()  # 1-d: sums written in place
+        outside = (r < x[0]) | (r > x[-1])
+        s = np.clip(r, x[0], x[-1])  # NaN stays NaN, in the last cell
+        i = np.searchsorted(x[:-1], s, side="right") - 1
+        s -= x[i]
+        # PPoly's sums from +0, constant term first: v = sum c_k s^k, g = sum k c_k s^(k-1)
+        v, g = c[0][i] + 0.0, np.zeros_like(s) if slope else None
+        z, term = np.ones_like(s), np.empty_like(s)
+        for k in (1, 2, 3):
+            np.take(c[k], i, out=term, mode="clip")  # i is in range; "raise" would buffer a copy
+            if slope:
+                g += term * k * z
             z *= s
-        return np.where((r >= x[0]) & (r <= x[-1]), v, np.nan)
-
-    def __call__(self, r):
-        return self._evaluate(self._coef, r)
-
-    def derivative(self, r):
-        return self._evaluate(self._dcoef, r)
+            term *= z
+            v += term
+        np.maximum(v, 0.0, out=v)
+        v[outside] = 0.0
+        if slope:
+            g[outside] = 0.0
+        return (v.reshape(shape)[()], g.reshape(shape)[()]) if slope else v.reshape(shape)[()]
 
 
 def interpolate_monotone(x, y) -> MonotoneInterpolant:
-    """Build a monotone cubic interpolant from an ordered (x, y) table."""
+    """Build a monotone cubic interpolant from an ordered (x, y) table; a
+    FormatError where its secants or coefficients leave the double range."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 1 or x.shape != y.shape:

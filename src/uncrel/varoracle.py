@@ -32,7 +32,7 @@ import numpy as np
 
 from . import constants
 from .constants import beta, omega
-from .densities import RadialDensity, fixed_moments
+from .densities import RadialDensity, density_views, fixed_moments
 from .errors import DivergenceError, DomainError, check_finite, check_integer, check_positive
 from .functionals import entropic_moment
 from .mathcore import QuadratureSpec, uniform_cuts
@@ -101,17 +101,14 @@ def minimizer_density(d: int, alpha: float, k: float,
         omega(d) * a ** (d + alpha * e) * beta(d / alpha, e + 1.0)))
     a_alpha = _formed(f"the scale of {label}", lambda: a ** alpha)
 
-    def rho(r):
-        r = np.asarray(r, dtype=float)
+    def density(r, slope):
         core = np.maximum(a_alpha - np.power(r, alpha), 0.0)
-        return C * np.power(core, e)
-
-    def drho(r):
-        r = np.asarray(r, dtype=float)
-        core = np.maximum(a_alpha - np.power(r, alpha), 0.0)
+        value = C * np.power(core, e)
+        if not slope:
+            return value
         # 0 past the edge, and at it, where core^(e - 1) is infinite for k > d
         inner = np.power(core, e - 1.0, out=np.zeros_like(core), where=core > 0.0)
-        return C * np.power(core, e), -C * e * alpha * np.power(r, alpha - 1.0) * inner
+        return value, -C * e * alpha * np.power(r, alpha - 1.0) * inner
 
     moments = fixed_moments({0.0: N, float(alpha): r_alpha})
 
@@ -121,7 +118,7 @@ def minimizer_density(d: int, alpha: float, k: float,
                                   f"support edge for k >= d")
         return moments(kind, order)
 
-    return RadialDensity(d=d, N=N, rho=rho, drho=drho, cuts=uniform_cuts(0.0, a),
+    return RadialDensity(d=d, N=N, **density_views(density), cuts=uniform_cuts(0.0, a),
                          exact=exact, support=(0.0, a), label=label)
 
 
@@ -152,22 +149,17 @@ def maximizer_density(d: int, alpha: float, k: float,
     # a^alpha + r^alpha = hi^alpha (1 + (lo/hi)^alpha) with hi = max(a, r),
     # lo = min(a, r): far out, r^alpha alone overflows while the density
     # is still representable
-    def rho(r):
-        r = np.asarray(r, dtype=float)
-        hi = np.maximum(r, a)
-        return C * np.power(hi, alpha * e) \
-            * np.power(1.0 + np.power(np.minimum(r, a) / hi, alpha), e)
-
-    def drho(r):
-        # r^(alpha-1) = (r/hi)^(alpha-1) hi^(alpha-1), merged into hi^(alpha e - 1)
-        r = np.asarray(r, dtype=float)
+    def density(r, slope):
         hi = np.maximum(r, a)
         base = 1.0 + np.power(np.minimum(r, a) / hi, alpha)
-        return C * np.power(hi, alpha * e) * np.power(base, e), \
-            C * e * alpha * np.power(r / hi, alpha - 1.0) * np.power(hi, alpha * e - 1.0) \
-            * np.power(base, e - 1.0)
+        value = C * np.power(hi, alpha * e) * np.power(base, e)
+        if not slope:
+            return value
+        # r^(alpha-1) = (r/hi)^(alpha-1) hi^(alpha-1), merged into hi^(alpha e - 1)
+        return value, C * e * alpha * np.power(r / hi, alpha - 1.0) \
+            * np.power(hi, alpha * e - 1.0) * np.power(base, e - 1.0)
 
-    return RadialDensity(d=d, N=N, rho=rho, drho=drho, cuts=uniform_cuts(0.0, 5.0 * a),
+    return RadialDensity(d=d, N=N, **density_views(density), cuts=uniform_cuts(0.0, 5.0 * a),
                          exact=fixed_moments({0.0: N, float(alpha): r_alpha}),
                          support_hint=a, tail_exponent=alpha * t, label=label)
 

@@ -69,13 +69,26 @@ def test_traced_density_fields():
     assert {"position", "momentum"} <= set(DensityPair.__dataclass_fields__)
 
 
-@pytest.mark.parametrize("build", [lambda: harmonic_fermions_1d(12, 2).position, gaussian_table],
-                         ids=["ho1d", "tabulated"])
-def test_traced_density_keeps_fisher_bits(build, monkeypatch):
+# every constructor's density whose Fisher information is integrated
+_FISHER_CASES = {
+    "gaussian": lambda: quadrature_only(gaussian_pair(3, 1.0).position),
+    "gaussian-mom": lambda: quadrature_only(gaussian_pair(3, 1.0).momentum),
+    "hydrogenic-mom": lambda: quadrature_only(hydrogenic_pair(1.0).momentum),
+    "exponential": lambda: quadrature_only(exponential_radial(3, 1.0)),
+    "ho1d": lambda: harmonic_fermions_1d(12, 2).position,
+    "tabulated": gaussian_table,
+    "minimizer": lambda: minimizer_density(3, 2.0, 1.0),  # k < d/2
+    "maximizer": lambda: maximizer_density(3, 2.0, -1.0),
+}
+
+
+@pytest.mark.parametrize("name", list(_FISHER_CASES))
+def test_traced_density_keeps_fisher_bits(name, monkeypatch):
     # the trace's counted drho hands on the (rho, rho') pair, and the Fisher
     # integrand makes that one call a sweep and no rho call; rho is read
     # once, at a table's knots, for its floor and its left-out mass, and
     # no quadrature but the integrand's runs
+    build = _FISHER_CASES[name]
     gk21, sweeps = mathcore._gk21, []
 
     def counted(f, lo, hi):

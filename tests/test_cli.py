@@ -3,6 +3,7 @@ import io
 import json
 import math
 import re
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -355,6 +356,37 @@ class TestErrors:
         code, _, err = run_cli(capsys, "moments", "--file", str(table))
         assert code == 2
         assert err.startswith(f"error[FormatError]: {table}: bad header value: ")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_out(self, capsys, tmp_path, fmt, where):
+        path = tmp_path / "missing" / "x.csv" if where == "missing-dir" else tmp_path
+        code, out, err = run_cli(capsys, "table1", "--out", str(path), "--format", fmt)
+        assert code == 2
+        if fmt == "json":
+            assert err == ""
+            assert json.loads(out)["error"]["type"] == "FormatError"
+            message = json.loads(out)["error"]["message"]
+        else:
+            assert out == ""
+            assert err.startswith("error[FormatError]: ")
+            message = err[len("error[FormatError]: "):]
+        assert message.startswith(f"cannot write {path}: ")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_table_out_of_the_double_range(self, capsys, tmp_path, fmt):
+        # the secant over [0, 1e-320] overflows: a typed error, and no warning
+        table = tmp_path / "tiny.csv"
+        table.write_text("# d=3\n" + "".join(
+            f"{r!r},{math.exp(-r - i)!r}\n" for i, r in
+            enumerate([0.0, 1e-320, 1e-319, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "moments", "--file", str(table), "--format", fmt)
+        assert code == 2
+        text = out if fmt == "json" else err
+        assert "out of the double range" in text
+        assert "Warning" not in out + err
 
     def test_position_needs_momentum(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "check", "--ineq", "cramer_rao",

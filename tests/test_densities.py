@@ -3,6 +3,7 @@ import math
 import random
 import re
 import sys
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -412,6 +413,29 @@ class TestLoadTabulated:
         r, rho = self.grid_table()
         with pytest.raises(FormatError, match="radii must be non-negative"):
             D.load_tabulated(SystemConfig(d=3, N=1.0, q=2), r - 1.0, rho)
+
+    def test_out_of_the_double_range_rejected(self):
+        r = np.array([0.0, 1e-320, 1e-319, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError, match="out of the double range"):
+                D.load_tabulated(SystemConfig(d=3, N=1.0), r, np.exp(-r - np.arange(r.size)))
+
+    def test_one_cell_search_per_call(self, monkeypatch):
+        # drho reads the value and the slope from one PCHIP cell search
+        dens, calls = gaussian_table(), []
+        searchsorted = np.searchsorted
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return searchsorted(*args, **kwargs)
+
+        monkeypatch.setattr(np, "searchsorted", counted)
+        r = np.linspace(0.0, 9.0, 500)
+        for call in (dens.rho, dens.drho):
+            del calls[:]
+            call(r)
+            assert len(calls) == 1
 
     def test_scaling_moves_the_support(self):
         r, rho = self.grid_table()

@@ -594,7 +594,7 @@ class TestInterpolateMonotone:
     def test_two_point_linear(self):
         interp = interpolate_monotone([0.0, 1.0], [1.0, 3.0])
         assert float(interp(0.5)) == pytest.approx(2.0, rel=1e-14)
-        assert float(interp.derivative(0.25)) == pytest.approx(2.0, rel=1e-12)
+        assert float(interp(0.25, True)[1]) == pytest.approx(2.0, rel=1e-12)
 
     def test_underflowing_tail_warns_nothing(self):
         # secants near the smallest floats make the harmonic mean overflow
@@ -603,6 +603,17 @@ class TestInterpolateMonotone:
             warnings.simplefilter("error")
             interp = interpolate_monotone(grid, np.exp(-grid ** 2 / 0.9))
         assert interp(29.0) == 0.0
+
+    @pytest.mark.parametrize("x,y", [
+        # the secant over [0, 1e-320] overflows
+        ([0.0, 1e-320, 1e-319, 1.0, 2.0, 3.0], [1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125]),
+        # finite secants, but the cubic coefficients of the 1e-200 cell overflow
+        ([0.0, 1e-200, 1.0, 2.0, 3.0], [1.0, 0.5, 0.25, 0.125, 0.0625])])
+    def test_out_of_the_double_range_rejected(self, x, y):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError, match="out of the double range"):
+                interpolate_monotone(x, y)
 
     def test_negative_ordinate_rejected(self):
         with pytest.raises(FormatError):
@@ -655,7 +666,8 @@ def _pchip_tables():
 
 
 class TestPchipPort:
-    """The numpy PCHIP equals scipy's PchipInterpolator bit for bit."""
+    """The numpy PCHIP equals scipy's PchipInterpolator bit for bit inside
+    the knots, and reads as a density outside them."""
 
     @pytest.mark.parametrize("x,y", _pchip_tables())
     def test_matches_scipy(self, x, y):
@@ -667,10 +679,15 @@ class TestPchipPort:
                             x[-1] + span * rng.uniform(1e-9, 1.0, 20), [np.nan]])
         ours = interpolate_monotone(x, y)
         ref = scipy.interpolate.PchipInterpolator(x, y, extrapolate=False)
-        for r_in in (r, r[:60].reshape(6, 10)):
-            np.testing.assert_array_equal(ours(r_in), ref(r_in))
-            np.testing.assert_array_equal(ours.derivative(r_in), ref.derivative()(r_in))
-        outside = (r < x[0]) | (r > x[-1]) | np.isnan(r)
-        assert np.isnan(ours(r)[outside]).all()
-        assert not np.isnan(ours(r)[~outside]).any()
+        inside = (r >= x[0]) & (r <= x[-1])
+        outside = (r < x[0]) | (r > x[-1])
+        for r_in, mask in ((r, inside), (r[:60].reshape(6, 10), inside[:60].reshape(6, 10))):
+            value, slope = ours(r_in, True)
+            assert value.shape == slope.shape == r_in.shape
+            assert value.tobytes() == ours(r_in).tobytes()
+            np.testing.assert_array_equal(value[mask], ref(r_in)[mask])
+            np.testing.assert_array_equal(slope[mask], ref.derivative()(r_in)[mask])
+        value, slope = ours(r, True)
+        assert (value[outside] == 0.0).all() and (slope[outside] == 0.0).all()
+        assert np.isnan(value[-1]) and np.isnan(slope[-1])
         assert float(ours(x[3 % x.size])) == float(ref(x[3 % x.size]))
