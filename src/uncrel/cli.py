@@ -273,9 +273,12 @@ def _select_space(state, held: str | None, wanted: str | None):
 
 def _parse_orders(text: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        orders = [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise FormatError(f"bad orders list {text!r}") from exc
+    if not orders:
+        raise FormatError(f"empty orders list {text!r}")
+    return orders
 
 
 def cmd_moments(args, spec: QuadratureSpec) -> ReportDocument:

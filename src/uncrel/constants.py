@@ -2,7 +2,9 @@
 
 Every evaluator is scale-free: it takes dimensionless parameters
 (d, alpha, k, N, q) and returns a pure number, raising DomainError
-outside a formula's validity window.
+outside a formula's validity window and, from one guard, where float
+arithmetic cannot form the value.  The Heisenberg-like coefficients of
+both signs of k share one closed form, W_{1+k/d} of the extremal density.
 
 The scalar special functions the coefficients are built from live here
 too: the sphere measure Omega_d, the Euler Beta, the exponential
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import ConvergenceError, DomainError, check_finite, check_integer, check_positive
 
@@ -72,6 +75,18 @@ def beta(a: float, b: float) -> float:
     if a <= 0 or b <= 0:
         raise DomainError(f"beta requires positive arguments, got ({a}, {b})")
     return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+
+
+def _formed(what: str, form: Callable[[], float], *args) -> float:
+    """form(), a DomainError where it overflows or is not a positive double,
+    named by what.format(*args), formatted only then: a repr costs more."""
+    try:
+        value = form()
+    except (OverflowError, ZeroDivisionError):
+        value = 0.0
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{what.format(*args)} cannot be formed in double precision")
+    return value
 
 
 _TINY = 2.2250738585072014e-308  # smallest normal float
@@ -247,7 +262,8 @@ def thakkar_coefficient(k: float) -> float:
     check_finite("momentum order", k)
     if k <= -3:
         raise DomainError(f"thakkar_coefficient requires k > -3, got {k}")
-    return 3.0 * (3.0 * math.pi ** 2) ** (k / 3.0) / (k + 3.0)
+    return _formed("thakkar_coefficient({})",
+                   lambda: 3.0 * (3.0 * math.pi ** 2) ** (k / 3.0) / (k + 3.0), k)
 
 
 def semiclassical_constant(d: int, k: float) -> float:
@@ -257,8 +273,9 @@ def semiclassical_constant(d: int, k: float) -> float:
     check_finite("momentum order", k)
     if k <= -d:
         raise DomainError(f"semiclassical constant requires k > -d = {-d}, got k = {k}")
-    return (d / (k + d)) * (2.0 * math.pi) ** k \
-        * math.gamma(1.0 + d / 2.0) ** (k / d) / math.pi ** (k / 2.0)
+    return _formed("semiclassical_constant({}, {})", lambda: (
+        (d / (k + d)) * (2.0 * math.pi) ** k
+        * math.gamma(1.0 + d / 2.0) ** (k / d) / math.pi ** (k / 2.0)), d, k)
 
 
 # Newton steps the stationarity solve may take; from its start point no
@@ -360,24 +377,29 @@ def rigorous_constant(d: int, k: float) -> float:
     return semiclassical_constant(d, k) * daubechies_factor(d, k)
 
 
+def _extremal_entropic(name: str, d: int, alpha: float, k: float, b: float) -> float:
+    """W_{1+k/d} at N = <r^alpha> = 1 of the density extremizing it at fixed
+    N and <r^alpha>, C (a^alpha - r^alpha)^(d/k) on the ball for k > 0 and
+    C (a^alpha + r^alpha)^(d/k) on the half line for -d < k < 0; b is the
+    Beta argument the constraints reduce to.  (m alpha + k)^(m alpha + k)
+    is never formed; a value that still cannot be is a DomainError."""
+    m = 1.0 + k / d
+    return _formed(name + "({}, {}, {})", lambda: (
+        alpha ** (1.0 + 2.0 * k / d) * abs(k) ** (k / alpha)
+        * (1.0 / (alpha + alpha * k / d + k)) ** (k * (1.0 / alpha + 1.0 / d) + 1.0)
+        * m ** m * (omega(d) * beta(b, d / alpha)) ** (-k / d)), d, alpha, k)
+
+
 def entropic_lower_coeff(d: int, alpha: float, k: float) -> float:
     """Variational coefficient in the lower bound on the entropic moment
     of order 1 + k/d under normalization and one radial-moment constraint
-    (positive orders alpha, k)."""
+    (positive orders alpha, k): W_{1+k/d} of the ball extremal density."""
     check_integer("dimension", d)
     check_finite("alpha", alpha)
     check_finite("momentum order", k)
     if alpha <= 0 or k <= 0:
         raise DomainError(f"entropic_lower_coeff requires alpha, k > 0, got ({alpha}, {k})")
-    m = 1.0 + k / d
-    b = beta(d / alpha, 2.0 + d / k)
-    try:
-        head = m ** m * alpha ** (1.0 + 2.0 * k / d) * (omega(d) * b) ** (-k / d)
-        tail = (k ** k / (m * alpha + k) ** (m * alpha + k)) ** (1.0 / alpha)
-    except (OverflowError, ZeroDivisionError):
-        raise DomainError(f"entropic_lower_coeff({d}, {alpha}, {k}) cannot be formed "
-                          f"in double precision") from None
-    return head * tail
+    return _extremal_entropic("entropic_lower_coeff", d, alpha, k, 2.0 + d / k)
 
 
 def heisenberg_coeff(d: int, alpha: float, k: float) -> float:
@@ -388,6 +410,8 @@ def heisenberg_coeff(d: int, alpha: float, k: float) -> float:
 
 def heisenberg_exponent(d: int, alpha: float, k: float) -> float:
     """Exponent of N on the right-hand side: 1 + k (1/alpha + 1/d)."""
+    if not alpha or not d:
+        raise DomainError(f"heisenberg_exponent requires alpha, d != 0, got ({alpha}, {d})")
     return 1.0 + k * (1.0 / alpha + 1.0 / d)
 
 
@@ -395,8 +419,8 @@ def heisenberg_rhs(d: int, alpha: float, k: float, N: float = 1.0, q: int = 1) -
     """Full right-hand side of the generalized Heisenberg-like relation."""
     check_positive("particle count", N)
     check_integer("spin multiplicity", q)
-    return heisenberg_coeff(d, alpha, k) * q ** (-k / d) \
-        * N ** heisenberg_exponent(d, alpha, k)
+    return _formed("heisenberg_rhs({}, {}, {}, N={}, q={})", lambda: heisenberg_coeff(d, alpha, k)
+                   * q ** (-k / d) * N ** heisenberg_exponent(d, alpha, k), d, alpha, k, N, q)
 
 
 def negative_order_window(d: int, k: float) -> float:
@@ -410,31 +434,20 @@ def negative_order_window(d: int, k: float) -> float:
 def entropic_upper_coeff_closed(d: int, alpha: float, k: float) -> float:
     """Closed-form coefficient of the upper bound on the entropic moment of
     order 1 + k/d for -d < k < 0: W_{1+k/d} of the half-line extremal
-    density C (a^alpha + r^alpha)^(d/k) at N = <r^alpha> = 1.
-
-    Real-evaluable exactly when alpha lies above the window
-    -k d / (d + k), where the first Beta argument is positive; outside it
-    raises DomainError naming the window.
-    """
+    density at N = <r^alpha> = 1.  alpha must lie above the window
+    -k d / (d + k), where the Beta argument b is positive."""
     check_integer("dimension", d)
     check_finite("momentum order", k)
     if not -d < k < 0:
         raise DomainError(f"entropic_upper_coeff_closed requires -d < k < 0, got {k}")
     check_positive("alpha", alpha)
-    b1 = -1.0 - d * (k + alpha) / (k * alpha)
-    b2 = d / alpha
-    # alpha (d + k) / d + k, positive inside the window as b1 is; within
-    # an ulp of the window either one can round to 0
-    base = alpha + alpha * k / d + k
-    if b1 <= 0 or base <= 0:
+    b = -1.0 - d * (k + alpha) / (k * alpha)
+    # m alpha + k, positive inside the window as b is; within an ulp of
+    # the window either one can round to 0
+    if b <= 0 or alpha + alpha * k / d + k <= 0:
         raise DomainError(f"alpha = {alpha} is outside the window "
                           f"alpha > {negative_order_window(d, k):.6g} for d = {d}, k = {k}")
-    m = 1.0 + k / d
-    return (alpha ** (1.0 + 2.0 * k / d)
-            * (-k) ** (k / alpha)
-            * (1.0 / base) ** (k * (1.0 / alpha + 1.0 / d) + 1.0)
-            * m ** m
-            * (omega(d) * beta(b1, b2)) ** (-k / d))
+    return _extremal_entropic("entropic_upper_coeff_closed", d, alpha, k, b)
 
 
 def negative_order_rhs(d: int, alpha: float, k: float, N: float = 1.0, q: int = 1) -> float:
@@ -450,8 +463,9 @@ def negative_order_rhs(d: int, alpha: float, k: float, N: float = 1.0, q: int = 
         raise DomainError(
             f"alpha = {alpha} violates the validity window alpha > {window:.6g} "
             f"for d = {d}, k = {k}")
-    return semiclassical_constant(d, k) * entropic_upper_coeff_closed(d, alpha, k) \
-        * q ** (-k / d) * N ** heisenberg_exponent(d, alpha, k)
+    return _formed("negative_order_rhs({}, {}, {}, N={}, q={})", lambda: (
+        semiclassical_constant(d, k) * entropic_upper_coeff_closed(d, alpha, k)
+        * q ** (-k / d) * N ** heisenberg_exponent(d, alpha, k)), d, alpha, k, N, q)
 
 
 def zumbach_constant(d: int) -> float:
@@ -467,7 +481,8 @@ def heisenberg_product_constant(d: int) -> float:
     """Coefficient A(2, d) of the d-dimensional variance product bound
     <r^2><p^2> >= A(2,d) q^(-2/d) N^(2 + 2/d)."""
     check_integer("dimension", d)
-    return ((d / (d + 1.0)) * math.gamma(d + 1.0) ** (1.0 / d)) ** 2
+    return _formed("heisenberg_product_constant({})",
+                   lambda: ((d / (d + 1.0)) * math.gamma(d + 1.0) ** (1.0 / d)) ** 2, d)
 
 
 # variant -> (q = 2 only, d = 3 only, large-N limit)

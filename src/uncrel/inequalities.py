@@ -119,14 +119,23 @@ def _semiclassical(pair: DensityPair, cfg: SystemConfig, spec: QuadratureSpec | 
 
 def _heisenberg(pair: DensityPair, cfg: SystemConfig, spec: QuadratureSpec | None,
                 alpha: float, k: float) -> tuple[float, float]:
-    """Generalized product bound <r^alpha>^(k/alpha) <p^k> >= coeff(d, alpha, k)
-    q^(-k/d) N^(1 + k(1/alpha + 1/d)) for positive orders."""
-    if alpha <= 0 or k <= 0:
+    """Generalized Heisenberg-like bound <r^alpha>^(k/alpha) <p^k> against
+    coeff q^(-k/d) N^(1 + k(1/alpha + 1/d)), coeff the semiclassical constant
+    times W_{1+k/d} of its extremal density: a lower bound for alpha, k > 0,
+    an upper bound for -d < k < 0 and alpha above -k d / (d + k) (d = 3
+    electron systems need k >= -2 for <p^k>).  The right side comes first:
+    the constants' one at N = q = 1, times powers of q and N whose overflow
+    `evaluate` reports as a side out of the double range."""
+    d = pair.position.d
+    if k > 0 and alpha <= 0:
         raise DomainError(f"the heisenberg bound requires alpha, k > 0, got ({alpha}, {k})")
+    if not (k > 0 or -d < k < 0):
+        raise DomainError(f"the negative-order bound requires -d < k < 0, got {k}")
+    coeff = (constants.heisenberg_rhs if k > 0 else constants.negative_order_rhs)(d, alpha, k)
+    rhs = coeff * cfg.q ** (-k / d) * cfg.N ** constants.heisenberg_exponent(d, alpha, k)
     ra = radial_moment(pair.position, alpha, spec).value
     pk = radial_moment(pair.momentum, k, spec).value
-    return ra ** (k / alpha) * pk, constants.heisenberg_rhs(pair.position.d, alpha, k,
-                                                            N=cfg.N, q=cfg.q)
+    return ra ** (k / alpha) * pk, rhs
 
 
 def _heisenberg_d3(pair: DensityPair, cfg: SystemConfig, spec: QuadratureSpec | None,
@@ -134,21 +143,6 @@ def _heisenberg_d3(pair: DensityPair, cfg: SystemConfig, spec: QuadratureSpec | 
     if pair.position.d != 3 or cfg.q != 2:
         raise DomainError("heisenberg_d3 is the d = 3, q = 2 specialization")
     return _heisenberg(pair, cfg, spec, alpha, k)
-
-
-def _negative_order(pair: DensityPair, cfg: SystemConfig, spec: QuadratureSpec | None,
-                    alpha: float, k: float) -> tuple[float, float]:
-    """Negative-order product bound <r^alpha>^(k/alpha) <p^k> <= coeff
-    q^(-k/d) N^(1 + k(1/alpha + 1/d)), valid for -d < k < 0 and alpha
-    above the window -k d / (d + k); d = 3 electron systems additionally
-    need k >= -2 for the momentum moment to exist."""
-    d = pair.position.d
-    if not -d < k < 0:
-        raise DomainError(f"the negative-order bound requires -d < k < 0, got {k}")
-    rhs = constants.negative_order_rhs(d, alpha, k, N=cfg.N, q=cfg.q)
-    ra = radial_moment(pair.position, alpha, spec).value
-    pk = radial_moment(pair.momentum, k, spec).value
-    return ra ** (k / alpha) * pk, rhs
 
 
 def _zumbach(pair: DensityPair, cfg: SystemConfig, spec: QuadratureSpec | None,
@@ -238,7 +232,7 @@ CATALOG: dict[str, Inequality] = {e.id: e for e in (
     Inequality("heisenberg_general", _heisenberg, _GE, {"alpha": 2.0, "k": 2.0},
                alias="heisenberg"),
     Inequality("heisenberg_d3", _heisenberg_d3, _GE, {"alpha": 2.0, "k": 2.0}),
-    Inequality("negative_order", _negative_order, _LE, {"alpha": 2.0, "k": -1.0}),
+    Inequality("negative_order", _heisenberg, _LE, {"alpha": 2.0, "k": -1.0}),
     Inequality("zumbach", _zumbach, _LE, {"orientation": "momentum"}),
     Inequality("zumbach_conjugate", _zumbach, _LE, {"orientation": "position"}),
     Inequality("fisher_product_heisenberg", _fisher_product, _GE,

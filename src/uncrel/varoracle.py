@@ -11,27 +11,26 @@ admissible window alpha > -k d / (d + k).  (The r >= a candidate carries
 a (r - a)^(d/k) endpoint singularity with d/k <= -1 throughout that
 window, so its normalization integral diverges.)
 
-The reconstruction is the brute-force oracle validating the closed-form
-coefficients: constraints are solved in closed form through Beta-function
-reduction, while the extremal's entropic moment is evaluated by
-quadrature.  So an extremal density's closed form (RadialDensity.exact)
-knows only its constraint moments, orders 0 and alpha, and where the
-minimizer's Fisher information diverges: a closed-form W_{1+k/d} would
-hand the oracle the very value it is there to check.  A scale,
-normalization or closed form that float arithmetic cannot form as a
-positive double is a DomainError.
+The reconstruction is the brute-force oracle validating the one closed
+form of W_{1+k/d} that `constants` gives for both signs of k: the
+constraints are solved through Beta-function reduction, the extremal's
+entropic moment by quadrature.  So an extremal density's closed form
+(RadialDensity.exact) knows only its constraint moments, orders 0 and
+alpha, and where the minimizer's Fisher information diverges: a closed-form
+W_{1+k/d} would hand the oracle the very value it is there to check.  A
+scale, normalization or closed form that float arithmetic cannot form as
+a positive double is a DomainError, from the guard the closed form uses.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import constants
-from .constants import beta, omega
+from .constants import _formed, beta, omega
 from .densities import RadialDensity, density_views, fixed_moments
 from .errors import DivergenceError, DomainError, check_finite, check_integer, check_positive
 from .functionals import entropic_moment
@@ -61,17 +60,6 @@ def _validate_orders(d: int, alpha: float, k: float) -> None:
     check_finite("momentum order", k)
 
 
-def _formed(what: str, form: Callable[[], float]) -> float:
-    """form(), a DomainError where it overflows or is not a positive double."""
-    try:
-        value = form()
-    except (OverflowError, ZeroDivisionError):
-        value = 0.0
-    if not 0.0 < value < math.inf:
-        raise DomainError(f"{what} cannot be formed in double precision")
-    return value
-
-
 def _scale_from_ratio(alpha: float, ratio: float, N: float, r_alpha: float, label: str) -> float:
     # a^alpha = (r_alpha / N) * ratio, from the Beta reduction of the two
     # constraint integrals
@@ -79,7 +67,7 @@ def _scale_from_ratio(alpha: float, ratio: float, N: float, r_alpha: float, labe
     check_positive("radial moment", r_alpha)
     if ratio <= 0:
         raise DomainError("constraint system is infeasible for these parameters")
-    return _formed(f"the scale of {label}", lambda: (r_alpha / N * ratio) ** (1.0 / alpha))
+    return _formed("the scale of {}", lambda: (r_alpha / N * ratio) ** (1.0 / alpha), label)
 
 
 def minimizer_density(d: int, alpha: float, k: float,
@@ -97,9 +85,9 @@ def minimizer_density(d: int, alpha: float, k: float,
     e = d / k
     label = f"extremal-min(d={d},alpha={alpha},k={k})"
     a = _scale_from_ratio(alpha, 1.0 + alpha * (e + 1.0) / d, N, r_alpha, label)
-    C = _formed(f"the normalization of {label}", lambda: N * alpha / (
-        omega(d) * a ** (d + alpha * e) * beta(d / alpha, e + 1.0)))
-    a_alpha = _formed(f"the scale of {label}", lambda: a ** alpha)
+    C = _formed("the normalization of {}", lambda: N * alpha / (
+        omega(d) * a ** (d + alpha * e) * beta(d / alpha, e + 1.0)), label)
+    a_alpha = _formed("the scale of {}", lambda: a ** alpha, label)
 
     def density(r, slope):
         core = np.maximum(a_alpha - np.power(r, alpha), 0.0)
@@ -143,8 +131,8 @@ def maximizer_density(d: int, alpha: float, k: float,
     t = -e  # positive exponent of (a^alpha + r^alpha)^-t
     label = f"extremal-max(d={d},alpha={alpha},k={k})"
     a = _scale_from_ratio(alpha, alpha * (d + k) / (d * (-k)) - 1.0, N, r_alpha, label)
-    C = _formed(f"the normalization of {label}", lambda: N * alpha / (
-        omega(d) * a ** (d + alpha * e) * beta(d / alpha, t - d / alpha)))
+    C = _formed("the normalization of {}", lambda: N * alpha / (
+        omega(d) * a ** (d + alpha * e) * beta(d / alpha, t - d / alpha)), label)
 
     # a^alpha + r^alpha = hi^alpha (1 + (lo/hi)^alpha) with hi = max(a, r),
     # lo = min(a, r): far out, r^alpha alone overflows while the density
@@ -168,8 +156,7 @@ def _extremal(d: int, alpha: float, k: float, spec: QuadratureSpec | None,
               density: Callable, closed_form: Callable) -> ExtremalConstant:
     # W_{1+k/d} of the extremal density at N = <r^alpha> = 1 and its closed form
     numeric = entropic_moment(density(d, alpha, k, N=1.0, r_alpha=1.0), 1.0 + k / d, spec).value
-    closed = _formed(f"{closed_form.__name__}({d}, {alpha}, {k})",
-                     lambda: closed_form(d, alpha, k))
+    closed = closed_form(d, alpha, k)
     return ExtremalConstant(d, alpha, k, numeric, closed, abs(numeric - closed) / closed)
 
 

@@ -284,6 +284,17 @@ class TestErrors:
         assert doc["error"]["type"] == "DomainError"
         assert doc["error"]["exit_code"] == 3
 
+    @pytest.mark.parametrize("orders", ["", ",", " , "])
+    def test_empty_orders_list_is_a_format_error(self, capsys, orders):
+        code, out, err = run_cli(capsys, "moments", "--model", "gaussian", f"--orders={orders}")
+        assert (code, out) == (2, "")
+        assert err == f"error[FormatError]: empty orders list {orders!r}\n"
+        code, out, _ = run_cli(capsys, "moments", "--model", "gaussian", f"--orders={orders}",
+                               "--format", "json")
+        assert code == 2
+        assert json.loads(out)["error"] == {"type": "FormatError", "exit_code": 2,
+                                            "message": f"empty orders list {orders!r}"}
+
     def test_negative_order_window_exit(self, capsys):
         code, _, _ = run_cli(capsys, "check", "--ineq", "negative_order",
                              "--model", "hydrogenic", "--alpha", "1", "--k", "-1")

@@ -150,7 +150,8 @@ TABLE_COMMANDS = EXPORTS + (
 
 # the stateless subcommands: both reference tables, and the oracle at a point
 # of each mode and outside each mode's window; then the `check` twin of a
-# one-member Gaussian sweep
+# one-member Gaussian sweep; last, a large-alpha oracle point and check,
+# where (m alpha + k)^(m alpha + k) once overflowed
 REFERENCE_COMMANDS = (
     ("table1",),
     ("table1", "--format", "json"),
@@ -161,6 +162,9 @@ REFERENCE_COMMANDS = (
     ("oracle", "--mode", "F", "--d", "3", "--alpha", "2", "--k=-1"),
     ("oracle", "--mode", "G", "--d", "3", "--alpha", "1", "--k=-1"),
     ("check", "--ineq", "cramer_rao", "--model", "gaussian", "--d", "3", "--count", "2"),
+    ("oracle", "--mode", "F", "--d", "3", "--alpha", "150", "--k", "1"),
+    ("check", "--ineq", "heisenberg", "--model", "gaussian", "--a", "0.1", "--alpha", "200",
+     "--k", "1"),
 )
 
 

@@ -19,24 +19,29 @@ from uncrel.errors import (ConvergenceError, DomainError, check_finite, check_in
 PI = math.pi
 
 
-def _extremal_G_mpmath(d, alpha, k):
-    """W_{1+k/d} of C (a^alpha + r^alpha)^(-t), t = -d/k, on [0, inf) with
-    N = <r^alpha> = 1, from the Beta reductions of the three integrals at
-    30 digits: int_0^inf r^(d-1) (a^alpha + r^alpha)^(-t) dr
-    = a^(d - alpha t) B(d/alpha, t - d/alpha) / alpha."""
-    with mpmath.workdps(30):
+def _extremal_W_mpmath(d, alpha, k):
+    """W_{1+k/d} at N = <r^alpha> = 1 of C (a^alpha - r^alpha)^(d/k) on the
+    ball (k > 0) or C (a^alpha + r^alpha)^(d/k) on the half line (k < 0),
+    from the Beta reductions of the three integrals in logarithms, at 40
+    digits plus those that loggamma(d/k) and alpha take up:
+    int r^(d-1+s) (a^alpha -+ r^alpha)^p dr = a^(d+s+alpha p) B(x, y) / alpha,
+    x = (d+s)/alpha, y = p + 1 on the ball and -p - x on the half line."""
+    extra = int(max(0.0, math.log10(abs(d / k)))) + int(max(0.0, math.log10(alpha)))
+    with mpmath.workdps(40 + extra):
         d, alpha, k = mpmath.mpf(d), mpmath.mpf(alpha), mpmath.mpf(k)
 
-        def log_beta(a, b):
-            return mpmath.loggamma(a) + mpmath.loggamma(b) - mpmath.loggamma(a + b)
+        def log_integral(s, p):  # without its a^(d+s+alpha p)
+            x = (d + s) / alpha
+            y = p + 1 if k > 0 else -p - x
+            return (mpmath.loggamma(x) + mpmath.loggamma(y) - mpmath.loggamma(x + y)
+                    - mpmath.log(alpha))
 
+        e, m = d / k, 1 + k / d
         log_omega = mpmath.log(2) + (d / 2) * mpmath.log(mpmath.pi) - mpmath.loggamma(d / 2)
-        t, m = -d / k, 1 + k / d
-        b0 = log_beta(d / alpha, t - d / alpha)
-        log_a = (b0 - log_beta(d / alpha + 1, t - d / alpha - 1)) / alpha
-        log_c = -(log_omega + (d - alpha * t) * log_a + b0 - mpmath.log(alpha))
-        return float(mpmath.exp(log_omega + m * log_c + (d - alpha * t * m) * log_a
-                                + log_beta(d / alpha, t * m - d / alpha) - mpmath.log(alpha)))
+        log_a = (log_integral(0, e) - log_integral(alpha, e)) / alpha
+        log_c = -(log_omega + (d + alpha * e) * log_a + log_integral(0, e))
+        return mpmath.exp(log_omega + m * log_c + (d + alpha * e * m) * log_a
+                          + log_integral(0, e * m))
 
 # published grid of the Daubechies factor, six significant digits
 B_REFERENCE = {
@@ -402,7 +407,7 @@ class TestNegativeOrderBound:
             k = -d * rng.uniform(0.005, 0.995)
             points.append((d, C.negative_order_window(d, k) * rng.uniform(1.0005, 60.0), k))
         worst = max((abs(C.negative_order_rhs(d, alpha, k) / C.semiclassical_constant(d, k)
-                         / _extremal_G_mpmath(d, alpha, k) - 1.0), (d, alpha, k))
+                         / float(_extremal_W_mpmath(d, alpha, k)) - 1.0), (d, alpha, k))
                     for d, alpha, k in points)
         assert worst[0] <= 1e-12, worst
 
@@ -441,6 +446,99 @@ class TestNegativeOrderBound:
     def test_outside_window_raises(self):
         with pytest.raises(DomainError, match="window"):
             C.negative_order_rhs(3, 1.0, -1.0, q=2)
+
+
+_NORMAL = (mpmath.mpf(2) ** -1022, mpmath.mpf(2) ** 1024)  # the normal doubles
+
+
+class TestExtremalEntropicClosedForm:
+    """entropic_lower_coeff (k > 0) and entropic_upper_coeff_closed
+    (-d < k < 0) are one closed form for W_{1+k/d} of the extremal density,
+    checked against the Beta reductions at 40 digits."""
+
+    @staticmethod
+    def _beta_argument(d, alpha, k):
+        return 2.0 + d / k if k > 0 else -1.0 - d * (k + alpha) / (k * alpha)
+
+    def _check(self, d, alpha, k):
+        fn = C.entropic_lower_coeff if k > 0 else C.entropic_upper_coeff_closed
+        exact = _extremal_W_mpmath(d, alpha, k)
+        b = self._beta_argument(d, alpha, k)
+        try:
+            value = fn(d, alpha, k)
+        except DomainError as exc:
+            assert "cannot be formed in double precision" in str(exc)
+            # only where the value, alpha^(1+2k/d) or Omega_d B leaves the normal range
+            with mpmath.workdps(40):
+                dm = mpmath.mpf(d)
+                omega_b = (2 * mpmath.pi ** (dm / 2) / mpmath.gamma(dm / 2)
+                           * mpmath.beta(b, dm / alpha))
+                parts = (exact, mpmath.mpf(alpha) ** (1 + 2 * mpmath.mpf(k) / dm), omega_b)
+            assert not all(_NORMAL[0] <= x < _NORMAL[1] for x in parts), (d, alpha, k)
+            return None
+        # near the negative-order window b is formed with a cancellation
+        # of 1/b, and B ~ 1/b carries that rounding
+        assert abs(value / exact - 1) <= 1e-14 + 1e-15 / b, (d, alpha, k, value)
+        return value
+
+    def test_seeded_grid_both_signs(self):
+        # d = 1..10, k = +-d U(0.005, 0.995), alpha log-uniform from 0.5
+        # (k > 0) or the window (k < 0) up to 1e5
+        rng = random.Random(1505)
+        for i in range(400):
+            d = rng.randint(1, 10)
+            k = math.copysign(d * rng.uniform(0.005, 0.995), (-1) ** i)
+            lo = 0.5 if k > 0 else C.negative_order_window(d, k)
+            alpha = math.exp(rng.uniform(math.log(lo), math.log(1e5)))
+            assert self._check(d, alpha, k) is not None, (d, alpha, k)
+
+    @pytest.mark.parametrize("d,alpha,k", [
+        (3, 150.0, 1.0), (3, 1000.0, 1.0), (3, 1e5, 1.0),  # (m alpha + k)^(m alpha + k) overflowed
+        (3, 2.0, 2.0), (1, 0.5, 3.0), (8, 40.0, 7.5), (3, 2.0, -1.0), (10, 1e5, -9.5)])
+    def test_formed_where_representable(self, d, alpha, k):
+        assert self._check(d, alpha, k) is not None
+
+    def test_vanishing_order(self):
+        # W_{1 + k/d} -> N = 1 as k -> 0; d/k ~ 3e271 once overflowed a power
+        assert C.entropic_lower_coeff(3, 486.6224754497575, 9.372472527320516e-272) == 1.0
+
+    @pytest.mark.parametrize("d,alpha,k", [
+        (3, 1e300, 1.0),  # alpha^(1+2k/d) overflows
+        (341, 2.0, 2.0),  # Omega_d B underflows
+        (343, 2.0, -1.0),  # Omega_d B underflows; it read 0.0
+        (3, 1e-200, 1.0)])  # the value underflows
+    def test_unformable_is_a_domain_error(self, d, alpha, k):
+        assert self._check(d, alpha, k) is None
+
+
+class TestUnformedConstants:
+    """A public constant whose value float arithmetic cannot form is a
+    DomainError naming the function that cannot, never an OverflowError or
+    a ZeroDivisionError."""
+
+    @pytest.mark.parametrize("call,name", [
+        pytest.param(lambda: C.semiclassical_constant(342, 1.0), "semiclassical_constant",
+                     id="semiclassical_constant-gamma"),
+        pytest.param(lambda: C.rigorous_constant(400, 1.0), "semiclassical_constant",
+                     id="rigorous_constant"),
+        pytest.param(lambda: C.heisenberg_product_constant(200), "heisenberg_product_constant",
+                     id="heisenberg_product_constant"),
+        pytest.param(lambda: C.thakkar_coefficient(1000.0), "thakkar_coefficient",
+                     id="thakkar_coefficient"),
+        pytest.param(lambda: C.heisenberg_rhs(1, 2.0, 2.0, N=1e100), "heisenberg_rhs",
+                     id="heisenberg_rhs-N"),
+        pytest.param(lambda: C.negative_order_rhs(343, 2.0, -1.0), "semiclassical_constant",
+                     id="negative_order_rhs"),
+    ])
+    def test_cannot_be_formed(self, call, name):
+        with pytest.raises(DomainError, match=f"^{name}\\(.* cannot be formed in double "
+                                              "precision$"):
+            call()
+
+    @pytest.mark.parametrize("d,alpha", [(3, 0.0), (0, 2.0)])
+    def test_exponent_of_a_zero_order(self, d, alpha):
+        with pytest.raises(DomainError, match="heisenberg_exponent requires alpha, d != 0"):
+            C.heisenberg_exponent(d, alpha, 1.0)
 
 
 def test_constants_imports_only_errors_and_mathcore():
