@@ -61,8 +61,7 @@ def omega(d: int) -> float:
     d-dimensional one (2 for d=1, 2 pi for d=2, 4 pi for d=3).  From
     d = 344 on, Gamma(d/2) leaves the double range: a DomainError.
     """
-    if d < 1:
-        raise DomainError(f"dimension must be >= 1, got {d}")
+    check_integer("dimension", d)
     try:
         return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
     except OverflowError:
@@ -71,10 +70,14 @@ def omega(d: int) -> float:
 
 
 def beta(a: float, b: float) -> float:
-    """Euler Beta for strictly positive arguments, via log-gamma."""
-    if a <= 0 or b <= 0:
-        raise DomainError(f"beta requires positive arguments, got ({a}, {b})")
-    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+    """Euler Beta for finite positive arguments, via log-gamma; a value
+    past the double range is a DomainError, one that underflows 0.0."""
+    check_positive("Beta argument", a)
+    check_positive("Beta argument", b)
+    try:
+        return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+    except OverflowError:
+        raise DomainError(f"beta({a}, {b}) leaves the double-precision range") from None
 
 
 def _formed(what: str, form: Callable[[], float], *args) -> float:
@@ -165,6 +168,7 @@ def gamma_half_ratio(h: float) -> float:
     asymptotic series s = -1/(8h) + 1/(192h^3) - 1/(640h^5) + 17/(14336h^7)
     (within 3e-16), where lgamma differences lose digits and Gamma
     itself leaves the double range."""
+    check_positive("Gamma argument", h)
     if h < 85.0:
         return math.gamma(h + 0.5) / math.gamma(h)
     u = 1.0 / h
@@ -180,7 +184,7 @@ def wide_gamma(x: float) -> Wide:
     one halving a step, so that Gamma(1e300) takes a thousand steps.
     The relative error about doubles with each step: a few ulps up to
     x ~ 1000, 1e-12 at x ~ 1e6."""
-    check_finite("Gamma argument", x)
+    check_positive("Gamma argument", x)
     steps = []
     while x > 171.5:
         steps.append(x)
@@ -219,8 +223,8 @@ def e1_fraction_tail(x: float) -> float:
     With it 1/(e^x E1(x)) - x = 1 - r is free of the cancellation that
     subtracting x from 1/(e^x E1(x)) suffers for large x.
     """
-    if not x > 1.0:
-        raise DomainError(f"e1_fraction_tail requires x > 1, got {x}")
+    if not 1.0 < x < math.inf:  # NaN and a bool too
+        raise DomainError(f"e1_fraction_tail requires a finite x > 1, got {x}")
     n = int(10.0 + 114.0 / x)
     t, c = 0.0, 2.0 * n + 3.0
     for i in range(n, 1, -1):
@@ -235,8 +239,7 @@ def exp_e1_scaled(x: float) -> float:
     Power series up to x = 1, continued fraction above; both branches
     agree with direct quadrature of the defining integral to ~1e-14.
     """
-    if x <= 0:
-        raise DomainError(f"exp_e1_scaled requires x > 0, got {x}")
+    check_positive("E1 argument", x)
     if x <= 1.0:
         return math.exp(x) * _e1_series(x)
     return 1.0 / (x + 1.0 - e1_fraction_tail(x))
@@ -266,6 +269,16 @@ def thakkar_coefficient(k: float) -> float:
                    lambda: 3.0 * (3.0 * math.pi ** 2) ** (k / 3.0) / (k + 3.0), k)
 
 
+def _gamma_power(x: float, y: float) -> float:
+    """Gamma(x) ** y: math.gamma's below x = 171.6, past which Gamma leaves
+    the double range, and wide_gamma's beyond; a power past the double
+    range raises OverflowError, as a float power does."""
+    if x < 171.6:
+        return math.gamma(x) ** y
+    w = wide_gamma(x) ** y
+    return math.ldexp(w.m, w.e)
+
+
 def semiclassical_constant(d: int, k: float) -> float:
     """Dimension-dependent semiclassical constant relating <p^k> to the
     position entropic moment of order 1 + k/d."""
@@ -275,7 +288,7 @@ def semiclassical_constant(d: int, k: float) -> float:
         raise DomainError(f"semiclassical constant requires k > -d = {-d}, got k = {k}")
     return _formed("semiclassical_constant({}, {})", lambda: (
         (d / (k + d)) * (2.0 * math.pi) ** k
-        * math.gamma(1.0 + d / 2.0) ** (k / d) / math.pi ** (k / 2.0)), d, k)
+        * _gamma_power(1.0 + d / 2.0, k / d) / math.pi ** (k / 2.0)), d, k)
 
 
 # Newton steps the stationarity solve may take; from its start point no
@@ -361,14 +374,18 @@ def daubechies_factor(d: int, k: float) -> float:
     exponential weight.  B depends on rho = d/k alone and is taken at
     the root of the infimum's stationarity equation, not by minimizing.
     It never exceeds 1 and does not decrease in rho; 1 - B is about
-    ln(2 pi rho) / (2 rho), so B rounds to 1 from rho ~ 5e17 on.
+    ln(2 pi rho) / (2 rho), so B rounds to 1 from rho ~ 5e17 on, and
+    falls below the normal floats once rho < ~1/141: a DomainError.
     Requires an integer d >= 1, a finite k > 0 and d/k <= 1e300."""
     check_integer("dimension", d)
     check_positive("momentum order", k)
     rho = d / k
     if rho > _RHO_MAX:
         raise DomainError(f"daubechies_factor requires d/k <= {_RHO_MAX:g}, got {rho}")
-    return _daubechies_ratio(rho)
+    b = _daubechies_ratio(rho)
+    if b < _TINY:
+        raise DomainError(f"daubechies_factor({d}, {k}) cannot be formed in double precision")
+    return b
 
 
 def rigorous_constant(d: int, k: float) -> float:
@@ -398,25 +415,31 @@ def entropic_lower_coeff(d: int, alpha: float, k: float) -> float:
     check_finite("alpha", alpha)
     check_finite("momentum order", k)
     if alpha <= 0 or k <= 0:
-        raise DomainError(f"entropic_lower_coeff requires alpha, k > 0, got ({alpha}, {k})")
+        raise DomainError(f"positive-order bounds require alpha, k > 0, got ({alpha}, {k})")
     return _extremal_entropic("entropic_lower_coeff", d, alpha, k, 2.0 + d / k)
 
 
 def heisenberg_coeff(d: int, alpha: float, k: float) -> float:
-    """Coefficient of the generalized Heisenberg-like product bound
-    <r^alpha>^(k/alpha) <p^k> for positive orders."""
-    return semiclassical_constant(d, k) * entropic_lower_coeff(d, alpha, k)
+    """Coefficient of the generalized Heisenberg-like bound on
+    <r^alpha>^(k/alpha) <p^k>, a lower one for alpha, k > 0 and an upper one
+    for -d < k < 0 and alpha above the window -k d / (d + k)."""
+    w = (entropic_lower_coeff if k > 0 else entropic_upper_coeff_closed)(d, alpha, k)
+    return w * semiclassical_constant(d, k)
 
 
 def heisenberg_exponent(d: int, alpha: float, k: float) -> float:
     """Exponent of N on the right-hand side: 1 + k (1/alpha + 1/d)."""
     if not alpha or not d:
         raise DomainError(f"heisenberg_exponent requires alpha, d != 0, got ({alpha}, {d})")
+    check_integer("dimension", d)
+    check_finite("alpha", alpha)
+    check_finite("momentum order", k)
     return 1.0 + k * (1.0 / alpha + 1.0 / d)
 
 
 def heisenberg_rhs(d: int, alpha: float, k: float, N: float = 1.0, q: int = 1) -> float:
-    """Full right-hand side of the generalized Heisenberg-like relation."""
+    """Full right-hand side of the generalized Heisenberg-like relation,
+    coeff q^(-k/d) N^(1 + k(1/alpha + 1/d)), for either sign of k."""
     check_positive("particle count", N)
     check_integer("spin multiplicity", q)
     return _formed("heisenberg_rhs({}, {}, {}, N={}, q={})", lambda: heisenberg_coeff(d, alpha, k)
@@ -424,48 +447,43 @@ def heisenberg_rhs(d: int, alpha: float, k: float, N: float = 1.0, q: int = 1) -
 
 
 def negative_order_window(d: int, k: float) -> float:
-    """Lower admissible limit on alpha for the negative-order (k < 0) bound:
-    alpha must exceed -k d / (d + k)."""
+    """Lower limit -k d / (d + k) on alpha for the negative-order (k < 0)
+    branch of the Heisenberg-like relation; the one check that -d < k < 0."""
+    check_integer("dimension", d)
+    check_finite("momentum order", k)
     if not -d < k < 0:
         raise DomainError(f"negative-order bounds require -d < k < 0, got k = {k}")
     return -k * d / (d + k)
 
 
+def _window(d: int, alpha: float, k: float) -> float:
+    """The Beta argument b = -1 - d (k + alpha) / (k alpha) of the half-line
+    extremal density, after the one check that alpha lies above the window:
+    alpha > -k d / (d + k), b > 0 and m alpha + k > 0, since next to it
+    each can round the other way.  Where k alpha underflows, b ~ d / |k|."""
+    window = negative_order_window(d, k)
+    check_positive("alpha", alpha)
+    if alpha > window:
+        ka = k * alpha
+        b = -1.0 - d * (k + alpha) / ka if ka else -1.0 - d / alpha - d / k
+        if b > 0 and alpha + alpha * k / d + k > 0:
+            return b
+    raise DomainError(f"alpha = {alpha} violates the validity window alpha > {window:.6g} "
+                      f"for d = {d}, k = {k}")
+
+
 def entropic_upper_coeff_closed(d: int, alpha: float, k: float) -> float:
     """Closed-form coefficient of the upper bound on the entropic moment of
     order 1 + k/d for -d < k < 0: W_{1+k/d} of the half-line extremal
-    density at N = <r^alpha> = 1.  alpha must lie above the window
-    -k d / (d + k), where the Beta argument b is positive."""
-    check_integer("dimension", d)
-    check_finite("momentum order", k)
-    if not -d < k < 0:
-        raise DomainError(f"entropic_upper_coeff_closed requires -d < k < 0, got {k}")
-    check_positive("alpha", alpha)
-    b = -1.0 - d * (k + alpha) / (k * alpha)
-    # m alpha + k, positive inside the window as b is; within an ulp of
-    # the window either one can round to 0
-    if b <= 0 or alpha + alpha * k / d + k <= 0:
-        raise DomainError(f"alpha = {alpha} is outside the window "
-                          f"alpha > {negative_order_window(d, k):.6g} for d = {d}, k = {k}")
-    return _extremal_entropic("entropic_upper_coeff_closed", d, alpha, k, b)
+    density at N = <r^alpha> = 1, alpha above the window -k d / (d + k)."""
+    return _extremal_entropic("entropic_upper_coeff_closed", d, alpha, k, _window(d, alpha, k))
 
 
 def negative_order_rhs(d: int, alpha: float, k: float, N: float = 1.0, q: int = 1) -> float:
-    """Right-hand side of the negative-order uncertainty relation
-    <r^alpha>^(k/alpha) <p^k> <= coeff * q^(-k/d) * N^(1 + k(1/alpha + 1/d)),
-    with coeff the semiclassical constant times the closed-form
-    entropic-moment coefficient; alpha must lie above the window
-    -k d / (d + k)."""
-    check_positive("particle count", N)
-    check_integer("spin multiplicity", q)
-    window = negative_order_window(d, k)
-    if alpha <= window:
-        raise DomainError(
-            f"alpha = {alpha} violates the validity window alpha > {window:.6g} "
-            f"for d = {d}, k = {k}")
-    return _formed("negative_order_rhs({}, {}, {}, N={}, q={})", lambda: (
-        semiclassical_constant(d, k) * entropic_upper_coeff_closed(d, alpha, k)
-        * q ** (-k / d) * N ** heisenberg_exponent(d, alpha, k)), d, alpha, k, N, q)
+    """heisenberg_rhs restricted to -d < k < 0, the right-hand side of the
+    negative-order relation <r^alpha>^(k/alpha) <p^k> <= rhs."""
+    negative_order_window(d, k)
+    return heisenberg_rhs(d, alpha, k, N, q)
 
 
 def zumbach_constant(d: int) -> float:
@@ -482,7 +500,7 @@ def heisenberg_product_constant(d: int) -> float:
     <r^2><p^2> >= A(2,d) q^(-2/d) N^(2 + 2/d)."""
     check_integer("dimension", d)
     return _formed("heisenberg_product_constant({})",
-                   lambda: ((d / (d + 1.0)) * math.gamma(d + 1.0) ** (1.0 / d)) ** 2, d)
+                   lambda: ((d / (d + 1.0)) * _gamma_power(d + 1.0, 1.0 / d)) ** 2, d)
 
 
 # variant -> (q = 2 only, d = 3 only, large-N limit)

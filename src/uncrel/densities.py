@@ -229,8 +229,9 @@ def hydrogenic_pair(Z: float) -> DensityPair:
             # no exponent 3 - 8m, which overflows near the float maximum m
             # and rounds the 3 away from m = 2^52 on
             spread = (Wide(Z) ** -order) ** 8 * Wide(Z) ** 3.0
+            h = 4.0 * order - 1.5  # inf near the float maximum: W_m leaves the range
             value = math.pi ** 1.5 * Wide(cmom) ** order * spread \
-                / ((4.0 * order - 1.0) * gamma_half_ratio(4.0 * order - 1.5))
+                / ((4.0 * order - 1.0) * (gamma_half_ratio(h) if h < math.inf else h))
         elif kind == "fisher":
             # I = 12 / Z^2
             value = Wide(12.0) / Wide(Z) ** 2.0

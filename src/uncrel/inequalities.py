@@ -124,15 +124,11 @@ def _heisenberg(pair: DensityPair, cfg: SystemConfig, spec: QuadratureSpec | Non
     times W_{1+k/d} of its extremal density: a lower bound for alpha, k > 0,
     an upper bound for -d < k < 0 and alpha above -k d / (d + k) (d = 3
     electron systems need k >= -2 for <p^k>).  The right side comes first:
-    the constants' one at N = q = 1, times powers of q and N whose overflow
-    `evaluate` reports as a side out of the double range."""
+    heisenberg_rhs at N = q = 1, which checks the orders, times powers of
+    q and N whose overflow `evaluate` reports as out of the double range."""
     d = pair.position.d
-    if k > 0 and alpha <= 0:
-        raise DomainError(f"the heisenberg bound requires alpha, k > 0, got ({alpha}, {k})")
-    if not (k > 0 or -d < k < 0):
-        raise DomainError(f"the negative-order bound requires -d < k < 0, got {k}")
-    coeff = (constants.heisenberg_rhs if k > 0 else constants.negative_order_rhs)(d, alpha, k)
-    rhs = coeff * cfg.q ** (-k / d) * cfg.N ** constants.heisenberg_exponent(d, alpha, k)
+    rhs = (constants.heisenberg_rhs(d, alpha, k) * cfg.q ** (-k / d)
+           * cfg.N ** constants.heisenberg_exponent(d, alpha, k))
     ra = radial_moment(pair.position, alpha, spec).value
     pk = radial_moment(pair.momentum, k, spec).value
     return ra ** (k / alpha) * pk, rhs

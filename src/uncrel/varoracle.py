@@ -17,9 +17,10 @@ constraints are solved through Beta-function reduction, the extremal's
 entropic moment by quadrature.  So an extremal density's closed form
 (RadialDensity.exact) knows only its constraint moments, orders 0 and
 alpha, and where the minimizer's Fisher information diverges: a closed-form
-W_{1+k/d} would hand the oracle the very value it is there to check.  A
-scale, normalization or closed form that float arithmetic cannot form as
-a positive double is a DomainError, from the guard the closed form uses.
+W_{1+k/d} would hand the oracle the very value it is there to check.  The
+maximizer takes the window from the closed form's one check, so the two
+agree on it; a scale, normalization or closed form that float arithmetic
+cannot form as a positive double is a DomainError, from its guard too.
 """
 
 from __future__ import annotations
@@ -54,12 +55,6 @@ class ExtremalConstant:
     discrepancy: float
 
 
-def _validate_orders(d: int, alpha: float, k: float) -> None:
-    check_integer("dimension", d)
-    check_positive("alpha", alpha)
-    check_finite("momentum order", k)
-
-
 def _scale_from_ratio(alpha: float, ratio: float, N: float, r_alpha: float, label: str) -> float:
     # a^alpha = (r_alpha / N) * ratio, from the Beta reduction of the two
     # constraint integrals
@@ -79,7 +74,9 @@ def minimizer_density(d: int, alpha: float, k: float,
     rho'^2 / rho ~ (a^alpha - r^alpha)^(d/k - 2), so for k >= d the Fisher
     information is infinite: its closed form raises DivergenceError.
     """
-    _validate_orders(d, alpha, k)
+    check_integer("dimension", d)
+    check_positive("alpha", alpha)
+    check_finite("momentum order", k)
     if k <= 0:
         raise DomainError(f"minimizer_density requires k > 0, got {k}")
     e = d / k
@@ -119,14 +116,7 @@ def maximizer_density(d: int, alpha: float, k: float,
     alpha > -k d / (d + k), outside which the candidate is not
     normalizable together with a finite <r^alpha>.
     """
-    _validate_orders(d, alpha, k)
-    if not -d < k < 0:
-        raise DomainError(f"maximizer_density requires -d < k < 0, got {k}")
-    window = constants.negative_order_window(d, k)
-    if alpha <= window:
-        raise DomainError(
-            f"alpha = {alpha} is outside the admissible window alpha > {window:.6g} "
-            f"for d = {d}, k = {k}: the extremal candidate is not integrable")
+    constants._window(d, alpha, k)
     e = d / k
     t = -e  # positive exponent of (a^alpha + r^alpha)^-t
     label = f"extremal-max(d={d},alpha={alpha},k={k})"

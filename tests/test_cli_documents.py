@@ -150,8 +150,9 @@ TABLE_COMMANDS = EXPORTS + (
 
 # the stateless subcommands: both reference tables, and the oracle at a point
 # of each mode and outside each mode's window; then the `check` twin of a
-# one-member Gaussian sweep; last, a large-alpha oracle point and check,
-# where (m alpha + k)^(m alpha + k) once overflowed
+# one-member Gaussian sweep; a large-alpha oracle point and check, where
+# (m alpha + k)^(m alpha + k) once overflowed; last, a check and an oracle
+# point on the negative-order window itself, alpha = 1.5 at d = 3, k = -1
 REFERENCE_COMMANDS = (
     ("table1",),
     ("table1", "--format", "json"),
@@ -165,6 +166,8 @@ REFERENCE_COMMANDS = (
     ("oracle", "--mode", "F", "--d", "3", "--alpha", "150", "--k", "1"),
     ("check", "--ineq", "heisenberg", "--model", "gaussian", "--a", "0.1", "--alpha", "200",
      "--k", "1"),
+    ("check", "--ineq", "negative_order", *H, "--alpha", "1.5", "--k", "-1"),
+    ("oracle", "--mode", "G", "--d", "3", "--alpha", "1.5", "--k=-1"),
 )
 
 

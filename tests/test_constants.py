@@ -19,6 +19,13 @@ from uncrel.errors import (ConvergenceError, DomainError, check_finite, check_in
 PI = math.pi
 
 
+def _semiclassical_mpmath(d, k):
+    """K_d(k) = d/(k+d) (2 pi)^k Gamma(1 + d/2)^(k/d) / pi^(k/2) at the working precision."""
+    d, k = mpmath.mpf(d), mpmath.mpf(k)
+    return (d / (k + d) * (2 * mpmath.pi) ** k * mpmath.gamma(1 + d / 2) ** (k / d)
+            / mpmath.pi ** (k / 2))
+
+
 def _extremal_W_mpmath(d, alpha, k):
     """W_{1+k/d} at N = <r^alpha> = 1 of C (a^alpha - r^alpha)^(d/k) on the
     ball (k > 0) or C (a^alpha + r^alpha)^(d/k) on the half line (k < 0),
@@ -391,7 +398,7 @@ class TestNegativeOrderBound:
     def test_positive_order_raises(self):
         with pytest.raises(DomainError, match="negative-order bounds require -d < k < 0"):
             C.negative_order_window(3, 1.0)
-        with pytest.raises(DomainError, match="entropic_upper_coeff_closed requires -d < k < 0"):
+        with pytest.raises(DomainError, match="negative-order bounds require -d < k < 0"):
             C.entropic_upper_coeff_closed(3, 2.0, 1.0)
 
     def test_coefficient_matches_mpmath(self):
@@ -517,23 +524,37 @@ class TestUnformedConstants:
     a ZeroDivisionError."""
 
     @pytest.mark.parametrize("call,name", [
-        pytest.param(lambda: C.semiclassical_constant(342, 1.0), "semiclassical_constant",
-                     id="semiclassical_constant-gamma"),
-        pytest.param(lambda: C.rigorous_constant(400, 1.0), "semiclassical_constant",
-                     id="rigorous_constant"),
-        pytest.param(lambda: C.heisenberg_product_constant(200), "heisenberg_product_constant",
-                     id="heisenberg_product_constant"),
         pytest.param(lambda: C.thakkar_coefficient(1000.0), "thakkar_coefficient",
                      id="thakkar_coefficient"),
         pytest.param(lambda: C.heisenberg_rhs(1, 2.0, 2.0, N=1e100), "heisenberg_rhs",
                      id="heisenberg_rhs-N"),
-        pytest.param(lambda: C.negative_order_rhs(343, 2.0, -1.0), "semiclassical_constant",
+        # Omega_d B underflows in the extremal coefficient
+        pytest.param(lambda: C.negative_order_rhs(343, 2.0, -1.0), "entropic_upper_coeff_closed",
                      id="negative_order_rhs"),
+        pytest.param(lambda: C.daubechies_factor(1, 142.0), "daubechies_factor",
+                     id="daubechies_factor-subnormal"),
+        pytest.param(lambda: C.rigorous_constant(1, 150.0), "daubechies_factor",
+                     id="rigorous_constant-underflow"),
     ])
     def test_cannot_be_formed(self, call, name):
         with pytest.raises(DomainError, match=f"^{name}\\(.* cannot be formed in double "
                                               "precision$"):
             call()
+
+    @pytest.mark.parametrize("call,exact", [
+        # Gamma(1 + d/2) and Gamma(d + 1) past the double range, the
+        # constants inside it; K_d(k) and A(2, d) at 30 digits
+        pytest.param(lambda: C.semiclassical_constant(342, 1.0),
+                     lambda: _semiclassical_mpmath(342, 1), id="semiclassical_constant-gamma"),
+        pytest.param(lambda: C.rigorous_constant(400, 1.0) / C.daubechies_factor(400, 1.0),
+                     lambda: _semiclassical_mpmath(400, 1), id="rigorous_constant"),
+        pytest.param(lambda: C.heisenberg_product_constant(200),
+                     lambda: (mpmath.mpf(200) / 201 * mpmath.gamma(201) ** (mpmath.mpf(1) / 200))
+                     ** 2, id="heisenberg_product_constant"),
+    ])
+    def test_formed_past_the_gamma_overflow(self, call, exact):
+        with mpmath.workdps(30):
+            assert abs(call() / exact() - 1) <= 1e-14
 
     @pytest.mark.parametrize("d,alpha", [(3, 0.0), (0, 2.0)])
     def test_exponent_of_a_zero_order(self, d, alpha):
@@ -590,6 +611,71 @@ class TestTypedRejection:
     ])
     def test_bad_scalar_rejected(self, call, argument):
         with pytest.raises(DomainError, match=argument):
+            call()
+
+
+# valid arguments of each function in constants.__all__, both signs of k
+# where a function takes either; Wide is a value type, whose callers check
+_BASELINES = [
+    ("SystemConfig", (3, 1.0, 2)),
+    ("omega", (3,)),
+    ("beta", (1.5, 2.5)),
+    ("wide_gamma", (3.5,)),
+    ("gamma_half_ratio", (3.5,)),
+    ("exp_e1_scaled", (0.5,)),
+    ("e1_fraction_tail", (2.0,)),
+    ("thakkar_coefficient", (1.0,)),
+    ("semiclassical_constant", (3, 1.0)),
+    ("daubechies_factor", (3, 2.0)),
+    ("rigorous_constant", (3, 2.0)),
+    ("entropic_lower_coeff", (3, 2.0, 2.0)),
+    ("heisenberg_coeff", (3, 2.0, 2.0)),
+    ("heisenberg_coeff", (3, 2.0, -1.0)),
+    ("heisenberg_exponent", (3, 2.0, 2.0)),
+    ("heisenberg_rhs", (3, 2.0, 2.0, 1.0, 2)),
+    ("heisenberg_rhs", (3, 2.0, -1.0, 1.0, 2)),
+    ("negative_order_window", (3, -0.5)),
+    ("entropic_upper_coeff_closed", (3, 2.0, -1.0)),
+    ("negative_order_rhs", (3, 2.0, -1.0, 1.0, 2)),
+    ("zumbach_constant", (3,)),
+    ("heisenberg_product_constant", (3,)),
+    ("fisher_product_rhs", ("general", C.SystemConfig(3, 1.0, 2))),
+]
+
+
+def _bad_calls():
+    """(name, args) with NaN, +-inf and True in place of each numeric
+    argument of a baseline in turn."""
+    for name, args in _BASELINES:
+        for i, arg in enumerate(args):
+            if type(arg) in (int, float):
+                for bad in (math.nan, math.inf, -math.inf, True):
+                    yield pytest.param(name, args[:i] + (bad,) + args[i + 1:],
+                                       id=f"{name}{args}-{i}-{bad}")
+
+
+class TestBadArgumentsGenerated:
+    """Every public function of constants rejects a NaN, an infinity or a
+    bool in any numeric argument with a DomainError."""
+
+    def test_baselines_cover_the_public_functions(self):
+        assert {name for name, _ in _BASELINES} == set(C.__all__) - {"Wide"}
+        for name, args in _BASELINES:
+            getattr(C, name)(*args)
+
+    @pytest.mark.parametrize("name,args", list(_bad_calls()))
+    def test_rejected(self, name, args):
+        with pytest.raises(DomainError):
+            getattr(C, name)(*args)
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda: C.beta(1e-320, 1.0), id="beta-overflow"),
+        pytest.param(lambda: C.wide_gamma(-1.0), id="wide_gamma-negative"),
+        pytest.param(lambda: C.gamma_half_ratio(0.0), id="gamma_half_ratio-zero"),
+        pytest.param(lambda: C.omega(2.5), id="omega-fractional"),
+    ])
+    def test_outside_the_domain(self, call):
+        with pytest.raises(DomainError):
             call()
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from uncrel import constants as C
 from uncrel import densities as D
 from uncrel import inequalities as I
+from uncrel import varoracle as V
 from uncrel.constants import SystemConfig
 from uncrel.errors import DomainError, FormatError, UncrelError
 
@@ -443,3 +445,53 @@ class TestOutOfRange:
         assert [r.status for r in rows] == ["satisfied", "hole"]
         assert rows[1].note == ("hole: heisenberg_general: a side of the bound leaves "
                                 "the double-precision range")
+
+
+def _window_grid() -> list[tuple[int, float, float]]:
+    """Seeded (d, alpha, k) around the window -k d / (d + k): well inside
+    and outside it, 1e-3 from it, within three ulps of it on either side,
+    and where k alpha underflows to 0, inside and outside."""
+    rng, points = random.Random(32), []
+    for _ in range(40):
+        d = rng.randint(1, 12)
+        k = -d * rng.uniform(0.01, 0.99)
+        below = above = window = C.negative_order_window(d, k)
+        alphas = [window, window * (1 - 1e-3), window * (1 + 1e-3),
+                  window * rng.uniform(0.1, 0.9), window * rng.uniform(1.1, 10.0)]
+        for _ in range(3):
+            below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+            alphas += [below, above]
+        points += [(d, alpha, k) for alpha in alphas]
+    return points + [(d, alpha, k) for d in (1, 3)
+                     for alpha, k in ((1e-100, -1e-250), (1e-200, -1e-300), (1e-300, -1e-200))]
+
+
+class TestWindowDecidedOnce:
+    """Every entry point of the negative-order bound takes the window from
+    one check: each agrees on inside or outside and raises one text."""
+
+    @staticmethod
+    def _window_text(call) -> str | None:
+        # the window's text, or None for a value or any other typed error;
+        # an untyped error (ZeroDivisionError, OverflowError) fails the test
+        try:
+            call()
+        except UncrelError as exc:
+            return str(exc) if "window" in str(exc) else None
+        return None
+
+    def test_entry_points_agree(self):
+        sides = set()
+        for d, alpha, k in _window_grid():
+            pair = D.gaussian_pair(d, 1.0)
+            texts = {self._window_text(call) for call in (
+                lambda: C.entropic_upper_coeff_closed(d, alpha, k),
+                lambda: C.negative_order_rhs(d, alpha, k),
+                lambda: C.heisenberg_rhs(d, alpha, k),
+                lambda: V.maximizer_density(d, alpha, k),
+                lambda: V.extremal_G(d, alpha, k),
+                lambda: I.evaluate(I.InequalityId.NEGATIVE_ORDER, pair,
+                                   SystemConfig(d=d, N=1.0, q=1), {"alpha": alpha, "k": k}))}
+            assert len(texts) == 1, (d, alpha, k, texts)
+            sides.add(texts.pop() is None)
+        assert sides == {True, False}
