@@ -2,8 +2,8 @@
 
 Every evaluator is scale-free: it takes dimensionless parameters
 (d, alpha, k, N, q) and returns a pure number, raising DomainError
-outside a formula's validity window and, from one guard, where float
-arithmetic cannot form the value.  The Heisenberg-like coefficients of
+outside a formula's validity window and, from one guard, errors.formed,
+where a double cannot hold the value.  The Heisenberg-like coefficients of
 both signs of k share one closed form, W_{1+k/d} of the extremal density.
 
 The scalar special functions the coefficients are built from live here
@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
-from .errors import ConvergenceError, DomainError, check_finite, check_integer, check_positive
+from .errors import (TINY, ConvergenceError, DomainError, check_finite, check_integer,
+                     check_positive, formed)
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
 
@@ -59,40 +59,26 @@ def omega(d: int) -> float:
 
     This is the angular factor turning a radial integral into a full
     d-dimensional one (2 for d=1, 2 pi for d=2, 4 pi for d=3).  From
-    d = 344 on, Gamma(d/2) leaves the double range: a DomainError.
+    d = 344 on, Gamma(d/2) leaves the double range, and the quotient is
+    formed as a Wide, a normal float up to d = 438; from d = 439 on
+    Omega_d underflows: a DomainError.
     """
     check_integer("dimension", d)
-    try:
+    if d < 344:  # Gamma(d/2) is a double, and Omega_d >= 3.8e-223
         return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
-    except OverflowError:
-        raise DomainError(f"Omega_d for d = {d}: Gamma(d/2) leaves the "
-                          "double-precision range") from None
+    return (2.0 * Wide(math.pi) ** (d / 2.0) / wide_gamma(d / 2.0)).value(f"omega({d})")
 
 
 def beta(a: float, b: float) -> float:
-    """Euler Beta for finite positive arguments, via log-gamma; a value
-    past the double range is a DomainError, one that underflows 0.0."""
+    """Euler Beta for finite positive arguments, via log-gamma; a value past
+    the double range is a DomainError.  An intermediate, raised to -k/d in
+    the extremal coefficients, it is returned as it underflows: subnormal or 0."""
     check_positive("Beta argument", a)
     check_positive("Beta argument", b)
     try:
         return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
     except OverflowError:
         raise DomainError(f"beta({a}, {b}) leaves the double-precision range") from None
-
-
-def _formed(what: str, form: Callable[[], float], *args) -> float:
-    """form(), a DomainError where it overflows or is not a positive double,
-    named by what.format(*args), formatted only then: a repr costs more."""
-    try:
-        value = form()
-    except (OverflowError, ZeroDivisionError):
-        value = 0.0
-    if not 0.0 < value < math.inf:
-        raise DomainError(f"{what.format(*args)} cannot be formed in double precision")
-    return value
-
-
-_TINY = 2.2250738585072014e-308  # smallest normal float
 
 
 class Wide:
@@ -106,8 +92,8 @@ class Wide:
     power of x = m 2^e is m^y 2^(e y), and m^y for |y| > 512 is m^z,
     |z| <= 512, squared j times: its relative error about doubles with
     each squaring, up to |y|/256 ulps (none for a power of two), and even
-    y ~ 1e300 takes only a thousand squarings.  value() is the result as
-    a float, and a DomainError where that is not a finite normal float.
+    y ~ 1e300 takes only a thousand squarings.  value(what) is the result
+    as a float, refused by errors.formed, naming what, outside the normals.
     """
 
     __slots__ = ("m", "e")
@@ -136,7 +122,7 @@ class Wide:
                 v = math.ldexp(self.m, self.e) ** y
             except OverflowError:
                 v = math.inf
-            if _TINY <= v < math.inf:
+            if TINY <= v < math.inf:
                 return Wide(v)
         check_finite("exponent", y)
         # x^y = m^y 2^(e y), e y split exactly into an integer and a
@@ -157,9 +143,7 @@ class Wide:
         return w
 
     def value(self, what: str) -> float:
-        if not (0.5 <= self.m < 1.0 and -1021 <= self.e <= 1024):
-            raise DomainError(f"{what} leaves the double-precision range")
-        return math.ldexp(self.m, self.e)
+        return formed("{}", lambda: math.ldexp(self.m, self.e), what)
 
 
 def gamma_half_ratio(h: float) -> float:
@@ -167,10 +151,14 @@ def gamma_half_ratio(h: float) -> float:
     below h = 85 (within 5e-15), and from there sqrt(h) e^s with the
     asymptotic series s = -1/(8h) + 1/(192h^3) - 1/(640h^5) + 17/(14336h^7)
     (within 3e-16), where lgamma differences lose digits and Gamma
-    itself leaves the double range."""
+    itself leaves the double range.  Below h ~ 5.6e-309, where Gamma(h)
+    overflows, it is h Gamma(h + 1/2) / Gamma(1 + h)."""
     check_positive("Gamma argument", h)
     if h < 85.0:
-        return math.gamma(h + 0.5) / math.gamma(h)
+        try:
+            return math.gamma(h + 0.5) / math.gamma(h)
+        except OverflowError:
+            return h * math.gamma(h + 0.5) / math.gamma(1.0 + h)
     u = 1.0 / h
     return math.sqrt(h) * math.exp(
         u * (-1.0 / 8.0 + u * u * (1.0 / 192.0 + u * u * (-1.0 / 640.0 + u * u * 17.0 / 14336.0))))
@@ -183,13 +171,17 @@ def wide_gamma(x: float) -> Wide:
     Gamma(x) = Gamma(h)^2 gamma_half_ratio(h) 2^(x-1) / sqrt(pi),
     one halving a step, so that Gamma(1e300) takes a thousand steps.
     The relative error about doubles with each step: a few ulps up to
-    x ~ 1000, 1e-12 at x ~ 1e6."""
+    x ~ 1000, 1e-12 at x ~ 1e6.  Below x ~ 5.6e-309, where math.gamma
+    overflows, it is Gamma(1 + x) / x."""
     check_positive("Gamma argument", x)
     steps = []
     while x > 171.5:
         steps.append(x)
         x /= 2.0
-    g = Wide(math.gamma(x))
+    try:
+        g = Wide(math.gamma(x))
+    except OverflowError:
+        g = Wide(math.gamma(1.0 + x)) / x
     for x in reversed(steps):
         h = x / 2.0
         g = g * g * gamma_half_ratio(h) * Wide(2.0) ** (x - 1.0) / math.sqrt(math.pi)
@@ -265,8 +257,8 @@ def thakkar_coefficient(k: float) -> float:
     check_finite("momentum order", k)
     if k <= -3:
         raise DomainError(f"thakkar_coefficient requires k > -3, got {k}")
-    return _formed("thakkar_coefficient({})",
-                   lambda: 3.0 * (3.0 * math.pi ** 2) ** (k / 3.0) / (k + 3.0), k)
+    return formed("thakkar_coefficient({})",
+                  lambda: 3.0 * (3.0 * math.pi ** 2) ** (k / 3.0) / (k + 3.0), k)
 
 
 def _gamma_power(x: float, y: float) -> float:
@@ -286,7 +278,7 @@ def semiclassical_constant(d: int, k: float) -> float:
     check_finite("momentum order", k)
     if k <= -d:
         raise DomainError(f"semiclassical constant requires k > -d = {-d}, got k = {k}")
-    return _formed("semiclassical_constant({}, {})", lambda: (
+    return formed("semiclassical_constant({}, {})", lambda: (
         (d / (k + d)) * (2.0 * math.pi) ** k
         * _gamma_power(1.0 + d / 2.0, k / d) / math.pi ** (k / 2.0)), d, k)
 
@@ -375,17 +367,14 @@ def daubechies_factor(d: int, k: float) -> float:
     the root of the infimum's stationarity equation, not by minimizing.
     It never exceeds 1 and does not decrease in rho; 1 - B is about
     ln(2 pi rho) / (2 rho), so B rounds to 1 from rho ~ 5e17 on, and
-    falls below the normal floats once rho < ~1/141: a DomainError.
+    falls below the normal floats once rho < ~1/141: the guard's DomainError.
     Requires an integer d >= 1, a finite k > 0 and d/k <= 1e300."""
     check_integer("dimension", d)
     check_positive("momentum order", k)
     rho = d / k
     if rho > _RHO_MAX:
         raise DomainError(f"daubechies_factor requires d/k <= {_RHO_MAX:g}, got {rho}")
-    b = _daubechies_ratio(rho)
-    if b < _TINY:
-        raise DomainError(f"daubechies_factor({d}, {k}) cannot be formed in double precision")
-    return b
+    return formed("daubechies_factor({}, {})", lambda: _daubechies_ratio(rho), d, k)
 
 
 def rigorous_constant(d: int, k: float) -> float:
@@ -401,7 +390,7 @@ def _extremal_entropic(name: str, d: int, alpha: float, k: float, b: float) -> f
     Beta argument the constraints reduce to.  (m alpha + k)^(m alpha + k)
     is never formed; a value that still cannot be is a DomainError."""
     m = 1.0 + k / d
-    return _formed(name + "({}, {}, {})", lambda: (
+    return formed(name + "({}, {}, {})", lambda: (
         alpha ** (1.0 + 2.0 * k / d) * abs(k) ** (k / alpha)
         * (1.0 / (alpha + alpha * k / d + k)) ** (k * (1.0 / alpha + 1.0 / d) + 1.0)
         * m ** m * (omega(d) * beta(b, d / alpha)) ** (-k / d)), d, alpha, k)
@@ -424,7 +413,8 @@ def heisenberg_coeff(d: int, alpha: float, k: float) -> float:
     <r^alpha>^(k/alpha) <p^k>, a lower one for alpha, k > 0 and an upper one
     for -d < k < 0 and alpha above the window -k d / (d + k)."""
     w = (entropic_lower_coeff if k > 0 else entropic_upper_coeff_closed)(d, alpha, k)
-    return w * semiclassical_constant(d, k)
+    return formed("heisenberg_coeff({}, {}, {})", lambda: w * semiclassical_constant(d, k),
+                  d, alpha, k)
 
 
 def heisenberg_exponent(d: int, alpha: float, k: float) -> float:
@@ -442,8 +432,8 @@ def heisenberg_rhs(d: int, alpha: float, k: float, N: float = 1.0, q: int = 1) -
     coeff q^(-k/d) N^(1 + k(1/alpha + 1/d)), for either sign of k."""
     check_positive("particle count", N)
     check_integer("spin multiplicity", q)
-    return _formed("heisenberg_rhs({}, {}, {}, N={}, q={})", lambda: heisenberg_coeff(d, alpha, k)
-                   * q ** (-k / d) * N ** heisenberg_exponent(d, alpha, k), d, alpha, k, N, q)
+    return formed("heisenberg_rhs({}, {}, {}, N={}, q={})", lambda: heisenberg_coeff(d, alpha, k)
+                  * q ** (-k / d) * N ** heisenberg_exponent(d, alpha, k), d, alpha, k, N, q)
 
 
 def negative_order_window(d: int, k: float) -> float:
@@ -499,8 +489,8 @@ def heisenberg_product_constant(d: int) -> float:
     """Coefficient A(2, d) of the d-dimensional variance product bound
     <r^2><p^2> >= A(2,d) q^(-2/d) N^(2 + 2/d)."""
     check_integer("dimension", d)
-    return _formed("heisenberg_product_constant({})",
-                   lambda: ((d / (d + 1.0)) * _gamma_power(d + 1.0, 1.0 / d)) ** 2, d)
+    return formed("heisenberg_product_constant({})",
+                  lambda: ((d / (d + 1.0)) * _gamma_power(d + 1.0, 1.0 / d)) ** 2, d)
 
 
 # variant -> (q = 2 only, d = 3 only, large-N limit)
@@ -517,8 +507,8 @@ def fisher_product_rhs(variant: str, cfg: SystemConfig) -> float:
     Variants: 'general' and 'large_N_fermion' take any q, the electronic
     forms q = 2, the d3 forms d = 3 and q = 2; all need 1 <= d <= 5.  The
     bracket is divided through by (N/q)^(2/d), so that no power of N above
-    the bound's own N^(2-2/d) is formed.  A bound whose terms leave the
-    double range raises DomainError.
+    the bound's own N^(2-2/d) is formed.  A bound outside the normal
+    floats, past them or below, raises DomainError.
     """
     d, N, q = cfg.d, cfg.N, cfg.q
     if variant not in _FISHER_FORMS:
@@ -530,10 +520,6 @@ def fisher_product_rhs(variant: str, cfg: SystemConfig) -> float:
         raise DomainError(f"variant {variant!r} is an electron-system (q = 2) form, got q = {q}")
     if three_d and d != 3:
         raise DomainError(f"variant {variant!r} requires d = 3, got d = {d}")
-    try:
-        one = 0.0 if large_N else (N / q) ** (-2.0 / d)  # the bracket's 1, divided through
-        return 4.0 * heisenberg_product_constant(d) * q ** (2.0 / d) * N ** (2.0 - 2.0 / d) \
-            / (one + zumbach_constant(d)) ** 2
-    except OverflowError:  # the bracket squared or N^(2-2/d) leaves the double range
-        raise DomainError(f"fisher product variant {variant!r} at N = {N:g}, q = {q} "
-                          "leaves the double-precision range") from None
+    return formed("fisher_product_rhs({!r}, {!r})", lambda: (  # the bracket's 1 divided through
+        4.0 * heisenberg_product_constant(d) * q ** (2.0 / d) * N ** (2.0 - 2.0 / d)
+        / ((0.0 if large_N else (N / q) ** (-2.0 / d)) + zumbach_constant(d)) ** 2), variant, cfg)

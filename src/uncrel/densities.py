@@ -392,7 +392,10 @@ def load_tabulated(cfg: SystemConfig, r, rho_values) -> RadialDensity:
     if r[0] < 0:
         raise FormatError("radii must be non-negative")
     interp = interpolate_monotone(r, rho_values)  # validates ordering and sign
-    measured = omega(cfg.d) * gauss_cells(lambda x: interp(x) * x ** (cfg.d - 1), r)[0]
+    # r^(d-1) can overflow at large d: the quadrature's NonFiniteError
+    # reports it, with no warning on the way
+    with np.errstate(over="ignore"):
+        measured = omega(cfg.d) * gauss_cells(lambda x: interp(x) * x ** (cfg.d - 1), r)[0]
     if measured <= 0:
         raise DomainError("tabulated density has zero measured normalization")
     if abs(measured - cfg.N) > _TABLE_NORM_TOL * cfg.N:

@@ -1,5 +1,6 @@
-"""Exception taxonomy shared by all modules, and the argument checks
-that raise DomainError on a bad scalar before any work is done.
+"""Exception taxonomy shared by all modules, the argument checks that
+raise DomainError on a bad scalar before any work is done, and the one
+guard, formed, that raises it where a double cannot hold a value.
 
 The CLI maps these onto process exit codes: FormatError -> 2,
 DomainError -> 3, ConvergenceError -> 4.
@@ -7,6 +8,9 @@ DomainError -> 3, ConvergenceError -> 4.
 
 import math
 import numbers
+from typing import Callable
+
+TINY = 2.2250738585072014e-308  # smallest normal float; below it bits are lost
 
 
 class UncrelError(Exception):
@@ -68,3 +72,16 @@ def check_positive(what: str, x) -> None:
     _finite_real(what, x, "a finite number")
     if x <= 0:
         raise DomainError(f"{what} must be positive, got {x}")
+
+
+def formed(what: str, form: Callable[[], float], *args) -> float:
+    """form(), or a DomainError "<what> leaves the double-precision range"
+    where it overflows, divides by zero or is not in [TINY, inf), <what>
+    being what.format(*args), formatted only then: a repr costs more."""
+    try:
+        value = form()
+    except (OverflowError, ZeroDivisionError):
+        value = 0.0
+    if not TINY <= value < math.inf:
+        raise DomainError(f"{what.format(*args)} leaves the double-precision range")
+    return value

@@ -21,13 +21,11 @@ import numpy as np
 
 from .constants import omega
 from .densities import RadialDensity
-from .errors import DivergenceError, DomainError, FormatError, check_finite, check_positive
+from .errors import TINY, DivergenceError, DomainError, FormatError, check_finite, check_positive
 from .mathcore import DEFAULT_QUADRATURE, QuadratureSpec, gauss_cells, quad_halfline
 
 __all__ = ["MomentValue", "radial_moment", "entropic_moment", "fisher_information", "variance"]
 
-# smallest normal float; below it a density value has lost precision
-_TINY = np.finfo(float).tiny
 # share of the largest integrand value below which zeros past an
 # overflowing weight are taken as true zeros (the default relative
 # tolerance: the mass they could hide spans a decay length, not the bulk)
@@ -169,7 +167,7 @@ def entropic_moment(dens: RadialDensity, m: float,
         # a subnormal density value has lost significant bits, and
         # rho^m with m < 1 magnifies that loss: read it as an
         # underflowed zero, past which the half-line tail is extrapolated
-        small = v < _TINY
+        small = v < TINY
         if small.any():
             negative = v < 0
             if negative.any():

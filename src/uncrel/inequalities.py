@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Mapping
 from . import constants
 from .constants import SystemConfig
 from .densities import DensityPair
-from .errors import ConvergenceError, DomainError, FormatError
+from .errors import TINY, ConvergenceError, DomainError, FormatError
 from .functionals import entropic_moment, fisher_information, radial_moment, variance
 from .mathcore import QuadratureSpec
 
@@ -271,7 +271,7 @@ def evaluate(ineq: InequalityId, pair: DensityPair, cfg: SystemConfig,
         lhs, rhs = entry.sides(pair, cfg, spec, **p)
     except (OverflowError, FloatingPointError):  # a float power or product left the double range
         lhs = rhs = math.inf
-    if not (math.isfinite(lhs) and 0 < rhs < math.inf):  # a bound's rhs is 0 only by underflow
+    if not (math.isfinite(lhs) and TINY <= rhs < math.inf):  # an rhs below TINY underflowed
         raise DomainError(f"{entry.id}: a side of the bound leaves the double-precision range")
     reported_id = entry.id
     if entry.id == "heisenberg_general" and pair.position.d == 3 and cfg.q == 2:

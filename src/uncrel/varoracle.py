@@ -18,9 +18,9 @@ entropic moment by quadrature.  So an extremal density's closed form
 (RadialDensity.exact) knows only its constraint moments, orders 0 and
 alpha, and where the minimizer's Fisher information diverges: a closed-form
 W_{1+k/d} would hand the oracle the very value it is there to check.  The
-maximizer takes the window from the closed form's one check, so the two
-agree on it; a scale, normalization or closed form that float arithmetic
-cannot form as a positive double is a DomainError, from its guard too.
+maximizer takes the window and the Beta argument of its scale from the
+closed form's one check, so the two agree on it; a scale, normalization or
+closed form that a double cannot hold is a DomainError, from errors.formed.
 """
 
 from __future__ import annotations
@@ -31,9 +31,10 @@ from typing import Callable
 import numpy as np
 
 from . import constants
-from .constants import _formed, beta, omega
+from .constants import beta, omega
 from .densities import RadialDensity, density_views, fixed_moments
-from .errors import DivergenceError, DomainError, check_finite, check_integer, check_positive
+from .errors import (DivergenceError, DomainError, check_finite, check_integer, check_positive,
+                     formed)
 from .functionals import entropic_moment
 from .mathcore import QuadratureSpec, uniform_cuts
 
@@ -57,12 +58,10 @@ class ExtremalConstant:
 
 def _scale_from_ratio(alpha: float, ratio: float, N: float, r_alpha: float, label: str) -> float:
     # a^alpha = (r_alpha / N) * ratio, from the Beta reduction of the two
-    # constraint integrals
+    # constraint integrals; ratio > 0 for both extremal densities
     check_positive("particle count", N)
     check_positive("radial moment", r_alpha)
-    if ratio <= 0:
-        raise DomainError("constraint system is infeasible for these parameters")
-    return _formed("the scale of {}", lambda: (r_alpha / N * ratio) ** (1.0 / alpha), label)
+    return formed("the scale of {}", lambda: (r_alpha / N * ratio) ** (1.0 / alpha), label)
 
 
 def minimizer_density(d: int, alpha: float, k: float,
@@ -82,9 +81,9 @@ def minimizer_density(d: int, alpha: float, k: float,
     e = d / k
     label = f"extremal-min(d={d},alpha={alpha},k={k})"
     a = _scale_from_ratio(alpha, 1.0 + alpha * (e + 1.0) / d, N, r_alpha, label)
-    C = _formed("the normalization of {}", lambda: N * alpha / (
+    C = formed("the normalization of {}", lambda: N * alpha / (
         omega(d) * a ** (d + alpha * e) * beta(d / alpha, e + 1.0)), label)
-    a_alpha = _formed("the scale of {}", lambda: a ** alpha, label)
+    a_alpha = formed("the scale of {}", lambda: a ** alpha, label)
 
     def density(r, slope):
         core = np.maximum(a_alpha - np.power(r, alpha), 0.0)
@@ -116,12 +115,13 @@ def maximizer_density(d: int, alpha: float, k: float,
     alpha > -k d / (d + k), outside which the candidate is not
     normalizable together with a finite <r^alpha>.
     """
-    constants._window(d, alpha, k)
+    b = constants._window(d, alpha, k)
     e = d / k
     t = -e  # positive exponent of (a^alpha + r^alpha)^-t
     label = f"extremal-max(d={d},alpha={alpha},k={k})"
-    a = _scale_from_ratio(alpha, alpha * (d + k) / (d * (-k)) - 1.0, N, r_alpha, label)
-    C = _formed("the normalization of {}", lambda: N * alpha / (
+    # the ratio alpha (d + k) / (-d k) - 1 is b alpha / d, positive by the window
+    a = _scale_from_ratio(alpha, b * alpha / d, N, r_alpha, label)
+    C = formed("the normalization of {}", lambda: N * alpha / (
         omega(d) * a ** (d + alpha * e) * beta(d / alpha, t - d / alpha)), label)
 
     # a^alpha + r^alpha = hi^alpha (1 + (lo/hi)^alpha) with hi = max(a, r),

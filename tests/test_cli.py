@@ -331,16 +331,26 @@ class TestErrors:
         code, out, err = run_cli(capsys, "oracle", "--mode", mode, "--d", d,
                                  "--alpha", alpha, f"--k={k}")
         assert (code, out) == (3, "")
-        assert re.fullmatch(r"error\[DomainError\]: [^\n]* cannot be formed in double "
-                            r"precision\n", err)
+        assert re.fullmatch(r"error\[DomainError\]: [^\n]* leaves the double-precision "
+                            r"range\n", err)
 
     def test_sphere_measure_out_of_range_exit(self, capsys, tmp_path):
-        # Gamma(d/2) of Omega_d overflows from d = 344: a typed error, not a traceback
+        # Omega_d underflows from d = 439 on: a typed error, not a traceback
         table = tmp_path / "wide.csv"
-        table.write_text("# d=400\n" + "".join(f"{r},{math.exp(-r)}\n" for r in range(10)))
-        code, _, err = run_cli(capsys, "moments", "--file", str(table), "--orders", "1")
-        assert code == 3
-        assert err.startswith("error[DomainError]: Omega_d for d = 400")
+        table.write_text("# d=439\n" + "".join(f"{r},{math.exp(-r)}\n" for r in range(10)))
+        code, out, err = run_cli(capsys, "moments", "--file", str(table), "--orders", "1")
+        assert (code, out) == (3, "")
+        assert err == "error[DomainError]: omega(439) leaves the double-precision range\n"
+
+    def test_overflowing_normalization_exit(self, capsys, tmp_path):
+        # Omega_330 is a double, but r^329 of the normalization integrand
+        # overflows at r ~ 8.7: the quadrature's typed error, with no numpy
+        # warning (which the suite turns into an error) on the way
+        table = tmp_path / "wide.csv"
+        table.write_text("# d=330\n" + "".join(f"{r},{math.exp(-r)}\n" for r in range(10)))
+        code, out, err = run_cli(capsys, "moments", "--file", str(table), "--orders", "1")
+        assert (code, out) == (4, "")
+        assert err.startswith("error[NonFiniteError]: integrand is not finite")
 
     def test_unrepresentable_bound_exit(self, capsys):
         # N^4 of the d = 1 Heisenberg-like rhs leaves the double range

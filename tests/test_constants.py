@@ -1,6 +1,7 @@
 import ast
 import math
 import random
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -474,7 +475,7 @@ class TestExtremalEntropicClosedForm:
         try:
             value = fn(d, alpha, k)
         except DomainError as exc:
-            assert "cannot be formed in double precision" in str(exc)
+            assert str(exc).endswith("leaves the double-precision range")
             # only where the value, alpha^(1+2k/d) or Omega_d B leaves the normal range
             with mpmath.workdps(40):
                 dm = mpmath.mpf(d)
@@ -537,8 +538,8 @@ class TestUnformedConstants:
                      id="rigorous_constant-underflow"),
     ])
     def test_cannot_be_formed(self, call, name):
-        with pytest.raises(DomainError, match=f"^{name}\\(.* cannot be formed in double "
-                                              "precision$"):
+        with pytest.raises(DomainError, match=f"^{name}\\(.* leaves the double-precision "
+                                              "range$"):
             call()
 
     @pytest.mark.parametrize("call,exact", [
@@ -614,39 +615,91 @@ class TestTypedRejection:
             call()
 
 
+def _log_uniform(rng, lo, hi):
+    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+
+def _dim(rng):  # d = 1..800
+    return int(_log_uniform(rng, 1.0, 801.0))
+
+
+def _order(rng):
+    return _log_uniform(rng, 1e-6, 1e6)
+
+
+def _count(rng):  # N
+    return _log_uniform(rng, 1e-300, 1e300)
+
+
+def _negative_k(rng, d):
+    """-d < k < 0: a share of d, or one in five so small that k alpha underflows."""
+    if rng.random() < 0.2:
+        return -_log_uniform(rng, 1e-300, 1e-160)
+    return -d * _log_uniform(rng, 1e-6, 1.0 - 2.0 ** -52)
+
+
+def _orders(rng, d, sign):
+    """(alpha, k) of the Heisenberg-like relation of this sign of k; for
+    k < 0, alpha half the time within 16 ulps above the window."""
+    if sign > 0:
+        return _log_uniform(rng, 1e-3, 1e6), _order(rng)
+    k = _negative_k(rng, d)
+    window = C.negative_order_window(d, k)
+    if rng.random() < 0.5:
+        return window * (1.0 + rng.randint(1, 16) * 2.0 ** -52), k
+    return window * _log_uniform(rng, 1.0, 1e6), k
+
+
+def _fisher_draw(rng):
+    variant = rng.choice(sorted(C._FISHER_FORMS))
+    electron, three_d, _ = C._FISHER_FORMS[variant]
+    return variant, C.SystemConfig(3 if three_d else rng.randint(1, 5), _count(rng),
+                                   2 if electron else rng.randint(1, 4))
+
+
 # valid arguments of each function in constants.__all__, both signs of k
-# where a function takes either; Wide is a value type, whose callers check
+# where a function takes either, and a seeded draw of extreme but valid
+# ones: d up to 800, N from 1e-300 to 1e300, orders from 1e-6 to 1e6,
+# alpha next to the negative-order window and k alpha underflowing.  Wide
+# is a value type, whose callers check; SystemConfig and the Beta function,
+# an intermediate that may underflow, have no draw.
 _BASELINES = [
-    ("SystemConfig", (3, 1.0, 2)),
-    ("omega", (3,)),
-    ("beta", (1.5, 2.5)),
-    ("wide_gamma", (3.5,)),
-    ("gamma_half_ratio", (3.5,)),
-    ("exp_e1_scaled", (0.5,)),
-    ("e1_fraction_tail", (2.0,)),
-    ("thakkar_coefficient", (1.0,)),
-    ("semiclassical_constant", (3, 1.0)),
-    ("daubechies_factor", (3, 2.0)),
-    ("rigorous_constant", (3, 2.0)),
-    ("entropic_lower_coeff", (3, 2.0, 2.0)),
-    ("heisenberg_coeff", (3, 2.0, 2.0)),
-    ("heisenberg_coeff", (3, 2.0, -1.0)),
-    ("heisenberg_exponent", (3, 2.0, 2.0)),
-    ("heisenberg_rhs", (3, 2.0, 2.0, 1.0, 2)),
-    ("heisenberg_rhs", (3, 2.0, -1.0, 1.0, 2)),
-    ("negative_order_window", (3, -0.5)),
-    ("entropic_upper_coeff_closed", (3, 2.0, -1.0)),
-    ("negative_order_rhs", (3, 2.0, -1.0, 1.0, 2)),
-    ("zumbach_constant", (3,)),
-    ("heisenberg_product_constant", (3,)),
-    ("fisher_product_rhs", ("general", C.SystemConfig(3, 1.0, 2))),
+    ("SystemConfig", (3, 1.0, 2), None),
+    ("omega", (3,), lambda g: (_dim(g),)),
+    ("beta", (1.5, 2.5), None),
+    ("wide_gamma", (3.5,), lambda g: (_log_uniform(g, 5e-324, 1e6),)),
+    ("gamma_half_ratio", (3.5,), lambda g: (_order(g),)),
+    ("exp_e1_scaled", (0.5,), lambda g: (_order(g),)),
+    ("e1_fraction_tail", (2.0,), lambda g: (1.0 + _order(g),)),
+    ("thakkar_coefficient", (1.0,),
+     lambda g: (_order(g) if g.random() < 0.5 else -3.0 * _log_uniform(g, 1e-6, 1.0 - 2e-16),)),
+    ("semiclassical_constant", (3, 1.0),
+     lambda g: (d := _dim(g), _order(g) if g.random() < 0.5 else _negative_k(g, d))),
+    ("daubechies_factor", (3, 2.0), lambda g: (_dim(g), _order(g))),
+    ("rigorous_constant", (3, 2.0), lambda g: (_dim(g), _order(g))),
+    ("entropic_lower_coeff", (3, 2.0, 2.0), lambda g: (d := _dim(g), *_orders(g, d, 1))),
+    ("heisenberg_coeff", (3, 2.0, 2.0), lambda g: (d := _dim(g), *_orders(g, d, 1))),
+    ("heisenberg_coeff", (3, 2.0, -1.0), lambda g: (d := _dim(g), *_orders(g, d, -1))),
+    ("heisenberg_exponent", (3, 2.0, 2.0), lambda g: (d := _dim(g), *_orders(g, d, 1))),
+    ("heisenberg_exponent", (3, 2.0, -1.0), lambda g: (d := _dim(g), *_orders(g, d, -1))),
+    ("heisenberg_rhs", (3, 2.0, 2.0, 1.0, 2),
+     lambda g: (d := _dim(g), *_orders(g, d, 1), _count(g), g.randint(1, 4))),
+    ("heisenberg_rhs", (3, 2.0, -1.0, 1.0, 2),
+     lambda g: (d := _dim(g), *_orders(g, d, -1), _count(g), g.randint(1, 4))),
+    ("negative_order_window", (3, -0.5), lambda g: (d := _dim(g), _negative_k(g, d))),
+    ("entropic_upper_coeff_closed", (3, 2.0, -1.0), lambda g: (d := _dim(g), *_orders(g, d, -1))),
+    ("negative_order_rhs", (3, 2.0, -1.0, 1.0, 2),
+     lambda g: (d := _dim(g), *_orders(g, d, -1), _count(g), g.randint(1, 4))),
+    ("zumbach_constant", (3,), lambda g: (g.randint(1, 5),)),
+    ("heisenberg_product_constant", (3,), lambda g: (_dim(g),)),
+    ("fisher_product_rhs", ("general", C.SystemConfig(3, 1.0, 2)), _fisher_draw),
 ]
 
 
 def _bad_calls():
     """(name, args) with NaN, +-inf and True in place of each numeric
     argument of a baseline in turn."""
-    for name, args in _BASELINES:
+    for name, args, _ in _BASELINES:
         for i, arg in enumerate(args):
             if type(arg) in (int, float):
                 for bad in (math.nan, math.inf, -math.inf, True):
@@ -659,9 +712,31 @@ class TestBadArgumentsGenerated:
     bool in any numeric argument with a DomainError."""
 
     def test_baselines_cover_the_public_functions(self):
-        assert {name for name, _ in _BASELINES} == set(C.__all__) - {"Wide"}
-        for name, args in _BASELINES:
+        assert {name for name, _, _ in _BASELINES} == set(C.__all__) - {"Wide"}
+        for name, args, _ in _BASELINES:
             getattr(C, name)(*args)
+
+    @pytest.mark.parametrize("name,args,draw", [pytest.param(*row, id=f"{row[0]}{row[1]}")
+                                                for row in _BASELINES if row[2]])
+    def test_extreme_arguments_held_or_refused(self, name, args, draw):
+        """Every value is a normal double, or a DomainError saying that a
+        double cannot hold it: never 0.0, a subnormal or an untyped error.
+        Next to the window the window itself may refuse alpha.  wide_gamma
+        returns a Wide, and the exponent 1 + k (1/alpha + 1/d) may round to
+        0 or below right at the window: they need only return."""
+        rng = random.Random(f"{name}{args}")
+        for _ in range(500):
+            args = draw(rng)
+            try:
+                value = getattr(C, name)(*args)
+            except DomainError as exc:
+                assert str(exc).endswith(" leaves the double-precision range") \
+                    or "violates the validity window" in str(exc), (name, args, str(exc))
+                continue
+            if name == "heisenberg_exponent":
+                assert math.isfinite(value), (name, args, value)
+            elif name != "wide_gamma":
+                assert sys.float_info.min <= value < math.inf, (name, args, value)
 
     @pytest.mark.parametrize("name,args", list(_bad_calls()))
     def test_rejected(self, name, args):

@@ -40,6 +40,29 @@ class TestSpecialFunctions:
         with pytest.raises(DomainError):
             omega(0)
 
+    def test_omega_past_the_gamma_overflow(self):
+        # Gamma(d/2) leaves the double range from d = 344 on, Omega_d only
+        # from d = 439 on; the bound is pi's rounding in math.pi ** (d/2),
+        # as for the float expression below d = 344
+        with mpmath.workdps(30):
+            for d in range(344, 439):
+                dm = mpmath.mpf(d)
+                exact = 2 * mpmath.pi ** (dm / 2) / mpmath.gamma(dm / 2)
+                assert abs(omega(d) / exact - 1) <= 1e-14, d
+        with pytest.raises(DomainError, match=r"^omega\(439\) leaves the double-precision range$"):
+            omega(439)
+
+    @pytest.mark.parametrize("x", [5.5e-309, 1e-310, 1e-320, 5e-324])
+    def test_gamma_below_its_overflow(self, x):
+        # math.gamma(x) overflows below x ~ 5.6e-309, where Gamma(x) ~ 1/x
+        # is a Wide and Gamma(x + 1/2) / Gamma(x) ~ sqrt(pi) x a double
+        # (a subnormal one, with the digits that a subnormal keeps)
+        with mpmath.workdps(30):
+            g = constants.wide_gamma(x)
+            assert abs(mpmath.mpf(g.m) * mpmath.mpf(2) ** g.e / mpmath.gamma(x) - 1) <= 2e-16
+            exact = mpmath.gamma(x + mpmath.mpf(0.5)) / mpmath.gamma(x)
+            assert abs(constants.gamma_half_ratio(x) - exact) <= 2e-16 * exact + 5e-324
+
     def test_beta_values(self):
         assert beta(1.0, 1.0) == pytest.approx(1.0, rel=1e-14)
         assert beta(0.5, 0.5) == pytest.approx(math.pi, rel=1e-14)

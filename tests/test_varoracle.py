@@ -10,7 +10,8 @@ import scipy.optimize
 
 from uncrel import mathcore as M
 from uncrel import varoracle as V
-from uncrel.constants import (entropic_lower_coeff, heisenberg_exponent,
+from uncrel.constants import (entropic_lower_coeff, entropic_upper_coeff_closed,
+                              heisenberg_exponent, negative_order_window,
                               semiclassical_constant)
 from uncrel import functionals
 from uncrel.errors import (ConvergenceError, DivergenceError, DomainError, NonFiniteError,
@@ -88,7 +89,7 @@ class TestMinimizerDensity:
             V.minimizer_density(3, -2.0, 1.0)
         # a is a normal float, but the rounding of a = x^(1/alpha) puts
         # a^alpha past the double range
-        with pytest.raises(DomainError, match="cannot be formed in double precision"):
+        with pytest.raises(DomainError, match="leaves the double-precision range"):
             V.minimizer_density(2, 3.00037429064003e17, 1e30, r_alpha=1.3865410144233112e287)
 
     @pytest.mark.parametrize("d,alpha,k", [(3, 2.0, 4.0), (2, 2.0, 2.0), (3, 2.0, 3.0), (1, 1.0, 3.0)])
@@ -244,6 +245,29 @@ class TestMaximizerDensity:
             V.maximizer_density(3, 1.0, -1.0)
         with pytest.raises(DomainError):
             V.maximizer_density(3, 2.0, -3.0)
+
+    def test_built_wherever_the_closed_form_is(self):
+        # the 17 floats above the window of 300 seeded (d, k): wherever the
+        # closed form has a value, the maximizer is built or its scale
+        # a = ratio^(1/alpha) truly leaves the double range, at a small alpha
+        rng = random.Random(1505)
+        built = 0
+        for _ in range(300):
+            d = rng.randint(1, 12)
+            k = -d * rng.uniform(0.001, 0.999)
+            alpha = negative_order_window(d, k)
+            for _ in range(17):
+                alpha = math.nextafter(alpha, math.inf)
+                try:
+                    entropic_upper_coeff_closed(d, alpha, k)
+                except DomainError:
+                    continue
+                try:
+                    V.maximizer_density(d, alpha, k)
+                    built += 1
+                except DomainError as exc:
+                    assert alpha < 0.06 and str(exc).startswith("the scale of"), (d, alpha, k)
+        assert built > 4000
 
 
 class TestExtremalG:
