@@ -383,17 +383,39 @@ def rigorous_constant(d: int, k: float) -> float:
     return semiclassical_constant(d, k) * daubechies_factor(d, k)
 
 
+def _log_omega_beta(d: int, x: float, y: float) -> float:
+    """log(Omega_d B(x, y)), for where the product is no normal double."""
+    return math.log(omega(d)) + math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y)
+
+
 def _extremal_entropic(name: str, d: int, alpha: float, k: float, b: float) -> float:
     """W_{1+k/d} at N = <r^alpha> = 1 of the density extremizing it at fixed
     N and <r^alpha>, C (a^alpha - r^alpha)^(d/k) on the ball for k > 0 and
     C (a^alpha + r^alpha)^(d/k) on the half line for -d < k < 0; b is the
     Beta argument the constraints reduce to.  (m alpha + k)^(m alpha + k)
-    is never formed; a value that still cannot be is a DomainError."""
-    m = 1.0 + k / d
-    return formed(name + "({}, {}, {})", lambda: (
-        alpha ** (1.0 + 2.0 * k / d) * abs(k) ** (k / alpha)
-        * (1.0 / (alpha + alpha * k / d + k)) ** (k * (1.0 / alpha + 1.0 / d) + 1.0)
-        * m ** m * (omega(d) * beta(b, d / alpha)) ** (-k / d)), d, alpha, k)
+    is never formed.  Where a factor or partial product is no normal
+    double, where a float keeps few bits or none, the value is formed from
+    logarithms instead; one that still cannot be is a DomainError."""
+    m, x = 1.0 + k / d, d / alpha
+    c, y = alpha + alpha * k / d + k, k * (1.0 / alpha + 1.0 / d) + 1.0
+
+    def form():
+        p = omega(d) * beta(b, x)
+        value = 1.0
+        try:
+            for f in (alpha ** (1.0 + 2.0 * k / d), abs(k) ** (k / alpha), (1.0 / c) ** y,
+                      m ** m, p ** (-k / d)):
+                value *= f
+                if f < TINY or not TINY <= value < math.inf:
+                    break
+            else:
+                if p >= TINY:  # else p^(-k/d) carries a subnormal's few bits
+                    return value
+        except (OverflowError, ZeroDivisionError):
+            pass
+        return math.exp((1.0 + 2.0 * k / d) * math.log(alpha) + k / alpha * math.log(abs(k))
+                        - y * math.log(c) + m * math.log(m) - k / d * _log_omega_beta(d, b, x))
+    return formed(name + "({}, {}, {})", form, d, alpha, k)
 
 
 def entropic_lower_coeff(d: int, alpha: float, k: float) -> float:

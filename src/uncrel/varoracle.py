@@ -21,10 +21,13 @@ W_{1+k/d} would hand the oracle the very value it is there to check.  The
 maximizer takes the window and the Beta argument of its scale from the
 closed form's one check, so the two agree on it; a scale, normalization or
 closed form that a double cannot hold is a DomainError, from errors.formed.
+A normalization whose Beta function or denominator is subnormal or 0 is
+taken from logarithms, as the closed form's own Omega_d B is.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -33,8 +36,8 @@ import numpy as np
 from . import constants
 from .constants import beta, omega
 from .densities import RadialDensity, density_views, fixed_moments
-from .errors import (DivergenceError, DomainError, check_finite, check_integer, check_positive,
-                     formed)
+from .errors import (TINY, DivergenceError, DomainError, check_finite, check_integer,
+                     check_positive, formed)
 from .functionals import entropic_moment
 from .mathcore import QuadratureSpec, uniform_cuts
 
@@ -64,6 +67,21 @@ def _scale_from_ratio(alpha: float, ratio: float, N: float, r_alpha: float, labe
     return formed("the scale of {}", lambda: (r_alpha / N * ratio) ** (1.0 / alpha), label)
 
 
+def _normalization(d: int, alpha: float, a: float, s: float, xy: tuple[float, float],
+                   N: float, label: str) -> float:
+    # C = N alpha / (Omega_d a^s B(x, y)), from the normalization integral;
+    # where a factor or partial product of the denominator is subnormal or
+    # 0, where a float keeps few bits or none, from logarithms
+    def form():
+        den = 1.0
+        for f in (omega(d), a ** s, beta(*xy)):
+            den *= f
+            if f < TINY or den < TINY:
+                return N * alpha * math.exp(-s * math.log(a) - constants._log_omega_beta(d, *xy))
+        return N * alpha / den
+    return formed("the normalization of {}", form, label)
+
+
 def minimizer_density(d: int, alpha: float, k: float,
                       N: float = 1.0, r_alpha: float = 1.0) -> RadialDensity:
     """Compactly supported extremal density C (a^alpha - r^alpha)^(d/k),
@@ -81,8 +99,7 @@ def minimizer_density(d: int, alpha: float, k: float,
     e = d / k
     label = f"extremal-min(d={d},alpha={alpha},k={k})"
     a = _scale_from_ratio(alpha, 1.0 + alpha * (e + 1.0) / d, N, r_alpha, label)
-    C = formed("the normalization of {}", lambda: N * alpha / (
-        omega(d) * a ** (d + alpha * e) * beta(d / alpha, e + 1.0)), label)
+    C = _normalization(d, alpha, a, d + alpha * e, (d / alpha, e + 1.0), N, label)
     a_alpha = formed("the scale of {}", lambda: a ** alpha, label)
 
     def density(r, slope):
@@ -121,8 +138,7 @@ def maximizer_density(d: int, alpha: float, k: float,
     label = f"extremal-max(d={d},alpha={alpha},k={k})"
     # the ratio alpha (d + k) / (-d k) - 1 is b alpha / d, positive by the window
     a = _scale_from_ratio(alpha, b * alpha / d, N, r_alpha, label)
-    C = formed("the normalization of {}", lambda: N * alpha / (
-        omega(d) * a ** (d + alpha * e) * beta(d / alpha, t - d / alpha)), label)
+    C = _normalization(d, alpha, a, d + alpha * e, (d / alpha, t - d / alpha), N, label)
 
     # a^alpha + r^alpha = hi^alpha (1 + (lo/hi)^alpha) with hi = max(a, r),
     # lo = min(a, r): far out, r^alpha alone overflows while the density

@@ -320,7 +320,7 @@ class TestErrors:
                        "beyond the double-precision range\n")
 
     @pytest.mark.parametrize("mode,d,alpha,k", [
-        ("F", "3", "1e300", "1"),      # entropic_lower_coeff's intermediates overflow
+        ("F", "439", "2", "2"),        # Omega_d underflows
         ("F", "3", "2", "1e-300"),     # the minimizer's a^(d + alpha d/k) overflows
         ("F", "3", "1e-200", "1"),     # the closed form rounds to 0
         ("G", "3", "2", "-1e-300"),    # the maximizer's normalization divides by 0

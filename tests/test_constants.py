@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from uncrel import constants as C
 from uncrel import varoracle
-from uncrel.errors import (ConvergenceError, DomainError, check_finite, check_integer,
+from uncrel.errors import (TINY, ConvergenceError, DomainError, check_finite, check_integer,
                            check_positive)
 
 PI = math.pi
@@ -468,7 +468,21 @@ class TestExtremalEntropicClosedForm:
     def _beta_argument(d, alpha, k):
         return 2.0 + d / k if k > 0 else -1.0 - d * (k + alpha) / (k * alpha)
 
-    def _check(self, d, alpha, k):
+    @classmethod
+    def _slack(cls, d, alpha, k):
+        """The rounding the closed form's powers and log-gammas carry: one
+        ulp of each logarithm the value is the exponential of, at large d
+        or where it is formed from logarithms."""
+        b, x, m = cls._beta_argument(d, alpha, k), d / alpha, 1 + k / d
+        c, y = alpha * m + k, k * (1 / alpha + 1 / d) + 1
+        lg = math.lgamma
+        return 2.0 ** -52 * (
+            abs(k / d) * (d / 2 * math.log(math.pi) + abs(lg(d / 2)) + abs(lg(b)) + abs(lg(x))
+                          + abs(lg(b + x)))
+            + abs((1 + 2 * k / d) * math.log(alpha)) + abs(k / alpha * math.log(abs(k)))
+            + abs(y * math.log(c)) + abs(m * math.log(m)))
+
+    def _check(self, d, alpha, k, slack=0.0):
         fn = C.entropic_lower_coeff if k > 0 else C.entropic_upper_coeff_closed
         exact = _extremal_W_mpmath(d, alpha, k)
         b = self._beta_argument(d, alpha, k)
@@ -476,17 +490,17 @@ class TestExtremalEntropicClosedForm:
             value = fn(d, alpha, k)
         except DomainError as exc:
             assert str(exc).endswith("leaves the double-precision range")
-            # only where the value, alpha^(1+2k/d) or Omega_d B leaves the normal range
+            # only where the value, alpha^(1+2k/d) or Omega_d leaves the normal
+            # range; a subnormal Omega_d B is raised to -k/d from its logarithm
             with mpmath.workdps(40):
                 dm = mpmath.mpf(d)
-                omega_b = (2 * mpmath.pi ** (dm / 2) / mpmath.gamma(dm / 2)
-                           * mpmath.beta(b, dm / alpha))
-                parts = (exact, mpmath.mpf(alpha) ** (1 + 2 * mpmath.mpf(k) / dm), omega_b)
+                parts = (exact, mpmath.mpf(alpha) ** (1 + 2 * mpmath.mpf(k) / dm),
+                         2 * mpmath.pi ** (dm / 2) / mpmath.gamma(dm / 2))
             assert not all(_NORMAL[0] <= x < _NORMAL[1] for x in parts), (d, alpha, k)
             return None
         # near the negative-order window b is formed with a cancellation
         # of 1/b, and B ~ 1/b carries that rounding
-        assert abs(value / exact - 1) <= 1e-14 + 1e-15 / b, (d, alpha, k, value)
+        assert abs(value / exact - 1) <= 1e-14 + 1e-15 / b + slack, (d, alpha, k, value)
         return value
 
     def test_seeded_grid_both_signs(self):
@@ -499,6 +513,17 @@ class TestExtremalEntropicClosedForm:
             lo = 0.5 if k > 0 else C.negative_order_window(d, k)
             alpha = math.exp(rng.uniform(math.log(lo), math.log(1e5)))
             assert self._check(d, alpha, k) is not None, (d, alpha, k)
+        # d = 344..438, past Gamma(d/2)'s overflow, where Omega_d B is
+        # subnormal or 0 at some draws
+        subnormal = 0
+        for i in range(150):
+            d = rng.randint(344, 438)
+            k = math.copysign(d * rng.uniform(0.005, 0.995), (-1) ** i)
+            lo = 0.5 if k > 0 else C.negative_order_window(d, k)
+            alpha = math.exp(rng.uniform(math.log(lo), math.log(1e5)))
+            assert self._check(d, alpha, k, self._slack(d, alpha, k)) is not None, (d, alpha, k)
+            subnormal += C.omega(d) * C.beta(self._beta_argument(d, alpha, k), d / alpha) < TINY
+        assert subnormal >= 3
 
     @pytest.mark.parametrize("d,alpha,k", [
         (3, 150.0, 1.0), (3, 1000.0, 1.0), (3, 1e5, 1.0),  # (m alpha + k)^(m alpha + k) overflowed
@@ -506,15 +531,25 @@ class TestExtremalEntropicClosedForm:
     def test_formed_where_representable(self, d, alpha, k):
         assert self._check(d, alpha, k) is not None
 
+    @pytest.mark.parametrize("d,alpha,k", [
+        # Omega_d B is subnormal or 0: refused, or raised with few of its bits
+        (341, 2.0, 2.0), (343, 2.0, -1.0), (317, 1.3812710524159295, 1.8206904483703699),
+        (371, 3.5772255350183757, 3.082583997307235),
+        (415, 0.6470306588547972, 26.139413683558324),
+        (3, 1e300, 1.0),  # alpha^(1+2k/d) overflows
+        (354, 2.49205450576853, 343.78922960054365),  # |k|^(k/alpha) overflows
+        (381, 1.1698734266010549, 162.87156112987418)])  # (m alpha + k)^-(...) is subnormal
+    def test_formed_from_logarithms(self, d, alpha, k):
+        assert self._check(d, alpha, k, self._slack(d, alpha, k)) is not None
+
     def test_vanishing_order(self):
         # W_{1 + k/d} -> N = 1 as k -> 0; d/k ~ 3e271 once overflowed a power
         assert C.entropic_lower_coeff(3, 486.6224754497575, 9.372472527320516e-272) == 1.0
 
     @pytest.mark.parametrize("d,alpha,k", [
-        (3, 1e300, 1.0),  # alpha^(1+2k/d) overflows
-        (341, 2.0, 2.0),  # Omega_d B underflows
-        (343, 2.0, -1.0),  # Omega_d B underflows; it read 0.0
-        (3, 1e-200, 1.0)])  # the value underflows
+        (439, 2.0, 2.0),  # Omega_d underflows
+        (438, 1e22, -436.0),  # the value is subnormal
+        (3, 1e-200, 1.0)])  # alpha^(1+2k/d) underflows, and m alpha + k rounds to k
     def test_unformable_is_a_domain_error(self, d, alpha, k):
         assert self._check(d, alpha, k) is None
 
@@ -529,8 +564,8 @@ class TestUnformedConstants:
                      id="thakkar_coefficient"),
         pytest.param(lambda: C.heisenberg_rhs(1, 2.0, 2.0, N=1e100), "heisenberg_rhs",
                      id="heisenberg_rhs-N"),
-        # Omega_d B underflows in the extremal coefficient
-        pytest.param(lambda: C.negative_order_rhs(343, 2.0, -1.0), "entropic_upper_coeff_closed",
+        # the extremal coefficient is subnormal
+        pytest.param(lambda: C.negative_order_rhs(438, 1e22, -436.0), "entropic_upper_coeff_closed",
                      id="negative_order_rhs"),
         pytest.param(lambda: C.daubechies_factor(1, 142.0), "daubechies_factor",
                      id="daubechies_factor-subnormal"),

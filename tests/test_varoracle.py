@@ -172,6 +172,12 @@ class TestExtremalF:
     def test_off_diagonal_point(self):
         assert V.extremal_F(2, 3.0, 1.0).discrepancy <= 1e-8
 
+    def test_normalization_past_an_underflowing_beta(self):
+        # B(d/alpha, d/k + 1) = B(1045, 465) underflows to 0, and the
+        # normalization is taken from logarithms; it was a DomainError
+        assert beta(200 / 0.191420573443356, 200 / 0.4307519771575944 + 1.0) == 0.0
+        assert V.extremal_F(200, 0.191420573443356, 0.4307519771575944).discrepancy <= 1e-10
+
     def test_exponent_law(self):
         # at (N, <r^alpha>) = (2, 5) the extremal's entropic moment equals
         # F * 5^(-k/alpha) * 2^(1 + k(1/alpha + 1/d))
