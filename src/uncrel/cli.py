@@ -378,10 +378,9 @@ def cmd_export(args, spec: QuadratureSpec) -> ReportDocument:
         check_positive("rmax", args.rmax)
     state, cfg, held = build_state(args)
     dens, space = _select_space(state, held, args.space)
-    # without --rmax: a table's whole support, else three support_hint
-    # lengths; the quadrature's cuts do not set this grid
-    end = dens.support[1] if dens.support is not None else 3.0 * dens.support_hint
-    grid = np.linspace(0.0, end if args.rmax is None else args.rmax, args.points)
+    # without --rmax the grid ends at the last breakpoint of the first
+    # quadrature sweep: a table's last radius, past a model's bulk
+    grid = np.linspace(0.0, dens.cuts[-1] if args.rmax is None else args.rmax, args.points)
     vals = dens.rho(grid)
     rows = [{"r": float(r), "rho": float(v)} for r, v in zip(grid, vals)]
     return ReportDocument({"d": dens.d, "N": dens.N, "space": space},

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -62,14 +62,13 @@ class RadialDensity:
     """A radial probability density in d dimensions normalized to N particles.
 
     rho maps radius to density value, and drho to the pair (rho, rho')
-    with rho's bits, read by Fisher information at the same nodes.  Both view
-    one evaluation (density_views): a drho calling rho would keep rho alive
-    in the quadrature memo, whose entries hold drho under a weak key on rho.
-    exact, when present, is the closed form: exact(kind, order) is the
-    exact <r^order> for kind "moment", W_order for kind "entropic" and
-    the Fisher information for kind "fisher" (order 2), or None where
-    there is no closed form, so the functionals integrate; a value out of
-    the double range is a DomainError.  Exact are
+    with rho's bits, read by Fisher information at the same nodes; both
+    view one evaluation (density_views).  exact, when present, is the
+    closed form: exact(kind, order) is the exact <r^order> for kind
+    "moment", W_order for kind "entropic" and the Fisher information for
+    kind "fisher" (order 2), or None where there is no closed form, so the
+    functionals integrate; a value out of the double range is a
+    DomainError.  Exact are
       Gaussian: every <r^a>, a > -d, every W_m, and I = N d / sigma^2;
       hydrogenic position: the exponential model at d = 3, lam = 2 Z;
       hydrogenic momentum: <p^k> for -3 < k < 5, and W_m for m > 3/8
@@ -80,19 +79,19 @@ class RadialDensity:
         and alpha, only, and the minimizer's Fisher information for k >= d,
         which diverges (DivergenceError);
     and tabulated densities nothing.  cuts, a read-only float64 array, are
-    the breakpoints of the first quadrature sweep: 16 uniform panels on
-    [0, 5 support_hint] for the single-orbital models and the maximizer,
-    on [0, a] for the minimizer, max(16, ceil(1.25 levels)) on ho1d's head,
-    and a table's knots.  support is a finite radial interval the cuts
-    span, or None for the half line, whose tail ladder starts at cuts[-1]
-    (see mathcore.quad_halfline).  support_hint is a length over which the
-    density falls off (export's default grid spans three of them); knots
-    marks interpolation breakpoints of tabulated data.  tail_exponent is
-    the s of a power-law tail rho ~ r^-s at large radius, and inf (the
-    default) for faster than any power (exponential, Gaussian) or compact
-    support; the functionals read it to reject divergent orders up front.
-    Instances compare by identity (eq=False); the functionals memoize
-    quadrature results under rho and the other fields a quadrature reads.
+    the breakpoints of the first quadrature sweep: 16 uniform panels over
+    five lengths the density falls off over for the single-orbital models,
+    on [0, 5 a] for the maximizer and [0, a] for the minimizer,
+    max(16, ceil(1.25 levels)) on ho1d's head, and a table's knots; export's
+    default grid ends at cuts[-1].  support is a finite radial interval the
+    cuts span, or None for the half line, whose tail ladder starts at
+    cuts[-1] (see mathcore.quad_halfline).  knots marks interpolation
+    breakpoints of tabulated data.  tail_exponent is the s of a power-law
+    tail rho ~ r^-s at large radius, and inf (the default) for faster than
+    any power (exponential, Gaussian) or compact support; the functionals
+    read it to reject divergent orders up front.
+    Instances compare by identity (eq=False), and the functionals memoize
+    quadrature results per instance.
     """
 
     d: int
@@ -101,14 +100,13 @@ class RadialDensity:
     drho: Callable
     cuts: np.ndarray = field(repr=False)
     exact: Callable[[str, float], float | None] | None = None
-    support_hint: float = 1.0
     support: tuple[float, float] | None = None
     knots: np.ndarray | None = field(default=None, repr=False)
     tail_exponent: float = math.inf
     label: str = ""
 
     def __post_init__(self):
-        self.cuts.flags.writeable = False  # the quadrature memo keys on its identity
+        self.cuts.flags.writeable = False  # memo entries were integrated over them
 
 
 def density_views(density: Callable) -> dict:
@@ -178,9 +176,10 @@ def _gaussian_radial(d: int, sigma2: float, N: float, label: str) -> RadialDensi
             return None
         return value.value(f"{label}: {kind} of order {order}")
 
-    hint = 4.0 * math.sqrt(sigma2)
-    return RadialDensity(d=d, N=N, **density_views(density), cuts=uniform_cuts(0.0, 5.0 * hint),
-                         exact=exact, support_hint=hint, label=label)
+    # five decay lengths of 4 sigma
+    return RadialDensity(d=d, N=N, **density_views(density),
+                         cuts=uniform_cuts(0.0, 5.0 * (4.0 * math.sqrt(sigma2))),
+                         exact=exact, label=label)
 
 
 def gaussian_pair(d: int, a: float, N: float = 1.0) -> DensityPair:
@@ -241,11 +240,11 @@ def hydrogenic_pair(Z: float) -> DensityPair:
 
     mom = RadialDensity(d=3, N=1.0, **density_views(density),
                         cuts=uniform_cuts(0.0, 5.0 * (3.0 * Z)), exact=mom_exact,
-                        support_hint=3.0 * Z, tail_exponent=8.0, label=f"hydrogenic-mom(Z={Z})")
+                        tail_exponent=8.0, label=f"hydrogenic-mom(Z={Z})")
     return DensityPair(pos, mom, real_wavefunction=True, label=f"hydrogenic(Z={Z})")
 
 
-def _exponential_radial(d: int, lam: float, N: float, label: str, hint: float) -> RadialDensity:
+def _exponential_radial(d: int, lam: float, N: float, label: str, length: float) -> RadialDensity:
     # Omega_d Gamma(d), past the range of math.gamma(d) from d = 172 on
     sphere = Wide(omega(d)) * wide_gamma(d)
     c = (Wide(N) * Wide(lam) ** d / sphere).value(label)
@@ -269,8 +268,8 @@ def _exponential_radial(d: int, lam: float, N: float, label: str, hint: float) -
             return None
         return value.value(f"{label}: {kind} of order {order}")
 
-    return RadialDensity(d=d, N=N, **density_views(density), cuts=uniform_cuts(0.0, 5.0 * hint),
-                         exact=exact, support_hint=hint, label=label)
+    return RadialDensity(d=d, N=N, **density_views(density), cuts=uniform_cuts(0.0, 5.0 * length),
+                         exact=exact, label=label)
 
 
 def exponential_radial(d: int, lam: float, N: float = 1.0) -> RadialDensity:
@@ -343,11 +342,11 @@ def harmonic_fermions_1d(N: int, q: int) -> DensityPair:
 
     The one-particle density is the occupation-weighted sum of squared
     oscillator eigenfunctions; the momentum density coincides with it
-    pointwise because Hermite functions are Fourier eigenfunctions.  The
-    momentum side shares the position side's rho and drho, so each
-    quadrature-backed functional of the pair is integrated once.  rho and
-    drho are each one level pass (_level_pass), so a Fisher-information
-    sweep, which reads rho and rho' from drho, runs the recurrence once.
+    pointwise because Hermite functions are Fourier eigenfunctions, so
+    the pair's two sides are one density, and each quadrature-backed
+    functional of the pair is integrated once.  rho and drho are each one
+    level pass (_level_pass), so a Fisher-information sweep, which reads
+    rho and rho' from drho, runs the recurrence once.
     """
     check_integer("particle number", N)
     check_integer("spin multiplicity", q)
@@ -367,12 +366,11 @@ def harmonic_fermions_1d(N: int, q: int) -> DensityPair:
     second = sum(w * (n + 0.5) for n, w in enumerate(weights))
     turn = math.sqrt(2.0 * top + 1.0)  # the top level's classical turning point
     panels = max(16, math.ceil(_PANELS_PER_LEVEL * (top + 1)))
-    pos = RadialDensity(d=1, N=float(N), **density_views(density),
-                        cuts=uniform_cuts(0.0, turn + _HEAD_MARGIN, panels),
-                        exact=fixed_moments({0.0: float(N), 2.0: second}),
-                        support_hint=turn + 4.0, label=f"ho1d(N={N},q={q})")
-    mom = replace(pos, label=f"ho1d-mom(N={N},q={q})")
-    return DensityPair(pos, mom, real_wavefunction=True, label=f"ho1d(N={N},q={q})")
+    dens = RadialDensity(d=1, N=float(N), **density_views(density),
+                         cuts=uniform_cuts(0.0, turn + _HEAD_MARGIN, panels),
+                         exact=fixed_moments({0.0: float(N), 2.0: second}),
+                         label=f"ho1d(N={N},q={q})")
+    return DensityPair(dens, dens, real_wavefunction=True, label=f"ho1d(N={N},q={q})")
 
 
 def load_tabulated(cfg: SystemConfig, r, rho_values) -> RadialDensity:

@@ -58,13 +58,11 @@ class MomentValue:
             raise DomainError("est_error must be non-negative")
 
 
-# memo of quadrature results under what a quadrature reads: the density's
-# rho (held weakly, so entries die with it), then the functional, order and
-# spec, and its d, support, cuts, drho and knots (arrays by identity; the
-# entry keeps them, so that an identity is not reused while it lives).
-# label, N, exact, support_hint and tail_exponent never reach the quadrature,
-# so the self-dual ho1d momentum twin reads its position side's entries.
-_MEMO: "weakref.WeakKeyDictionary[object, dict]" = weakref.WeakKeyDictionary()
+# memo of quadrature results: per density (held weakly, so its entries die
+# with it), under the functional, order and spec.  A density is frozen and
+# compares by identity, so a dataclasses.replace copy is another density
+# with entries of its own.
+_MEMO: "weakref.WeakKeyDictionary[RadialDensity, dict]" = weakref.WeakKeyDictionary()
 
 
 def _quadrature(dens: RadialDensity, key: tuple, order: float, integrand,
@@ -72,23 +70,20 @@ def _quadrature(dens: RadialDensity, key: tuple, order: float, integrand,
     """The density's closed form for (key[0], order) where it has one;
     otherwise Omega_d int integrand(r) dr, one quadrature over the
     density's cuts, or over the half line they head where it has no
-    support, memoized under `key` (see _MEMO), with `left_out` added to
-    its error estimate."""
+    support, memoized per density under `key` and the spec (see _MEMO),
+    with `left_out` added to its error estimate."""
     if dens.exact is not None:
         value = dens.exact(key[0], order)
         if value is not None:
             return MomentValue(order, float(value), "analytic")
-    table = _MEMO.setdefault(dens.rho, {})
-    key = (*key, spec or DEFAULT_QUADRATURE, dens.d, dens.support, id(dens.cuts), dens.drho,
-           id(dens.knots))
-    hit = table.get(key)
-    if hit is None:
+    table = _MEMO.setdefault(dens, {})
+    key = (*key, spec or DEFAULT_QUADRATURE)
+    if key not in table:
         value, err = (quad_halfline(integrand, spec, dens.cuts) if dens.support is None
                       else gauss_cells(integrand, dens.cuts, spec))
         scale = omega(dens.d)
-        hit = table[key] = (MomentValue(order, scale * value, "quadrature", scale * err + left_out),
-                            dens.cuts, dens.knots)
-    return hit[0]
+        table[key] = MomentValue(order, scale * value, "quadrature", scale * err + left_out)
+    return table[key]
 
 
 def _weighted(x, r, w: float, m: float = 1.0) -> np.ndarray:

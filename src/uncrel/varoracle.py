@@ -155,7 +155,7 @@ def maximizer_density(d: int, alpha: float, k: float,
 
     return RadialDensity(d=d, N=N, **density_views(density), cuts=uniform_cuts(0.0, 5.0 * a),
                          exact=fixed_moments({0.0: N, float(alpha): r_alpha}),
-                         support_hint=a, tail_exponent=alpha * t, label=label)
+                         tail_exponent=alpha * t, label=label)
 
 
 def _extremal(d: int, alpha: float, k: float, spec: QuadratureSpec | None,

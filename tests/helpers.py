@@ -33,15 +33,14 @@ def scale_density(dens: RadialDensity, lam: float) -> RadialDensity:
     def rho(r):
         return lam ** d * f(lam * np.asarray(r, dtype=float))
 
-    def drho(r):  # from df alone, not f: see RadialDensity
+    def drho(r):
         value, slope = df(lam * np.asarray(r, dtype=float))
         return lam ** d * value, lam ** (d + 1) * slope
 
     support = None if dens.support is None else (dens.support[0] / lam, dens.support[1] / lam)
     cuts = dens.cuts / lam
     return dataclasses.replace(
-        dens, rho=rho, drho=drho, cuts=cuts, exact=None, support_hint=dens.support_hint / lam,
-        support=support, knots=None if dens.knots is None else cuts,
+        dens, rho=rho, drho=drho, cuts=cuts, exact=None, support=support, knots=None if dens.knots is None else cuts,
         label=f"{dens.label}*scale({lam})")
 
 

@@ -10,7 +10,8 @@ import pytest
 
 from uncrel import cli, varoracle
 from uncrel.cli import main
-from uncrel.densities import MAX_OSCILLATOR_LEVELS, DensityPair
+from uncrel.densities import (MAX_OSCILLATOR_LEVELS, DensityPair, exponential_radial,
+                              gaussian_pair, harmonic_fermions_1d, hydrogenic_pair)
 from uncrel.inequalities import InequalityId
 from uncrel.mathcore import QuadratureSpec
 
@@ -473,19 +474,27 @@ class TestDeterminism:
 
 class TestRoundTrip:
     @pytest.mark.parametrize("flags,end", [
-        (("--model", "gaussian", "--d", "3", "--a", "2"), 3.0 * 4.0 * 2.0),
-        (("--model", "gaussian", "--d", "3", "--space", "momentum"), 3.0 * 4.0 * 0.5),
-        (("--model", "hydrogenic", "--Z", "2"), 3.0 * 4.0 / 4.0),
-        (("--model", "hydrogenic", "--Z", "2", "--space", "momentum"), 3.0 * 3.0 * 2.0),
-        (("--model", "exponential", "--d", "3", "--lam", "2"), 3.0 * 8.0 / 2.0),
-        (("--model", "ho1d", "--n", "40"), 3.0 * (math.sqrt(39.0) + 4.0)),
+        (("--model", "gaussian", "--d", "3", "--a", "2"),
+         lambda: gaussian_pair(3, 2.0).position.cuts[-1]),
+        (("--model", "gaussian", "--d", "3", "--space", "momentum"),
+         lambda: gaussian_pair(3, 1.0).momentum.cuts[-1]),
+        (("--model", "hydrogenic", "--Z", "2"), lambda: hydrogenic_pair(2.0).position.cuts[-1]),
+        (("--model", "hydrogenic", "--Z", "2", "--space", "momentum"),
+         lambda: hydrogenic_pair(2.0).momentum.cuts[-1]),
+        (("--model", "exponential", "--d", "3", "--lam", "2"),
+         lambda: exponential_radial(3, 2.0).cuts[-1]),
+        (("--model", "ho1d", "--n", "40"), lambda: harmonic_fermions_1d(40, 2).position.cuts[-1]),
+        (("--file", "{table}"), lambda: 9.5),  # the table's last radius
     ], ids=["gaussian", "gaussian_momentum", "hydrogenic", "hydrogenic_momentum",
-            "exponential", "ho1d"])
-    def test_default_export_grid_spans_three_lengths(self, capsys, flags, end):
-        # three decay lengths of the model, whatever its quadrature layout
-        code, out, _ = run_cli(capsys, "export", *flags, "--points", "5")
+            "exponential", "ho1d", "tabulated"])
+    def test_default_export_grid_ends_at_the_last_breakpoint(self, capsys, tmp_path, flags, end):
+        # the last breakpoint of the exported side's first quadrature sweep
+        table = tmp_path / "table.csv"
+        table.write_text("# d=1\n" + "".join(f"{i / 4},{math.exp(-i / 4) / 2}\n" for i in range(39)))
+        code, out, _ = run_cli(capsys, "export", *(f.format(table=table) for f in flags),
+                               "--points", "5")
         assert code == 0
-        assert float(parse_csv(out)[-1]["r"]) == pytest.approx(end, rel=1e-11)
+        assert float(parse_csv(out)[-1]["r"]) == pytest.approx(end(), rel=1e-11)
 
     def test_export_then_reingest(self, capsys, tmp_path):
         table = tmp_path / "dens.csv"

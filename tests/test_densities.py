@@ -319,7 +319,7 @@ class TestSlopeContract:
     def radii(name):
         build, extra = _SLOPE_CASES[name]
         dens = build()
-        return dens, np.concatenate([np.linspace(0.0, 3.0 * dens.support_hint, 31), extra(dens)])
+        return dens, np.concatenate([np.linspace(0.0, dens.cuts[-1], 31), extra(dens)])
 
     @staticmethod
     def bits(*parts):
