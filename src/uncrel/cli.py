@@ -465,7 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_state_arguments(p)
     _add_space_argument(p)
     p.add_argument("--points", type=int, default=400)
-    p.add_argument("--rmax", type=float, default=None)
+    p.add_argument("--rmax", type=float, default=None,
+                   help="end of the grid (default: the density's last quadrature breakpoint)")
     return parser
 
 

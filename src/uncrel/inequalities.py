@@ -124,11 +124,8 @@ def _heisenberg(pair: DensityPair, cfg: SystemConfig, spec: QuadratureSpec | Non
     times W_{1+k/d} of its extremal density: a lower bound for alpha, k > 0,
     an upper bound for -d < k < 0 and alpha above -k d / (d + k) (d = 3
     electron systems need k >= -2 for <p^k>).  The right side comes first:
-    heisenberg_rhs at N = q = 1, which checks the orders, times powers of
-    q and N whose overflow `evaluate` reports as out of the double range."""
-    d = pair.position.d
-    rhs = (constants.heisenberg_rhs(d, alpha, k) * cfg.q ** (-k / d)
-           * cfg.N ** constants.heisenberg_exponent(d, alpha, k))
+    heisenberg_rhs, which checks the orders."""
+    rhs = constants.heisenberg_rhs(pair.position.d, alpha, k, cfg.N, cfg.q)
     ra = radial_moment(pair.position, alpha, spec).value
     pk = radial_moment(pair.momentum, k, spec).value
     return ra ** (k / alpha) * pk, rhs
@@ -141,14 +138,18 @@ def _heisenberg_d3(pair: DensityPair, cfg: SystemConfig, spec: QuadratureSpec | 
     return _heisenberg(pair, cfg, spec, alpha, k)
 
 
+def _zumbach_bracket(cfg: SystemConfig) -> float:
+    """1 + C_d (N/q)^(2/d), C_d the Zumbach constant."""
+    return 1.0 + constants.zumbach_constant(cfg.d) * (cfg.N / cfg.q) ** (2.0 / cfg.d)
+
+
 def _zumbach(pair: DensityPair, cfg: SystemConfig, spec: QuadratureSpec | None,
              orientation: str) -> tuple[float, float]:
     """Kinetic-energy versus Fisher-information bound
     <p^2> <= (1/2)[1 + C_d (N/q)^(2/d)] I_d[rho], and by position-momentum
     reciprocity the conjugate form with <r^2> and I_d[gamma] (orientation
     'position')."""
-    d = pair.position.d
-    factor = 0.5 * (1.0 + constants.zumbach_constant(d) * (cfg.N / cfg.q) ** (2.0 / d))
+    factor = 0.5 * _zumbach_bracket(cfg)
     kinetic, fisher = ((pair.momentum, pair.position) if orientation == "momentum"
                        else (pair.position, pair.momentum))
     return (radial_moment(kinetic, 2.0, spec).value,
@@ -172,7 +173,7 @@ def _fisher_product(pair: DensityPair, cfg: SystemConfig, spec: QuadratureSpec |
                 "fisher_real_4d2 requires a real position or momentum wavefunction")
         rhs = 4.0 * d * d
     elif variant == "heisenberg_product":
-        denom = (1.0 + constants.zumbach_constant(d) * (cfg.N / cfg.q) ** (2.0 / d)) ** 2
+        denom = _zumbach_bracket(cfg) ** 2
         r2 = radial_moment(pair.position, 2.0, spec).value
         p2 = radial_moment(pair.momentum, 2.0, spec).value
         rhs = 4.0 * r2 * p2 / denom

@@ -104,12 +104,16 @@ def minimizer_density(d: int, alpha: float, k: float,
 
     def density(r, slope):
         core = np.maximum(a_alpha - np.power(r, alpha), 0.0)
-        value = C * np.power(core, e)
-        if not slope:
-            return value
-        # 0 past the edge, and at it, where core^(e - 1) is infinite for k > d
-        inner = np.power(core, e - 1.0, out=np.zeros_like(core), where=core > 0.0)
-        return value, -C * e * alpha * np.power(r, alpha - 1.0) * inner
+        # C and core^e can each be a double while their product overflows
+        # near the origin: the quadrature's NonFiniteError reports it, with
+        # no warning on the way
+        with np.errstate(over="ignore"):
+            value = C * np.power(core, e)
+            if not slope:
+                return value
+            # 0 past the edge, and at it, where core^(e - 1) is infinite for k > d
+            inner = np.power(core, e - 1.0, out=np.zeros_like(core), where=core > 0.0)
+            return value, -C * e * alpha * np.power(r, alpha - 1.0) * inner
 
     moments = fixed_moments({0.0: N, float(alpha): r_alpha})
 

@@ -358,7 +358,7 @@ class TestErrors:
         code, out, err = run_cli(capsys, "check", "--ineq", "heisenberg", "--model", "gaussian",
                                  "--d", "1", "--count", "1e100")
         assert (code, out) == (3, "")
-        assert err == ("error[DomainError]: heisenberg_general: a side of the bound "
+        assert err == ("error[DomainError]: heisenberg_rhs(1, 2.0, 2.0, N=1e+100, q=2) "
                        "leaves the double-precision range\n")
 
     @pytest.mark.parametrize("rows,message", [

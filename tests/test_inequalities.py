@@ -410,14 +410,16 @@ class TestOutOfRange:
             assert all(math.isfinite(x) for x in (rep.lhs, rep.rhs, rep.margin, rep.ratio))
 
     @pytest.mark.parametrize("ineq,d,n", [
-        (I.InequalityId.HEISENBERG_GENERAL, 1, 1e100),  # an OverflowError
+        (I.InequalityId.HEISENBERG_GENERAL, 1, 1e100),  # an rhs that overflows
         (I.InequalityId.FISHER_PRODUCT_HEISENBERG, 5, 1e200),  # a NaN ratio
         (I.InequalityId.FISHER_REAL_4D2, 3, 1e250),  # an infinite lhs
         (I.InequalityId.FISHER_PRODUCT_N, 3, 1e-200)])  # an rhs that underflows to 0
     def test_names_the_range(self, ineq, d, n):
-        # the underflowing rhs is refused by its closed form's own guard
-        name = (r"fisher_product_rhs\('general', SystemConfig\(d=3, N=1e-200, q=2\)\)"
-                if ineq is I.InequalityId.FISHER_PRODUCT_N else f"{ineq.value}: a side of the bound")
+        # an rhs out of the range is refused by its closed form's own guard
+        own = {I.InequalityId.HEISENBERG_GENERAL: r"heisenberg_rhs\(1, 2\.0, 2\.0, N=1e\+100, q=2\)",
+               I.InequalityId.FISHER_PRODUCT_N:
+                   r"fisher_product_rhs\('general', SystemConfig\(d=3, N=1e-200, q=2\)\)"}
+        name = own.get(ineq, f"{ineq.value}: a side of the bound")
         with pytest.raises(DomainError, match=f"^{name} leaves the double-precision range$"):
             I.evaluate(ineq, D.gaussian_pair(d, 1.0, n), SystemConfig(d=d, N=n, q=2))
 
@@ -446,7 +448,7 @@ class TestOutOfRange:
         fleet = [D.gaussian_pair(1, 1.0, 1e100), D.gaussian_pair(1, 1.0, 1.0)]
         rows = I.sweep(I.InequalityId.HEISENBERG_GENERAL, fleet, SystemConfig(d=1))
         assert [r.status for r in rows] == ["satisfied", "hole"]
-        assert rows[1].note == ("hole: heisenberg_general: a side of the bound leaves "
+        assert rows[1].note == ("hole: heisenberg_rhs(1, 2.0, 2.0, N=1e+100, q=2) leaves "
                                 "the double-precision range")
 
 

@@ -2,6 +2,7 @@ import json
 import math
 import random
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -175,6 +176,18 @@ class TestExtremalF:
         # normalization is taken from logarithms; it was a DomainError
         assert beta(200 / 0.191420573443356, 200 / 0.4307519771575944 + 1.0) == 0.0
         assert V.extremal_F(200, 0.191420573443356, 0.4307519771575944).discrepancy <= 1e-10
+
+    def test_overflowing_density_is_no_warning(self):
+        # C and core^e are each doubles while their product overflows near
+        # the origin: the quadrature's NonFiniteError, and no numpy warning
+        d, alpha, k = 300, 0.5209025964398466, 0.9269362623833076
+        r = np.array([1e-6, 1e-4, 3.2e-4])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError):
+                V.extremal_F(d, alpha, k)
+            value, slope = V.minimizer_density(d, alpha, k).drho(r)
+        assert np.isposinf(value).all() and np.isneginf(slope).all()
 
     def test_exponent_law(self):
         # at (N, <r^alpha>) = (2, 5) the extremal's entropic moment equals
