@@ -40,8 +40,8 @@ def scale_density(dens: RadialDensity, lam: float) -> RadialDensity:
     support = None if dens.support is None else (dens.support[0] / lam, dens.support[1] / lam)
     cuts = dens.cuts / lam
     return dataclasses.replace(
-        dens, rho=rho, drho=drho, cuts=cuts, exact=None, support=support, knots=None if dens.knots is None else cuts,
-        label=f"{dens.label}*scale({lam})")
+        dens, rho=rho, drho=drho, cuts=cuts, exact=None, support=support,
+        knots=None if dens.knots is None else cuts, label=f"{dens.label}*scale({lam})")
 
 
 def scale_pair(pair: DensityPair, lam: float) -> DensityPair:

@@ -490,7 +490,8 @@ class TestRoundTrip:
     def test_default_export_grid_ends_at_the_last_breakpoint(self, capsys, tmp_path, flags, end):
         # the last breakpoint of the exported side's first quadrature sweep
         table = tmp_path / "table.csv"
-        table.write_text("# d=1\n" + "".join(f"{i / 4},{math.exp(-i / 4) / 2}\n" for i in range(39)))
+        rows = "".join(f"{i / 4},{math.exp(-i / 4) / 2}\n" for i in range(39))
+        table.write_text("# d=1\n" + rows)
         code, out, _ = run_cli(capsys, "export", *(f.format(table=table) for f in flags),
                                "--points", "5")
         assert code == 0

@@ -416,9 +416,10 @@ class TestOutOfRange:
         (I.InequalityId.FISHER_PRODUCT_N, 3, 1e-200)])  # an rhs that underflows to 0
     def test_names_the_range(self, ineq, d, n):
         # an rhs out of the range is refused by its closed form's own guard
-        own = {I.InequalityId.HEISENBERG_GENERAL: r"heisenberg_rhs\(1, 2\.0, 2\.0, N=1e\+100, q=2\)",
+        own = {I.InequalityId.HEISENBERG_GENERAL:
+               r"heisenberg_rhs\(1, 2\.0, 2\.0, N=1e\+100, q=2\)",
                I.InequalityId.FISHER_PRODUCT_N:
-                   r"fisher_product_rhs\('general', SystemConfig\(d=3, N=1e-200, q=2\)\)"}
+               r"fisher_product_rhs\('general', SystemConfig\(d=3, N=1e-200, q=2\)\)"}
         name = own.get(ineq, f"{ineq.value}: a side of the bound")
         with pytest.raises(DomainError, match=f"^{name} leaves the double-precision range$"):
             I.evaluate(ineq, D.gaussian_pair(d, 1.0, n), SystemConfig(d=d, N=n, q=2))
