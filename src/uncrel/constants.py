@@ -69,14 +69,34 @@ def omega(d: int) -> float:
     return (2.0 * Wide(math.pi) ** (d / 2.0) / wide_gamma(d / 2.0)).value(f"omega({d})")
 
 
+def _stirling(x: float) -> float:
+    """lgamma(x) - (x - 1/2) ln x + x - ln(2 pi) / 2 for x >= 20, to 1e-17."""
+    u = 1.0 / (x * x)
+    return (1 / 12 - u * (1 / 360 - u * (1 / 1260 - u * (1 / 1680 - u / 1188)))) / x
+
+
+def _log_beta(a: float, b: float) -> float:
+    """ln B(a, b): lgamma(a) + lgamma(b) - lgamma(a + b) below max(a, b) = 20;
+    beyond, with a <= b, z = a + b and ln z = ln b + log1p(a/b), Stirling's series
+    gives lgamma(b) - lgamma(z) = a - a ln z - (b - 1/2) log1p(a/b) + st(b) - st(z),
+    and lgamma(a) from a = 20 on: no term of size z ln z is formed."""
+    a, b = min(a, b), max(a, b)
+    if b < 20.0:
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    t = math.log1p(a / b)
+    rest = _stirling(b) - _stirling(a + b) - (b - 0.5) * t
+    if a < 20.0:
+        return math.lgamma(a) + a - a * (math.log(b) + t) + rest
+    return 0.5 * math.log(2.0 * math.pi / a) - a * math.log1p(b / a) + _stirling(a) + rest
+
+
 def beta(a: float, b: float) -> float:
-    """Euler Beta for finite positive arguments, via log-gamma; a value past
-    the double range is a DomainError.  An intermediate, raised to -k/d in
-    the extremal coefficients, it is returned as it underflows: subnormal or 0."""
+    """Euler Beta exp(_log_beta(a, b)) for finite positive arguments; a value past
+    the double range is a DomainError, one below it is returned subnormal or 0."""
     check_positive("Beta argument", a)
     check_positive("Beta argument", b)
     try:
-        return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+        return math.exp(_log_beta(a, b))
     except OverflowError:
         raise DomainError(f"beta({a}, {b}) leaves the double-precision range") from None
 
@@ -347,13 +367,12 @@ def _daubechies_ratio(rho: float) -> float:
         if abs(step) < tol or (abs(step) >= abs(last) and abs(step) < 1e-10):
             if rho < _STIRLING_FROM:
                 return math.exp(-math.fsum((math.lgamma(rho), -rho * t, a, -ln_gap)) / rho)
-            # lgamma(rho) - (rho - 1/2) ln rho + rho - ln(2 pi) / 2 = g(rho), and
-            # rho ln(rho / a) + a - rho = rho (-r - log1p(-r)), not formed
+            # lgamma(rho) - (rho - 1/2) ln rho + rho - ln(2 pi) / 2 = _stirling(rho),
+            # and rho ln(rho / a) + a - rho = rho (-r - log1p(-r)), not formed
             # from a - rho, whose rounding is eps rho
             ln_1r = math.log1p(-r)
-            g = (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / (1260.0 * rho * rho)) / (rho * rho)) / rho
-            return math.exp(-(g + 0.5 * math.log(2.0 * math.pi / rho) + rho * (-r - ln_1r)
-                              - ln_gap) / rho)
+            return math.exp(-(_stirling(rho) + 0.5 * math.log(2.0 * math.pi / rho)
+                              + rho * (-r - ln_1r) - ln_gap) / rho)
         t -= step
         last = step
     raise ConvergenceError(f"Daubechies stationarity equation at rho = {rho} "
@@ -384,38 +403,30 @@ def rigorous_constant(d: int, k: float) -> float:
 
 
 def _log_omega_beta(d: int, x: float, y: float) -> float:
-    """log(Omega_d B(x, y)), for where the product is no normal double."""
-    return math.log(omega(d)) + math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y)
+    """log(Omega_d B(x, y)), finite where the product is no normal double."""
+    return math.log(omega(d)) + _log_beta(x, y)
 
 
 def _extremal_entropic(name: str, d: int, alpha: float, k: float, b: float) -> float:
     """W_{1+k/d} at N = <r^alpha> = 1 of the density extremizing it at fixed
     N and <r^alpha>, C (a^alpha - r^alpha)^(d/k) on the ball for k > 0 and
     C (a^alpha + r^alpha)^(d/k) on the half line for -d < k < 0; b is the
-    Beta argument the constraints reduce to.  (m alpha + k)^(m alpha + k)
-    is never formed.  Where a factor or partial product is no normal
-    double, where a float keeps few bits or none, the value is formed from
-    logarithms instead; one that still cannot be is a DomainError."""
-    m, x = 1.0 + k / d, d / alpha
-    c, y = alpha + alpha * k / d + k, k * (1.0 / alpha + 1.0 / d) + 1.0
-
-    def form():
-        p = omega(d) * beta(b, x)
-        value = 1.0
-        try:
-            for f in (alpha ** (1.0 + 2.0 * k / d), abs(k) ** (k / alpha), (1.0 / c) ** y,
-                      m ** m, p ** (-k / d)):
-                value *= f
-                if f < TINY or not TINY <= value < math.inf:
-                    break
-            else:
-                if p >= TINY:  # else p^(-k/d) carries a subnormal's few bits
-                    return value
-        except (OverflowError, ZeroDivisionError):
-            pass
-        return math.exp((1.0 + 2.0 * k / d) * math.log(alpha) + k / alpha * math.log(abs(k))
-                        - y * math.log(c) + m * math.log(m) - k / d * _log_omega_beta(d, b, x))
-    return formed(name + "({}, {}, {})", form, d, alpha, k)
+    Beta argument the constraints reduce to.  With m = 1 + k/d, y = m + k/alpha
+    it is alpha^(1+2k/d) |k|^(k/alpha) (m alpha + k)^-y m^m (Omega_d B(b, d/alpha))^(-k/d),
+    one exact sum of logarithms, ln(m alpha + k) split by the larger of m alpha
+    and |k| (for k < 0, ln(alpha b |k| / d)): no term of size k/alpha cancels."""
+    m, y, ln_alpha = 1.0 + k / d, 1.0 + k / d + k / alpha, math.log(alpha)
+    if k < 0:
+        head = (-m * math.log(-k), -y * ln_alpha, -y * math.log(b / d))
+    elif k < m * alpha:
+        head = (k / alpha * math.log(k), -y * (math.log(m) + ln_alpha),
+                -y * math.log1p(k / (m * alpha)))
+    else:
+        head = (-m * math.log(k), -y * math.log1p(m * alpha / k))
+    terms = ((1.0 + 2.0 * k / d) * ln_alpha, *head, m * math.log(m),
+             -k / d * _log_omega_beta(d, b, d / alpha))
+    return formed(name + "({}, {}, {})", lambda: math.exp(math.fsum(terms))
+                  if all(map(math.isfinite, terms)) else math.inf, d, alpha, k)
 
 
 def entropic_lower_coeff(d: int, alpha: float, k: float) -> float:
@@ -469,17 +480,15 @@ def negative_order_window(d: int, k: float) -> float:
 
 
 def _window(d: int, alpha: float, k: float) -> float:
-    """The Beta argument b = -1 - d (k + alpha) / (k alpha) of the half-line
-    extremal density, after the one check that alpha lies above the window:
-    alpha > -k d / (d + k), b > 0 and m alpha + k > 0, since next to it
-    each can round the other way.  Where k alpha underflows, b ~ d / |k|."""
+    """The Beta argument b = -1 - d/alpha - d/k of the half-line extremal
+    density, finite wherever d/alpha is, after the one check that alpha lies
+    above the window: alpha > -k d / (d + k) and b > 0, since next to it
+    each can round the other way; m alpha + k = alpha b |k| / d is then positive."""
     window = negative_order_window(d, k)
     check_positive("alpha", alpha)
-    if alpha > window:
-        ka = k * alpha
-        b = -1.0 - d * (k + alpha) / ka if ka else -1.0 - d / alpha - d / k
-        if b > 0 and alpha + alpha * k / d + k > 0:
-            return b
+    b = -1.0 - d / alpha - d / k
+    if alpha > window and b > 0:
+        return b
     raise DomainError(f"alpha = {alpha} violates the validity window alpha > {window:.6g} "
                       f"for d = {d}, k = {k}")
 

@@ -19,10 +19,9 @@ entropic moment by quadrature.  So an extremal density's closed form
 alpha, and where the minimizer's Fisher information diverges: a closed-form
 W_{1+k/d} would hand the oracle the very value it is there to check.  The
 maximizer takes the window and the Beta argument of its scale from the
-closed form's one check, so the two agree on it; a scale, normalization or
+closed form's one check, so the two agree on it; each normalization is
+formed from the closed form's log(Omega_d B).  A scale, normalization or
 closed form that a double cannot hold is a DomainError, from errors.formed.
-A normalization whose Beta function or denominator is subnormal or 0 is
-taken from logarithms, as the closed form's own Omega_d B is.
 """
 
 from __future__ import annotations
@@ -34,9 +33,8 @@ from typing import Callable
 import numpy as np
 
 from . import constants
-from .constants import beta, omega
 from .densities import RadialDensity, density_views, fixed_moments
-from .errors import (TINY, DivergenceError, DomainError, check_finite, check_integer,
+from .errors import (DivergenceError, DomainError, check_finite, check_integer,
                      check_positive, formed)
 from .functionals import entropic_moment
 from .mathcore import QuadratureSpec, uniform_cuts
@@ -69,17 +67,9 @@ def _scale_from_ratio(alpha: float, ratio: float, N: float, r_alpha: float, labe
 
 def _normalization(d: int, alpha: float, a: float, s: float, xy: tuple[float, float],
                    N: float, label: str) -> float:
-    # C = N alpha / (Omega_d a^s B(x, y)), from the normalization integral;
-    # where a factor or partial product of the denominator is subnormal or
-    # 0, where a float keeps few bits or none, from logarithms
-    def form():
-        den = 1.0
-        for f in (omega(d), a ** s, beta(*xy)):
-            den *= f
-            if f < TINY or den < TINY:
-                return N * alpha * math.exp(-s * math.log(a) - constants._log_omega_beta(d, *xy))
-        return N * alpha / den
-    return formed("the normalization of {}", form, label)
+    # C = N alpha / (Omega_d a^s B(x, y)) from the normalization integral, in logarithms
+    return formed("the normalization of {}", lambda: N * alpha * math.exp(
+        -s * math.log(a) - constants._log_omega_beta(d, *xy)), label)
 
 
 def minimizer_density(d: int, alpha: float, k: float,
@@ -106,8 +96,8 @@ def minimizer_density(d: int, alpha: float, k: float,
         core = np.maximum(a_alpha - np.power(r, alpha), 0.0)
         # C and core^e can each be a double while their product overflows
         # near the origin: the quadrature's NonFiniteError reports it, with
-        # no warning on the way
-        with np.errstate(over="ignore"):
+        # no warning on the way; for alpha < 1 the slope at r = 0 is -inf
+        with np.errstate(over="ignore", divide="ignore"):
             value = C * np.power(core, e)
             if not slope:
                 return value

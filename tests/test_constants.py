@@ -27,15 +27,18 @@ def _semiclassical_mpmath(d, k):
             / mpmath.pi ** (k / 2))
 
 
-def _extremal_W_mpmath(d, alpha, k):
+def _extremal_W_mpmath(d, alpha, k, digits=40):
     """W_{1+k/d} at N = <r^alpha> = 1 of C (a^alpha - r^alpha)^(d/k) on the
     ball (k > 0) or C (a^alpha + r^alpha)^(d/k) on the half line (k < 0),
-    from the Beta reductions of the three integrals in logarithms, at 40
-    digits plus those that loggamma(d/k) and alpha take up:
+    from the Beta reductions of the three integrals in logarithms, at
+    `digits` digits plus those that loggamma(d/k) and alpha take up; below
+    alpha = 1 the loggamma differences, of size (d/alpha) ln(d/alpha), are
+    divided by alpha, and take 2 (-log10 alpha) digits more:
     int r^(d-1+s) (a^alpha -+ r^alpha)^p dr = a^(d+s+alpha p) B(x, y) / alpha,
     x = (d+s)/alpha, y = p + 1 on the ball and -p - x on the half line."""
-    extra = int(max(0.0, math.log10(abs(d / k)))) + int(max(0.0, math.log10(alpha)))
-    with mpmath.workdps(40 + extra):
+    extra = (int(max(0.0, math.log10(abs(d / k)))) + int(max(0.0, math.log10(alpha)))
+             + 2 * int(max(0.0, -math.log10(alpha))))
+    with mpmath.workdps(digits + extra):
         d, alpha, k = mpmath.mpf(d), mpmath.mpf(alpha), mpmath.mpf(k)
 
         def log_integral(s, p):  # without its a^(d+s+alpha p)
@@ -466,7 +469,7 @@ class TestExtremalEntropicClosedForm:
 
     @staticmethod
     def _beta_argument(d, alpha, k):
-        return 2.0 + d / k if k > 0 else -1.0 - d * (k + alpha) / (k * alpha)
+        return 2.0 + d / k if k > 0 else -1.0 - d / alpha - d / k
 
     @classmethod
     def _slack(cls, d, alpha, k):
@@ -542,14 +545,48 @@ class TestExtremalEntropicClosedForm:
     def test_formed_from_logarithms(self, d, alpha, k):
         assert self._check(d, alpha, k, self._slack(d, alpha, k)) is not None
 
+    @classmethod
+    def _log_slack(cls, d, alpha, k):
+        """The rounding of the one log-sum: four ulps of its terms of size
+        (1 + 2|k|/d) |ln alpha|, and where the Beta function is a sum of
+        three lgamma values, below 20, one ulp of each, times |k|/d."""
+        b, x = cls._beta_argument(d, alpha, k), d / alpha
+        lg = sum(abs(math.lgamma(v)) for v in (b, x, b + x)) if max(b, x) < 20 else 0.0
+        return 2.0 ** -52 * (4 * (1 + 2 * abs(k) / d) * abs(math.log(alpha)) + abs(k) / d * lg)
+
+    def test_seeded_extreme_alpha(self):
+        # alpha = 10^U(-300, -1), where m alpha + k rounded to k and the Beta
+        # function's lgamma difference to 0; alpha = 10^U(-2.5, -1) with k
+        # up to 20, k/alpha up to 6000; and k < 0 up to 1e300 windows, where
+        # b's d (k + alpha) overflowed.  Each reference agrees with one at
+        # 30 more digits.
+        rng = random.Random(18)
+        draws = []
+        for _ in range(14):
+            d = rng.randint(1, 10)
+            draws.append((d, 10.0 ** rng.uniform(-300, -1), 10.0 ** rng.uniform(-3, 1.3)))
+            draws.append((d, 10.0 ** rng.uniform(-2.5, -1), rng.uniform(1, 20)))
+            k = -d * rng.uniform(0.005, 0.995)
+            draws.append((d, C.negative_order_window(d, k) * 10.0 ** rng.uniform(0, 300), k))
+        for d, alpha, k in draws:
+            exact = _extremal_W_mpmath(d, alpha, k)
+            assert abs(exact / _extremal_W_mpmath(d, alpha, k, digits=70) - 1) <= 1e-30
+            assert self._check(d, alpha, k, self._log_slack(d, alpha, k)) is not None, \
+                (d, alpha, k)
+
+    @pytest.mark.parametrize("d,alpha,k", [
+        (3, 1e-20, 1.0), (3, 1e-200, 1.0), (3, 1e-300, 1.0),  # m alpha + k rounded to k
+        (3, 1e308, -1.0)])  # b's d (k + alpha) overflowed
+    def test_formed_at_extreme_alpha(self, d, alpha, k):
+        assert self._check(d, alpha, k, self._log_slack(d, alpha, k)) is not None
+
     def test_vanishing_order(self):
         # W_{1 + k/d} -> N = 1 as k -> 0; d/k ~ 3e271 once overflowed a power
         assert C.entropic_lower_coeff(3, 486.6224754497575, 9.372472527320516e-272) == 1.0
 
     @pytest.mark.parametrize("d,alpha,k", [
         (439, 2.0, 2.0),  # Omega_d underflows
-        (438, 1e22, -436.0),  # the value is subnormal
-        (3, 1e-200, 1.0)])  # alpha^(1+2k/d) underflows, and m alpha + k rounds to k
+        (438, 1e22, -436.0)])  # the value is subnormal
     def test_unformable_is_a_domain_error(self, d, alpha, k):
         assert self._check(d, alpha, k) is None
 
@@ -567,6 +604,9 @@ class TestUnformedConstants:
         # the extremal coefficient is subnormal
         pytest.param(lambda: C.negative_order_rhs(438, 1e22, -436.0), "entropic_upper_coeff_closed",
                      id="negative_order_rhs"),
+        # 1 + 2k/d and m ln m are infinite: no sum of logarithms is formed
+        pytest.param(lambda: C.entropic_lower_coeff(1, 2.0, 1.7976931348623157e308),
+                     "entropic_lower_coeff", id="entropic_lower_coeff-infinite-term"),
         pytest.param(lambda: C.daubechies_factor(1, 142.0), "daubechies_factor",
                      id="daubechies_factor-subnormal"),
         pytest.param(lambda: C.rigorous_constant(1, 150.0), "daubechies_factor",

@@ -67,6 +67,15 @@ class TestSpecialFunctions:
         assert beta(1.0, 1.0) == pytest.approx(1.0, rel=1e-14)
         assert beta(0.5, 0.5) == pytest.approx(math.pi, rel=1e-14)
 
+    def test_beta_at_large_arguments(self):
+        # lgamma(a + b) overflowed at b = 1e308, and lgamma(b) - lgamma(a + b)
+        # rounded to 0 at b = 3e200, where B ~ 1e-1000 read 1.0; B(150, 300)
+        # is formed from Stirling's series, not from lgamma terms near 750
+        assert abs(beta(0.5, 1e308) / math.sqrt(math.pi / 1e308) - 1.0) <= 1e-15
+        assert beta(5.0, 3e200) == 0.0
+        with mpmath.workdps(30):
+            assert abs(beta(150.0, 300.0) / mpmath.beta(150, 300) - 1) <= 2e-14
+
     @pytest.mark.parametrize("fn,args", [(beta, (0.0, 1.0)), (beta, (1.0, -2.0))])
     def test_positive_argument_required(self, fn, args):
         with pytest.raises(DomainError):
