@@ -35,7 +35,7 @@ from .densities import (DensityPair, exponential_radial, gaussian_pair,
 from .errors import (ConvergenceError, DomainError, FormatError, UncrelError, check_integer,
                      check_positive)
 from .functionals import radial_moment
-from .inequalities import CATALOG, BoundReport, InequalityId, _hole, evaluate, sweep
+from .inequalities import CATALOG, BoundReport, _hole, evaluate, sweep
 from .mathcore import QuadratureSpec
 
 _G174 = math.gamma(17.0 / 4.0)
@@ -298,10 +298,10 @@ def cmd_moments(args, spec: QuadratureSpec) -> ReportDocument:
                           ["space", "order", "value", "method", "est_error"], rows)
 
 
-def _resolve_ineq(name: str) -> InequalityId:
+def _resolve_ineq(name: str) -> str:
     for entry in CATALOG.values():
         if name in (entry.id, entry.alias):
-            return InequalityId(entry.id)
+            return entry.id
     raise FormatError(f"unknown inequality {name!r}; known: {_INEQ_NAMES}")
 
 
@@ -358,7 +358,7 @@ def cmd_sweep(args, spec: QuadratureSpec) -> ReportDocument:
         cfgs.append(cfg)
     reports = holes + (sweep(ineq, fleet, cfgs[0], params, spec=spec) if fleet else [])
     rows = [_report_row(r) for r in reports]
-    return ReportDocument(_metadata(spec, ineq=ineq.value, model=args.model),
+    return ReportDocument(_metadata(spec, ineq=ineq, model=args.model),
                           _REPORT_FIELDS, rows)
 
 

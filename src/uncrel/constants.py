@@ -8,9 +8,9 @@ both signs of k share one closed form, W_{1+k/d} of the extremal density.
 
 The scalar special functions the coefficients are built from live here
 too: the sphere measure Omega_d, the Euler Beta, the exponential
-integral E1, and, for the densities' closed-form moments, Gamma
-functions and powers past the double range (Wide, wide_gamma) and
-Gamma(h + 1/2) / Gamma(h).  E1 is computed locally (power series up to
+integral E1, and, for the densities' closed-form moments and the
+constants' Gamma powers, Gamma functions and powers past the double range
+(Wide, wide_gamma).  E1 is computed locally (power series up to
 x = 1, above it a continued fraction evaluated backward from a depth set
 by x) because it sits inside the Newton solve of the Daubechies factor,
 which also reads the continued fraction's tail, and its accuracy budget
@@ -34,7 +34,6 @@ __all__ = [
     "beta",
     "Wide",
     "wide_gamma",
-    "gamma_half_ratio",
     "exp_e1_scaled",
     "e1_fraction_tail",
     "thakkar_coefficient",
@@ -112,8 +111,9 @@ class Wide:
     power of x = m 2^e is m^y 2^(e y), and m^y for |y| > 512 is m^z,
     |z| <= 512, squared j times: its relative error about doubles with
     each squaring, up to |y|/256 ulps (none for a power of two), and even
-    y ~ 1e300 takes only a thousand squarings.  value(what) is the result
-    as a float, refused by errors.formed, naming what, outside the normals.
+    y ~ 1e300 takes only a thousand squarings.  float() is the result, an
+    OverflowError past the range and subnormal or 0 below it; value(what)
+    refuses it by errors.formed, naming what, outside the normals.
     """
 
     __slots__ = ("m", "e")
@@ -162,36 +162,23 @@ class Wide:
             w = w * mz
         return w
 
+    def __float__(self) -> float:
+        return math.ldexp(self.m, self.e)
+
     def value(self, what: str) -> float:
-        return formed("{}", lambda: math.ldexp(self.m, self.e), what)
-
-
-def gamma_half_ratio(h: float) -> float:
-    """Gamma(h + 1/2) / Gamma(h) for h > 0: the quotient of math.gamma
-    below h = 85 (within 5e-15), and from there sqrt(h) e^s with the
-    asymptotic series s = -1/(8h) + 1/(192h^3) - 1/(640h^5) + 17/(14336h^7)
-    (within 3e-16), where lgamma differences lose digits and Gamma
-    itself leaves the double range.  Below h ~ 5.6e-309, where Gamma(h)
-    overflows, it is h Gamma(h + 1/2) / Gamma(1 + h)."""
-    check_positive("Gamma argument", h)
-    if h < 85.0:
-        try:
-            return math.gamma(h + 0.5) / math.gamma(h)
-        except OverflowError:
-            return h * math.gamma(h + 0.5) / math.gamma(1.0 + h)
-    u = 1.0 / h
-    return math.sqrt(h) * math.exp(
-        u * (-1.0 / 8.0 + u * u * (1.0 / 192.0 + u * u * (-1.0 / 640.0 + u * u * 17.0 / 14336.0))))
+        return formed("{}", self.__float__, what)
 
 
 def wide_gamma(x: float) -> Wide:
     """Gamma(x) for x > 0 as a Wide: math.gamma up to 171.5 (past it,
     near 171.62, Gamma leaves the double range), and beyond it Legendre's
     duplication with h = x/2,
-    Gamma(x) = Gamma(h)^2 gamma_half_ratio(h) 2^(x-1) / sqrt(pi),
-    one halving a step, so that Gamma(1e300) takes a thousand steps.
-    The relative error about doubles with each step: a few ulps up to
-    x ~ 1000, 1e-12 at x ~ 1e6.  Below x ~ 5.6e-309, where math.gamma
+    Gamma(x) = Gamma(h)^2 (Gamma(h + 1/2) / Gamma(h)) 2^(x-1) / sqrt(pi),
+    one halving a step, so that Gamma(1e300) takes a thousand steps.  The
+    ratio, at h > 85.75, is Stirling's: with u = 1/(2h) and st = _stirling,
+    sqrt(h) exp(h (log1p(u) - u) + st(h + 1/2) - st(h)).  The relative error
+    about doubles with each step: a few ulps up to x ~ 1000, 3.7e-12 by
+    x ~ 1e6, within x/32 ulps.  Below x ~ 5.6e-309, where math.gamma
     overflows, it is Gamma(1 + x) / x."""
     check_positive("Gamma argument", x)
     steps = []
@@ -203,8 +190,9 @@ def wide_gamma(x: float) -> Wide:
     except OverflowError:
         g = Wide(math.gamma(1.0 + x)) / x
     for x in reversed(steps):
-        h = x / 2.0
-        g = g * g * gamma_half_ratio(h) * Wide(2.0) ** (x - 1.0) / math.sqrt(math.pi)
+        h, u = x / 2.0, 1.0 / x
+        s = h * (math.log1p(u) - u) + (_stirling(h + 0.5) - _stirling(h))
+        g = g * g * (math.sqrt(h) * math.exp(s)) * Wide(2.0) ** (x - 1.0) / math.sqrt(math.pi)
     return g
 
 
@@ -281,16 +269,6 @@ def thakkar_coefficient(k: float) -> float:
                   lambda: 3.0 * (3.0 * math.pi ** 2) ** (k / 3.0) / (k + 3.0), k)
 
 
-def _gamma_power(x: float, y: float) -> float:
-    """Gamma(x) ** y: math.gamma's below x = 171.6, past which Gamma leaves
-    the double range, and wide_gamma's beyond; a power past the double
-    range raises OverflowError, as a float power does."""
-    if x < 171.6:
-        return math.gamma(x) ** y
-    w = wide_gamma(x) ** y
-    return math.ldexp(w.m, w.e)
-
-
 def semiclassical_constant(d: int, k: float) -> float:
     """Dimension-dependent semiclassical constant relating <p^k> to the
     position entropic moment of order 1 + k/d."""
@@ -300,7 +278,7 @@ def semiclassical_constant(d: int, k: float) -> float:
         raise DomainError(f"semiclassical constant requires k > -d = {-d}, got k = {k}")
     return formed("semiclassical_constant({}, {})", lambda: (
         (d / (k + d)) * (2.0 * math.pi) ** k
-        * _gamma_power(1.0 + d / 2.0, k / d) / math.pi ** (k / 2.0)), d, k)
+        * float(wide_gamma(1.0 + d / 2.0) ** (k / d)) / math.pi ** (k / 2.0)), d, k)
 
 
 # Newton steps the stationarity solve may take; from its start point no
@@ -521,7 +499,7 @@ def heisenberg_product_constant(d: int) -> float:
     <r^2><p^2> >= A(2,d) q^(-2/d) N^(2 + 2/d)."""
     check_integer("dimension", d)
     return formed("heisenberg_product_constant({})",
-                  lambda: ((d / (d + 1.0)) * _gamma_power(d + 1.0, 1.0 / d)) ** 2, d)
+                  lambda: ((d / (d + 1.0)) * float(wide_gamma(d + 1.0) ** (1.0 / d))) ** 2, d)
 
 
 # variant -> (q = 2 only, d = 3 only, large-N limit)

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .constants import SystemConfig, Wide, beta, gamma_half_ratio, omega, wide_gamma
+from .constants import SystemConfig, Wide, beta, omega, wide_gamma
 from .errors import DomainError, FormatError, check_integer, check_positive
 from .mathcore import gauss_cells, interpolate_monotone, uniform_cuts
 
@@ -224,13 +224,12 @@ def hydrogenic_pair(Z: float) -> DensityPair:
                 * beta((order + 3.0) / 2.0, (5.0 - order) / 2.0)
         elif kind == "entropic" and order > 0.375:
             # W_m = 2 pi c^m (Z^-m)^8 Z^3 B(3/2, 4m - 3/2), c = 8 Z^5 / pi^2,
-            # and B(3/2, b) = (sqrt(pi)/2) Gamma(b) / ((b + 1/2) Gamma(b + 1/2));
-            # no exponent 3 - 8m, which overflows near the float maximum m
-            # and rounds the 3 away from m = 2^52 on
+            # the Beta the moments read; no exponent 3 - 8m, which overflows
+            # near the float maximum m and rounds the 3 away from m = 2^52 on
             spread = (Wide(Z) ** -order) ** 8 * Wide(Z) ** 3.0
             h = 4.0 * order - 1.5  # inf near the float maximum: W_m leaves the range
-            value = math.pi ** 1.5 * Wide(cmom) ** order * spread \
-                / ((4.0 * order - 1.0) * (gamma_half_ratio(h) if h < math.inf else h))
+            value = 2.0 * math.pi * Wide(cmom) ** order * spread \
+                * (beta(1.5, h) if h < math.inf else 0.0)
         elif kind == "fisher":
             # I = 12 / Z^2
             value = Wide(12.0) / Wide(Z) ** 2.0

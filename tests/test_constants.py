@@ -182,6 +182,23 @@ class TestSemiclassicalConstant:
         with pytest.raises(DomainError):
             C.semiclassical_constant(3, -3.0)
 
+    def test_gamma_power_keeps_the_float_bits(self):
+        # up to d = 340, where Gamma(1 + d/2) is a double, the constant is the
+        # float expression with math.gamma's power, bit for bit, or refused
+        # where that expression leaves the normal floats
+        for d in range(1, 341):
+            for k in (-0.99 * d, -0.5 * d, -0.5, 0.5, 1.0, 2.0, 0.5 * d, float(d), 1.5 * d):
+                try:
+                    ref = ((d / (k + d)) * (2.0 * math.pi) ** k
+                           * math.gamma(1.0 + d / 2.0) ** (k / d) / math.pi ** (k / 2.0))
+                except OverflowError:
+                    ref = math.inf
+                if TINY <= ref < math.inf:
+                    assert C.semiclassical_constant(d, k).hex() == ref.hex(), (d, k)
+                else:
+                    with pytest.raises(DomainError):
+                        C.semiclassical_constant(d, k)
+
 
 class TestDaubechiesFactor:
     def test_reference_grid(self):
@@ -743,7 +760,6 @@ _BASELINES = [
     ("omega", (3,), lambda g: (_dim(g),)),
     ("beta", (1.5, 2.5), None),
     ("wide_gamma", (3.5,), lambda g: (_log_uniform(g, 5e-324, 1e6),)),
-    ("gamma_half_ratio", (3.5,), lambda g: (_order(g),)),
     ("exp_e1_scaled", (0.5,), lambda g: (_order(g),)),
     ("e1_fraction_tail", (2.0,), lambda g: (1.0 + _order(g),)),
     ("thakkar_coefficient", (1.0,),
@@ -821,7 +837,7 @@ class TestBadArgumentsGenerated:
     @pytest.mark.parametrize("call", [
         pytest.param(lambda: C.beta(1e-320, 1.0), id="beta-overflow"),
         pytest.param(lambda: C.wide_gamma(-1.0), id="wide_gamma-negative"),
-        pytest.param(lambda: C.gamma_half_ratio(0.0), id="gamma_half_ratio-zero"),
+        pytest.param(lambda: C.wide_gamma(0.0), id="wide_gamma-zero"),
         pytest.param(lambda: C.omega(2.5), id="omega-fractional"),
     ])
     def test_outside_the_domain(self, call):
@@ -891,6 +907,12 @@ class TestVarianceProductConstant:
         assert C.heisenberg_product_constant(3) == pytest.approx(1.85733, abs=1e-5)
         assert C.heisenberg_product_constant(1) == pytest.approx(0.25, rel=1e-15)
         assert C.heisenberg_product_constant(2) == pytest.approx(8.0 / 9.0, rel=1e-14)
+
+    def test_gamma_power_keeps_the_float_bits(self):
+        # up to d = 170, where Gamma(d + 1) is a double
+        for d in range(1, 171):
+            ref = ((d / (d + 1.0)) * math.gamma(d + 1.0) ** (1.0 / d)) ** 2
+            assert C.heisenberg_product_constant(d).hex() == ref.hex(), d
 
 
 class TestFisherProductRhs:

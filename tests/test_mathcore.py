@@ -55,13 +55,40 @@ class TestSpecialFunctions:
     @pytest.mark.parametrize("x", [5.5e-309, 1e-310, 1e-320, 5e-324])
     def test_gamma_below_its_overflow(self, x):
         # math.gamma(x) overflows below x ~ 5.6e-309, where Gamma(x) ~ 1/x
-        # is a Wide and Gamma(x + 1/2) / Gamma(x) ~ sqrt(pi) x a double
-        # (a subnormal one, with the digits that a subnormal keeps)
+        # is a Wide
         with mpmath.workdps(30):
             g = constants.wide_gamma(x)
             assert abs(mpmath.mpf(g.m) * mpmath.mpf(2) ** g.e / mpmath.gamma(x) - 1) <= 2e-16
-            exact = mpmath.gamma(x + mpmath.mpf(0.5)) / mpmath.gamma(x)
-            assert abs(constants.gamma_half_ratio(x) - exact) <= 2e-16 * exact + 5e-324
+
+    @pytest.mark.parametrize("x", [171.75, 200.0, 255.5, 343.0])
+    def test_gamma_one_duplication_step(self, x):
+        # from 171.5 to 343 wide_gamma takes one duplication step, whose
+        # Gamma(h + 1/2) / Gamma(h) is Stirling's series at h > 85.75;
+        # 5.9 ulps is the worst of 3000 seeded x in [171.6, 343]
+        with mpmath.workdps(40):
+            g = constants.wide_gamma(x)
+            got = mpmath.mpf(g.m) * mpmath.mpf(2) ** g.e
+            assert abs(got / mpmath.gamma(x) - 1) <= 6 * 2.0 ** -52
+
+    @pytest.mark.parametrize("w,expected", [
+        pytest.param(constants.Wide(0.75, 10), 768.0, id="normal"),
+        pytest.param(constants.Wide(2.0) ** -1060, 2.0 ** -1060, id="subnormal"),
+        pytest.param(constants.Wide(2.0) ** -1100, 0.0, id="underflow"),
+        pytest.param(constants.Wide(2.0) ** 1100, None, id="overflow"),
+    ])
+    def test_wide_as_a_float(self, w, expected):
+        # float() is m 2^e, subnormal or 0 below the range and an
+        # OverflowError past it; value() refuses all but the normals
+        if expected is None:
+            with pytest.raises(OverflowError):
+                float(w)
+        else:
+            assert float(w) == expected
+        if expected is not None and expected >= sys.float_info.min:
+            assert w.value("w") == expected
+        else:
+            with pytest.raises(DomainError, match=r"^w leaves the double-precision range$"):
+                w.value("w")
 
     def test_beta_values(self):
         assert beta(1.0, 1.0) == pytest.approx(1.0, rel=1e-14)
