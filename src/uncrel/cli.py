@@ -7,9 +7,9 @@ Exit codes: 0 success, 2 malformed input, 3 parameter outside a validity
 window, 4 numerical non-convergence.  A `moments` order or a `sweep`
 member that fails with one of the last two, and a `sweep` member whose
 state cannot be built (exit 3), becomes a hole row of an exit-0 document
-instead.  Documents are deterministic
-(field order fixed, numbers at 12 significant digits, no timestamps):
-identical invocations produce byte-identical output.
+instead.  Documents are deterministic (field order fixed, numbers at 12
+significant digits, no timestamps): identical invocations produce
+byte-identical output.  `table1` and `table2`, closed forms, never load numpy.
 
 Tabulated density file format (UTF-8 CSV): leading comment lines
 ``# d=<int>``, ``# N=<real>`` and optionally ``# space=position|momentum``,
@@ -26,8 +26,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import __version__, constants, varoracle
 from .constants import SystemConfig
 from .densities import (DensityPair, exponential_radial, gaussian_pair,
@@ -36,7 +34,7 @@ from .errors import (ConvergenceError, DomainError, FormatError, UncrelError, ch
                      check_positive)
 from .functionals import radial_moment
 from .inequalities import CATALOG, BoundReport, _hole, evaluate, sweep
-from .mathcore import QuadratureSpec
+from .mathcore import QuadratureSpec, np
 
 _G174 = math.gamma(17.0 / 4.0)
 _G114 = math.gamma(11.0 / 4.0)

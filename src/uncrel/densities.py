@@ -15,11 +15,9 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
-import numpy as np
-
 from .constants import SystemConfig, Wide, beta, omega, wide_gamma
 from .errors import DomainError, FormatError, check_integer, check_positive
-from .mathcore import gauss_cells, interpolate_monotone, uniform_cuts
+from .mathcore import gauss_cells, interpolate_monotone, np, uniform_cuts
 
 __all__ = [
     "RadialDensity",

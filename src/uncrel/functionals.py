@@ -17,12 +17,10 @@ import math
 import weakref
 from dataclasses import dataclass
 
-import numpy as np
-
 from .constants import omega
 from .densities import RadialDensity
 from .errors import TINY, DivergenceError, DomainError, FormatError, check_finite, check_positive
-from .mathcore import DEFAULT_QUADRATURE, QuadratureSpec, gauss_cells, quad_halfline
+from .mathcore import DEFAULT_QUADRATURE, QuadratureSpec, gauss_cells, np, quad_halfline
 
 __all__ = ["MomentValue", "radial_moment", "entropic_moment", "fisher_information", "variance"]
 

@@ -29,19 +29,44 @@ port of scipy's PchipInterpolator summed in the order of scipy's PPoly.
 Both return scipy's bits on the same input (PCHIP inside its knots; it
 is 0 outside them), and the test suite pins that against scipy.  None of
 this imports scipy, which costs more start-up time than numpy and
-everything here together.
+everything here together.  numpy loads at the first read of `np`, which the
+package's modules take from here: it is most of a closed-form table's launch.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import math
+import sys
+import threading
+import types
 from dataclasses import dataclass
 from typing import Callable, ClassVar
 
-import numpy as np
-
 from .errors import (BracketError, ConvergenceError, FormatError, NonFiniteError,
                      check_positive)
+
+
+class _Deferred(types.ModuleType):
+    """A module whose body runs at its first attribute read, which other threads wait
+    for (importlib's LazyLoader lets them read a half-run body before Python 3.13)."""
+    lock, loading = threading.RLock(), False
+
+    def __getattribute__(self, attr):
+        with _Deferred.lock:  # reentrant: the body reads its own module
+            if not _Deferred.loading:
+                _Deferred.loading = True
+                types.ModuleType.__getattribute__(self, "__spec__").loader.exec_module(self)
+                self.__class__ = types.ModuleType
+        return types.ModuleType.__getattribute__(self, attr)
+
+
+np = sys.modules.get("numpy")  # the numpy a caller imported first, else a _Deferred one
+if np is None:  # a missing or blocked numpy raises here, as its import would
+    np = sys.modules["numpy"] = importlib.util.module_from_spec(
+        importlib.util.find_spec("numpy") or __import__("numpy"))
+    np.__class__ = _Deferred
 
 __all__ = [
     "QuadratureSpec",
@@ -85,29 +110,24 @@ class MinimizeResult:
 # Gauss-Kronrod 21/10 pair on [-1, 1] (Piessens et al., 1983): the 11
 # non-negative Kronrod abscissae, the Gauss abscissae being those at odd
 # positions, and the two weight sets
-_XGK = np.array([
+_XGK = (
     0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
     0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
     0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
     0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
     0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
-    0.0])
-_WGK = np.array([
+    0.0)
+_WGK = (
     0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
     0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
     0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
     0.123491976262065851077208411400917, 0.134709217311473325928054001771707,
     0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
-    0.149445554002916905664936468389821])
-_WG = np.array([
+    0.149445554002916905664936468389821)
+_WG = (
     0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
     0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
-    0.295524224714752870173892994651338])
-_X21 = np.concatenate([-_XGK[:-1], _XGK[::-1]])
-_WK21 = np.concatenate([_WGK[:-1], _WGK[::-1]])
-_WG21 = np.zeros(21)
-_WG21[1:10:2] = _WG
-_WG21[19:10:-2] = _WG
+    0.295524224714752870173892994651338)
 
 # panels refinement may add to one quadrature: one per bisection, fifteen
 # per graded end panel, so an end singularity needs 15 to be refined at all
@@ -121,32 +141,39 @@ _REMAINDER_SHARE = 0.1
 # an end panel chosen for refinement is graded: cut into _GRADE_PANELS
 # panels of ratio 2 towards the end of the domain
 _GRADE_PANELS = 16
-# breakpoints of a graded end panel as shares of its width from that end:
-# 0, 2^-15, 2^-14, ..., 1/2, 1
-_GRADE_CUTS = np.concatenate([[0.0], np.ldexp(1.0, np.arange(1 - _GRADE_PANELS, 1))])
-_EPS50 = 50.0 * np.finfo(float).eps
+_EPS50 = 50.0 * sys.float_info.epsilon
 # the narrowest panel at an end E, as a share of |E|, whose outermost node
 # lies two float spacings inside E: nodes of a narrower one round onto E
-_END_FLOOR = 4.0 * np.finfo(float).eps / (1.0 - _XGK[0])
-_LOG2_MAX = math.log2(np.finfo(float).max)
-_NO_PANELS = np.empty(0)
+_END_FLOOR = 4.0 * sys.float_info.epsilon / (1.0 - _XGK[0])
+_LOG2_MAX = math.log2(sys.float_info.max)
+
+
+@functools.cache
+def _arrays():
+    """Constants built at first use: the rule's nodes, Kronrod and Gauss weights on [-1, 1],
+    a graded end panel's cuts as shares of its width (0, 2^-15, ..., 1/2, 1), no panels."""
+    xgk, wg21 = np.array(_XGK), np.zeros(21)
+    wg21[1:10:2] = wg21[19:10:-2] = _WG
+    return (np.concatenate([-xgk[:-1], xgk[::-1]]), np.concatenate([_WGK[:-1], _WGK[::-1]]), wg21,
+            np.concatenate([[0.0], np.ldexp(1.0, np.arange(1 - _GRADE_PANELS, 1))]), np.empty(0))
 
 
 def _gk21(f, lo: np.ndarray, hi: np.ndarray):
     """One Gauss-Kronrod 21/10 evaluation of every panel [lo_i, hi_i], all
     nodes in one call of f; returns (values, error estimates, node values)."""
+    x21, wk21, wg21 = _arrays()[:3]
     half = 0.5 * (hi - lo)
-    nodes = 0.5 * (hi + lo)[:, None] + half[:, None] * _X21
+    nodes = 0.5 * (hi + lo)[:, None] + half[:, None] * x21
     nodes.flags.writeable = False  # f must not change the nodes read below
     vals = f(nodes)
     if type(vals) is not np.ndarray or vals.dtype != np.float64 or vals.shape != nodes.shape:
         vals = np.broadcast_to(np.asarray(vals, dtype=float), nodes.shape)
     if not np.isfinite(vals).all():
         raise NonFiniteError(f"integrand is not finite at r = {float(nodes[~np.isfinite(vals)][0])}")
-    resk = vals @ _WK21
-    err = np.abs((resk - vals @ _WG21) * half)
-    resasc = np.abs(vals - 0.5 * resk[:, None]) @ _WK21 * half
-    resabs = np.abs(vals) @ _WK21 * half
+    resk = vals @ wk21
+    err = np.abs((resk - vals @ wg21) * half)
+    resasc = np.abs(vals - 0.5 * resk[:, None]) @ wk21 * half
+    resabs = np.abs(vals) @ wk21 * half
     # the Kronrod-Gauss difference overstates the error of a resolved panel
     # and understates that of an unresolved one; rescale it against the
     # panel's mean absolute deviation, and floor it at rounding level
@@ -173,7 +200,7 @@ def _graded(lo: float, hi: float, at_lo: bool) -> np.ndarray:
     """Breakpoints cutting [lo, hi] into _GRADE_PANELS panels whose widths
     halve towards lo (at_lo) or towards hi, less the cuts closer to that
     end than _END_FLOOR |end|."""
-    steps = (hi - lo) * _GRADE_CUTS
+    steps = (hi - lo) * _arrays()[3]
     steps = steps[(steps == 0.0) | (steps >= _END_FLOOR * abs(lo if at_lo else hi))]
     if at_lo:
         cuts = lo + steps
@@ -233,7 +260,7 @@ def _adaptive_gk(f, cuts: np.ndarray, spec: QuadratureSpec, ladder_from: float |
     # ends of the domain (a ladder has none)
     end_lo, end_hi = float(cuts[0]), (math.inf if ladder_open else float(cuts[-1]))
     # rows lo, hi, value, error of every panel, new panels last
-    panels, keep = None, slice(None)
+    panels, keep, no_panels = None, slice(None), _arrays()[4]
     remainder, dropped, refinements = 0.0, 0.0, 0
     while True:
         if ladder_open:
@@ -251,7 +278,7 @@ def _adaptive_gk(f, cuts: np.ndarray, spec: QuadratureSpec, ladder_from: float |
             # each panel's rung plus one: 0 on the head, and the top rung's
             # for a left end on or past the ladder's top edge
             count = edges[:-1].searchsorted(panels[0], side="right")
-            zero = _NO_PANELS
+            zero = no_panels
             if not fvals.all():
                 new_count = count[count.size - fvals.shape[0]:]
                 zero = new_count[(new_count > 0) & (fvals == 0.0).any(axis=1)]
@@ -282,7 +309,7 @@ def _adaptive_gk(f, cuts: np.ndarray, spec: QuadratureSpec, ladder_from: float |
                     ladder_open = False
         if panel_err <= tol and not ladder_open:
             return total, panel_err + abs(remainder) + dropped
-        new_lo, new_hi, keep = _NO_PANELS, _NO_PANELS, slice(None)
+        new_lo, new_hi, keep = no_panels, no_panels, slice(None)
         if panel_err > tol:
             budget = max(_MAX_REFINEMENTS - refinements, 0)
             worst = err.argsort()[::-1]

@@ -30,14 +30,12 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from . import constants
 from .densities import RadialDensity, density_views, fixed_moments
 from .errors import (DivergenceError, DomainError, check_finite, check_integer,
                      check_positive, formed)
 from .functionals import entropic_moment
-from .mathcore import QuadratureSpec, uniform_cuts
+from .mathcore import QuadratureSpec, np, uniform_cuts
 
 __all__ = ["ExtremalConstant", "minimizer_density", "maximizer_density",
            "extremal_F", "extremal_G"]
