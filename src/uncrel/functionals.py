@@ -94,7 +94,7 @@ def _weighted(x, r, w: float, m: float = 1.0) -> np.ndarray:
     or inf, for the quadrature to reject.  A zero x^m past the outermost
     node where r^w overflows may be an underflow hiding the mass of
     x^m r^w there, so those zeros become inf too, unless the product at
-    that node is negligible against the largest one."""
+    that node is negligible against the largest of the call."""
     with np.errstate(over="ignore", invalid="ignore"):
         power = x if m == 1.0 else np.power(x, m)
         out = np.power(r, w)

@@ -6,10 +6,11 @@ cubic interpolation of tabulated data.  Everything here is a pure
 function of its inputs and safe to call concurrently.
 
 Quadrature is one globally adaptive Gauss-Kronrod 21/10 routine: every
-refinement sweep evaluates all nodes of all new panels in a single call
-of the integrand, so integrands take and return numpy arrays.  The node
-array an integrand receives is read-only and new in every call: it
-cannot change the nodes the rule reads, nor see a kept array change.
+refinement sweep evaluates the nodes of its new panels in one call of the
+integrand per block of at most 1024 panels, so integrands take and return
+numpy arrays.  The node array an integrand receives is read-only and new
+in every call: it cannot change the nodes the rule reads, nor see a kept
+array change.
 Panels are bisected, except that an end panel of the domain is graded the
 first time refinement picks it: cut into 16 panels whose widths halve
 towards the end.  Algebraic end singularities (fractional and negative
@@ -146,6 +147,11 @@ _EPS50 = 50.0 * sys.float_info.epsilon
 # lies two float spacings inside E: nodes of a narrower one round onto E
 _END_FLOOR = 4.0 * sys.float_info.epsilon / (1.0 - _XGK[0])
 _LOG2_MAX = math.log2(sys.float_info.max)
+# panels per integrand call, so a sweep's memory follows its panels, not its nodes.
+# Not 512: ho1d(676, 1)'s first sweep (861 panels) in two level passes took 20% longer.
+# A multiple of 8: with OpenBLAS 0.3.31 the bits of a row of vals @ wk21 depend on the
+# grouping; blocks of 390 rows changed 9 of 3999 row sums, of every multiple of 4 tried none
+_BLOCK_PANELS = 1024
 
 
 @functools.cache
@@ -159,21 +165,29 @@ def _arrays():
 
 
 def _gk21(f, lo: np.ndarray, hi: np.ndarray):
-    """One Gauss-Kronrod 21/10 evaluation of every panel [lo_i, hi_i], all
-    nodes in one call of f; returns (values, error estimates, node values)."""
+    """One Gauss-Kronrod 21/10 evaluation of every panel [lo_i, hi_i], one
+    call of f per block of at most _BLOCK_PANELS panels (one empty block for
+    no panels); returns (values, error estimates, zero), zero[i] telling
+    whether f is 0 at a node of panel i, or None where f is 0 at no node."""
     x21, wk21, wg21 = _arrays()[:3]
-    half = 0.5 * (hi - lo)
-    nodes = 0.5 * (hi + lo)[:, None] + half[:, None] * x21
-    nodes.flags.writeable = False  # f must not change the nodes read below
-    vals = f(nodes)
-    if type(vals) is not np.ndarray or vals.dtype != np.float64 or vals.shape != nodes.shape:
-        vals = np.broadcast_to(np.asarray(vals, dtype=float), nodes.shape)
-    if not np.isfinite(vals).all():
-        raise NonFiniteError(f"integrand is not finite at r = {float(nodes[~np.isfinite(vals)][0])}")
-    resk = vals @ wk21
-    err = np.abs((resk - vals @ wg21) * half)
-    resasc = np.abs(vals - 0.5 * resk[:, None]) @ wk21 * half
-    resabs = np.abs(vals) @ wk21 * half
+    half, mid, blocks, zero = 0.5 * (hi - lo), 0.5 * (hi + lo), [], None
+    for at in (slice(b, b + _BLOCK_PANELS) for b in range(0, max(lo.size, 1), _BLOCK_PANELS)):
+        nodes = mid[at, None] + half[at, None] * x21
+        nodes.flags.writeable = False  # f must not change the nodes read below
+        vals = f(nodes)
+        if type(vals) is not np.ndarray or vals.dtype != np.float64 or vals.shape != nodes.shape:
+            vals = np.broadcast_to(np.asarray(vals, dtype=float), nodes.shape)
+        if not np.isfinite(vals).all():
+            raise NonFiniteError(f"integrand is not finite at r = {float(nodes[~np.isfinite(vals)][0])}")
+        if not vals.all():
+            zero = np.zeros(lo.size, dtype=bool) if zero is None else zero
+            zero[at] = (vals == 0.0).any(axis=1)
+        resk = vals @ wk21
+        blocks.append((resk, vals @ wg21, np.abs(vals - 0.5 * resk[:, None]) @ wk21,
+                       np.abs(vals) @ wk21))
+    resk, resg, resasc, resabs = blocks[0] if len(blocks) == 1 else map(np.concatenate, zip(*blocks))
+    err = np.abs((resk - resg) * half)
+    resasc, resabs = resasc * half, resabs * half
     # the Kronrod-Gauss difference overstates the error of a resolved panel
     # and understates that of an unresolved one; rescale it against the
     # panel's mean absolute deviation, and floor it at rounding level
@@ -181,7 +195,7 @@ def _gk21(f, lo: np.ndarray, hi: np.ndarray):
     ratio = 200.0 * err
     np.divide(ratio, resasc, out=ratio, where=spread)
     np.multiply(resasc, np.minimum(1.0, ratio ** 1.5), out=err, where=spread)
-    return resk * half, np.maximum(err, _EPS50 * resabs), vals
+    return resk * half, np.maximum(err, _EPS50 * resabs), zero
 
 
 def _geometric_remainder(sums: list) -> tuple[float, float]:
@@ -231,25 +245,26 @@ def _adaptive_gk(f, cuts: np.ndarray, spec: QuadratureSpec, ladder_from: float |
     rung's top edge, ~52 bisections deep, lands one rung up, and on the
     top rung the clip keeps it there.
 
-    Each sweep evaluates all new panels in one call of f, then refines
-    the fewest worst panels whose removal would bring the summed error
-    under half the tolerance.  A panel at an end of the domain (cuts[0],
-    and cuts[-1] without a ladder) is graded: cut into _GRADE_PANELS
-    panels halving towards the end, so an algebraic endpoint singularity
-    is resolved in a few sweeps instead of one bisection per sweep.  Cuts
-    closer to a nonzero end E than _END_FLOOR |E| are left out, as the
-    nodes of a narrower panel round onto E; an end panel with no cut left
-    stays as it is, its error kept in the sum.  Interior panels and
-    ladder rungs are only ever bisected.  _MAX_REFINEMENTS bounds the
-    panels refinement adds: one per bisection, _GRADE_PANELS - 1 per
-    graded end.
+    Each sweep evaluates its new panels, in calls of f of at most
+    _BLOCK_PANELS panels each, then refines the fewest worst panels whose
+    removal would bring the summed error under half the tolerance.  A
+    panel at an end of the domain (cuts[0], and cuts[-1] without a ladder)
+    is graded: cut into _GRADE_PANELS panels halving towards the end, so an
+    algebraic endpoint singularity is resolved in a few sweeps instead of
+    one bisection per sweep.  Cuts closer to a nonzero end E than
+    _END_FLOOR |E| are left out, as the nodes of a narrower panel round
+    onto E; an end panel with no cut left stays as it is, its error kept
+    in the sum.  Interior panels and ladder rungs are only ever bisected.
+    _MAX_REFINEMENTS bounds the panels refinement adds: one per bisection,
+    _GRADE_PANELS - 1 per graded end.
 
     The ladder grows until a rung meets an exactly zero integrand value
-    (an underflowed tail), which drops that rung and the ones after it,
-    or until the geometric remainder past the last rung is a small share
-    of the tolerance; the remainder is added to the value and to the
-    error.  The dropped rungs' absolute values and errors are added to the
-    error only, so dropping them never moves the value.
+    (an underflowed tail; _gk21 flags the panels that have one), which
+    drops that rung and the ones after it, or until the geometric
+    remainder past the last rung is a small share of the tolerance; the
+    remainder is added to the value and to the error.  The dropped rungs'
+    absolute values and errors are added to the error only, so dropping
+    them never moves the value.
     """
     ladder_open = ladder_from is not None
     # the last rung ends below the largest float
@@ -271,7 +286,7 @@ def _adaptive_gk(f, cuts: np.ndarray, spec: QuadratureSpec, ladder_from: float |
                 new_lo = np.concatenate((new_lo, edges[rungs:-1]))
                 new_hi = np.concatenate((new_hi, edges[rungs + 1:]))
             rungs, add = rungs + add, 0
-        v, e, fvals = _gk21(f, new_lo, new_hi)
+        v, e, has_zero = _gk21(f, new_lo, new_hi)
         new = np.array((new_lo, new_hi, v, e))
         panels = new if panels is None else np.concatenate((panels[:, keep], new), axis=1)
         if ladder_open:
@@ -279,9 +294,9 @@ def _adaptive_gk(f, cuts: np.ndarray, spec: QuadratureSpec, ladder_from: float |
             # for a left end on or past the ladder's top edge
             count = edges[:-1].searchsorted(panels[0], side="right")
             zero = no_panels
-            if not fvals.all():
-                new_count = count[count.size - fvals.shape[0]:]
-                zero = new_count[(new_count > 0) & (fvals == 0.0).any(axis=1)]
+            if has_zero is not None:
+                new_count = count[count.size - has_zero.size:]
+                zero = new_count[(new_count > 0) & has_zero]
             if zero.size:
                 kept = count < zero.min()
                 dropped = float(np.sum(np.abs(panels[2][~kept]) + panels[3][~kept]))

@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -640,6 +641,137 @@ class TestNodeArrays:
         if quad is quad_halfline:
             # a later sweep adds rungs beyond the first sweep's ladder
             assert max(r.max() for r in kept[1:]) > kept[0].max()
+
+
+def _gaussian_rows(rows: int) -> densities.RadialDensity:
+    """The d = 3 unit Gaussian tabulated at `rows` points on [0, 8]."""
+    r = np.linspace(0.0, 8.0, rows)
+    return densities.load_tabulated(constants.SystemConfig(d=3, N=1.0), r,
+                                    densities.gaussian_pair(3, 1.0).position.rho(r))
+
+
+def _far_table(d: int, shape: str) -> densities.RadialDensity:
+    """2000 rows out to 0.9 of the radius where r^(d-1) leaves the double
+    range: a Gaussian that underflows to 0 at 0.8 of it, or an exponential
+    cut to 0 at 0.7 of it."""
+    top = 0.9 * 10.0 ** (308 / (d - 1))
+    r = np.linspace(0.0, top, 2000)
+    rho = (np.exp(-(r / (0.8 * top / 27.3)) ** 2) if shape == "gauss"
+           else np.where(r < 0.7 * top, np.exp(-r / (0.1 * top)), 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the normalization is far from N = 1
+        return densities.load_tabulated(constants.SystemConfig(d=d, N=1.0), r, rho)
+
+
+class TestBlockedSweeps:
+    """A sweep evaluates its panels in blocks of at most 1024, one call of
+    the integrand each, so its memory follows its panels, not its nodes;
+    values and errors are those of one call over the whole sweep."""
+
+    @staticmethod
+    def _calls(monkeypatch) -> list:
+        """Per sweep, the node rows of each call of its integrand."""
+        gk21, sweeps = mathcore._gk21, []
+
+        def counted(f, lo, hi):
+            sweeps.append([])
+
+            def g(r):
+                sweeps[-1].append(r.shape[0])
+                return f(r)
+            return gk21(g, lo, hi)
+
+        monkeypatch.setattr(mathcore, "_gk21", counted)
+        return sweeps
+
+    def test_a_call_sees_at_most_1024_panels(self, monkeypatch):
+        sweeps = self._calls(monkeypatch)
+        dens = _gaussian_rows(4000)
+        loaded = len(sweeps)
+        functionals.fisher_information(dens)
+        # the normalization's first sweep and the Fisher information's take
+        # one panel per knot cell, 3999, in four calls
+        assert sweeps[0] == sweeps[loaded] == [1024, 1024, 1024, 927]
+        assert max(max(calls) for calls in sweeps) == mathcore._BLOCK_PANELS == 1024
+
+    def test_largest_ho1d_first_sweep_is_one_call(self, monkeypatch):
+        # 845 head panels and 16 rungs: one call, so one level pass.  A cap
+        # past about 800 levels splits it, which made Fisher + <x> of the
+        # largest state 20% slower when measured at 1024 and 512 panels
+        dens = densities.harmonic_fermions_1d(densities.MAX_OSCILLATOR_LEVELS, 1).position
+        sweeps = self._calls(monkeypatch)
+        functionals.radial_moment(dens, 1.0)
+        assert sweeps[0] == [861]
+
+    def test_no_panels_is_one_empty_call(self, monkeypatch):
+        sweeps = self._calls(monkeypatch)
+        assert gauss_cells(np.exp, np.array([1.0])) == (0.0, 0.0)
+        assert sweeps == [[0]]
+
+    # float.hex of (value, error) of <r^2>, <r^0.5>, W_2 and I, from one
+    # integrand call per sweep before sweeps were blocked
+    _PINS = {
+        4000: [("0x1.80000000003fap+1", "0x1.2c0000000031bp-45"),
+               ("0x1.3bb77af860919p+0", "0x1.ed6256a0933c3p-47"),
+               ("0x1.6fcb5f827e112p-6", "0x1.1f56e29df27d6p-52"),
+               ("0x1.7fffffff43c14p+1", "0x1.b2c0bd982b019p-38")],
+        50000: [("0x1.7ffffffffd054p+1", "0x1.2bfffffffdac1p-45"),
+                ("0x1.3bb77af85ef28p+0", "0x1.ed4eb0de6c5c2p-47"),
+                ("0x1.6fcb5f827b97fp-6", "0x1.1f56e29df08eap-52"),
+                ("0x1.7fffffff41d92p+1", "0x1.b2f72d5a432d5p-38")],
+    }
+
+    @pytest.mark.parametrize("rows", list(_PINS))
+    def test_table_bits(self, rows):
+        dens = _gaussian_rows(rows)
+        got = [functionals.radial_moment(dens, 2.0), functionals.radial_moment(dens, 0.5),
+               functionals.entropic_moment(dens, 2.0), functionals.fisher_information(dens)]
+        assert [(mv.value.hex(), mv.est_error.hex()) for mv in got] == self._PINS[rows]
+
+    # the hidden-mass guard of functionals._weighted compares against the
+    # largest product of its call, now of one block: (value, error) as
+    # float.hex, or the radius of the NonFiniteError, as before blocking.
+    # Each table's first sweep is two blocks, and r^w overflows in the second
+    @pytest.mark.parametrize("state,order,want", [
+        ("ho1d", 100.0, ("0x1.1cd577148c54fp+520", "0x1.1c863fe7169e8p+480")),
+        ("ho1d", 250.0, 16.944041916114372),
+        ("ho1d", 300.0, 10.569464643962666),
+        ("ho1d", 400.0, 5.862990091285325),
+        ("ho1d", 600.0, 3.2534905869939323),
+        ((150, "gauss"), 20.0, ("0x1.a85e885c1ced1p+462", "0x1.4b89da87f6994p+416")),
+        ((150, "gauss"), 60.0, ("0x1.be512d1654426p+658", "0x1.5caf6b3971d3dp+612")),
+        ((150, "gauss"), 150.0, 11.230064851102448),
+        ((150, "cut"), 20.0, 69.33902060509861),
+        ((150, "cut"), 60.0, 30.263239842080004),
+        ((250, "gauss"), 60.0, ("0x1.01592dddd4006p+68", "0x1.921b57aa9b40bp+21")),
+        ((250, "gauss"), 150.0, ("0x1.94a91d480c518p+301", "0x1.3c241ee0499fbp+255")),
+        ((250, "cut"), 60.0, 10.15767886615605),
+        ((250, "cut"), 150.0, 5.981055229396262),
+        ((300, "gauss"), 60.0, ("0x1.3b36035340eaap-188", "0x1.ec846532156eap-235")),
+        ((300, "gauss"), 150.0, ("0x1.a87450af0c3bcp-8", "0x1.4b9adf08c18eap-54")),
+        ((300, "cut"), 60.0, ("0x1.719eef8cc8b9fp+356", "0x1.20c42b25fcd13p+310")),
+        ((300, "cut"), 150.0, 4.914632894165185),
+    ])
+    def test_hidden_mass_guard_per_block(self, state, order, want):
+        dens = (densities.harmonic_fermions_1d(676, 1).position if state == "ho1d"
+                else _far_table(*state))
+        if isinstance(want, float):
+            with pytest.raises(NonFiniteError, match=re.escape(f"not finite at r = {want}")):
+                functionals.radial_moment(dens, order)
+        else:
+            mv = functionals.radial_moment(dens, order)
+            assert (mv.value.hex(), mv.est_error.hex()) == want
+
+    def test_fisher_memory_follows_the_panels(self):
+        # 49,999 panels: 66.7 MiB when one call took all 21 nodes of each
+        dens = _gaussian_rows(50000)
+        tracemalloc.start()
+        try:
+            functionals.fisher_information(dens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2 ** 20
 
 
 class TestInterpolateMonotone:
