@@ -659,7 +659,7 @@ def _far_table(d: int, shape: str) -> densities.RadialDensity:
     rho = (np.exp(-(r / (0.8 * top / 27.3)) ** 2) if shape == "gauss"
            else np.where(r < 0.7 * top, np.exp(-r / (0.1 * top)), 0.0))
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the normalization is far from N = 1
+        warnings.filterwarnings("ignore", "measured normalization")  # far from N = 1
         return densities.load_tabulated(constants.SystemConfig(d=d, N=1.0), r, rho)
 
 
